@@ -5,17 +5,15 @@ __version__ = "0.1.0"
 from .core import (
     ConservedSet,
     GeneRecord,
+    InvalidRow,
     OrthologTable,
     ScalingFactor,
     validate_table,
 )
 from .exact_test import (
-    GeneTestInput,
-    NullSuccessProb,
-    gene_pvalue,
+    binom_twosided_pvalues,
     gene_pvalues,
-    null_success_prob,
-    two_sided_exact_pvalue,
+    null_prob_values,
 )
 from .normalization import (
     GridConfig,
@@ -37,6 +35,7 @@ from .pipeline import (
     load_conserved_list,
     load_counts_tsv,
     run_pipeline,
+    write_counts_tsv,
     write_report,
 )
 from .simulation import (
@@ -52,15 +51,13 @@ from .simulation import (
 __all__ = [
     "ConservedSet",
     "GeneRecord",
+    "InvalidRow",
     "OrthologTable",
     "ScalingFactor",
     "validate_table",
-    "GeneTestInput",
-    "NullSuccessProb",
-    "gene_pvalue",
+    "binom_twosided_pvalues",
     "gene_pvalues",
-    "null_success_prob",
-    "two_sided_exact_pvalue",
+    "null_prob_values",
     "GridConfig",
     "MedianScaleResult",
     "ObjectiveValue",
@@ -78,6 +75,7 @@ __all__ = [
     "load_conserved_list",
     "load_counts_tsv",
     "run_pipeline",
+    "write_counts_tsv",
     "write_report",
     "Metrics",
     "SimConfig",

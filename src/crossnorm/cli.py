@@ -15,14 +15,15 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .core import ScalingFactor
-from .normalization import GridConfig, median_scaling_factor, scbn_scaling_factor
+from .normalization import GridConfig, ScbnResult
 from .pipeline import (
+    METHODS,
     RunConfig,
+    estimate_factor,
     load_conserved_list,
     load_counts_tsv,
     run_pipeline,
-    summary_dict,
+    write_counts_tsv,
     write_report,
 )
 from .simulation import SimConfig, evaluate_run, generate_dataset, run_study
@@ -65,7 +66,7 @@ def main() -> None:
 @main.command()
 @click.option("--counts", "counts_path", required=True, type=click.Path(exists=True))
 @click.option("--conserved", "conserved_path", required=True, type=click.Path(exists=True))
-@click.option("--method", type=click.Choice(["scbn", "median"]), default="scbn",
+@click.option("--method", type=click.Choice(METHODS), default="scbn",
               show_default=True)
 @_add_options(_grid_options)
 @click.option("--output", "output_path", type=click.Path(), default=None,
@@ -78,26 +79,23 @@ def normalize(counts_path, conserved_path, method, alpha, grid_center, grid_span
         conserved, unknown = load_conserved_list(conserved_path, table)
         if unknown:
             click.echo(f"warning: {unknown} conserved id(s) not in the count table", err=True)
-        payload = {"method": method, "conserved_used": conserved.m}
-        if method == "scbn":
-            grid = GridConfig(alpha=alpha, center=grid_center, span=grid_span,
-                              coarse_points=grid_points)
-            fit = scbn_scaling_factor(table, conserved, grid)
-            payload["scaling_factor"] = float(_fmt6(fit.factor.c))
+        grid = GridConfig(alpha=alpha, center=grid_center, span=grid_span,
+                          coarse_points=grid_points)
+        fit = estimate_factor(table, conserved, method, grid)
+        payload = {"method": method, "conserved_used": conserved.m,
+                   "scaling_factor": float(_fmt6(fit.factor.c))}
+        click.echo(f"scaling_factor\t{_fmt6(fit.factor.c)}")
+        if isinstance(fit, ScbnResult):
             payload["objective"] = {
                 "deviation": float(_fmt6(fit.objective.deviation)),
                 "rejection_rate": float(_fmt6(fit.objective.rejection_rate)),
             }
-            click.echo(f"scaling_factor\t{_fmt6(fit.factor.c)}")
             click.echo(f"rejection_rate\t{_fmt6(fit.objective.rejection_rate)}")
             click.echo(f"deviation\t{_fmt6(fit.objective.deviation)}")
         else:
-            est = median_scaling_factor(table, conserved)
-            payload["scaling_factor"] = float(_fmt6(est.factor.c))
-            payload["iqr_filtered"] = est.iqr_filtered
-            payload["kept_genes"] = est.kept_genes
-            click.echo(f"scaling_factor\t{_fmt6(est.factor.c)}")
-            if not est.iqr_filtered:
+            payload["iqr_filtered"] = fit.iqr_filtered
+            payload["kept_genes"] = fit.kept_genes
+            if not fit.iqr_filtered:
                 click.echo("warning: IQR filter kept no genes; used all conserved genes",
                            err=True)
         if output_path:
@@ -111,7 +109,7 @@ def normalize(counts_path, conserved_path, method, alpha, grid_center, grid_span
 @main.command(name="test")
 @click.option("--counts", "counts_path", required=True, type=click.Path(exists=True))
 @click.option("--conserved", "conserved_path", required=True, type=click.Path(exists=True))
-@click.option("--method", type=click.Choice(["scbn", "median"]), default="scbn",
+@click.option("--method", type=click.Choice(METHODS), default="scbn",
               show_default=True)
 @_add_options(_grid_options)
 @click.option("--cutoff", type=float, default=1e-6, show_default=True,
@@ -152,11 +150,15 @@ def test_cmd(counts_path, conserved_path, method, alpha, grid_center, grid_span,
         _fail(str(exc))
 
 
-def _sim_config_from_spec(spec: dict) -> SimConfig:
+def _check_sim_fields(names) -> None:
     known = {f.name for f in dataclasses.fields(SimConfig)}
-    unknown = set(spec) - known
+    unknown = set(names) - known
     if unknown:
         raise ValueError(f"unknown simulation field(s): {', '.join(sorted(unknown))}")
+
+
+def _sim_config_from_spec(spec: dict) -> SimConfig:
+    _check_sim_fields(spec)
     if "rate_source" in spec and spec["rate_source"] is not None:
         spec = dict(spec)
         spec["rate_source"] = tuple(float(v) for v in spec["rate_source"])
@@ -165,11 +167,9 @@ def _sim_config_from_spec(spec: dict) -> SimConfig:
 
 def _load_rate_table(path: str) -> tuple[float, ...]:
     table = load_counts_tsv(path)
-    rates = [float(r.count_sp1 + r.count_sp2) for r in table.records
-             if r.count_sp1 + r.count_sp2 > 0]
-    if not rates:
-        raise ValueError(f"{path}: reference table has no expressed genes")
-    return tuple(rates)
+    reads = table.count_sp1 + table.count_sp2
+    # A loaded table always has reads, so some gene is expressed.
+    return tuple(map(float, reads[table.testable].tolist()))
 
 
 @main.command()
@@ -220,18 +220,14 @@ def simulate(spec_path, n_orthologs, conserved_size, de_rate, fold, up_rate_sp2,
         dataset = generate_dataset(config)
         out = Path(output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        with (out / "counts.tsv").open("w", encoding="utf-8", newline="\n") as fh:
-            fh.write("gene_id\tlength_sp1\tcount_sp1\tlength_sp2\tcount_sp2\n")
-            for r in dataset.table.records:
-                fh.write(f"{r.gene_id}\t{r.length_sp1}\t{r.count_sp1}"
-                         f"\t{r.length_sp2}\t{r.count_sp2}\n")
+        write_counts_tsv(dataset.table, out / "counts.tsv")
         with (out / "conserved.txt").open("w", encoding="utf-8", newline="\n") as fh:
             for gid in sorted(dataset.reported_conserved.gene_ids):
                 fh.write(gid + "\n")
         with (out / "truth.tsv").open("w", encoding="utf-8", newline="\n") as fh:
             fh.write("gene_id\tlabel\n")
-            for r in dataset.table.records:
-                fh.write(f"{r.gene_id}\t{dataset.truth[r.gene_id]}\n")
+            for gene_id in dataset.table.gene_ids:
+                fh.write(f"{gene_id}\t{dataset.truth[gene_id]}\n")
         meta = dict(dataset.meta)
         meta["true_c"] = float(_fmt6(dataset.true_c.c))
         with (out / "meta.json").open("w", encoding="utf-8", newline="\n") as fh:
@@ -261,6 +257,7 @@ def study(spec_path, output_dir) -> None:
         spec = json.loads(Path(spec_path).read_text("utf-8"))
         base = _sim_config_from_spec(spec["base"])
         sweep = spec.get("sweep", {})
+        _check_sim_fields(sweep)
         methods = spec.get("methods", ["scbn", "median"])
         replicates = int(spec.get("replicates", 100))
         cutoff = float(spec.get("cutoff", 1e-6))

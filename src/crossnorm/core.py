@@ -1,20 +1,40 @@
 """Domain types for two-species orthologous-gene count data.
 
+An :class:`OrthologTable` is columnar: a tuple of gene ids plus read-only
+int64 columns ``length_sp1``, ``length_sp2``, ``count_sp1`` and
+``count_sp2``, the exact per-species read totals as Python ints, and a
+``testable`` mask.  :func:`validate_table` is the one place that builds and
+checks a table.  :class:`GeneRecord` is the row type: build small tables
+from rows with :meth:`OrthologTable.from_records`, and read rows back
+through the cached ``table.records`` view.
+
 All types are immutable after construction, so they can be shared freely
 across parallel workers.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from functools import cached_property
+from typing import Iterable
+
+import numpy as np
 
 __all__ = [
     "GeneRecord",
+    "InvalidRow",
     "OrthologTable",
     "ConservedSet",
     "ScalingFactor",
     "validate_table",
 ]
+
+# Column names in GeneRecord field order.
+_COLUMNS = ("length_sp1", "length_sp2", "count_sp1", "count_sp2")
+
+# Lengths and counts must stay below 2**53, where float64 (and so the exact
+# test's kernel) still represents every integer exactly.
+_VALUE_LIMIT = 2**53
+_INT64 = np.iinfo(np.int64)
 
 
 @dataclass(frozen=True)
@@ -43,53 +63,115 @@ class GeneRecord:
         return self.count_sp1 + self.count_sp2 > 0
 
 
-@dataclass(frozen=True)
+class InvalidRow(ValueError):
+    """A table rule broken by one gene; ``row`` is its 0-based position."""
+
+    def __init__(self, row: int, message: str) -> None:
+        super().__init__(message)
+        self.row = row
+
+
+@dataclass(frozen=True, eq=False)
 class OrthologTable:
     """The one-to-one ortholog set plus exact per-species read totals.
 
-    Totals are integer sums over the retained records; records that are
-    all-zero stay in the table (so totals match the input file) but are
-    flagged untestable via :attr:`GeneRecord.testable`.
+    Build it with :func:`validate_table`.  Totals are exact integer sums
+    over all genes; all-zero genes stay in the table (so totals match the
+    input file) but are flagged untestable in ``testable``.
     """
 
-    records: tuple[GeneRecord, ...]
+    gene_ids: tuple[str, ...]
+    length_sp1: np.ndarray
+    length_sp2: np.ndarray
+    count_sp1: np.ndarray
+    count_sp2: np.ndarray
     total_sp1: int
     total_sp2: int
-
-    def __post_init__(self) -> None:
-        seen: set[str] = set()
-        for rec in self.records:
-            if rec.gene_id in seen:
-                raise ValueError(f"duplicate gene_id {rec.gene_id!r}")
-            seen.add(rec.gene_id)
-        sum1 = sum(r.count_sp1 for r in self.records)
-        sum2 = sum(r.count_sp2 for r in self.records)
-        if (sum1, sum2) != (self.total_sp1, self.total_sp2):
-            raise ValueError("stored totals do not match the record sums")
-        if self.total_sp1 <= 0 or self.total_sp2 <= 0:
-            raise ValueError("each species needs at least one mapped read")
+    testable: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.gene_ids)
 
-    def __iter__(self) -> Iterator[GeneRecord]:
-        return iter(self.records)
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, OrthologTable):
+            return NotImplemented
+        return self.gene_ids == other.gene_ids and all(
+            np.array_equal(getattr(self, name), getattr(other, name)) for name in _COLUMNS
+        )
 
-    @property
-    def gene_ids(self) -> tuple[str, ...]:
-        return tuple(r.gene_id for r in self.records)
+    @classmethod
+    def from_records(cls, records: Iterable[GeneRecord]) -> "OrthologTable":
+        """Validate rows into a table, keeping their order."""
+        recs = tuple(records)
+        return validate_table(
+            [r.gene_id for r in recs],
+            *([getattr(r, name) for r in recs] for name in _COLUMNS),
+        )
+
+    @cached_property
+    def records(self) -> tuple[GeneRecord, ...]:
+        """The table as rows, built on first access."""
+        columns = (getattr(self, name).tolist() for name in _COLUMNS)
+        return tuple(GeneRecord(*row) for row in zip(self.gene_ids, *columns))
 
 
-def validate_table(records: Iterable[GeneRecord]) -> OrthologTable:
-    """Build a validated :class:`OrthologTable` with exact integer totals.
+def _int64_column(values) -> np.ndarray:
+    try:
+        column = np.array(values, dtype=np.int64)
+    except OverflowError:
+        # A Python int beyond int64: clamping keeps every rule's verdict.
+        column = np.array([min(max(v, _INT64.min), _INT64.max) for v in values],
+                          dtype=np.int64)
+    column.flags.writeable = False
+    return column
 
-    Idempotent: validating the records of an already-valid table reproduces
-    an equal table.
+
+def validate_table(gene_ids, length_sp1, length_sp2, count_sp1, count_sp2) -> OrthologTable:
+    """Check the columns and build an :class:`OrthologTable`.
+
+    Every id must be a unique non-empty string, lengths >= 1, counts >= 0,
+    and every length and count < 2**53.  A broken rule raises
+    :class:`InvalidRow` for the first offending gene; a species without any
+    reads raises ValueError.  Idempotent: validating a valid table's columns
+    reproduces an equal table.
     """
-    recs = tuple(records)
-    total_sp1 = sum(r.count_sp1 for r in recs)
-    total_sp2 = sum(r.count_sp2 for r in recs)
-    return OrthologTable(records=recs, total_sp1=total_sp1, total_sp2=total_sp2)
+    ids = tuple(gene_ids)
+    columns = [_int64_column(values) for values in (length_sp1, length_sp2, count_sp1, count_sp2)]
+    if any(column.shape != (len(ids),) for column in columns):
+        raise ValueError("gene ids and the four columns must have the same length")
+    l1, l2, x1, x2 = columns
+
+    failures = [
+        (int(mask.argmax()), message)
+        for mask, message in (
+            (l1 < 1, "length_sp1 must be >= 1"),
+            (l2 < 1, "length_sp2 must be >= 1"),
+            ((x1 < 0) | (x2 < 0), "counts must be >= 0"),
+            (np.any([column >= _VALUE_LIMIT for column in columns], axis=0),
+             "lengths and counts must be < 2**53"),
+        )
+        if mask.any()
+    ]
+    if "" in ids:
+        failures.append((ids.index(""), "gene_id must be a non-empty string"))
+    if len(set(ids)) < len(ids):
+        seen: set[str] = set()
+        for row, gene_id in enumerate(ids):
+            if gene_id in seen:
+                failures.append((row, "duplicate gene_id"))
+                break
+            seen.add(gene_id)
+    if failures:
+        row, message = min(failures, key=lambda failure: failure[0])
+        raise InvalidRow(row, f"gene {ids[row]!r}: {message}")
+
+    total_sp1 = sum(x1.tolist())
+    total_sp2 = sum(x2.tolist())
+    if total_sp1 <= 0 or total_sp2 <= 0:
+        raise ValueError("each species needs at least one mapped read")
+    testable = (x1 + x2) > 0
+    testable.flags.writeable = False
+    return OrthologTable(ids, l1, l2, x1, x2, total_sp1, total_sp2, testable)
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,4 @@
-"""Exact two-sided conditional binomial test for one orthologous gene.
+"""Exact two-sided conditional binomial test, vectorized over genes.
 
 Conditioning on the two-species count sum ``n`` turns the equal-rate null
 into a binomial null for the species-1 count.  The null success probability
@@ -11,29 +11,23 @@ from the null mean ``n * p0`` as the observed count:
 
     p = P(|X - n*p0| >= |x1 - n*p0|),  X ~ Binomial(n, p0)
 
+Every function takes arrays (or scalars) and broadcasts, so a table's
+columns go in directly: ``gene_pvalues(table.count_sp1, table.count_sp2,
+table.length_sp1, table.length_sp2, table.total_sp1, table.total_sp2, c)``.
 Tail masses are evaluated through the regularized incomplete beta function,
 which is numerically stable for the deep-coverage genes (n up to ~1e5)
 where per-term factorials overflow, and lets thousands of genes be tested
-in one vectorized call.  Inputs are mirrored onto the p0 <= 1/2 side first
-so that swapping the two species takes a bit-identical code path.
+in one call.  Inputs are mirrored onto the p0 <= 1/2 side first so that
+swapping the two species takes a bit-identical code path.
 """
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import special
 
-from .core import GeneRecord, ScalingFactor
-
 __all__ = [
-    "NullSuccessProb",
-    "GeneTestInput",
-    "null_success_prob",
     "null_prob_values",
-    "two_sided_exact_pvalue",
     "binom_twosided_pvalues",
-    "gene_pvalue",
     "gene_pvalues",
 ]
 
@@ -48,32 +42,6 @@ _MIN_P = 5e-324                          # smallest positive float
 _MAX_P0 = float(np.nextafter(1.0, 0.0))  # keep p0 strictly inside (0, 1)
 
 
-@dataclass(frozen=True)
-class NullSuccessProb:
-    """Success probability of the conditional binomial under the null."""
-
-    p0: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 < self.p0 < 1.0):
-            raise ValueError(f"p0 must lie strictly in (0, 1), got {self.p0!r}")
-
-
-@dataclass(frozen=True)
-class GeneTestInput:
-    """Observed species-1 count, conditional total, and null probability."""
-
-    x1: int
-    n: int
-    p0: NullSuccessProb
-
-    def __post_init__(self) -> None:
-        if self.n < 0:
-            raise ValueError("conditional total n must be >= 0")
-        if not (0 <= self.x1 <= self.n):
-            raise ValueError(f"x1 must lie in [0, n]; got x1={self.x1}, n={self.n}")
-
-
 def null_prob_values(c, length_sp1, length_sp2, total_sp1, total_sp2):
     """Null success probabilities for arrays of lengths at scaling factor c.
 
@@ -84,26 +52,6 @@ def null_prob_values(c, length_sp1, length_sp2, total_sp1, total_sp2):
     a = c * (l1 * float(total_sp1))
     b = l2 * float(total_sp2)
     return np.clip(a / (b + a), _MIN_P, _MAX_P0)
-
-
-def null_success_prob(
-    c: ScalingFactor,
-    length_sp1: int,
-    length_sp2: int,
-    total_sp1: int,
-    total_sp2: int,
-) -> NullSuccessProb:
-    """Null success probability for one gene; strictly increasing in c."""
-    for name, value in (
-        ("length_sp1", length_sp1),
-        ("length_sp2", length_sp2),
-        ("total_sp1", total_sp1),
-        ("total_sp2", total_sp2),
-    ):
-        if value <= 0:
-            raise ValueError(f"{name} must be positive, got {value!r}")
-    p0 = float(null_prob_values(c.c, length_sp1, length_sp2, total_sp1, total_sp2))
-    return NullSuccessProb(p0=p0)
 
 
 def _binom_cdf(k, n, q0):
@@ -150,25 +98,6 @@ def binom_twosided_pvalues(x1, n, p0):
     p = np.where(slack <= 0.0, 1.0, p)  # observed count at/next to the null mean
     p = np.where(n == 0.0, 1.0, p)
     return np.clip(p, _MIN_P, 1.0)
-
-
-def two_sided_exact_pvalue(test_input: GeneTestInput) -> float:
-    """Two-sided exact p-value for a single gene's conditional counts."""
-    return float(binom_twosided_pvalues(test_input.x1, test_input.n, test_input.p0.p0))
-
-
-def gene_pvalue(
-    gene: GeneRecord,
-    c: ScalingFactor,
-    total_sp1: int,
-    total_sp2: int,
-) -> float | None:
-    """P-value for one gene at scaling factor c; None if the gene is untestable."""
-    if not gene.testable:
-        return None
-    p0 = null_success_prob(c, gene.length_sp1, gene.length_sp2, total_sp1, total_sp2)
-    n = gene.count_sp1 + gene.count_sp2
-    return two_sided_exact_pvalue(GeneTestInput(x1=gene.count_sp1, n=n, p0=p0))
 
 
 def gene_pvalues(count_sp1, count_sp2, length_sp1, length_sp2, total_sp1, total_sp2, c):

@@ -106,30 +106,23 @@ def final_grid_log_step(grid: GridConfig) -> float:
     return 2.0 * half_width / (grid.coarse_points - 1)
 
 
-def _conserved_arrays(table: OrthologTable, conserved: ConservedSet):
-    """Testable conserved genes in table order, as flat numpy arrays."""
+def _conserved_rows(table: OrthologTable, conserved: ConservedSet) -> np.ndarray:
+    """Positions of the testable conserved genes, in table order."""
     wanted = conserved.gene_ids
-    x1, x2, l1, l2 = [], [], [], []
-    dropped = 0
-    for rec in table.records:
-        if rec.gene_id not in wanted:
-            continue
-        if not rec.testable:
-            dropped += 1
-            continue
-        x1.append(rec.count_sp1)
-        x2.append(rec.count_sp2)
-        l1.append(rec.length_sp1)
-        l2.append(rec.length_sp2)
-    if not x1:
+    in_set = np.fromiter((g in wanted for g in table.gene_ids), dtype=bool, count=len(table))
+    return np.flatnonzero(in_set & table.testable)
+
+
+def _conserved_arrays(table: OrthologTable, conserved: ConservedSet):
+    """Testable conserved genes' x1, n, L1*N1 and L2*N2 as float64 arrays."""
+    rows = _conserved_rows(table, conserved)
+    if rows.size == 0:
         raise ValueError("no testable conserved genes")
-    return (
-        np.asarray(x1, dtype=np.float64),
-        np.asarray(x2, dtype=np.float64),
-        np.asarray(l1, dtype=np.float64),
-        np.asarray(l2, dtype=np.float64),
-        dropped,
-    )
+    x1 = table.count_sp1[rows].astype(np.float64)
+    n = x1 + table.count_sp2[rows]
+    l1n1 = table.length_sp1[rows] * float(table.total_sp1)
+    l2n2 = table.length_sp2[rows] * float(table.total_sp2)
+    return x1, n, l1n1, l2n2
 
 
 def _deviation_curve(cs, x1, n, l1n1, l2n2, alpha):
@@ -176,10 +169,8 @@ def empirical_type1_deviation(
     """
     if not (0.0 < alpha < 1.0):
         raise ValueError("alpha must lie in (0, 1)")
-    x1, x2, l1, l2, _ = _conserved_arrays(table, conserved)
-    l1n1 = l1 * float(table.total_sp1)
-    l2n2 = l2 * float(table.total_sp2)
-    rate, dev = _deviation_curve(np.asarray([c.c]), x1, x1 + x2, l1n1, l2n2, alpha)
+    x1, n, l1n1, l2n2 = _conserved_arrays(table, conserved)
+    rate, dev = _deviation_curve(np.asarray([c.c]), x1, n, l1n1, l2n2, alpha)
     return ObjectiveValue(deviation=float(dev[0]), rejection_rate=float(rate[0]))
 
 
@@ -194,10 +185,7 @@ def scbn_scaling_factor(
     objective is a union of grid intervals; ties break to the (lower) median
     grid point of that set, which is stable under small grid perturbations.
     """
-    x1, x2, l1, l2, _ = _conserved_arrays(table, conserved)
-    n = x1 + x2
-    l1n1 = l1 * float(table.total_sp1)
-    l2n2 = l2 * float(table.total_sp2)
+    x1, n, l1n1, l2n2 = _conserved_arrays(table, conserved)
 
     if grid.center is not None:
         center = grid.center
@@ -239,6 +227,11 @@ def _quantile(sorted_vals: Sequence[Fraction], prob: Fraction) -> Fraction:
     return sorted_vals[j] * (1 - g) + sorted_vals[j + 1] * g
 
 
+def _expression(counts: np.ndarray, lengths: np.ndarray, total: int) -> list[Fraction]:
+    # count / (length * total) on Python ints (tolist), exact beyond int64.
+    return [Fraction(x, length * total) for x, length in zip(counts.tolist(), lengths.tolist())]
+
+
 def median_scaling_factor(table: OrthologTable, conserved: ConservedSet) -> MedianScaleResult:
     """Median-expression baseline estimate of the scaling factor.
 
@@ -248,16 +241,11 @@ def median_scaling_factor(table: OrthologTable, conserved: ConservedSet) -> Medi
     genes.  All arithmetic is exact until the final float conversion, so
     rescaling every species-1 length by k rescales the result by exactly 1/k.
     """
-    wanted = conserved.gene_ids
-    e1: list[Fraction] = []
-    e2: list[Fraction] = []
-    for rec in table.records:
-        if rec.gene_id not in wanted or not rec.testable:
-            continue
-        e1.append(Fraction(rec.count_sp1, rec.length_sp1 * table.total_sp1))
-        e2.append(Fraction(rec.count_sp2, rec.length_sp2 * table.total_sp2))
-    if len(e1) < 4:
-        raise ValueError(f"median baseline needs >= 4 testable conserved genes, got {len(e1)}")
+    rows = _conserved_rows(table, conserved)
+    if rows.size < 4:
+        raise ValueError(f"median baseline needs >= 4 testable conserved genes, got {rows.size}")
+    e1 = _expression(table.count_sp1[rows], table.length_sp1[rows], table.total_sp1)
+    e2 = _expression(table.count_sp2[rows], table.length_sp2[rows], table.total_sp2)
 
     s1 = sorted(e1)
     s2 = sorted(e2)

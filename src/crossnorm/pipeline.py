@@ -3,9 +3,12 @@
 File formats
 ------------
 Count table: UTF-8 TSV, header ``gene_id length_sp1 count_sp1 length_sp2
-count_sp2`` (tab-separated), one gene per line, integer lengths and counts.
+count_sp2`` (tab-separated), one gene per line, integer lengths and counts
+below 2**53.
 
 Conserved list: plain text, one gene id per line, ``#`` comments allowed.
+
+Both input formats may start with a UTF-8 byte-order mark, which is ignored.
 
 Reports: a JSON summary (method, factor, tallies, config echo) plus a
 per-gene TSV ``gene_id  p_value  q_value  direction  de_call`` where
@@ -21,21 +24,25 @@ from typing import Sequence
 
 import numpy as np
 
-from .core import ConservedSet,GeneRecord, OrthologTable, ScalingFactor, validate_table
+from .core import ConservedSet, InvalidRow, OrthologTable, ScalingFactor, validate_table
 from .exact_test import binom_twosided_pvalues, null_prob_values
 from .normalization import (
     GridConfig,
+    MedianScaleResult,
     ObjectiveValue,
+    ScbnResult,
     median_scaling_factor,
     scbn_scaling_factor,
 )
 
 __all__ = [
     "COUNTS_HEADER",
+    "METHODS",
     "TestResult",
     "RunConfig",
     "Report",
     "load_counts_tsv",
+    "write_counts_tsv",
     "load_conserved_list",
     "bh_adjust",
     "call_de",
@@ -47,6 +54,9 @@ __all__ = [
 
 COUNTS_HEADER = ("gene_id", "length_sp1", "count_sp1", "length_sp2", "count_sp2")
 _HEADER_LINE = "\t".join(COUNTS_HEADER)
+
+# Normalization methods, in the order the CLI lists them.
+METHODS = ("scbn", "median")
 
 DIRECTION_SP1 = "higher_sp1"
 DIRECTION_SP2 = "higher_sp2"
@@ -79,11 +89,10 @@ class RunConfig:
     grid_points: int = 1000
     grid_refine_rounds: int = 3
     grid_refine_shrink: float = 0.1
-    seed: int | None = None
 
     def __post_init__(self) -> None:
-        if self.method not in ("scbn", "median"):
-            raise ValueError(f"method must be 'scbn' or 'median', got {self.method!r}")
+        if self.method not in METHODS:
+            raise ValueError(f"method must be one of {', '.join(METHODS)}, got {self.method!r}")
         if not (0.0 < self.cutoff < 1.0):
             raise ValueError("cutoff must lie in (0, 1)")
         if not (0.0 < self.alpha < 1.0):
@@ -123,7 +132,7 @@ class Report:
 def load_counts_tsv(path: str | Path) -> OrthologTable:
     """Parse and validate a count table, reporting offending line numbers."""
     path = Path(path)
-    with path.open("r", encoding="utf-8", newline="") as fh:
+    with path.open("r", encoding="utf-8-sig", newline="") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ValueError(f"{path}: file is empty")
@@ -132,31 +141,39 @@ def load_counts_tsv(path: str | Path) -> OrthologTable:
         raise ValueError(
             f"{path}: line 1: expected header {_HEADER_LINE!r}, got {lines[0]!r}"
         )
-    records = []
+    gene_ids: list[str] = []
+    values: list[tuple[int, ...]] = []
+    linenos: list[int] = []
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         fields = line.split("\t")
         if len(fields) != 5:
             raise ValueError(f"{path}: line {lineno}: expected 5 tab-separated fields")
-        gene_id = fields[0]
         try:
-            l1, x1, l2, x2 = (int(v) for v in fields[1:])
+            values.append(tuple(map(int, fields[1:])))
         except ValueError:
             raise ValueError(
                 f"{path}: line {lineno}: lengths and counts must be integers"
             ) from None
-        try:
-            records.append(
-                GeneRecord(gene_id=gene_id, length_sp1=l1, length_sp2=l2,
-                           count_sp1=x1, count_sp2=x2)
-            )
-        except ValueError as exc:
-            raise ValueError(f"{path}: line {lineno}: {exc}") from None
+        gene_ids.append(fields[0])
+        linenos.append(lineno)
+    l1, x1, l2, x2 = zip(*values) if values else ((),) * 4
     try:
-        return validate_table(records)
+        return validate_table(gene_ids, length_sp1=l1, length_sp2=l2, count_sp1=x1, count_sp2=x2)
+    except InvalidRow as exc:
+        raise ValueError(f"{path}: line {linenos[exc.row]}: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def write_counts_tsv(table: OrthologTable, path: str | Path) -> None:
+    """Write a count table in the format :func:`load_counts_tsv` reads."""
+    columns = (table.gene_ids, table.length_sp1.tolist(), table.count_sp1.tolist(),
+               table.length_sp2.tolist(), table.count_sp2.tolist())
+    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write(_HEADER_LINE + "\n")
+        fh.writelines("\t".join(map(str, row)) + "\n" for row in zip(*columns))
 
 
 def load_conserved_list(path: str | Path, table: OrthologTable) -> tuple[ConservedSet, int]:
@@ -168,7 +185,7 @@ def load_conserved_list(path: str | Path, table: OrthologTable) -> tuple[Conserv
     """
     path = Path(path)
     wanted: list[str] = []
-    with path.open("r", encoding="utf-8") as fh:
+    with path.open("r", encoding="utf-8-sig") as fh:
         for raw in fh:
             line = raw.strip()
             if not line or line.startswith("#"):
@@ -212,14 +229,6 @@ def bh_adjust(pvalues: Sequence[float | None]) -> list[float | None]:
     return out
 
 
-def _table_arrays(table: OrthologTable):
-    x1 = np.asarray([r.count_sp1 for r in table.records], dtype=np.float64)
-    x2 = np.asarray([r.count_sp2 for r in table.records], dtype=np.float64)
-    l1 = np.asarray([r.length_sp1 for r in table.records], dtype=np.float64)
-    l2 = np.asarray([r.length_sp2 for r in table.records], dtype=np.float64)
-    return x1, x2, l1, l2
-
-
 def call_de(table: OrthologTable, c: ScalingFactor, cutoff: float) -> list[TestResult]:
     """Test every gene at factor c, adjust, and call DE below the cutoff.
 
@@ -229,31 +238,30 @@ def call_de(table: OrthologTable, c: ScalingFactor, cutoff: float) -> list[TestR
     """
     if not (0.0 < cutoff < 1.0):
         raise ValueError("cutoff must lie in (0, 1)")
-    x1, x2, l1, l2 = _table_arrays(table)
-    n = x1 + x2
-    p0 = null_prob_values(c.c, l1, l2, table.total_sp1, table.total_sp2)
+    x1 = table.count_sp1
+    n = x1 + table.count_sp2
+    p0 = null_prob_values(c.c, table.length_sp1, table.length_sp2,
+                          table.total_sp1, table.total_sp2)
     with np.errstate(invalid="ignore"):
         p = binom_twosided_pvalues(x1, n, p0)
-    testable = n > 0.0
-    pvalues = [float(p[i]) if testable[i] else None for i in range(len(table))]
+    pvalues = [pv if ok else None for pv, ok in zip(p.tolist(), table.testable.tolist())]
     qvalues = bh_adjust(pvalues)
 
-    mu = n * p0
+    rows = zip(table.gene_ids, x1.tolist(), (n * p0).tolist(), pvalues, qvalues)
     results = []
-    for i, rec in enumerate(table.records):
-        pv = pvalues[i]
+    for gene_id, x, mu, pv, q in rows:
         called = pv is not None and pv < cutoff
         direction = DIRECTION_NONE
         if called:
-            if x1[i] > mu[i]:
+            if x > mu:
                 direction = DIRECTION_SP1
-            elif x1[i] < mu[i]:
+            elif x < mu:
                 direction = DIRECTION_SP2
         results.append(
             TestResult(
-                gene_id=rec.gene_id,
+                gene_id=gene_id,
                 p_value=pv,
-                q_value=qvalues[i],
+                q_value=q,
                 direction=direction,
                 de_call=called,
             )
@@ -266,12 +274,12 @@ def estimate_factor(
     conserved: ConservedSet,
     method: str,
     grid: GridConfig,
-) -> ScalingFactor:
-    """Dispatch to the requested normalization method."""
+) -> ScbnResult | MedianScaleResult:
+    """Run the requested normalization method; ``grid`` is used by scbn only."""
     if method == "scbn":
-        return scbn_scaling_factor(table, conserved, grid).factor
+        return scbn_scaling_factor(table, conserved, grid)
     if method == "median":
-        return median_scaling_factor(table, conserved).factor
+        return median_scaling_factor(table, conserved)
     raise ValueError(f"unknown method {method!r}")
 
 
@@ -290,14 +298,10 @@ def run_pipeline(config: RunConfig) -> Report:
     table = load_counts_tsv(config.counts_path)
     conserved, unknown = load_conserved_list(config.conserved_path, table)
 
-    objective = None
-    if config.method == "scbn":
-        fit = scbn_scaling_factor(table, conserved, config.grid())
-        factor, objective = fit.factor, fit.objective
-    else:
-        factor = median_scaling_factor(table, conserved).factor
+    fit = estimate_factor(table, conserved, config.method, config.grid())
+    objective = fit.objective if isinstance(fit, ScbnResult) else None
 
-    results = call_de(table, factor, config.cutoff)
+    results = call_de(table, fit.factor, config.cutoff)
     called = [r for r in results if r.de_call]
     higher_sp1 = sum(1 for r in called if r.direction == DIRECTION_SP1)
     higher_sp2 = sum(1 for r in called if r.direction == DIRECTION_SP2)
@@ -310,10 +314,10 @@ def run_pipeline(config: RunConfig) -> Report:
 
     return Report(
         method=config.method,
-        scaling_factor=factor.c,
+        scaling_factor=fit.factor.c,
         objective=objective,
         n_genes=len(table),
-        n_testable=sum(1 for r in results if r.p_value is not None),
+        n_testable=int(table.testable.sum()),
         total_de=len(called),
         higher_sp1=higher_sp1,
         higher_sp2=higher_sp2,

@@ -18,7 +18,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .core import ConservedSet, GeneRecord, OrthologTable, ScalingFactor, validate_table
+from .core import ConservedSet, OrthologTable, ScalingFactor, validate_table
 
 __all__ = [
     "LABEL_NULL",
@@ -184,17 +184,8 @@ def generate_dataset(config: SimConfig) -> SimulatedDataset:
     unmapped_reads_sp2 = int(rng.poisson(unm2_mu * unm2_len * (config.depth_sp2 / s2)).sum())
 
     ids = [f"g{i:06d}" for i in range(n_table)]
-    records = [
-        GeneRecord(
-            gene_id=ids[i],
-            length_sp1=int(len_sp1[i]),
-            length_sp2=int(len_sp2[i]),
-            count_sp1=int(counts_sp1[i]),
-            count_sp2=int(counts_sp2[i]),
-        )
-        for i in range(n_table)
-    ]
-    table = validate_table(records)
+    table = validate_table(ids, length_sp1=len_sp1, length_sp2=len_sp2,
+                           count_sp1=counts_sp1, count_sp2=counts_sp2)
 
     truth = {ids[i]: str(labels[i]) for i in range(n_orth)}
     for j in range(config.n_unique_sp1):
@@ -283,23 +274,15 @@ def ma_plot_points(table: OrthologTable, c: ScalingFactor) -> MaPlot:
     count / (length * depth); the non-DE cloud should sit near log2(c).
     Genes with a zero count in either species are skipped (count reported).
     """
-    ids, a_vals, m_vals = [], [], []
-    skipped = 0
-    for rec in table.records:
-        if rec.count_sp1 == 0 or rec.count_sp2 == 0:
-            skipped += 1
-            continue
-        e1 = rec.count_sp1 / (rec.length_sp1 * table.total_sp1)
-        e2 = rec.count_sp2 / (rec.length_sp2 * table.total_sp2)
-        ids.append(rec.gene_id)
-        m_vals.append(math.log2(e1 / e2))
-        a_vals.append(0.5 * math.log2(e1 * e2))
+    keep = (table.count_sp1 > 0) & (table.count_sp2 > 0)
+    e1 = table.count_sp1[keep] / (table.length_sp1[keep] * float(table.total_sp1))
+    e2 = table.count_sp2[keep] / (table.length_sp2[keep] * float(table.total_sp2))
     return MaPlot(
-        gene_ids=tuple(ids),
-        a=np.asarray(a_vals),
-        m=np.asarray(m_vals),
+        gene_ids=tuple(itertools.compress(table.gene_ids, keep.tolist())),
+        a=0.5 * np.log2(e1 * e2),
+        m=np.log2(e1 / e2),
         factor_level=math.log2(c.c),
-        skipped=skipped,
+        skipped=int(keep.size - keep.sum()),
     )
 
 
@@ -347,12 +330,12 @@ def run_study(
     from that metric's average with the exclusion counted.
     """
     from .normalization import GridConfig
-    from .pipeline import estimate_factor, testable_calls
+    from .pipeline import METHODS, estimate_factor, testable_calls
 
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
     for method in methods:
-        if method not in ("scbn", "median"):
+        if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
     if grid is None:
         grid = GridConfig(alpha=alpha)
@@ -372,7 +355,7 @@ def run_study(
             true_cs.append(ds.true_c.c)
             calls_by_method = {}
             for method in methods:
-                factor = estimate_factor(ds.table, ds.reported_conserved, method, grid)
+                factor = estimate_factor(ds.table, ds.reported_conserved, method, grid).factor
                 calls, directions = testable_calls(ds.table, factor, cutoff)
                 truth = {gid: ds.truth[gid] for gid in calls}
                 per_method[method].append(evaluate_run(calls, truth))

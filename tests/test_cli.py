@@ -194,3 +194,33 @@ def test_simulate_spec_rejects_unknown_field(tmp_path):
     result = runner.invoke(main, ["simulate", "--spec", str(path), "--output", str(tmp_path / "x")])
     assert result.exit_code == 1
     assert "bogus" in result.output
+
+
+def test_study_spec_rejects_unknown_sweep_field(tmp_path):
+    runner = CliRunner()
+    spec = {"replicates": 1, "base": {"n_orthologs": 100, "conserved_size": 20},
+            "sweep": {"bogus": [1]}}
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    result = runner.invoke(main, ["study", "--spec", str(path), "--output", str(tmp_path / "x")])
+    assert result.exit_code == 1
+    assert "error: unknown simulation field(s): bogus" in result.output
+
+
+def test_count_beyond_2_pow_53_fails_with_line_number(tmp_path):
+    runner = CliRunner()
+    counts = tmp_path / "counts.tsv"
+    counts.write_text("gene_id\tlength_sp1\tcount_sp1\tlength_sp2\tcount_sp2\n"
+                      f"g1\t100\t5\t100\t5\ng2\t100\t{2**64}\t100\t5\n", encoding="utf-8")
+    cons = tmp_path / "cons.txt"
+    cons.write_text("g1\ng2\n", encoding="utf-8")
+    for command in ("normalize", "test"):
+        args = [command, "--counts", str(counts), "--conserved", str(cons), "--method", "median"]
+        if command == "test":
+            args += ["--output", str(tmp_path / "run")]
+        result = runner.invoke(main, args)
+        assert result.exit_code == 1
+        assert result.exception is None or isinstance(result.exception, SystemExit)
+        assert "error: " in result.output
+        assert ": line 3: " in result.output
+        assert "scaling_factor" not in result.output

@@ -1,10 +1,12 @@
 import dataclasses
 
+import numpy as np
 import pytest
 
 from crossnorm.core import (
     ConservedSet,
     GeneRecord,
+    InvalidRow,
     OrthologTable,
     ScalingFactor,
     validate_table,
@@ -20,15 +22,61 @@ def _records():
 
 
 def test_totals_are_exact_sums():
-    table = validate_table(_records())
+    table = OrthologTable.from_records(_records())
     assert table.total_sp1 == 12
     assert table.total_sp2 == 10
+
+
+def test_columns_are_read_only_int64():
+    table = OrthologTable.from_records(_records())
+    assert table.gene_ids == ("g1", "g2", "g3")
+    assert table.count_sp1.tolist() == [5, 0, 7]
+    assert table.length_sp2.tolist() == [200, 300, 120]
+    for column in (table.length_sp1, table.length_sp2, table.count_sp1, table.count_sp2):
+        assert column.dtype == np.int64
+        with pytest.raises(ValueError):
+            column[0] = 1
+    with pytest.raises(ValueError):
+        table.testable[0] = False
+
+
+def test_totals_are_exact_python_ints_beyond_int64():
+    # 2,000 counts just below 2**53 sum past 2**63, where an int64 sum wraps.
+    big = 2**53 - 1
+    n = 2000
+    table = validate_table([f"g{i}" for i in range(n)], [1] * n, [1] * n, [big] * n,
+                           [big - 1] * n)
+    assert type(table.total_sp1) is int and type(table.total_sp2) is int
+    assert table.total_sp1 == n * big
+    assert table.total_sp2 == n * (big - 1)
+
+
+@pytest.mark.parametrize("column", range(4))
+@pytest.mark.parametrize("value", [2**53, 2**63, 2**64])
+def test_values_at_or_above_2_pow_53_rejected_with_row(column, value):
+    values = [[100, 100], [100, 100], [5, 5], [5, 5]]
+    values[column][1] = value
+    with pytest.raises(InvalidRow, match=r"'g2'.*2\*\*53") as info:
+        validate_table(["g1", "g2"], *values)
+    assert info.value.row == 1
+
+
+def test_first_offending_row_is_reported():
+    with pytest.raises(InvalidRow) as info:
+        validate_table(["a", "b", "c", "b"], [5, 5, 0, 5], [5] * 4, [1, 1, 1, -1], [1] * 4)
+    assert info.value.row == 2
+    assert "length_sp1" in str(info.value)
+
+
+def test_mismatched_column_lengths_rejected():
+    with pytest.raises(ValueError, match="same length"):
+        validate_table(["g1", "g2"], [1, 1], [1, 1], [1], [1, 1])
 
 
 def test_duplicate_gene_id_rejected_by_name():
     records = [GeneRecord("g1", 10, 10, 1, 1), GeneRecord("g1", 20, 20, 2, 2)]
     with pytest.raises(ValueError, match="g1"):
-        validate_table(records)
+        OrthologTable.from_records(records)
 
 
 def test_nonpositive_length_rejected_by_name():
@@ -44,22 +92,25 @@ def test_negative_count_rejected():
 def test_all_zero_totals_rejected():
     records = [GeneRecord("g1", 10, 10, 0, 0)]
     with pytest.raises(ValueError):
-        validate_table(records)
+        OrthologTable.from_records(records)
 
 
 def test_zero_count_gene_retained_but_untestable():
     records = _records() + [GeneRecord("g4", 50, 60, 0, 0)]
-    table = validate_table(records)
+    table = OrthologTable.from_records(records)
     assert len(table) == 4
     assert table.total_sp1 == 12  # the all-zero gene adds nothing
-    flags = {r.gene_id: r.testable for r in table}
+    flags = {r.gene_id: r.testable for r in table.records}
+    assert table.testable.tolist() == [True, True, True, False]
     assert flags == {"g1": True, "g2": True, "g3": True, "g4": False}
 
 
 def test_validate_table_is_idempotent():
-    table = validate_table(_records())
-    again = validate_table(table.records)
+    table = OrthologTable.from_records(_records())
+    again = validate_table(table.gene_ids, table.length_sp1, table.length_sp2,
+                           table.count_sp1, table.count_sp2)
     assert again == table
+    assert OrthologTable.from_records(table.records) == table
 
 
 def test_records_are_immutable():
@@ -68,13 +119,8 @@ def test_records_are_immutable():
         rec.count_sp1 = 5
 
 
-def test_table_rejects_mismatched_totals():
-    with pytest.raises(ValueError):
-        OrthologTable(records=tuple(_records()), total_sp1=99, total_sp2=10)
-
-
 def test_conserved_set_requires_known_ids():
-    table = validate_table(_records())
+    table = OrthologTable.from_records(_records())
     conserved = ConservedSet.for_table(["g1", "g3"], table)
     assert conserved.m == 2
     with pytest.raises(ValueError, match="gX"):

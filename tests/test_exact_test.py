@@ -6,16 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import gammaln
 
-from crossnorm.core import GeneRecord, ScalingFactor
-from crossnorm.exact_test import (
-    GeneTestInput,
-    NullSuccessProb,
-    binom_twosided_pvalues,
-    gene_pvalue,
-    gene_pvalues,
-    null_success_prob,
-    two_sided_exact_pvalue,
-)
+from crossnorm.exact_test import binom_twosided_pvalues, gene_pvalues, null_prob_values
 
 # ---------------------------------------------------------------------------
 # Independent oracle: membership decided on exact integers, mass by log-gamma
@@ -41,7 +32,8 @@ def oracle_pvalues(n: int, num: int, den: int) -> np.ndarray:
 
 
 def _p(x1, n, p0):
-    return two_sided_exact_pvalue(GeneTestInput(x1, n, NullSuccessProb(p0)))
+    # One gene through the vectorized kernel.
+    return float(binom_twosided_pvalues(x1, n, p0))
 
 
 # ---------------------------------------------------------------------------
@@ -74,55 +66,29 @@ def test_empty_total_gives_one():
 
 
 def test_null_success_prob_examples():
-    assert null_success_prob(ScalingFactor(1.0), 100, 100, 1000, 1000).p0 == 0.5
-    assert null_success_prob(ScalingFactor(2.0), 100, 100, 1000, 1000).p0 == 2 / 3
-    assert null_success_prob(ScalingFactor(1.0), 1000, 500, 10**6, 2 * 10**6).p0 == 0.5
+    assert null_prob_values(1.0, 100, 100, 1000, 1000) == 0.5
+    assert null_prob_values(2.0, 100, 100, 1000, 1000) == 2 / 3
+    assert null_prob_values(1.0, 1000, 500, 10**6, 2 * 10**6) == 0.5
 
 
 def test_null_success_prob_increasing_in_c():
-    values = [
-        null_success_prob(ScalingFactor(c), 300, 700, 10**6, 2 * 10**6).p0
-        for c in (0.5, 1.0, 2.0, 4.0)
-    ]
-    assert values == sorted(values)
+    values = null_prob_values(np.array([0.5, 1.0, 2.0, 4.0]), 300, 700, 10**6, 2 * 10**6)
+    assert list(values) == sorted(values)
     assert all(0.0 < v < 1.0 for v in values)
 
 
-@pytest.mark.parametrize("bad", [0, -5])
-def test_null_success_prob_rejects_nonpositive(bad):
-    with pytest.raises(ValueError):
-        null_success_prob(ScalingFactor(1.0), bad, 100, 1000, 1000)
-    with pytest.raises(ValueError):
-        null_success_prob(ScalingFactor(1.0), 100, 100, bad, 1000)
-
-
 def test_gene_pvalue_examples():
-    c = ScalingFactor(1.0)
-    balanced = GeneRecord("a", 500, 500, 3, 3)
-    assert gene_pvalue(balanced, c, 10**6, 10**6) == 1.0
-    skewed = GeneRecord("b", 500, 500, 0, 2)
-    assert gene_pvalue(skewed, c, 10**6, 10**6) == pytest.approx(0.5, abs=1e-15)
-    silent = GeneRecord("c", 500, 500, 0, 0)
-    assert gene_pvalue(silent, c, 10**6, 10**6) is None
+    # Genes: balanced, all reads in species 2, and silent (untestable).
+    p = gene_pvalues([3, 0, 0], [3, 2, 0], [500] * 3, [500] * 3, 10**6, 10**6, 1.0)
+    assert p[0] == 1.0
+    assert p[1] == pytest.approx(0.5, abs=1e-15)
+    assert math.isnan(p[2])
 
 
 def test_gene_pvalue_matches_composition():
-    c = ScalingFactor(1.7)
-    gene = GeneRecord("g", 812, 1377, 41, 13)
-    p0 = null_success_prob(c, 812, 1377, 2_000_000, 3_500_000)
-    direct = two_sided_exact_pvalue(GeneTestInput(41, 54, p0))
-    assert gene_pvalue(gene, c, 2_000_000, 3_500_000) == direct
-
-
-def test_input_validation():
-    with pytest.raises(ValueError):
-        NullSuccessProb(0.0)
-    with pytest.raises(ValueError):
-        NullSuccessProb(1.0)
-    with pytest.raises(ValueError):
-        GeneTestInput(5, 4, NullSuccessProb(0.5))
-    with pytest.raises(ValueError):
-        GeneTestInput(-1, 4, NullSuccessProb(0.5))
+    p0 = null_prob_values(1.7, 812, 1377, 2_000_000, 3_500_000)
+    direct = binom_twosided_pvalues(41, 54, p0)
+    assert gene_pvalues(41, 13, 812, 1377, 2_000_000, 3_500_000, 1.7) == direct
 
 
 # ---------------------------------------------------------------------------
@@ -232,12 +198,12 @@ def test_gene_pvalues_vector_matches_gene_pvalue():
     x1 = rng.integers(0, 300, m)
     x2 = rng.integers(0, 300, m)
     x1[7] = x2[7] = 0  # untestable lane
-    c = ScalingFactor(1.31)
-    vec = gene_pvalues(x1, x2, l1, l2, 10**6, 2 * 10**6, c.c)
+    c = 1.31
+    vec = gene_pvalues(x1, x2, l1, l2, 10**6, 2 * 10**6, c)
     for i in range(m):
-        rec = GeneRecord(f"g{i}", int(l1[i]), int(l2[i]), int(x1[i]), int(x2[i]))
-        scalar = gene_pvalue(rec, c, 10**6, 2 * 10**6)
-        if scalar is None:
+        n = int(x1[i] + x2[i])
+        if n == 0:
             assert math.isnan(vec[i])
-        else:
-            assert vec[i] == scalar
+            continue
+        p0 = float(null_prob_values(c, int(l1[i]), int(l2[i]), 10**6, 2 * 10**6))
+        assert vec[i] == _p(int(x1[i]), n, p0)

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from crossnorm.core import ConservedSet, GeneRecord, ScalingFactor, validate_table
+from crossnorm.core import ConservedSet, GeneRecord, OrthologTable, ScalingFactor, validate_table
 from crossnorm.normalization import (
     GridConfig,
     PfdrInputs,
@@ -21,7 +21,7 @@ from crossnorm.normalization import (
 
 
 def _table_with_conserved(records, conserved_ids):
-    table = validate_table(records)
+    table = OrthologTable.from_records(records)
     return table, ConservedSet.for_table(conserved_ids, table)
 
 
@@ -170,7 +170,7 @@ def test_scbn_recovers_known_scale():
 def test_scbn_swap_symmetry():
     rng = np.random.default_rng(77)
     table, conserved = _null_poisson_table(rng, 400, 1.25)
-    swapped = validate_table(
+    swapped = OrthologTable.from_records(
         [
             GeneRecord(r.gene_id, r.length_sp2, r.length_sp1, r.count_sp2, r.count_sp1)
             for r in table.records
@@ -252,6 +252,16 @@ def test_median_length_equivariance_is_exact():
         table, conserved = _table_with_conserved(records, [r.gene_id for r in records])
         result = median_scaling_factor(table, conserved)
         assert result.factor.c == float(Fraction(6895, 4773) / k)
+
+
+def test_median_stays_exact_when_length_times_total_exceeds_int64():
+    # Totals near 2**64: an int64 sum or length * total product would wrap.
+    n = 2000
+    counts = [2**53 - 1 - i for i in range(n)]
+    table = validate_table([f"g{i}" for i in range(n)], [3] * n, [5] * n, counts, counts)
+    conserved = ConservedSet(frozenset(table.gene_ids))
+    result = median_scaling_factor(table, conserved)
+    assert result.factor.c == float(Fraction(5, 3))
 
 
 def test_median_needs_four_testable_genes():

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossnorm.core import GeneRecord, ScalingFactor, validate_table
+from crossnorm.core import ConservedSet, GeneRecord, OrthologTable, ScalingFactor, validate_table
+from crossnorm.normalization import GridConfig, median_scaling_factor, scbn_scaling_factor
 from crossnorm.pipeline import (
     RunConfig,
     bh_adjust,
@@ -14,6 +15,7 @@ from crossnorm.pipeline import (
     load_counts_tsv,
     run_pipeline,
     summary_dict,
+    write_counts_tsv,
     write_report,
 )
 from crossnorm.pipeline import testable_calls as de_calls_for
@@ -32,11 +34,7 @@ def _write_counts(path, rows, header="gene_id\tlength_sp1\tcount_sp1\tlength_sp2
 
 def _write_dataset(tmp_path, dataset):
     counts = tmp_path / "counts.tsv"
-    rows = [
-        f"{r.gene_id}\t{r.length_sp1}\t{r.count_sp1}\t{r.length_sp2}\t{r.count_sp2}"
-        for r in dataset.table.records
-    ]
-    _write_counts(counts, rows)
+    write_counts_tsv(dataset.table, counts)
     conserved = tmp_path / "conserved.txt"
     conserved.write_text(
         "\n".join(sorted(dataset.reported_conserved.gene_ids)) + "\n", encoding="utf-8"
@@ -108,13 +106,46 @@ def test_load_counts_wrong_field_count(tmp_path):
         load_counts_tsv(path)
 
 
+@pytest.mark.parametrize("field", range(1, 5))
+@pytest.mark.parametrize("value", [2**53, 2**64])
+def test_load_counts_rejects_values_from_2_pow_53_with_line(tmp_path, field, value):
+    row = ["g2", "100", "5", "200", "2"]
+    row[field] = str(value)
+    # The blank line still counts toward the reported line number.
+    path = _write_counts(tmp_path / "c.tsv", ["g1\t100\t5\t200\t2", "", "\t".join(row)])
+    with pytest.raises(ValueError, match=r"c\.tsv: line 4: gene 'g2': .*2\*\*53"):
+        load_counts_tsv(path)
+
+
+def test_load_counts_ignores_byte_order_mark(tmp_path):
+    path = tmp_path / "c.tsv"
+    path.write_text("\ufeffgene_id\tlength_sp1\tcount_sp1\tlength_sp2\tcount_sp2\n"
+                    "g1\t100\t5\t200\t2\n", encoding="utf-8")
+    table = load_counts_tsv(path)
+    assert table.gene_ids == ("g1",)
+
+
+def test_write_counts_then_load_gives_an_equal_table(tmp_path):
+    ds = generate_dataset(
+        SimConfig(n_orthologs=200, conserved_size=40, n_unique_sp1=10, n_unique_sp2=20,
+                  seed=8, depth_sp1=2e4, depth_sp2=2e4)
+    )
+    path = tmp_path / "counts.tsv"
+    write_counts_tsv(ds.table, path)
+    assert load_counts_tsv(path) == ds.table
+    lines = path.read_text(encoding="utf-8").splitlines()
+    assert lines[0] == "gene_id\tlength_sp1\tcount_sp1\tlength_sp2\tcount_sp2"
+    r = ds.table.records[0]
+    assert lines[1] == f"{r.gene_id}\t{r.length_sp1}\t{r.count_sp1}\t{r.length_sp2}\t{r.count_sp2}"
+
+
 # ---------------------------------------------------------------------------
 # Conserved-list ingestion
 # ---------------------------------------------------------------------------
 
 
 def _small_table():
-    return validate_table(
+    return OrthologTable.from_records(
         [GeneRecord(f"g{i}", 100, 100, 5 + i, 6 + i) for i in range(10)]
     )
 
@@ -128,6 +159,15 @@ def test_conserved_list_with_comments_and_unknowns(tmp_path):
     conserved, unknown = load_conserved_list(path, table)
     assert conserved.m == 3
     assert unknown == 2
+
+
+def test_conserved_list_ignores_byte_order_mark(tmp_path):
+    table = _small_table()
+    path = tmp_path / "cons.txt"
+    path.write_text("\ufeffg1\ng2\n", encoding="utf-8")
+    conserved, unknown = load_conserved_list(path, table)
+    assert conserved.gene_ids == frozenset({"g1", "g2"})
+    assert unknown == 0
 
 
 def test_conserved_list_all_unknown_errors(tmp_path):
@@ -209,7 +249,7 @@ def test_bh_monotone_and_dominates_p(pvalues):
 
 
 def test_call_de_balanced_gene_not_called():
-    table = validate_table(
+    table = OrthologTable.from_records(
         [GeneRecord("bal", 500, 500, 3, 3), GeneRecord("pad", 500, 500, 10, 10)]
     )
     results = call_de(table, ScalingFactor(1.0), cutoff=1e-6)
@@ -223,7 +263,7 @@ def test_call_de_extreme_gene_called_with_direction():
     rows = [GeneRecord("hot", 500, 500, 50, 0)] + [
         GeneRecord(f"b{i}", 500, 500, 10, 11) for i in range(50)
     ]
-    table = validate_table(rows)
+    table = OrthologTable.from_records(rows)
     # equalize totals so p0 = 1/2 for every gene at c = 1
     assert table.total_sp1 == 550
     assert table.total_sp2 == 550
@@ -240,7 +280,7 @@ def test_call_de_untestable_gene_excluded_from_ranking():
         GeneRecord("a", 100, 100, 8, 2),
         GeneRecord("b", 100, 100, 3, 9),
     ]
-    table = validate_table(rows)
+    table = OrthologTable.from_records(rows)
     results = {r.gene_id: r for r in call_de(table, ScalingFactor(1.0), cutoff=1e-6)}
     assert results["z"].p_value is None
     assert results["z"].q_value is None
@@ -268,7 +308,7 @@ def test_call_de_direction_antisymmetric_under_species_swap():
                   seed=10, depth_sp1=1e5, depth_sp2=1e5)
     )
     c = ds.true_c.c
-    swapped = validate_table(
+    swapped = OrthologTable.from_records(
         [
             GeneRecord(r.gene_id, r.length_sp2, r.length_sp1, r.count_sp2, r.count_sp1)
             for r in ds.table.records
@@ -372,8 +412,52 @@ def test_median_beats_nothing_but_scbn_beats_median_under_noise(tmp_path):
             from crossnorm.pipeline import estimate_factor
             from crossnorm.normalization import GridConfig
 
-            factor = estimate_factor(ds.table, ds.reported_conserved, method, GridConfig())
+            factor = estimate_factor(ds.table, ds.reported_conserved, method, GridConfig()).factor
             calls, _ = de_calls_for(ds.table, factor, cutoff=0.01)
             truth = {gid: ds.truth[gid] for gid in calls}
             bucket.append(evaluate_run(calls, truth).false_discoveries)
     assert np.mean(scbn_fd) <= np.mean(median_fd)
+
+
+# ---------------------------------------------------------------------------
+# Gene order
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def _tables_with_permutation(draw):
+    n = draw(st.integers(min_value=6, max_value=40))
+    lengths = st.integers(min_value=1, max_value=5000)
+    counts = st.integers(min_value=0, max_value=400)
+    columns = [draw(st.lists(lengths, min_size=n, max_size=n)) for _ in range(2)]
+    columns += [draw(st.lists(counts, min_size=n, max_size=n)) for _ in range(2)]
+    columns[2][0] = columns[3][0] = 1  # both species have reads
+    conserved = draw(st.integers(min_value=4, max_value=n))
+    perm = draw(st.permutations(range(n)))
+    return [f"g{i}" for i in range(n)], columns, conserved, perm
+
+
+def _outcome(func, *args):
+    try:
+        return func(*args)
+    except ValueError as exc:
+        return str(exc)
+
+
+@given(_tables_with_permutation())
+@settings(max_examples=40, deadline=None)
+def test_gene_order_permutes_calls_and_keeps_both_estimates(case):
+    ids, columns, n_conserved, perm = case
+    table = validate_table(ids, *columns)
+    shuffled = validate_table([ids[i] for i in perm], *([col[i] for i in perm] for col in columns))
+    conserved = ConservedSet(frozenset(ids[:n_conserved]))
+
+    assert _outcome(median_scaling_factor, table, conserved) == \
+        _outcome(median_scaling_factor, shuffled, conserved)
+    grid = GridConfig(coarse_points=100, refine_rounds=2)
+    assert _outcome(scbn_scaling_factor, table, conserved, grid) == \
+        _outcome(scbn_scaling_factor, shuffled, conserved, grid)
+
+    c = ScalingFactor(0.8)
+    results = call_de(table, c, cutoff=0.05)
+    assert call_de(shuffled, c, cutoff=0.05) == [results[i] for i in perm]

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from crossnorm.core import GeneRecord, ScalingFactor, validate_table
+from crossnorm.core import GeneRecord, OrthologTable, ScalingFactor
 from crossnorm.normalization import empirical_type1_deviation
 from crossnorm.simulation import (
     LABEL_DE_UP_SP1,
@@ -79,7 +79,7 @@ def test_label_accounting():
 
 def test_unique_genes_silent_in_the_other_species():
     ds = generate_dataset(_study1_config())
-    by_id = {r.gene_id: r for r in ds.table}
+    by_id = {r.gene_id: r for r in ds.table.records}
     for gid, label in ds.truth.items():
         if label == LABEL_UNIQUE_SP1:
             assert by_id[gid].count_sp2 == 0
@@ -212,7 +212,7 @@ def test_ma_plot_values():
         GeneRecord("quad", 100, 100, 200, 50),    # e1 = 4 e2 -> M = 2
         GeneRecord("skip", 100, 100, 0, 150),     # zero in one species
     ]
-    table = validate_table(records)
+    table = OrthologTable.from_records(records)
     plot = ma_plot_points(table, ScalingFactor(1.0))
     assert plot.skipped == 1
     assert plot.gene_ids == ("same", "quad")
@@ -226,7 +226,7 @@ def test_ma_plot_values():
 
 def test_ma_plot_factor_line():
     records = [GeneRecord("g", 100, 100, 10, 10)]
-    table = validate_table(records)
+    table = OrthologTable.from_records(records)
     assert ma_plot_points(table, ScalingFactor(2.0)).factor_level == 1.0
 
 
@@ -236,9 +236,16 @@ def test_ma_plot_preserves_table_order():
         GeneRecord(f"g{i}", 100, 100, int(rng.integers(1, 50)), int(rng.integers(1, 50)))
         for i in range(20)
     ]
-    table = validate_table(records)
+    table = OrthologTable.from_records(records)
     plot = ma_plot_points(table, ScalingFactor(1.0))
     assert list(plot.gene_ids) == [r.gene_id for r in records]
+    # Per-gene reference on exact integer products; float64 rounding allows
+    # a few ulps of difference.
+    for i, r in enumerate(records):
+        e1 = r.count_sp1 / (r.length_sp1 * table.total_sp1)
+        e2 = r.count_sp2 / (r.length_sp2 * table.total_sp2)
+        assert plot.m[i] == pytest.approx(math.log2(e1 / e2), rel=1e-12, abs=1e-12)
+        assert plot.a[i] == pytest.approx(0.5 * math.log2(e1 * e2), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
