@@ -33,6 +33,12 @@ def _fmt6(value: float) -> str:
     return f"{value:.6g}"
 
 
+_WINDOW_EDGE_WARNING = (
+    "warning: the scbn optimum is at the edge of the grid window, so the best "
+    "factor may lie outside it; widen --grid-span or move --grid-center"
+)
+
+
 def _fail(message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(1)
@@ -92,6 +98,8 @@ def normalize(counts_path, conserved_path, method, alpha, grid_center, grid_span
             }
             click.echo(f"rejection_rate\t{_fmt6(fit.objective.rejection_rate)}")
             click.echo(f"deviation\t{_fmt6(fit.objective.deviation)}")
+            if fit.window_edge:
+                click.echo(_WINDOW_EDGE_WARNING, err=True)
         else:
             payload["iqr_filtered"] = fit.iqr_filtered
             payload["kept_genes"] = fit.kept_genes
@@ -139,6 +147,8 @@ def test_cmd(counts_path, conserved_path, method, alpha, grid_center, grid_span,
                 f"warning: {report.conserved_unknown} conserved id(s) not in the count table",
                 err=True,
             )
+        if report.window_edge:
+            click.echo(_WINDOW_EDGE_WARNING, err=True)
         summary_path, results_path = write_report(report, output_dir)
         click.echo(f"scaling_factor\t{_fmt6(report.scaling_factor)}")
         click.echo(f"total_de\t{report.total_de}")
@@ -150,19 +160,66 @@ def test_cmd(counts_path, conserved_path, method, alpha, grid_center, grid_span,
         _fail(str(exc))
 
 
+# JSON specs arrive untyped; SimConfig compares and computes with its fields.
+_SIM_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(SimConfig)}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _spec_integer(name: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _spec_number(name: str, value) -> float:
+    if not _is_number(value):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 def _check_sim_fields(names) -> None:
-    known = {f.name for f in dataclasses.fields(SimConfig)}
-    unknown = set(names) - known
+    unknown = set(names) - set(_SIM_FIELD_TYPES)
     if unknown:
         raise ValueError(f"unknown simulation field(s): {', '.join(sorted(unknown))}")
 
 
-def _sim_config_from_spec(spec: dict) -> SimConfig:
+def _check_sim_value(name: str, value) -> None:
+    if name == "rate_source":
+        if value is not None and not (
+            isinstance(value, list) and all(map(_is_number, value))
+        ):
+            raise ValueError(f"rate_source must be a list of numbers, got {value!r}")
+    elif _SIM_FIELD_TYPES[name] == "int":
+        _spec_integer(name, value)
+    else:
+        _spec_number(name, value)
+
+
+def _sim_config_from_spec(spec) -> SimConfig:
+    if not isinstance(spec, dict):
+        raise ValueError("a simulation spec must be a JSON object of SimConfig fields")
     _check_sim_fields(spec)
-    if "rate_source" in spec and spec["rate_source"] is not None:
+    for name, value in spec.items():
+        _check_sim_value(name, value)
+    if spec.get("rate_source") is not None:
         spec = dict(spec)
         spec["rate_source"] = tuple(float(v) for v in spec["rate_source"])
     return SimConfig(**spec)
+
+
+def _study_sweep(sweep) -> dict:
+    if not isinstance(sweep, dict):
+        raise ValueError("sweep must be a JSON object mapping fields to lists of values")
+    _check_sim_fields(sweep)
+    for name, values in sweep.items():
+        if not isinstance(values, list):
+            raise ValueError(f"sweep {name} must be a list of values, got {values!r}")
+        for value in values:
+            _check_sim_value(name, value)
+    return sweep
 
 
 def _load_rate_table(path: str) -> tuple[float, ...]:
@@ -255,14 +312,19 @@ def study(spec_path, output_dir) -> None:
     """Run a simulation sweep and write the replicate-averaged result grid."""
     try:
         spec = json.loads(Path(spec_path).read_text("utf-8"))
+        if not isinstance(spec, dict):
+            raise ValueError("a study spec must be a JSON object")
+        if "base" not in spec:
+            raise ValueError("a study spec needs a base object of simulation fields")
         base = _sim_config_from_spec(spec["base"])
-        sweep = spec.get("sweep", {})
-        _check_sim_fields(sweep)
-        methods = spec.get("methods", ["scbn", "median"])
-        replicates = int(spec.get("replicates", 100))
-        cutoff = float(spec.get("cutoff", 1e-6))
-        alpha = float(spec.get("alpha", 0.05))
-        master_seed = int(spec.get("seed", 0))
+        sweep = _study_sweep(spec.get("sweep", {}))
+        methods = spec.get("methods", list(METHODS))
+        if not (isinstance(methods, list) and all(isinstance(m, str) for m in methods)):
+            raise ValueError(f"methods must be a list of method names, got {methods!r}")
+        replicates = _spec_integer("replicates", spec.get("replicates", 100))
+        cutoff = _spec_number("cutoff", spec.get("cutoff", 1e-6))
+        alpha = _spec_number("alpha", spec.get("alpha", 0.05))
+        master_seed = _spec_integer("seed", spec.get("seed", 0))
         cells = run_study(base, sweep, methods, replicates, cutoff,
                           alpha=alpha, master_seed=master_seed)
         out = Path(output_dir)
@@ -284,7 +346,7 @@ def study(spec_path, output_dir) -> None:
                 fh.write("\t".join(row) + "\n")
         click.echo(f"cells\t{len(cells)}")
         click.echo(f"grid\t{grid_path}")
-    except (KeyError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         _fail(str(exc))
 
 

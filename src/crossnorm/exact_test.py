@@ -68,6 +68,22 @@ def _binom_sf(k, n, p0):
     return np.where(k <= 0, 1.0, special.betainc(a, b, p0))
 
 
+def _mirror(x1, n, p0):
+    # Mirror onto p0 <= 1/2 (and x1 <= n/2 at exactly 1/2) so species-swapped
+    # inputs reduce to identical arithmetic.
+    flip = (p0 > 0.5) | ((p0 == 0.5) & (2.0 * x1 > n))
+    return np.where(flip, n - x1, x1), np.where(flip, 1.0 - p0, p0)
+
+
+def _tail_edges(x1, n, p0):
+    # The observed distance from the null mean less the tie slack, and the
+    # two tail edges: lo is the largest outcome in the lower tail, hi the
+    # smallest in the upper tail.
+    mu = n * p0
+    slack = np.abs(x1 - mu) - np.minimum(_TIE_REL_TOL * n, _TIE_CAP)
+    return slack, np.floor(mu - slack), np.ceil(mu + slack)
+
+
 def binom_twosided_pvalues(x1, n, p0):
     """Vectorized two-sided exact binomial p-values.
 
@@ -80,17 +96,9 @@ def binom_twosided_pvalues(x1, n, p0):
         np.asarray(n, dtype=np.float64),
         np.asarray(p0, dtype=np.float64),
     )
-    # Mirror onto p0 <= 1/2 (and x1 <= n/2 at exactly 1/2) so species-swapped
-    # inputs reduce to identical arithmetic.
-    flip = (p0 > 0.5) | ((p0 == 0.5) & (2.0 * x1 > n))
-    x1 = np.where(flip, n - x1, x1)
-    p0 = np.where(flip, 1.0 - p0, p0)
+    x1, p0 = _mirror(x1, n, p0)
     q0 = 1.0 - p0
-
-    mu = n * p0
-    slack = np.abs(x1 - mu) - np.minimum(_TIE_REL_TOL * n, _TIE_CAP)
-    lo = np.floor(mu - slack)  # largest outcome in the lower tail
-    hi = np.ceil(mu + slack)   # smallest outcome in the upper tail
+    slack, lo, hi = _tail_edges(x1, n, p0)
     with np.errstate(invalid="ignore", divide="ignore"):
         lower = np.where(lo >= 0.0, _binom_cdf(np.clip(lo, 0.0, None), n, q0), 0.0)
         upper = np.where(hi <= n, _binom_sf(np.clip(hi, 0.0, None), n, p0), 0.0)

@@ -6,7 +6,15 @@ Two estimators of the between-species scale live here:
   rejection rate at level alpha is closest to alpha itself.  The objective
   is a piecewise-constant step function of the factor, so the search is a
   log-spaced grid with shrinking refinement windows rather than anything
-  derivative-based.
+  derivative-based.  Each round counts rejections at every grid point
+  without testing every (gene, factor) cell: for one gene, p0 rises with
+  the factor and the exact tails are monotone in p0, so tails taken at
+  the two ends of a run of grid points bound the p-value everywhere in
+  it.  A run whose bounds both fall on one side of alpha adds its whole
+  count at once; any other run is halved, and runs of at most four
+  points are tested cell by cell with the same kernel.  The counts equal
+  a dense sweep's exactly, and betainc runs mainly on the few cells near
+  a gene's decision change.
 
 * ``median_scaling_factor`` is the conventional baseline: length- and
   depth-normalized expression per gene, an interquartile filter applied in
@@ -15,8 +23,6 @@ Two estimators of the between-species scale live here:
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -24,7 +30,15 @@ from typing import Sequence
 import numpy as np
 
 from .core import ConservedSet, OrthologTable, ScalingFactor
-from .exact_test import _MAX_P0, _MIN_P, binom_twosided_pvalues
+from .exact_test import (
+    _MAX_P0,
+    _MIN_P,
+    _binom_cdf,
+    _binom_sf,
+    _mirror,
+    _tail_edges,
+    binom_twosided_pvalues,
+)
 
 __all__ = [
     "GridConfig",
@@ -39,10 +53,17 @@ __all__ = [
     "final_grid_log_step",
 ]
 
-# Grid rows are chunked so the (grid x genes) work arrays stay within a
-# few tens of MB regardless of conserved-set size.
-_CHUNK_CELLS = 500_000
-_WORKERS = min(4, os.cpu_count() or 1)
+# Grid-index intervals at most this many cells wide are tested cell by cell.
+_LEAF_WIDTH = 4
+# Relative widening of an interval's end-point p0 (see _interval_verdicts).
+_P0_WIDEN = 1e-12
+# A bound decides an interval only when it clears alpha by this relative
+# margin, which absorbs betainc's own rounding error.
+_ALPHA_MARGIN = 1e-9
+# Below this n the kernel's observed-side tail edge is exactly x1: the
+# rounding error in mu - slack stays far below the tie slack.  Larger genes
+# are always tested cell by cell.
+_MAX_BOUNDED_N = 2.0**40
 
 
 @dataclass(frozen=True)
@@ -89,6 +110,9 @@ class ObjectiveValue:
 class ScbnResult:
     factor: ScalingFactor
     objective: ObjectiveValue
+    # True when the coarse round's minimizing set reaches its first or last
+    # grid point: the optimum may then lie outside [center/span, center*span].
+    window_edge: bool
 
 
 @dataclass(frozen=True)
@@ -125,34 +149,129 @@ def _conserved_arrays(table: OrthologTable, conserved: ConservedSet):
     return x1, n, l1n1, l2n2
 
 
-def _deviation_curve(cs, x1, n, l1n1, l2n2, alpha):
-    """Rejection rate and |rate - alpha| at every factor in ``cs``.
+def _null_prob(cs, l1n1, l2n2):
+    # The kernel's p0 at factor(s) cs: the expression null_prob_values uses.
+    a = cs * l1n1
+    return np.clip(a / (l2n2 + a), _MIN_P, _MAX_P0)
 
-    Grid points are independent, so chunks run on a small thread pool; each
-    lane is the same scalar computation wherever it runs, and chunks are
-    written back by position, so the result is bit-identical to a serial
-    sweep.
+
+def _two_tail_bound(x, n, below, q_obs, q_far):
+    """Observed tail at q_obs plus the far tail, its edge taken at q_obs and
+    its probability at q_far, in the kernel's mirrored frame."""
+    _, lo, hi = _tail_edges(x, n, q_obs)
+    bound = np.empty(x.size)
+    b, a = below, ~below
+    bound[b] = _binom_cdf(x[b], n[b], 1.0 - q_obs[b]) + np.where(
+        hi[b] <= n[b], _binom_sf(hi[b], n[b], q_far[b]), 0.0)
+    bound[a] = _binom_sf(x[a], n[a], q_obs[a]) + np.where(
+        lo[a] >= 0.0, _binom_cdf(np.clip(lo[a], 0.0, None), n[a], 1.0 - q_far[a]), 0.0)
+    return bound
+
+
+def _interval_verdicts(x1, n, p_lo, p_hi, alpha):
+    """+1 where the p-value is below alpha at every p0 in [p_lo, p_hi], -1
+    where it is below alpha at none, 0 where the end-point bounds cannot tell.
+
+    The bounds hold for binom_twosided_pvalues itself, not only in exact
+    arithmetic: each step from p0 to a tail edge or a betainc argument
+    (mirroring, n * p0, the slack, floor/ceil, 1 - p0) is a rounded
+    monotone function, so the kernel's cells inside the interval order like
+    its end points.  The observed-side edge is exactly x1 for
+    n < _MAX_BOUNDED_N, which the caller enforces.
     """
-    cs = np.asarray(cs, dtype=np.float64)
-    m = x1.size
-    rejections = np.empty(cs.size, dtype=np.int64)
-    rows = max(1, _CHUNK_CELLS // m)
+    # The grid's exp() and fl(a / (b + a)) are monotone in c only up to a
+    # few ulps; widening the ends covers every inside cell's p0.
+    p_lo = np.clip(p_lo * (1.0 - _P0_WIDEN), _MIN_P, _MAX_P0)
+    p_hi = np.clip(p_hi * (1.0 + _P0_WIDEN), _MIN_P, _MAX_P0)
+    accept_at = alpha * (1.0 + _ALPHA_MARGIN)
+    reject_at = alpha * (1.0 - _ALPHA_MARGIN)
+    verdict = np.zeros(x1.size, dtype=np.int8)
 
-    def count_block(start: int) -> None:
-        block = cs[start : start + rows, None]
-        a = block * l1n1
-        p0 = np.clip(a / (l2n2 + a), _MIN_P, _MAX_P0)
-        p = binom_twosided_pvalues(x1, n, p0)
-        rejections[start : start + rows] = (p < alpha).sum(axis=1)
+    # Sided intervals.  p0 stays on one side of 1/2, so every cell has the
+    # kernel's mirror frame; let q1 <= q2 be the mirrored ends.  The null
+    # mean stays at least 1 from x and on one side of it, so every cell
+    # takes the kernel's slack > 0 branch: the observed tail plus the far
+    # tail.  Below the mean that is P(X <= x) + P(X >= hi), where
+    # P(X <= x) falls as q rises, hi = ceil(2*mu - x - tol) never falls,
+    # and P(X >= k) rises.  Hence with the near end q1 and the far end q2,
+    #   upper bound: P(X <= x | q1) + P(X >= hi(q1) | q2)
+    #   lower bound: P(X <= x | q2) + P(X >= hi(q2) | q1).
+    # Above the mean the mirror image holds, with q2 the near end.
+    x, qa = _mirror(x1, n, p_lo)
+    _, qb = _mirror(x1, n, p_hi)
+    q1, q2 = np.minimum(qa, qb), np.maximum(qa, qb)
+    below = n * q1 - x >= 1.0
+    is_sided = ((p_hi < 0.5) | (p_lo > 0.5)) & (below | (x - n * q2 >= 1.0))
+    sided = np.flatnonzero(is_sided)
+    x, n_s, below = x[sided], n[sided], below[sided]
+    near = np.where(below, q1[sided], q2[sided])
+    far = np.where(below, q2[sided], q1[sided])
+    lower = _two_tail_bound(x, n_s, below, far, near)
+    verdict[sided[lower >= accept_at]] = -1
+    open_ = lower < accept_at
+    upper = _two_tail_bound(x[open_], n_s[open_], below[open_], near[open_], far[open_])
+    verdict[sided[open_][upper < reject_at]] = 1
 
-    starts = range(0, cs.size, rows)
-    if len(starts) > 1 and _WORKERS > 1:
-        with ThreadPoolExecutor(max_workers=_WORKERS) as pool:
-            list(pool.map(count_block, starts))
-    else:
-        for start in starts:
-            count_block(start)
-    rate = rejections / m
+    # Other intervals can only be proven accepted.  Unless the kernel
+    # returns 1, its p-value includes the observed-side tail: P(X <= x1)
+    # with x1 below the null mean, P(X >= x1) above it, each the same
+    # betainc in either mirror frame.  P(X <= x1) falls and P(X >= x1)
+    # rises with p0, so the smaller of P(X <= x1) at p_hi and P(X >= x1)
+    # at p_lo is below every cell's p-value, whichever side x1 is on there.
+    rest = np.flatnonzero(~is_sided)
+    lower = np.minimum(_binom_cdf(x1[rest], n[rest], 1.0 - p_hi[rest]),
+                       _binom_sf(x1[rest], n[rest], p_lo[rest]))
+    verdict[rest[lower >= accept_at]] = -1
+    return verdict
+
+
+def _rejection_counts(cs, x1, n, l1n1, l2n2, alpha):
+    """Number of genes with p < alpha at each factor of the ascending ``cs``.
+
+    Each gene starts with the whole grid as one interval of grid indices.
+    An interval its end-point bounds decide adds its whole run to a
+    difference array; any other interval is halved.  Intervals at most
+    _LEAF_WIDTH wide are counted cell by cell with binom_twosided_pvalues,
+    on the same p0 expression, so the counts equal a dense sweep's.
+    """
+    points = cs.size
+    runs = np.zeros(points + 1, dtype=np.int64)
+    gene = np.arange(x1.size)
+    left = np.zeros(x1.size, dtype=np.int64)
+    right = np.full(x1.size, points - 1, dtype=np.int64)
+    leaves = []
+    while gene.size:
+        leaf = right - left < _LEAF_WIDTH
+        leaves.append((gene[leaf], left[leaf], right[leaf]))
+        gene, left, right = gene[~leaf], left[~leaf], right[~leaf]
+        verdict = _interval_verdicts(
+            x1[gene], n[gene],
+            _null_prob(cs[left], l1n1[gene], l2n2[gene]),
+            _null_prob(cs[right], l1n1[gene], l2n2[gene]),
+            alpha,
+        )
+        verdict[n[gene] >= _MAX_BOUNDED_N] = 0
+        run = verdict > 0
+        runs += np.bincount(left[run], minlength=points + 1)
+        runs -= np.bincount(right[run] + 1, minlength=points + 1)
+        split = verdict == 0
+        gene, left, right = gene[split], left[split], right[split]
+        mid = (left + right) // 2
+        gene = np.concatenate([gene, gene])
+        left, right = np.concatenate([left, mid + 1]), np.concatenate([mid, right])
+
+    gene, left, right = (np.concatenate(parts) for parts in zip(*leaves))
+    cell = left[:, None] + np.arange(_LEAF_WIDTH)
+    inside = cell <= right[:, None]
+    gene = np.broadcast_to(gene[:, None], cell.shape)[inside]
+    cell = cell[inside]
+    p = binom_twosided_pvalues(x1[gene], n[gene], _null_prob(cs[cell], l1n1[gene], l2n2[gene]))
+    return np.cumsum(runs[:-1]) + np.bincount(cell[p < alpha], minlength=points)
+
+
+def _deviation_curve(cs, x1, n, l1n1, l2n2, alpha):
+    """Rejection rate and |rate - alpha| at every factor of the ascending ``cs``."""
+    rate = _rejection_counts(np.asarray(cs, dtype=np.float64), x1, n, l1n1, l2n2, alpha) / x1.size
     return rate, np.abs(rate - alpha)
 
 
@@ -196,6 +315,7 @@ def scbn_scaling_factor(
     half_width = np.log(grid.span)
     best_rate = 0.0
     best_dev = np.inf
+    window_edge = False
     for round_idx in range(grid.refine_rounds + 1):
         h = half_width * grid.refine_shrink**round_idx
         cs = np.exp(np.linspace(log_center - h, log_center + h, grid.coarse_points))
@@ -205,6 +325,8 @@ def scbn_scaling_factor(
         # equidistant from m*alpha on both sides).
         minima = np.flatnonzero(dev <= dev.min() + 1e-12)
         pick = minima[(minima.size - 1) // 2]
+        if round_idx == 0:
+            window_edge = bool(minima[0] == 0 or minima[-1] == cs.size - 1)
         log_center = np.log(cs[pick])
         best_rate = float(rate[pick])
         best_dev = float(dev[pick])
@@ -213,6 +335,7 @@ def scbn_scaling_factor(
     return ScbnResult(
         factor=factor,
         objective=ObjectiveValue(deviation=best_dev, rejection_rate=best_rate),
+        window_edge=window_edge,
     )
 
 

@@ -127,6 +127,8 @@ class Report:
     conserved_unknown: int
     eval_list_size: int | None = None
     eval_list_de: int | None = None
+    # ScbnResult.window_edge of the fit; not written to the reports.
+    window_edge: bool = False
 
 
 def load_counts_tsv(path: str | Path) -> OrthologTable:
@@ -327,6 +329,7 @@ def run_pipeline(config: RunConfig) -> Report:
         conserved_unknown=unknown,
         eval_list_size=eval_size,
         eval_list_de=eval_de,
+        window_edge=isinstance(fit, ScbnResult) and fit.window_edge,
     )
 
 

@@ -1,5 +1,6 @@
 import json
 
+import pytest
 from click.testing import CliRunner
 
 from crossnorm.cli import main
@@ -205,6 +206,51 @@ def test_study_spec_rejects_unknown_sweep_field(tmp_path):
     result = runner.invoke(main, ["study", "--spec", str(path), "--output", str(tmp_path / "x")])
     assert result.exit_code == 1
     assert "error: unknown simulation field(s): bogus" in result.output
+
+
+_STUDY_BASE = {"n_orthologs": 100, "conserved_size": 20}
+
+
+@pytest.mark.parametrize("spec, message", [
+    ({"base": _STUDY_BASE, "sweep": {"noise_rate": 0.1}},
+     "error: sweep noise_rate must be a list of values, got 0.1"),
+    ({"base": _STUDY_BASE, "sweep": {"noise_rate": ["x"]}},
+     "error: noise_rate must be a number, got 'x'"),
+    ([{"base": _STUDY_BASE}],
+     "error: a study spec must be a JSON object"),
+    ({"base": {"n_orthologs": "5", "conserved_size": 20}},
+     "error: n_orthologs must be an integer, got '5'"),
+    ({"base": _STUDY_BASE, "methods": "scbn"},
+     "error: methods must be a list of method names, got 'scbn'"),
+], ids=["sweep-value-not-a-list", "sweep-entry-not-a-number", "spec-not-an-object",
+        "base-field-not-a-number", "methods-not-a-list"])
+def test_study_spec_of_the_wrong_shape_is_a_one_line_error(tmp_path, spec, message):
+    runner = CliRunner()
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    result = runner.invoke(main, ["study", "--spec", str(path), "--output", str(tmp_path / "x")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.strip() == message
+
+
+def test_scbn_optimum_at_the_window_edge_warns(tmp_path):
+    runner = CliRunner()
+    sim = tmp_path / "sim"
+    assert _simulate(runner, sim).exit_code == 0
+    inputs = ["--counts", str(sim / "counts.tsv"), "--conserved", str(sim / "conserved.txt"),
+              "--grid-points", "200"]
+    # The window [0.5/1.2, 0.5*1.2] lies below the data's factor (about 1.1).
+    pinned = ["--grid-center", "0.5", "--grid-span", "1.2"]
+    commands = [["normalize"], ["test", "--output", str(tmp_path / "run")]]
+    for command in commands:
+        result = runner.invoke(main, command + inputs + pinned)
+        assert result.exit_code == 0, result.output
+        assert result.stderr.count("warning: ") == 1
+        assert "edge of the grid window" in result.stderr
+        default = runner.invoke(main, command + inputs)
+        assert default.exit_code == 0, default.output
+        assert "edge of the grid window" not in default.stderr
 
 
 def test_count_beyond_2_pow_53_fails_with_line_number(tmp_path):

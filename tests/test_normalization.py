@@ -3,10 +3,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossnorm.core import ConservedSet, GeneRecord, OrthologTable, ScalingFactor, validate_table
+from crossnorm.exact_test import binom_twosided_pvalues, null_prob_values
 from crossnorm.normalization import (
     GridConfig,
+    _rejection_counts,
     PfdrInputs,
     empirical_type1_deviation,
     estimate_pfdr,
@@ -137,6 +141,54 @@ def test_deviation_smallest_at_true_factor_in_expectation():
 
 
 # ---------------------------------------------------------------------------
+# Rejection counts over a grid, against a dense cell-by-cell sweep
+# ---------------------------------------------------------------------------
+
+
+def _dense_rejection_counts(cs, x1, n, l1n1, l2n2, alpha):
+    """Oracle: every (factor, gene) cell through the kernel."""
+    p0 = null_prob_values(cs[:, None], l1n1, l2n2, 1, 1)
+    return (binom_twosided_pvalues(x1, n, p0) < alpha).sum(axis=1)
+
+
+@st.composite
+def _grid_count_cases(draw):
+    # Each gene's null mean sits near x1 at the grid center, so decisions
+    # change inside the window.  A tie case has equal L*N in both species and
+    # its grid hits c = 1 exactly, where p0 is exactly 1/2.
+    tie = draw(st.booleans())
+    center = 1.0 if tie else draw(st.floats(0.1, 10.0))
+    max_n = draw(st.sampled_from([5, 10**7, 2**42]))
+    rows = []
+    for _ in range(draw(st.integers(1, 10))):
+        n = draw(st.integers(1, max_n))
+        f = 0.5 if tie else draw(st.floats(0.02, 0.98))
+        z = draw(st.floats(-8.0, 8.0))
+        x1 = min(n, max(0, round(n * f + z * math.sqrt(n * f * (1 - f)))))
+        l1n1 = float(draw(st.integers(1, 10**10)))
+        rows.append((x1, n, l1n1, l1n1 * (center * (1 - f) / f)))
+    columns = tuple(np.asarray(col, dtype=np.float64) for col in zip(*rows))
+    points = draw(st.integers(1, 400))
+    span = draw(st.floats(1.01, 30.0))
+    alpha = draw(st.sampled_from([1e-3, 0.05, 0.5]))
+    return columns, center, span, points, alpha
+
+
+@given(_grid_count_cases())
+@settings(max_examples=150, deadline=None)
+def test_rejection_counts_match_a_dense_sweep_on_every_round(case):
+    (x1, n, l1n1, l2n2), center, span, points, alpha = case
+    grid = GridConfig()
+    for round_idx in range(grid.refine_rounds + 1):
+        h = math.log(span) * grid.refine_shrink**round_idx
+        cs = np.exp(np.linspace(math.log(center) - h, math.log(center) + h, points))
+        if center == 1.0 and points % 2:
+            cs[points // 2] = 1.0
+        want = _dense_rejection_counts(cs, x1, n, l1n1, l2n2, alpha)
+        assert _rejection_counts(cs, x1, n, l1n1, l2n2, alpha).tolist() == want.tolist()
+
+
+# ---------------------------------------------------------------------------
 # Grid search
 # ---------------------------------------------------------------------------
 
@@ -182,6 +234,18 @@ def test_scbn_swap_symmetry():
     fit_swapped = scbn_scaling_factor(swapped, conserved_swapped, grid)
     step = final_grid_log_step(grid)
     assert abs(math.log(fit.factor.c * fit_swapped.factor.c)) <= step + 1e-12
+
+
+def test_scbn_flags_an_optimum_pinned_to_the_window_edge():
+    rng = np.random.default_rng(3)
+    table, conserved = _null_poisson_table(rng, 1000, 1.4)
+    # [1/1.2, 1.2] excludes the true 1.4: the coarse round picks its last point.
+    pinned = scbn_scaling_factor(table, conserved, GridConfig(center=1.0, span=1.2))
+    assert pinned.window_edge
+    assert pinned.factor.c < 1.25
+    fit = scbn_scaling_factor(table, conserved)
+    assert not fit.window_edge
+    assert abs(fit.factor.c / 1.4 - 1.0) < 0.05
 
 
 def test_scbn_stable_across_alpha_levels():

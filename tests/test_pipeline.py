@@ -6,7 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossnorm.core import ConservedSet, GeneRecord, OrthologTable, ScalingFactor, validate_table
-from crossnorm.normalization import GridConfig, median_scaling_factor, scbn_scaling_factor
+from crossnorm.normalization import (
+    GridConfig,
+    empirical_type1_deviation,
+    median_scaling_factor,
+    scbn_scaling_factor,
+)
 from crossnorm.pipeline import (
     RunConfig,
     bh_adjust,
@@ -332,6 +337,35 @@ def test_call_de_direction_antisymmetric_under_species_swap():
 # ---------------------------------------------------------------------------
 
 
+def test_19k_gene_scbn_end_to_end_smoke_run(tmp_path):
+    # The README's full-size run: 16,330 orthologs plus 3,000 unique genes.
+    ds = generate_dataset(SimConfig(
+        n_orthologs=16330, conserved_size=1000, de_rate=0.1, fold=1.5, up_rate_sp2=0.9,
+        noise_rate=0.1, n_unique_sp1=1000, n_unique_sp2=2000, n_unmapped_sp1=2000,
+        n_unmapped_sp2=4000, seed=1,
+    ))
+    counts, conserved = _write_dataset(tmp_path, ds)
+    config = RunConfig(counts_path=str(counts), conserved_path=str(conserved), method="scbn")
+    report = run_pipeline(config)
+
+    assert report.n_genes == len(report.results) == 19330
+    n = ds.table.count_sp1 + ds.table.count_sp2
+    assert report.n_testable == int((n > 0).sum())
+    assert report.n_testable == sum(r.p_value is not None for r in report.results)
+    called = [r for r in report.results if r.de_call]
+    assert report.total_de == len(called) == report.higher_sp1 + report.higher_sp2
+    assert report.higher_sp1 == sum(r.direction == "higher_sp1" for r in called)
+
+    first = write_report(report, tmp_path / "a")
+    second = write_report(run_pipeline(config), tmp_path / "b")
+    for a, b in zip(first, second):
+        assert a.read_bytes() == b.read_bytes()
+
+    again = empirical_type1_deviation(
+        ds.table, ds.reported_conserved, ScalingFactor(report.scaling_factor), config.alpha)
+    assert again == report.objective
+
+
 def test_run_pipeline_cross_checks_with_evaluate_run(tmp_path):
     ds = generate_dataset(
         SimConfig(n_orthologs=1500, conserved_size=300, de_rate=0.1, fold=1.8,
@@ -461,3 +495,40 @@ def test_gene_order_permutes_calls_and_keeps_both_estimates(case):
     c = ScalingFactor(0.8)
     results = call_de(table, c, cutoff=0.05)
     assert call_de(shuffled, c, cutoff=0.05) == [results[i] for i in perm]
+
+
+# ---------------------------------------------------------------------------
+# Species swap
+# ---------------------------------------------------------------------------
+
+
+_FLIP = {"higher_sp1": "higher_sp2", "higher_sp2": "higher_sp1", "none": "none"}
+
+
+@given(_tables_with_permutation(), st.floats(min_value=0.2, max_value=5.0))
+@settings(max_examples=60, deadline=None)
+def test_species_swap_with_inverted_factor(case, c):
+    ids, (l1, l2, x1, x2), n_conserved, _ = case
+    table = validate_table(ids, l1, l2, x1, x2)
+    swapped = validate_table(ids, l2, l1, x2, x1)
+    conserved = ConservedSet(frozenset(ids[:n_conserved]))
+
+    forward = call_de(table, ScalingFactor(c), cutoff=0.05)
+    for f, r in zip(forward, call_de(swapped, ScalingFactor(1.0 / c), cutoff=0.05)):
+        if f.p_value is None:
+            assert r.p_value is None
+            continue
+        assert abs(f.p_value - r.p_value) <= 1e-12
+        assert r.direction == _FLIP[f.direction]
+        assert r.de_call == f.de_call
+
+    median = _outcome(median_scaling_factor, table, conserved)
+    median_swapped = _outcome(median_scaling_factor, swapped, conserved)
+    if isinstance(median, str):
+        assert median_swapped == median
+    else:
+        assert abs(median.factor.c * median_swapped.factor.c - 1.0) <= 4 * math.ulp(1.0)
+
+    for alpha in (0.01, 0.05, 0.5):
+        assert empirical_type1_deviation(table, conserved, ScalingFactor(c), alpha) == \
+            empirical_type1_deviation(swapped, conserved, ScalingFactor(1.0 / c), alpha)

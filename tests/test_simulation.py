@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from crossnorm import normalization, pipeline
 from crossnorm.core import GeneRecord, OrthologTable, ScalingFactor
 from crossnorm.normalization import empirical_type1_deviation
 from crossnorm.simulation import (
@@ -282,6 +283,31 @@ def test_run_study_single_method_has_no_overlap():
     cells = run_study(base, {}, ["median"], replicates=2, cutoff=0.01, master_seed=1)
     assert len(cells) == 1
     assert cells[0].mean_overlap_genes is None
+
+
+def test_run_study_fits_the_median_once_per_replicate(monkeypatch):
+    base = _study1_config(n_orthologs=400, conserved_size=80, n_unique_sp1=40,
+                          n_unique_sp2=80, n_unmapped_sp1=0, n_unmapped_sp2=0,
+                          depth_sp1=5e4, depth_sp2=5e4)
+    kwargs = dict(sweep={"noise_rate": [0.0, 0.3]}, replicates=2, cutoff=0.01, master_seed=4)
+    separate = {m: run_study(base, methods=[m], **kwargs) for m in ("median", "scbn")}
+
+    # Both the median method and SCBN's default grid center call it.
+    calls = []
+    original = normalization.median_scaling_factor
+
+    def counted(*args):
+        calls.append(args)
+        return original(*args)
+
+    monkeypatch.setattr(normalization, "median_scaling_factor", counted)
+    monkeypatch.setattr(pipeline, "median_scaling_factor", counted)
+    both = run_study(base, methods=["scbn", "median"], **kwargs)
+    assert len(calls) == 2 * 2  # cells x replicates
+    for cell in both:
+        alone = next(c for c in separate[cell.method] if c.params == cell.params)
+        assert cell.mean_scaling_factor == alone.mean_scaling_factor
+        assert cell.mean_f_score == alone.mean_f_score
 
 
 def test_run_study_rejects_unknown_method():
