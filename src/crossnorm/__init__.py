@@ -27,6 +27,7 @@ from .normalization import (
     scbn_scaling_factor,
 )
 from .pipeline import (
+    DEResult,
     Report,
     RunConfig,
     TestResult,
@@ -67,6 +68,7 @@ __all__ = [
     "estimate_pfdr",
     "median_scaling_factor",
     "scbn_scaling_factor",
+    "DEResult",
     "Report",
     "RunConfig",
     "TestResult",

@@ -350,6 +350,15 @@ def study(spec_path, output_dir) -> None:
         _fail(str(exc))
 
 
+def _tsv_rows(path, fh, width: int):
+    """Split the data lines after a header into ``width`` fields each."""
+    for lineno, line in enumerate(fh, start=2):
+        fields = line.rstrip("\n").split("\t")
+        if len(fields) != width:
+            raise ValueError(f"{path}: line {lineno}: expected {width} tab-separated fields")
+        yield fields
+
+
 @main.command()
 @click.option("--results", "results_path", required=True, type=click.Path(exists=True))
 @click.option("--truth", "truth_path", required=True, type=click.Path(exists=True))
@@ -364,8 +373,7 @@ def evaluate(results_path, truth_path, output_path) -> None:
                 raise ValueError(f"{results_path}: not a results table")
             de_col = header.index("de_call")
             p_col = header.index("p_value")
-            for line in fh:
-                fields = line.rstrip("\n").split("\t")
+            for fields in _tsv_rows(results_path, fh, len(header)):
                 if fields[p_col] == "NA":
                     continue
                 calls[fields[0]] = fields[de_col] == "true"
@@ -374,8 +382,7 @@ def evaluate(results_path, truth_path, output_path) -> None:
             header = fh.readline().rstrip("\n").split("\t")
             if header != ["gene_id", "label"]:
                 raise ValueError(f"{truth_path}: expected header 'gene_id\\tlabel'")
-            for line in fh:
-                gid, label = line.rstrip("\n").split("\t")
+            for gid, label in _tsv_rows(truth_path, fh, 2):
                 truth[gid] = label
         tested_truth = {gid: truth[gid] for gid in calls if gid in truth}
         if set(tested_truth) != set(calls):

@@ -14,13 +14,21 @@ Reports: a JSON summary (method, factor, tallies, config echo) plus a
 per-gene TSV ``gene_id  p_value  q_value  direction  de_call`` where
 untestable genes carry NA in the p/q columns.  Non-p/q floats are printed
 with 6 significant digits; p and q keep their full round-trip form.
+
+DE results are columnar: :func:`call_de` returns a :class:`DEResult` whose
+``p_value`` and ``q_value`` are float64 arrays in table order, with NaN for
+untestable genes (zero reads in both species).  :func:`bh_adjust` follows
+the same convention: NaN entries stay NaN and do not count as tests.
+``DEResult.records`` is a row view of :class:`TestResult` objects, built on
+first access, for inspection only.
 """
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -39,6 +47,7 @@ __all__ = [
     "COUNTS_HEADER",
     "METHODS",
     "TestResult",
+    "DEResult",
     "RunConfig",
     "Report",
     "load_counts_tsv",
@@ -61,17 +70,59 @@ METHODS = ("scbn", "median")
 DIRECTION_SP1 = "higher_sp1"
 DIRECTION_SP2 = "higher_sp2"
 DIRECTION_NONE = "none"
+# DEResult.direction codes -1, 0 and +1 index this tuple at code + 1.
+_DIRECTION_NAMES = (DIRECTION_SP2, DIRECTION_NONE, DIRECTION_SP1)
+# results.tsv's direction and de_call fields, at 3 * de_call + direction + 1.
+_CALL_FIELDS = tuple(f"{name}\t{flag}" for flag in ("false", "true") for name in _DIRECTION_NAMES)
 
 
 @dataclass(frozen=True)
 class TestResult:
-    """Per-gene test outcome; p and q are None for untestable genes."""
+    """One row of a :class:`DEResult`; p and q are None for untestable genes."""
 
     gene_id: str
     p_value: float | None
     q_value: float | None
     direction: str
     de_call: bool
+
+
+def _direction_names(direction: np.ndarray) -> list[str]:
+    """The direction labels of an int8 direction column."""
+    return np.asarray(_DIRECTION_NAMES, dtype=object)[direction + 1].tolist()
+
+
+def _read_only(column: np.ndarray) -> np.ndarray:
+    column.flags.writeable = False
+    return column
+
+
+def _nan_to_none(values: np.ndarray) -> list[float | None]:
+    return [None if v != v else v for v in values.tolist()]
+
+
+@dataclass(frozen=True, eq=False)
+class DEResult:
+    """Per-gene test outcomes as read-only columns, in table order.
+
+    ``p_value`` and ``q_value`` are float64, NaN for untestable genes.
+    ``direction`` is int8: +1 where the species-1 count exceeds its null
+    share (``higher_sp1``), -1 where it falls short (``higher_sp2``), and 0
+    for genes not called.  ``de_call`` is bool.
+    """
+
+    gene_ids: tuple[str, ...]
+    p_value: np.ndarray
+    q_value: np.ndarray
+    direction: np.ndarray
+    de_call: np.ndarray
+
+    @cached_property
+    def records(self) -> tuple[TestResult, ...]:
+        """The result as rows, built on first access."""
+        columns = (_nan_to_none(self.p_value), _nan_to_none(self.q_value),
+                   _direction_names(self.direction), self.de_call.tolist())
+        return tuple(TestResult(*row) for row in zip(self.gene_ids, *columns))
 
 
 @dataclass(frozen=True)
@@ -121,7 +172,7 @@ class Report:
     total_de: int
     higher_sp1: int
     higher_sp2: int
-    results: tuple[TestResult, ...]
+    calls: DEResult
     config: RunConfig
     conserved_size: int
     conserved_unknown: int
@@ -129,6 +180,11 @@ class Report:
     eval_list_de: int | None = None
     # ScbnResult.window_edge of the fit; not written to the reports.
     window_edge: bool = False
+
+    @property
+    def results(self) -> tuple[TestResult, ...]:
+        """The per-gene results as rows (``calls.records``)."""
+        return self.calls.records
 
 
 def load_counts_tsv(path: str | Path) -> OrthologTable:
@@ -143,30 +199,38 @@ def load_counts_tsv(path: str | Path) -> OrthologTable:
         raise ValueError(
             f"{path}: line 1: expected header {_HEADER_LINE!r}, got {lines[0]!r}"
         )
-    gene_ids: list[str] = []
-    values: list[tuple[int, ...]] = []
-    linenos: list[int] = []
+    body = list(filter(None, lines[1:]))  # blank lines are skipped
+    if not set(map(str.count, body, itertools.repeat("\t"))) <= {4}:
+        raise _first_bad_line(path, lines)
+    fields = "\t".join(body).split("\t") if body else []
+    try:
+        l1, x1, l2, x2 = (list(map(int, fields[k::5])) for k in range(1, 5))
+    except ValueError:
+        raise _first_bad_line(path, lines) from None
+    try:
+        return validate_table(fields[0::5], length_sp1=l1, length_sp2=l2,
+                              count_sp1=x1, count_sp2=x2)
+    except InvalidRow as exc:
+        lineno = [i for i, line in enumerate(lines[1:], start=2) if line][exc.row]
+        raise ValueError(f"{path}: line {lineno}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _first_bad_line(path: Path, lines: list[str]) -> ValueError:
+    # Line by line, the error for the first line the bulk parse rejects.
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         fields = line.split("\t")
         if len(fields) != 5:
-            raise ValueError(f"{path}: line {lineno}: expected 5 tab-separated fields")
+            return ValueError(f"{path}: line {lineno}: expected 5 tab-separated fields")
         try:
-            values.append(tuple(map(int, fields[1:])))
+            for field in fields[1:]:
+                int(field)
         except ValueError:
-            raise ValueError(
-                f"{path}: line {lineno}: lengths and counts must be integers"
-            ) from None
-        gene_ids.append(fields[0])
-        linenos.append(lineno)
-    l1, x1, l2, x2 = zip(*values) if values else ((),) * 4
-    try:
-        return validate_table(gene_ids, length_sp1=l1, length_sp2=l2, count_sp1=x1, count_sp2=x2)
-    except InvalidRow as exc:
-        raise ValueError(f"{path}: line {linenos[exc.row]}: {exc}") from None
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None
+            return ValueError(f"{path}: line {lineno}: lengths and counts must be integers")
+    raise AssertionError("the bulk parse rejected a table that parses line by line")
 
 
 def write_counts_tsv(table: OrthologTable, path: str | Path) -> None:
@@ -203,39 +267,34 @@ def load_conserved_list(path: str | Path, table: OrthologTable) -> tuple[Conserv
     return ConservedSet(frozenset(present)), unknown
 
 
-def bh_adjust(pvalues: Sequence[float | None]) -> list[float | None]:
+def bh_adjust(pvalues: np.ndarray) -> np.ndarray:
     """Benjamini-Hochberg step-up adjusted values, in input order.
 
-    Untestable entries (None) pass through untouched and do not count
-    toward the number of tests.
+    Takes and returns a 1-D float64 array.  NaN marks an untestable entry:
+    it stays NaN and does not count toward the number of tests.  Every other
+    entry must lie in (0, 1].
     """
-    idx = [i for i, p in enumerate(pvalues) if p is not None]
-    for i in idx:
-        p = pvalues[i]
-        if not (0.0 < p <= 1.0):
-            raise ValueError(f"p-values must lie in (0, 1], got {p!r}")
-    out: list[float | None] = [None] * len(pvalues)
-    if not idx:
-        return out
-    p = np.asarray([pvalues[i] for i in idx], dtype=np.float64)
-    m = p.size
-    order = np.argsort(p, kind="stable")
+    p = np.asarray(pvalues, dtype=np.float64)
+    tested = np.flatnonzero(~np.isnan(p))
+    pt = p[tested]
+    bad = ~((pt > 0.0) & (pt <= 1.0))
+    if bad.any():
+        raise ValueError(f"p-values must lie in (0, 1], got {float(pt[bad.argmax()])!r}")
+    m = pt.size
+    order = np.argsort(pt, kind="stable")
     # p * (m/rank) keeps the top rank's factor at exactly 1, so a constant
     # vector adjusts to itself.
-    scaled = p[order] * (m / np.arange(1, m + 1))
-    q_sorted = np.minimum(np.minimum.accumulate(scaled[::-1])[::-1], 1.0)
-    q = np.empty(m)
-    q[order] = q_sorted
-    for j, i in enumerate(idx):
-        out[i] = float(q[j])
-    return out
+    scaled = pt[order] * (m / np.arange(1, m + 1))
+    q = np.full(p.shape, np.nan)
+    q[tested[order]] = np.minimum(np.minimum.accumulate(scaled[::-1])[::-1], 1.0)
+    return q
 
 
-def call_de(table: OrthologTable, c: ScalingFactor, cutoff: float) -> list[TestResult]:
+def call_de(table: OrthologTable, c: ScalingFactor, cutoff: float) -> DEResult:
     """Test every gene at factor c, adjust, and call DE below the cutoff.
 
     Direction is reported only for called genes: the species whose count
-    exceeds its null share.  Untestable genes carry None p/q and are left
+    exceeds its null share.  Untestable genes carry NaN p/q and are left
     out of the q-value ranking.
     """
     if not (0.0 < cutoff < 1.0):
@@ -246,29 +305,14 @@ def call_de(table: OrthologTable, c: ScalingFactor, cutoff: float) -> list[TestR
                           table.total_sp1, table.total_sp2)
     with np.errstate(invalid="ignore"):
         p = binom_twosided_pvalues(x1, n, p0)
-    pvalues = [pv if ok else None for pv, ok in zip(p.tolist(), table.testable.tolist())]
-    qvalues = bh_adjust(pvalues)
-
-    rows = zip(table.gene_ids, x1.tolist(), (n * p0).tolist(), pvalues, qvalues)
-    results = []
-    for gene_id, x, mu, pv, q in rows:
-        called = pv is not None and pv < cutoff
-        direction = DIRECTION_NONE
-        if called:
-            if x > mu:
-                direction = DIRECTION_SP1
-            elif x < mu:
-                direction = DIRECTION_SP2
-        results.append(
-            TestResult(
-                gene_id=gene_id,
-                p_value=pv,
-                q_value=q,
-                direction=direction,
-                de_call=called,
-            )
-        )
-    return results
+    p = np.where(table.testable, p, np.nan)
+    q = bh_adjust(p)
+    called = p < cutoff  # False at NaN
+    # int64 counts below 2**53 compare exactly with the float64 null mean.
+    mu = n * p0
+    sign = (x1 > mu).astype(np.int8) - (x1 < mu)
+    direction = np.where(called, sign, np.int8(0))
+    return DEResult(table.gene_ids, *map(_read_only, (p, q, direction, called)))
 
 
 def estimate_factor(
@@ -289,9 +333,11 @@ def testable_calls(
     table: OrthologTable, c: ScalingFactor, cutoff: float
 ) -> tuple[dict[str, bool], dict[str, str]]:
     """DE calls and directions for testable genes, keyed by gene id."""
-    results = call_de(table, c, cutoff)
-    calls = {r.gene_id: r.de_call for r in results if r.p_value is not None}
-    directions = {r.gene_id: r.direction for r in results if r.p_value is not None}
+    result = call_de(table, c, cutoff)
+    tested = table.testable
+    ids = list(itertools.compress(result.gene_ids, tested.tolist()))
+    calls = dict(zip(ids, result.de_call[tested].tolist()))
+    directions = dict(zip(ids, _direction_names(result.direction[tested])))
     return calls, directions
 
 
@@ -303,16 +349,14 @@ def run_pipeline(config: RunConfig) -> Report:
     fit = estimate_factor(table, conserved, config.method, config.grid())
     objective = fit.objective if isinstance(fit, ScbnResult) else None
 
-    results = call_de(table, fit.factor, config.cutoff)
-    called = [r for r in results if r.de_call]
-    higher_sp1 = sum(1 for r in called if r.direction == DIRECTION_SP1)
-    higher_sp2 = sum(1 for r in called if r.direction == DIRECTION_SP2)
+    calls = call_de(table, fit.factor, config.cutoff)
 
     eval_size = eval_de = None
     if config.eval_list_path is not None:
         eval_set, _ = load_conserved_list(config.eval_list_path, table)
         eval_size = eval_set.m
-        eval_de = sum(1 for r in called if r.gene_id in eval_set.gene_ids)
+        called_ids = itertools.compress(calls.gene_ids, calls.de_call.tolist())
+        eval_de = sum(1 for gene_id in called_ids if gene_id in eval_set.gene_ids)
 
     return Report(
         method=config.method,
@@ -320,10 +364,10 @@ def run_pipeline(config: RunConfig) -> Report:
         objective=objective,
         n_genes=len(table),
         n_testable=int(table.testable.sum()),
-        total_de=len(called),
-        higher_sp1=higher_sp1,
-        higher_sp2=higher_sp2,
-        results=tuple(results),
+        total_de=int(calls.de_call.sum()),
+        higher_sp1=int((calls.direction > 0).sum()),
+        higher_sp2=int((calls.direction < 0).sum()),
+        calls=calls,
         config=config,
         conserved_size=conserved.m,
         conserved_unknown=unknown,
@@ -381,10 +425,15 @@ def summary_dict(report: Report) -> dict:
     return summary
 
 
-def _result_line(r: TestResult) -> str:
-    p = "NA" if r.p_value is None else repr(r.p_value)
-    q = "NA" if r.q_value is None else repr(r.q_value)
-    return f"{r.gene_id}\t{p}\t{q}\t{r.direction}\t{'true' if r.de_call else 'false'}"
+def _repr_column(values: np.ndarray) -> list[str]:
+    # repr of each value, NA for NaN.  repr runs once per distinct value:
+    # BH q-values come in long runs of equal values.
+    tested = ~np.isnan(values)
+    distinct, inverse = np.unique(values[tested], return_inverse=True)
+    text = np.array(["NA"] + [repr(v) for v in distinct.tolist()], dtype=object)
+    codes = np.zeros(values.shape, dtype=np.intp)
+    codes[tested] = inverse + 1
+    return text[codes].tolist()
 
 
 def write_report(report: Report, out_dir: str | Path) -> tuple[Path, Path]:
@@ -396,8 +445,11 @@ def write_report(report: Report, out_dir: str | Path) -> tuple[Path, Path]:
     with summary_path.open("w", encoding="utf-8", newline="\n") as fh:
         json.dump(summary_dict(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
+    calls = report.calls
+    call_fields = np.asarray(_CALL_FIELDS, dtype=object)[3 * calls.de_call + calls.direction + 1]
+    rows = zip(calls.gene_ids, _repr_column(calls.p_value), _repr_column(calls.q_value),
+               call_fields.tolist())
     with results_path.open("w", encoding="utf-8", newline="\n") as fh:
         fh.write("gene_id\tp_value\tq_value\tdirection\tde_call\n")
-        for r in report.results:
-            fh.write(_result_line(r) + "\n")
+        fh.write("\n".join(map("\t".join, rows)) + "\n")
     return summary_path, results_path

@@ -270,3 +270,28 @@ def test_count_beyond_2_pow_53_fails_with_line_number(tmp_path):
         assert "error: " in result.output
         assert ": line 3: " in result.output
         assert "scaling_factor" not in result.output
+
+
+@pytest.mark.parametrize("name, row, width", [
+    ("results.tsv", "g2\t0.1", 5),
+    ("results.tsv", "", 5),
+    ("truth.tsv", "g2\tnull\textra", 2),
+], ids=["short-results-row", "blank-results-row", "three-field-truth-row"])
+def test_evaluate_malformed_row_is_a_one_line_error(tmp_path, name, row, width):
+    lines = {
+        "results.tsv": ["gene_id\tp_value\tq_value\tdirection\tde_call",
+                        "g1\t0.5\t0.5\tnone\tfalse"],
+        "truth.tsv": ["gene_id\tlabel", "g1\tnull"],
+    }
+    lines[name].append(row)
+    for file_name, content in lines.items():
+        (tmp_path / file_name).write_text("\n".join(content) + "\n", encoding="utf-8")
+    result = CliRunner().invoke(main, [
+        "evaluate",
+        "--results", str(tmp_path / "results.tsv"),
+        "--truth", str(tmp_path / "truth.tsv"),
+    ])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.strip() == \
+        f"error: {tmp_path / name}: line 3: expected {width} tab-separated fields"

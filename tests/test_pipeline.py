@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossnorm.core import ConservedSet, GeneRecord, OrthologTable, ScalingFactor, validate_table
+from crossnorm.exact_test import binom_twosided_pvalues, null_prob_values
 from crossnorm.normalization import (
     GridConfig,
     empirical_type1_deviation,
@@ -13,6 +14,7 @@ from crossnorm.normalization import (
     scbn_scaling_factor,
 )
 from crossnorm.pipeline import (
+    Report,
     RunConfig,
     bh_adjust,
     call_de,
@@ -112,13 +114,46 @@ def test_load_counts_wrong_field_count(tmp_path):
 
 
 @pytest.mark.parametrize("field", range(1, 5))
-@pytest.mark.parametrize("value", [2**53, 2**64])
+@pytest.mark.parametrize("value", [2**53, 2**64, 10**30])
 def test_load_counts_rejects_values_from_2_pow_53_with_line(tmp_path, field, value):
     row = ["g2", "100", "5", "200", "2"]
     row[field] = str(value)
     # The blank line still counts toward the reported line number.
     path = _write_counts(tmp_path / "c.tsv", ["g1\t100\t5\t200\t2", "", "\t".join(row)])
     with pytest.raises(ValueError, match=r"c\.tsv: line 4: gene 'g2': .*2\*\*53"):
+        load_counts_tsv(path)
+
+
+_GOOD_ROW = "g1\t100\t5\t200\t2"
+
+
+@pytest.mark.parametrize("rows, message", [
+    (["", _GOOD_ROW, "", "g2\t100\tx\t200\t2", "g3\t1\t2\t3\t4\t5"],
+     "line 5: lengths and counts must be integers"),
+    ([_GOOD_ROW, "", "", "g2\t1\t2\t3\t4\t5", "g3\t100\tx\t200\t2"],
+     "line 5: expected 5 tab-separated fields"),
+    # One field short, then one too many: the body's tab total still adds up.
+    (["", "g1\t100\t5\t200", "g2\t100\t5\t200\t2\t7"],
+     "line 3: expected 5 tab-separated fields"),
+    (["", "", _GOOD_ROW, f"g2\t100\t{-2**64}\t200\t2"], "line 5: gene 'g2': counts must be >= 0"),
+], ids=["bad-integer", "six-fields", "short-then-long", "below-int64"])
+def test_load_counts_names_the_first_bad_line_after_blank_lines(tmp_path, rows, message):
+    path = _write_counts(tmp_path / "c.tsv", rows)
+    with pytest.raises(ValueError, match=rf"^{path}: {message}$"):
+        load_counts_tsv(path)
+
+
+def test_load_counts_accepts_what_int_accepts(tmp_path):
+    values = [" 12", "1_000", "+7", "12 ", "\u0661\u0662", "0012"]
+    rows = [f"g{i}\t{v}\t{v}\t200\t2" for i, v in enumerate(values)]
+    table = load_counts_tsv(_write_counts(tmp_path / "c.tsv", rows))
+    assert table.length_sp1.tolist() == table.count_sp1.tolist() == [int(v) for v in values]
+
+
+@pytest.mark.parametrize("value", ["1__0", "0x10", "1e3", "", "1.0", "_1", "12a"])
+def test_load_counts_rejects_what_int_rejects(tmp_path, value):
+    path = _write_counts(tmp_path / "c.tsv", [_GOOD_ROW, f"g2\t100\t{value}\t200\t2"])
+    with pytest.raises(ValueError, match="line 3: lengths and counts must be integers"):
         load_counts_tsv(path)
 
 
@@ -197,31 +232,39 @@ def test_conserved_list_empty_errors(tmp_path):
 
 
 def test_bh_constant_vector():
-    assert bh_adjust([0.2, 0.2, 0.2]) == [0.2, 0.2, 0.2]
+    assert bh_adjust(np.array([0.2, 0.2, 0.2])).tolist() == [0.2, 0.2, 0.2]
 
 
 def test_bh_hand_computed_staircase():
-    qs = bh_adjust([0.01, 0.02, 0.03, 0.04])
-    assert qs == pytest.approx([0.04, 0.04, 0.04, 0.04])
+    qs = bh_adjust(np.array([0.01, 0.02, 0.03, 0.04]))
+    assert qs.dtype == np.float64
+    assert qs.tolist() == pytest.approx([0.04, 0.04, 0.04, 0.04])
 
 
 def test_bh_single_value():
-    assert bh_adjust([0.2]) == [0.2]
+    assert bh_adjust(np.array([0.2])).tolist() == [0.2]
 
 
-def test_bh_none_passthrough():
-    qs = bh_adjust([0.01, None, 0.02, None])
-    assert qs[1] is None and qs[3] is None
+def test_bh_nan_passthrough():
+    qs = bh_adjust(np.array([0.01, np.nan, 0.02, np.nan]))
+    assert np.isnan(qs[1]) and np.isnan(qs[3])
     # the two testable entries use m = 2
     assert qs[0] == pytest.approx(0.02)
     assert qs[2] == pytest.approx(0.02)
 
 
 def test_bh_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        bh_adjust([0.5, 0.0])
-    with pytest.raises(ValueError):
-        bh_adjust([1.5])
+    with pytest.raises(ValueError, match=r"got 0\.0"):
+        bh_adjust(np.array([0.5, np.nan, 0.0]))
+    with pytest.raises(ValueError, match=r"got 1\.5"):
+        bh_adjust(np.array([1.5]))
+    with pytest.raises(ValueError, match=r"got inf"):
+        bh_adjust(np.array([np.inf, -1.0]))
+
+
+def test_bh_all_untestable():
+    assert np.isnan(bh_adjust(np.array([np.nan, np.nan]))).all()
+    assert bh_adjust(np.array([])).shape == (0,)
 
 
 def test_bh_matches_bruteforce_oracle():
@@ -231,21 +274,33 @@ def test_bh_matches_bruteforce_oracle():
         p = rng.uniform(1e-8, 1.0, m).tolist()
         if rng.random() < 0.3:  # inject ties
             p[: m // 2] = [p[0]] * (m // 2)
-        got = bh_adjust(p)
+        got = bh_adjust(np.array(p))
         expected = bh_oracle(p)
-        assert got == pytest.approx(expected, abs=1e-12)
+        assert got.tolist() == pytest.approx(expected, abs=1e-12)
 
 
 @given(st.lists(st.floats(min_value=1e-9, max_value=1.0), min_size=1, max_size=80))
 @settings(max_examples=150, deadline=None)
 def test_bh_monotone_and_dominates_p(pvalues):
-    qs = bh_adjust(pvalues)
+    qs = bh_adjust(np.array(pvalues)).tolist()
     for p, q in zip(pvalues, qs):
         assert q >= p - 1e-15
         assert q <= 1.0
     ordered = sorted(zip(pvalues, qs))
     for (_, q1), (_, q2) in zip(ordered, ordered[1:]):
         assert q1 <= q2 + 1e-15
+
+
+@given(st.lists(st.one_of(st.floats(min_value=1e-9, max_value=1.0), st.none()), max_size=80))
+@settings(max_examples=150, deadline=None)
+def test_bh_nan_entries_between_pvalues(entries):
+    # NaN entries neither count as tests nor move the other entries' values.
+    p = np.array([np.nan if v is None else v for v in entries], dtype=np.float64)
+    qs = bh_adjust(p)
+    tested = [v for v in entries if v is not None]
+    assert np.array_equal(np.isnan(qs), np.isnan(p))
+    assert qs[~np.isnan(p)].tolist() == bh_adjust(np.array(tested)).tolist()
+    assert qs[~np.isnan(p)].tolist() == pytest.approx(bh_oracle(tested), abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -257,7 +312,7 @@ def test_call_de_balanced_gene_not_called():
     table = OrthologTable.from_records(
         [GeneRecord("bal", 500, 500, 3, 3), GeneRecord("pad", 500, 500, 10, 10)]
     )
-    results = call_de(table, ScalingFactor(1.0), cutoff=1e-6)
+    results = call_de(table, ScalingFactor(1.0), cutoff=1e-6).records
     r = results[0]
     assert r.p_value == 1.0
     assert not r.de_call
@@ -272,7 +327,7 @@ def test_call_de_extreme_gene_called_with_direction():
     # equalize totals so p0 = 1/2 for every gene at c = 1
     assert table.total_sp1 == 550
     assert table.total_sp2 == 550
-    results = {r.gene_id: r for r in call_de(table, ScalingFactor(1.0), cutoff=1e-6)}
+    results = {r.gene_id: r for r in call_de(table, ScalingFactor(1.0), cutoff=1e-6).records}
     hot = results["hot"]
     assert hot.de_call
     assert hot.direction == "higher_sp1"
@@ -286,7 +341,7 @@ def test_call_de_untestable_gene_excluded_from_ranking():
         GeneRecord("b", 100, 100, 3, 9),
     ]
     table = OrthologTable.from_records(rows)
-    results = {r.gene_id: r for r in call_de(table, ScalingFactor(1.0), cutoff=1e-6)}
+    results = {r.gene_id: r for r in call_de(table, ScalingFactor(1.0), cutoff=1e-6).records}
     assert results["z"].p_value is None
     assert results["z"].q_value is None
     assert not results["z"].de_call
@@ -301,7 +356,7 @@ def test_call_de_q_dominates_p():
         SimConfig(n_orthologs=400, conserved_size=100, de_rate=0.2, seed=6,
                   depth_sp1=5e4, depth_sp2=5e4)
     )
-    for r in call_de(ds.table, ds.true_c, cutoff=1e-6):
+    for r in call_de(ds.table, ds.true_c, cutoff=1e-6).records:
         if r.p_value is not None:
             assert r.q_value >= r.p_value
             assert r.q_value <= 1.0
@@ -319,8 +374,8 @@ def test_call_de_direction_antisymmetric_under_species_swap():
             for r in ds.table.records
         ]
     )
-    fwd = {r.gene_id: r for r in call_de(ds.table, ScalingFactor(c), cutoff=1e-6)}
-    rev = {r.gene_id: r for r in call_de(swapped, ScalingFactor(1.0 / c), cutoff=1e-6)}
+    fwd = {r.gene_id: r for r in call_de(ds.table, ScalingFactor(c), cutoff=1e-6).records}
+    rev = {r.gene_id: r for r in call_de(swapped, ScalingFactor(1.0 / c), cutoff=1e-6).records}
     flip = {"higher_sp1": "higher_sp2", "higher_sp2": "higher_sp1", "none": "none"}
     for gid, f in fwd.items():
         r = rev[gid]
@@ -493,8 +548,8 @@ def test_gene_order_permutes_calls_and_keeps_both_estimates(case):
         _outcome(scbn_scaling_factor, shuffled, conserved, grid)
 
     c = ScalingFactor(0.8)
-    results = call_de(table, c, cutoff=0.05)
-    assert call_de(shuffled, c, cutoff=0.05) == [results[i] for i in perm]
+    results = call_de(table, c, cutoff=0.05).records
+    assert call_de(shuffled, c, cutoff=0.05).records == tuple(results[i] for i in perm)
 
 
 # ---------------------------------------------------------------------------
@@ -513,8 +568,8 @@ def test_species_swap_with_inverted_factor(case, c):
     swapped = validate_table(ids, l2, l1, x2, x1)
     conserved = ConservedSet(frozenset(ids[:n_conserved]))
 
-    forward = call_de(table, ScalingFactor(c), cutoff=0.05)
-    for f, r in zip(forward, call_de(swapped, ScalingFactor(1.0 / c), cutoff=0.05)):
+    forward = call_de(table, ScalingFactor(c), cutoff=0.05).records
+    for f, r in zip(forward, call_de(swapped, ScalingFactor(1.0 / c), cutoff=0.05).records):
         if f.p_value is None:
             assert r.p_value is None
             continue
@@ -532,3 +587,96 @@ def test_species_swap_with_inverted_factor(case, c):
     for alpha in (0.01, 0.05, 0.5):
         assert empirical_type1_deviation(table, conserved, ScalingFactor(c), alpha) == \
             empirical_type1_deviation(swapped, conserved, ScalingFactor(1.0 / c), alpha)
+
+
+# ---------------------------------------------------------------------------
+# Columnar DE results and the results.tsv writer
+# ---------------------------------------------------------------------------
+
+
+def _call_de_loop(table, c, cutoff):
+    """Reference: (p, called, direction) per gene, one gene at a time."""
+    p0 = null_prob_values(c, table.length_sp1, table.length_sp2,
+                          table.total_sp1, table.total_sp2).tolist()
+    rows = []
+    for x1, x2, q0 in zip(table.count_sp1.tolist(), table.count_sp2.tolist(), p0):
+        n = x1 + x2
+        p = float(binom_twosided_pvalues(x1, n, q0)) if n > 0 else None
+        called = p is not None and p < cutoff
+        direction = 0
+        if called:
+            direction = 1 if x1 > n * q0 else -1 if x1 < n * q0 else 0
+        rows.append((p, called, direction))
+    return rows
+
+
+def _check_columns_against_loop(table, c, cutoff):
+    result = call_de(table, ScalingFactor(c), cutoff)
+    assert result.gene_ids == table.gene_ids
+    assert (result.p_value.dtype, result.q_value.dtype, result.direction.dtype,
+            result.de_call.dtype) == (np.float64, np.float64, np.int8, np.bool_)
+    for column in (result.p_value, result.q_value, result.direction, result.de_call):
+        assert not column.flags.writeable
+    rows = _call_de_loop(table, c, cutoff)
+    assert [None if np.isnan(v) else v for v in result.p_value.tolist()] == [p for p, _, _ in rows]
+    assert result.de_call.tolist() == [called for _, called, _ in rows]
+    assert result.direction.tolist() == [d for _, _, d in rows]
+    tested = [p for p, _, _ in rows if p is not None]
+    assert np.array_equal(np.isnan(result.q_value), np.isnan(result.p_value))
+    q = result.q_value[~np.isnan(result.q_value)].tolist()
+    assert q == pytest.approx(bh_oracle(tested), abs=1e-12)
+    return result
+
+
+@given(_tables_with_permutation(), st.floats(min_value=0.2, max_value=5.0),
+       st.sampled_from([1e-6, 0.05, 0.5]))
+@settings(max_examples=60, deadline=None)
+def test_call_de_columns_match_a_per_gene_loop(case, c, cutoff):
+    ids, columns, _, _ = case
+    _check_columns_against_loop(validate_table(ids, *columns), c, cutoff)
+
+
+# Equal lengths and equal totals give p0 = 1/2 at c = 1.
+_EDGE_ROWS = [
+    GeneRecord("zero", 100, 100, 0, 0),        # untestable
+    GeneRecord("bal", 500, 500, 3, 3),         # p == 1
+    GeneRecord("deep1", 500, 500, 5000, 0),    # p clipped to 5e-324
+    GeneRecord("deep2", 500, 500, 0, 5000),
+    GeneRecord("hot", 500, 500, 50, 0),        # called, both directions
+    GeneRecord("cold", 500, 500, 0, 50),
+] + [GeneRecord(f"t{i}", 500, 500, 10 + i % 2, 11 - i % 2) for i in range(8)]  # tied q
+
+
+def _result_line(r):
+    # The row-by-row results.tsv writer, kept as the reference.
+    p = "NA" if r.p_value is None else repr(r.p_value)
+    q = "NA" if r.q_value is None else repr(r.q_value)
+    return f"{r.gene_id}\t{p}\t{q}\t{r.direction}\t{'true' if r.de_call else 'false'}"
+
+
+def _report_of(calls):
+    config = RunConfig(counts_path="counts.tsv", conserved_path="conserved.txt")
+    return Report(method="scbn", scaling_factor=1.0, objective=None,
+                  n_genes=len(calls.gene_ids), n_testable=0, total_de=0, higher_sp1=0,
+                  higher_sp2=0, calls=calls, config=config, conserved_size=1,
+                  conserved_unknown=0)
+
+
+def test_results_tsv_matches_the_row_by_row_writer(tmp_path):
+    edge = _check_columns_against_loop(OrthologTable.from_records(_EDGE_ROWS), 1.0, 1e-6)
+    p, q = edge.p_value, edge.q_value
+    assert np.isnan(p[0]) and p[1] == 1.0 and p[2] == p[3] == 5e-324
+    assert np.unique(q[1:]).size < q[1:].size
+    assert edge.direction[edge.de_call].tolist() == [1, -1, 1, -1]
+    ds = generate_dataset(
+        SimConfig(n_orthologs=400, conserved_size=100, de_rate=0.2, n_unique_sp1=20,
+                  n_unique_sp2=40, seed=6, depth_sp1=5e4, depth_sp2=5e4)
+    )
+    simulated = _check_columns_against_loop(ds.table, ds.true_c.c, 0.01)
+    assert np.isnan(simulated.p_value).any() and simulated.de_call.any()
+
+    for name, calls in (("edge", edge), ("simulated", simulated)):
+        _, path = write_report(_report_of(calls), tmp_path / name)
+        expected = "gene_id\tp_value\tq_value\tdirection\tde_call\n" + "".join(
+            _result_line(r) + "\n" for r in calls.records)
+        assert path.read_bytes() == expected.encode("utf-8")
