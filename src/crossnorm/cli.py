@@ -26,7 +26,8 @@ from .pipeline import (
     write_counts_tsv,
     write_report,
 )
-from .simulation import SimConfig, evaluate_run, generate_dataset, run_study
+from .simulation import (DE_LABELS, LABEL_NULL, SimConfig, StudyCellResult, evaluate_run,
+                         generate_dataset, run_study)
 
 
 def _fmt6(value: float) -> str:
@@ -296,14 +297,6 @@ def simulate(spec_path, n_orthologs, conserved_size, de_rate, fold, up_rate_sp2,
         _fail(str(exc))
 
 
-_STUDY_COLUMNS = [
-    "method", "replicates", "mean_false_discoveries", "mean_precision",
-    "precision_undefined", "mean_sensitivity", "sensitivity_undefined",
-    "mean_f_score", "mean_scaling_factor", "mean_true_c",
-    "mean_overlap_genes", "mean_overlap_directional",
-]
-
-
 @main.command()
 @click.option("--spec", "spec_path", required=True, type=click.Path(exists=True),
               help="JSON study spec: base config, sweep, methods, replicates.")
@@ -330,12 +323,13 @@ def study(spec_path, output_dir) -> None:
         out = Path(output_dir)
         out.mkdir(parents=True, exist_ok=True)
         sweep_fields = list(sweep.keys())
+        columns = [f.name for f in dataclasses.fields(StudyCellResult) if f.name != "params"]
         grid_path = out / "grid.tsv"
         with grid_path.open("w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\t".join(sweep_fields + _STUDY_COLUMNS) + "\n")
+            fh.write("\t".join(sweep_fields + columns) + "\n")
             for cell in cells:
                 row = [_fmt6(float(cell.params[f])) for f in sweep_fields]
-                for col in _STUDY_COLUMNS:
+                for col in columns:
                     value = getattr(cell, col)
                     if value is None:
                         row.append("NA")
@@ -382,7 +376,9 @@ def evaluate(results_path, truth_path, output_path) -> None:
             header = fh.readline().rstrip("\n").split("\t")
             if header != ["gene_id", "label"]:
                 raise ValueError(f"{truth_path}: expected header 'gene_id\\tlabel'")
-            for gid, label in _tsv_rows(truth_path, fh, 2):
+            for lineno, (gid, label) in enumerate(_tsv_rows(truth_path, fh, 2), start=2):
+                if label not in DE_LABELS and label != LABEL_NULL:
+                    raise ValueError(f"{truth_path}: line {lineno}: unknown label {label!r}")
                 truth[gid] = label
         tested_truth = {gid: truth[gid] for gid in calls if gid in truth}
         if set(tested_truth) != set(calls):

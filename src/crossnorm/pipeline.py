@@ -20,7 +20,8 @@ DE results are columnar: :func:`call_de` returns a :class:`DEResult` whose
 untestable genes (zero reads in both species).  :func:`bh_adjust` follows
 the same convention: NaN entries stay NaN and do not count as tests.
 ``DEResult.records`` is a row view of :class:`TestResult` objects, built on
-first access, for inspection only.
+first access, for inspection only.  :func:`testable_calls` slices the
+``de_call`` and ``direction`` columns to the testable genes for scoring.
 """
 from __future__ import annotations
 
@@ -138,8 +139,6 @@ class RunConfig:
     grid_center: float | None = None
     grid_span: float = 10.0
     grid_points: int = 1000
-    grid_refine_rounds: int = 3
-    grid_refine_shrink: float = 0.1
 
     def __post_init__(self) -> None:
         if self.method not in METHODS:
@@ -155,8 +154,6 @@ class RunConfig:
             center=self.grid_center,
             span=self.grid_span,
             coarse_points=self.grid_points,
-            refine_rounds=self.grid_refine_rounds,
-            refine_shrink=self.grid_refine_shrink,
         )
 
 
@@ -331,14 +328,11 @@ def estimate_factor(
 
 def testable_calls(
     table: OrthologTable, c: ScalingFactor, cutoff: float
-) -> tuple[dict[str, bool], dict[str, str]]:
-    """DE calls and directions for testable genes, keyed by gene id."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """The ``de_call`` and ``direction`` columns of one :func:`call_de`, testable genes only."""
     result = call_de(table, c, cutoff)
     tested = table.testable
-    ids = list(itertools.compress(result.gene_ids, tested.tolist()))
-    calls = dict(zip(ids, result.de_call[tested].tolist()))
-    directions = dict(zip(ids, _direction_names(result.direction[tested])))
-    return calls, directions
+    return result.de_call[tested], result.direction[tested]
 
 
 def run_pipeline(config: RunConfig) -> Report:
@@ -408,8 +402,8 @@ def summary_dict(report: Report) -> dict:
             "grid_center": None if cfg.grid_center is None else _sig6(cfg.grid_center),
             "grid_span": _sig6(cfg.grid_span),
             "grid_points": cfg.grid_points,
-            "grid_refine_rounds": cfg.grid_refine_rounds,
-            "grid_refine_shrink": _sig6(cfg.grid_refine_shrink),
+            "grid_refine_rounds": cfg.grid().refine_rounds,
+            "grid_refine_shrink": _sig6(cfg.grid().refine_shrink),
         },
     }
     if report.objective is not None:

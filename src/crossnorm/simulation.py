@@ -8,6 +8,9 @@ whose means follow the between-species mean model: expected reads are
 proportional to rate * length * depth / total-output.  The reported
 conserved set is contaminated with a configurable fraction of truly-DE
 genes to probe normalization robustness.
+
+One scorer counts DE calls against the truth on aligned bool columns:
+:func:`run_study` feeds it ``call_de`` columns, :func:`evaluate_run` dicts.
 """
 from __future__ import annotations
 
@@ -187,11 +190,8 @@ def generate_dataset(config: SimConfig) -> SimulatedDataset:
     table = validate_table(ids, length_sp1=len_sp1, length_sp2=len_sp2,
                            count_sp1=counts_sp1, count_sp2=counts_sp2)
 
-    truth = {ids[i]: str(labels[i]) for i in range(n_orth)}
-    for j in range(config.n_unique_sp1):
-        truth[ids[n_orth + j]] = LABEL_UNIQUE_SP1
-    for j in range(config.n_unique_sp2):
-        truth[ids[n_orth + config.n_unique_sp1 + j]] = LABEL_UNIQUE_SP2
+    truth = dict(zip(ids, labels.tolist() + [LABEL_UNIQUE_SP1] * config.n_unique_sp1
+                     + [LABEL_UNIQUE_SP2] * config.n_unique_sp2))
 
     # Reported conserved set: mostly nulls, contaminated at the noise rate.
     # The contaminant pool is every non-null ortholog: planted fold-change
@@ -234,25 +234,22 @@ def generate_dataset(config: SimConfig) -> SimulatedDataset:
     )
 
 
-def evaluate_run(calls: Mapping[str, bool], truth: Mapping[str, str]) -> Metrics:
-    """Score per-gene DE calls against truth labels.
+def _de_mask(truth: Mapping[str, str], gene_ids) -> np.ndarray:
+    """Bool column: whether each gene's truth label is a DE label."""
+    return np.fromiter((truth[g] in DE_LABELS for g in gene_ids), dtype=bool,
+                       count=len(gene_ids))
 
-    ``calls`` and ``truth`` must cover the same genes.  DE and unique genes
-    count as real positives; nulls called DE are the false discoveries.
-    Precision (or sensitivity) is None when its denominator is empty, and
-    such runs are excluded from sweep averages rather than coerced to 0.
+
+def _score(called: np.ndarray, is_de: np.ndarray) -> Metrics:
+    """Score aligned bool columns of DE calls and of true DE status.
+
+    Called nulls are the false discoveries.  Precision (or sensitivity) is
+    None when its denominator is empty, and such runs are excluded from
+    sweep averages rather than coerced to 0.
     """
-    if set(calls) != set(truth):
-        raise ValueError("calls and truth must cover the same genes")
-    tp = fp = fn = 0
-    for gene_id, called in calls.items():
-        is_de = truth[gene_id] in DE_LABELS
-        if called and is_de:
-            tp += 1
-        elif called and not is_de:
-            fp += 1
-        elif not called and is_de:
-            fn += 1
+    tp = int(np.count_nonzero(called & is_de))
+    fp = int(np.count_nonzero(called & ~is_de))
+    fn = int(np.count_nonzero(~called & is_de))
     precision = tp / (tp + fp) if (tp + fp) > 0 else None
     sensitivity = tp / (tp + fn) if (tp + fn) > 0 else None
     if precision and sensitivity:
@@ -265,6 +262,18 @@ def evaluate_run(calls: Mapping[str, bool], truth: Mapping[str, str]) -> Metrics
         sensitivity=sensitivity,
         f_score=f_score,
     )
+
+
+def evaluate_run(calls: Mapping[str, bool], truth: Mapping[str, str]) -> Metrics:
+    """Score per-gene DE calls against truth labels.
+
+    ``calls`` and ``truth`` must cover the same genes.  DE and unique genes
+    count as real positives; see :func:`_score` for the metrics.
+    """
+    if set(calls) != set(truth):
+        raise ValueError("calls and truth must cover the same genes")
+    called = np.fromiter(calls.values(), dtype=bool, count=len(calls))
+    return _score(called, _de_mask(truth, calls.keys()))
 
 
 def ma_plot_points(table: OrthologTable, c: ScalingFactor) -> MaPlot:
@@ -353,11 +362,12 @@ def run_study(
             cfg = replace(base, seed=_child_seed(master_seed, cell_index, rep), **overrides)
             ds = generate_dataset(cfg)
             true_cs.append(ds.true_c.c)
+            is_de = _de_mask(ds.truth, ds.table.gene_ids)[ds.table.testable]
             calls_by_method = {}
             fits = {}
             fit_grid = grid  # read by scbn only
-            if grid.center is None and "scbn" in methods and "median" in methods:
-                # The median fit is also SCBN's default grid center: compute it once.
+            if grid.center is None:
+                # The median fit is SCBN's default grid center: compute it once.
                 fits["median"] = estimate_factor(ds.table, ds.reported_conserved, "median", grid)
                 fit_grid = replace(grid, center=fits["median"].factor.c)
             for method in methods:
@@ -365,19 +375,16 @@ def run_study(
                     fits[method] = estimate_factor(
                         ds.table, ds.reported_conserved, method, fit_grid)
                 factor = fits[method].factor
-                calls, directions = testable_calls(ds.table, factor, cutoff)
-                truth = {gid: ds.truth[gid] for gid in calls}
-                per_method[method].append(evaluate_run(calls, truth))
+                called, direction = testable_calls(ds.table, factor, cutoff)
+                per_method[method].append(_score(called, is_de))
                 factors[method].append(factor.c)
-                calls_by_method[method] = (calls, directions)
+                calls_by_method[method] = (called, direction)
             if "scbn" in calls_by_method and "median" in calls_by_method:
-                calls_a, dir_a = calls_by_method["scbn"]
-                calls_b, dir_b = calls_by_method["median"]
-                called_a = {g for g, v in calls_a.items() if v}
-                called_b = {g for g, v in calls_b.items() if v}
+                called_a, dir_a = calls_by_method["scbn"]
+                called_b, dir_b = calls_by_method["median"]
                 both = called_a & called_b
-                overlap_any.append(len(both))
-                overlap_dir.append(sum(1 for g in both if dir_a[g] == dir_b[g]))
+                overlap_any.append(int(both.sum()))
+                overlap_dir.append(int((both & (dir_a == dir_b)).sum()))
 
         for method in methods:
             metrics = per_method[method]

@@ -144,7 +144,12 @@ def test_study_command(tmp_path):
     assert result.exit_code == 0, result.output
     lines = (out / "grid.tsv").read_text().splitlines()
     assert len(lines) == 1 + 4  # header + 2 cells x 2 methods
-    assert lines[0].startswith("noise_rate\tmethod")
+    assert lines[0].split("\t") == [
+        "noise_rate", "method", "replicates", "mean_false_discoveries", "mean_precision",
+        "precision_undefined", "mean_sensitivity", "sensitivity_undefined",
+        "mean_f_score", "mean_scaling_factor", "mean_true_c",
+        "mean_overlap_genes", "mean_overlap_directional",
+    ]
 
 
 def test_missing_input_fails_nonzero(tmp_path):
@@ -295,3 +300,17 @@ def test_evaluate_malformed_row_is_a_one_line_error(tmp_path, name, row, width):
     assert isinstance(result.exception, SystemExit)
     assert result.output.strip() == \
         f"error: {tmp_path / name}: line 3: expected {width} tab-separated fields"
+
+
+def test_evaluate_rejects_an_unknown_truth_label(tmp_path):
+    results = tmp_path / "results.tsv"
+    results.write_text("gene_id\tp_value\tq_value\tdirection\tde_call\n"
+                       "g1\t0.5\t0.5\tnone\tfalse\n"
+                       "g2\t1e-09\t2e-09\thigher_sp1\ttrue\n", encoding="utf-8")
+    truth = tmp_path / "truth.tsv"
+    truth.write_text("gene_id\tlabel\ng1\tnull\ng2\tde\n", encoding="utf-8")
+    result = CliRunner().invoke(main, ["evaluate", "--results", str(results),
+                                       "--truth", str(truth)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.strip() == f"error: {truth}: line 3: unknown label 'de'"

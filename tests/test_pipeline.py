@@ -486,6 +486,17 @@ def test_run_pipeline_eval_list_tally(tmp_path):
     assert summary["objective"] is None  # median method has no grid objective
 
 
+def test_summary_echoes_the_grid_refinement_defaults(tmp_path):
+    ds = generate_dataset(SimConfig(n_orthologs=200, conserved_size=40, seed=3,
+                                    depth_sp1=5e4, depth_sp2=5e4))
+    counts, conserved = _write_dataset(tmp_path, ds)
+    config = RunConfig(counts_path=str(counts), conserved_path=str(conserved), method="median")
+    echoed = summary_dict(run_pipeline(config))["config"]
+    grid = GridConfig()
+    assert (echoed["grid_refine_rounds"], echoed["grid_refine_shrink"]) == \
+        (grid.refine_rounds, grid.refine_shrink) == (3, 0.1)
+
+
 def test_median_beats_nothing_but_scbn_beats_median_under_noise(tmp_path):
     # At 40 percent conserved-set contamination the scale-search method
     # should make fewer false discoveries than the median baseline on
@@ -502,7 +513,9 @@ def test_median_beats_nothing_but_scbn_beats_median_under_noise(tmp_path):
             from crossnorm.normalization import GridConfig
 
             factor = estimate_factor(ds.table, ds.reported_conserved, method, GridConfig()).factor
-            calls, _ = de_calls_for(ds.table, factor, cutoff=0.01)
+            called, _ = de_calls_for(ds.table, factor, cutoff=0.01)
+            tested = [gid for gid, t in zip(ds.table.gene_ids, ds.table.testable) if t]
+            calls = dict(zip(tested, called.tolist()))
             truth = {gid: ds.truth[gid] for gid in calls}
             bucket.append(evaluate_run(calls, truth).false_discoveries)
     assert np.mean(scbn_fd) <= np.mean(median_fd)

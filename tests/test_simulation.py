@@ -2,11 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from crossnorm import normalization, pipeline
+from crossnorm import normalization, pipeline, simulation
 from crossnorm.core import GeneRecord, OrthologTable, ScalingFactor
 from crossnorm.normalization import empirical_type1_deviation
 from crossnorm.simulation import (
+    DE_LABELS,
     LABEL_DE_UP_SP1,
     LABEL_DE_UP_SP2,
     LABEL_NULL,
@@ -202,6 +205,45 @@ def test_metric_bounds_random():
         assert m.f_score == 0.0
 
 
+def _per_gene_metrics(called, is_de):
+    # Reference: the confusion counts one gene at a time.
+    tp = fp = fn = 0
+    for c, d in zip(called, is_de):
+        if c and d:
+            tp += 1
+        elif c and not d:
+            fp += 1
+        elif not c and d:
+            fn += 1
+    precision = tp / (tp + fp) if tp + fp else None
+    sensitivity = tp / (tp + fn) if tp + fn else None
+    f_score = 0.0
+    if precision and sensitivity:
+        f_score = 2.0 * precision * sensitivity / (precision + sensitivity)
+    return Metrics(fp, precision, sensitivity, f_score)
+
+
+_LABELS = sorted(DE_LABELS | {LABEL_NULL})
+
+
+@given(st.lists(st.tuples(st.booleans(), st.sampled_from(_LABELS)), max_size=40))
+@settings(max_examples=200, deadline=None)
+def test_column_scorer_and_evaluate_run_match_a_per_gene_loop(rows):
+    called = [c for c, _ in rows]
+    labels = [label for _, label in rows]
+    is_de = [label in DE_LABELS for label in labels]
+    want = _per_gene_metrics(called, is_de)
+    assert simulation._score(np.array(called, dtype=bool), np.array(is_de, dtype=bool)) == want
+    ids = [f"g{i}" for i in range(len(rows))]
+    # The truth dict in another order: evaluate_run aligns by gene id.
+    truth = dict(reversed(list(zip(ids, labels))))
+    got = evaluate_run(dict(zip(ids, called)), truth)
+    assert got == want
+    # crossnorm evaluate writes these to JSON.
+    assert type(got.false_discoveries) is int and type(got.f_score) is float
+    assert all(v is None or type(v) is float for v in (got.precision, got.sensitivity))
+
+
 # ---------------------------------------------------------------------------
 # MA plot data
 # ---------------------------------------------------------------------------
@@ -290,7 +332,6 @@ def test_run_study_fits_the_median_once_per_replicate(monkeypatch):
                           n_unique_sp2=80, n_unmapped_sp1=0, n_unmapped_sp2=0,
                           depth_sp1=5e4, depth_sp2=5e4)
     kwargs = dict(sweep={"noise_rate": [0.0, 0.3]}, replicates=2, cutoff=0.01, master_seed=4)
-    separate = {m: run_study(base, methods=[m], **kwargs) for m in ("median", "scbn")}
 
     # Both the median method and SCBN's default grid center call it.
     calls = []
@@ -302,8 +343,15 @@ def test_run_study_fits_the_median_once_per_replicate(monkeypatch):
 
     monkeypatch.setattr(normalization, "median_scaling_factor", counted)
     monkeypatch.setattr(pipeline, "median_scaling_factor", counted)
-    both = run_study(base, methods=["scbn", "median"], **kwargs)
-    assert len(calls) == 2 * 2  # cells x replicates
+
+    def run_counted(methods):
+        calls.clear()
+        cells = run_study(base, methods=methods, **kwargs)
+        assert len(calls) == 2 * 2  # cells x replicates
+        return cells
+
+    separate = {m: run_counted([m]) for m in ("median", "scbn")}
+    both = run_counted(["scbn", "median"])
     for cell in both:
         alone = next(c for c in separate[cell.method] if c.params == cell.params)
         assert cell.mean_scaling_factor == alone.mean_scaling_factor
@@ -314,3 +362,47 @@ def test_run_study_rejects_unknown_method():
     base = _study1_config()
     with pytest.raises(ValueError):
         run_study(base, {}, ["tmm"], replicates=1, cutoff=0.01)
+
+
+def test_run_study_overlap_and_scores_match_a_recount_from_call_de(monkeypatch):
+    base = _study1_config(n_orthologs=400, conserved_size=80, n_unique_sp1=40,
+                          n_unique_sp2=80, n_unmapped_sp1=0, n_unmapped_sp2=0,
+                          depth_sp1=5e4, depth_sp2=5e4)
+    datasets, results = [], []
+    original_generate, original_call_de = simulation.generate_dataset, pipeline.call_de
+
+    def recorded_generate(cfg):
+        datasets.append(original_generate(cfg))
+        return datasets[-1]
+
+    def recorded_call_de(*args):
+        results.append(original_call_de(*args))
+        return results[-1]
+
+    monkeypatch.setattr(simulation, "generate_dataset", recorded_generate)
+    monkeypatch.setattr(pipeline, "call_de", recorded_call_de)
+    cells = run_study(base, {"noise_rate": [0.0, 0.3]}, ["scbn", "median"], replicates=3,
+                      cutoff=0.01, master_seed=9)
+    assert len(datasets) == 2 * 3 and len(results) == 2 * len(datasets)
+
+    # Per replicate: sets of called gene ids, and dicts for evaluate_run.
+    overlaps, f_scores = [], {"scbn": [], "median": []}
+    for ds, pair in zip(datasets, zip(results[0::2], results[1::2])):
+        called = []
+        for method, result in zip(("scbn", "median"), pair):
+            called.append({r.gene_id: r.direction for r in result.records if r.de_call})
+            calls = {r.gene_id: r.de_call for r in result.records if r.p_value is not None}
+            f_scores[method].append(
+                evaluate_run(calls, {g: ds.truth[g] for g in calls}).f_score)
+        both = called[0].keys() & called[1].keys()
+        overlaps.append((len(both), sum(called[0][g] == called[1][g] for g in both)))
+    assert any(n > 0 for n, _ in overlaps)
+
+    for cell_index, pair in enumerate((cells[0:2], cells[2:4])):
+        reps = slice(3 * cell_index, 3 * cell_index + 3)
+        for cell in pair:
+            assert cell.mean_overlap_genes == float(np.mean([n for n, _ in overlaps[reps]]))
+            assert cell.mean_overlap_directional == float(
+                np.mean([d for _, d in overlaps[reps]]))
+            assert cell.mean_f_score == float(np.mean(f_scores[cell.method][reps]))
+
