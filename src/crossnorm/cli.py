@@ -345,12 +345,18 @@ def study(spec_path, output_dir) -> None:
 
 
 def _tsv_rows(path, fh, width: int):
-    """Split the data lines after a header into ``width`` fields each."""
+    """Split the data lines after a header into ``width`` fields each, and
+    yield them with their line numbers; the first field (the gene id) must
+    not repeat."""
+    seen: set[str] = set()
     for lineno, line in enumerate(fh, start=2):
         fields = line.rstrip("\n").split("\t")
         if len(fields) != width:
             raise ValueError(f"{path}: line {lineno}: expected {width} tab-separated fields")
-        yield fields
+        if fields[0] in seen:
+            raise ValueError(f"{path}: line {lineno}: duplicate gene_id {fields[0]!r}")
+        seen.add(fields[0])
+        yield lineno, fields
 
 
 @main.command()
@@ -367,7 +373,7 @@ def evaluate(results_path, truth_path, output_path) -> None:
                 raise ValueError(f"{results_path}: not a results table")
             de_col = header.index("de_call")
             p_col = header.index("p_value")
-            for fields in _tsv_rows(results_path, fh, len(header)):
+            for _, fields in _tsv_rows(results_path, fh, len(header)):
                 if fields[p_col] == "NA":
                     continue
                 calls[fields[0]] = fields[de_col] == "true"
@@ -376,7 +382,7 @@ def evaluate(results_path, truth_path, output_path) -> None:
             header = fh.readline().rstrip("\n").split("\t")
             if header != ["gene_id", "label"]:
                 raise ValueError(f"{truth_path}: expected header 'gene_id\\tlabel'")
-            for lineno, (gid, label) in enumerate(_tsv_rows(truth_path, fh, 2), start=2):
+            for lineno, (gid, label) in _tsv_rows(truth_path, fh, 2):
                 if label not in DE_LABELS and label != LABEL_NULL:
                     raise ValueError(f"{truth_path}: line {lineno}: unknown label {label!r}")
                 truth[gid] = label

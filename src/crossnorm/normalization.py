@@ -18,14 +18,16 @@ Two estimators of the between-species scale live here:
 
 * ``median_scaling_factor`` is the conventional baseline: length- and
   depth-normalized expression per gene, an interquartile filter applied in
-  both species, then the ratio of the two medians.  It runs on exact
-  rational arithmetic so the documented equivariances hold exactly.
+  both species, then the ratio of the two medians.  Its result is that of
+  exact rational arithmetic, so the documented equivariances hold exactly,
+  but it sorts no rationals: genes are ordered by a float64 count/length
+  key, and exact ``Fraction``s are built only to settle float ties, for the
+  genes whose key ties a needed order statistic or a quartile's float.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 import numpy as np
 
@@ -339,20 +341,56 @@ def scbn_scaling_factor(
     )
 
 
-def _quantile(sorted_vals: Sequence[Fraction], prob: Fraction) -> Fraction:
-    # Linear interpolation between order statistics (numpy's default rule),
-    # on exact rationals.
-    pos = (len(sorted_vals) - 1) * prob
-    j = int(pos)
-    g = pos - j
-    if g == 0:
-        return sorted_vals[j]
-    return sorted_vals[j] * (1 - g) + sorted_vals[j + 1] * g
+class _RankedRatios:
+    """One species' count/length ratios, ranked by their float64 values.
 
+    Counts and lengths below 2**53 are exact in float64 and the quotient is
+    correctly rounded, so the float key is monotone in the exact ratio: it
+    never orders two genes against their ratios, it can only tie them.
+    Exact ``Fraction``s are built only to settle such ties.
+    """
 
-def _expression(counts: np.ndarray, lengths: np.ndarray, total: int) -> list[Fraction]:
-    # count / (length * total) on Python ints (tolist), exact beyond int64.
-    return [Fraction(x, length * total) for x, length in zip(counts.tolist(), lengths.tolist())]
+    def __init__(self, counts: np.ndarray, lengths: np.ndarray) -> None:
+        self.counts = counts
+        self.lengths = lengths
+        self.key = counts / lengths
+        self.order = np.argsort(self.key, kind="stable")
+
+    def _exact(self, genes: np.ndarray) -> list[Fraction]:
+        # Python ints (tolist), so nothing wraps.
+        return list(map(Fraction, self.counts[genes].tolist(), self.lengths[genes].tolist()))
+
+    def quantile(self, prob: Fraction, kept: np.ndarray | None = None) -> Fraction:
+        """Exact ``prob`` quantile over the ``kept`` genes (default all): linear
+        interpolation between order statistics (numpy's default rule)."""
+        ranked = self.order if kept is None else self.order[kept[self.order]]
+        ranked_key = self.key[ranked]
+
+        def order_stat(j: int) -> Fraction:
+            # Sort only the run of genes whose key ties the j-th one.
+            lo = int(np.searchsorted(ranked_key, ranked_key[j], side="left"))
+            hi = int(np.searchsorted(ranked_key, ranked_key[j], side="right"))
+            return sorted(self._exact(ranked[lo:hi]))[j - lo]
+
+        pos = (ranked.size - 1) * prob
+        j = int(pos)
+        g = pos - j
+        if g == 0:
+            return order_stat(j)
+        return order_stat(j) * (1 - g) + order_stat(j + 1) * g
+
+    def within(self, low: Fraction, high: Fraction) -> np.ndarray:
+        """Genes with low <= count/length <= high, exactly.
+
+        Rounding is monotone, so a key strictly between float(low) and
+        float(high) is inside and one strictly beyond either is outside;
+        only keys equal to one of the two floats are compared exactly.
+        """
+        f_low, f_high = float(low), float(high)
+        inside = (self.key > f_low) & (self.key < f_high)
+        ties = np.flatnonzero((self.key == f_low) | (self.key == f_high))
+        inside[ties] = [low <= e <= high for e in self._exact(ties)]
+        return inside
 
 
 def median_scaling_factor(table: OrthologTable, conserved: ConservedSet) -> MedianScaleResult:
@@ -363,41 +401,36 @@ def median_scaling_factor(table: OrthologTable, conserved: ConservedSet) -> Medi
     species are kept; the factor is median(e1) / median(e2) over the kept
     genes.  All arithmetic is exact until the final float conversion, so
     rescaling every species-1 length by k rescales the result by exactly 1/k.
+    The depth is common to a species' genes, so ordering, quartiles and the
+    window use count / length; the depths enter only the final ratio.
     """
     rows = _conserved_rows(table, conserved)
     if rows.size < 4:
         raise ValueError(f"median baseline needs >= 4 testable conserved genes, got {rows.size}")
-    e1 = _expression(table.count_sp1[rows], table.length_sp1[rows], table.total_sp1)
-    e2 = _expression(table.count_sp2[rows], table.length_sp2[rows], table.total_sp2)
+    r1 = _RankedRatios(table.count_sp1[rows], table.length_sp1[rows])
+    r2 = _RankedRatios(table.count_sp2[rows], table.length_sp2[rows])
 
-    s1 = sorted(e1)
-    s2 = sorted(e2)
-    q1_1, q3_1 = _quantile(s1, Fraction(1, 4)), _quantile(s1, Fraction(3, 4))
-    q1_2, q3_2 = _quantile(s2, Fraction(1, 4)), _quantile(s2, Fraction(3, 4))
-
-    kept = [
-        i
-        for i in range(len(e1))
-        if q1_1 <= e1[i] <= q3_1 and q1_2 <= e2[i] <= q3_2
-    ]
+    q1, q3 = Fraction(1, 4), Fraction(3, 4)
+    kept = r1.within(r1.quantile(q1), r1.quantile(q3)) & r2.within(r2.quantile(q1), r2.quantile(q3))
+    kept_genes = int(kept.sum())
     iqr_filtered = True
     med1 = med2 = Fraction(0)
-    if kept:
-        med1 = _quantile(sorted(e1[i] for i in kept), Fraction(1, 2))
-        med2 = _quantile(sorted(e2[i] for i in kept), Fraction(1, 2))
-    if not kept or med1 == 0 or med2 == 0:
+    if kept_genes:
+        med1 = r1.quantile(Fraction(1, 2), kept)
+        med2 = r2.quantile(Fraction(1, 2), kept)
+    if not kept_genes or med1 == 0 or med2 == 0:
         # The filter degenerated (nothing kept, or a kept-set median of
         # zero); fall back to the unfiltered medians, flagged.
-        kept = list(range(len(e1)))
+        kept_genes = rows.size
         iqr_filtered = False
-        med1 = _quantile(sorted(e1), Fraction(1, 2))
-        med2 = _quantile(sorted(e2), Fraction(1, 2))
+        med1 = r1.quantile(Fraction(1, 2))
+        med2 = r2.quantile(Fraction(1, 2))
     if med1 == 0 or med2 == 0:
         raise ValueError("median conserved expression is zero in one species")
     return MedianScaleResult(
-        factor=ScalingFactor(float(med1 / med2)),
+        factor=ScalingFactor(float((med1 / table.total_sp1) / (med2 / table.total_sp2))),
         iqr_filtered=iqr_filtered,
-        kept_genes=len(kept),
+        kept_genes=kept_genes,
     )
 
 

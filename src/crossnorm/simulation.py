@@ -343,9 +343,13 @@ def run_study(
 
     if replicates < 1:
         raise ValueError("replicates must be >= 1")
+    if not methods:
+        raise ValueError("methods must name at least one method")
     for method in methods:
         if method not in METHODS:
             raise ValueError(f"unknown method {method!r}")
+    if len(set(methods)) != len(methods):
+        raise ValueError(f"methods must not repeat, got {list(methods)!r}")
     if grid is None:
         grid = GridConfig(alpha=alpha)
 

@@ -227,8 +227,12 @@ _STUDY_BASE = {"n_orthologs": 100, "conserved_size": 20}
      "error: n_orthologs must be an integer, got '5'"),
     ({"base": _STUDY_BASE, "methods": "scbn"},
      "error: methods must be a list of method names, got 'scbn'"),
+    ({"base": _STUDY_BASE, "methods": []},
+     "error: methods must name at least one method"),
+    ({"base": _STUDY_BASE, "methods": ["median", "median"]},
+     "error: methods must not repeat, got ['median', 'median']"),
 ], ids=["sweep-value-not-a-list", "sweep-entry-not-a-number", "spec-not-an-object",
-        "base-field-not-a-number", "methods-not-a-list"])
+        "base-field-not-a-number", "methods-not-a-list", "methods-empty", "methods-repeated"])
 def test_study_spec_of_the_wrong_shape_is_a_one_line_error(tmp_path, spec, message):
     runner = CliRunner()
     path = tmp_path / "study.json"
@@ -314,3 +318,26 @@ def test_evaluate_rejects_an_unknown_truth_label(tmp_path):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert result.output.strip() == f"error: {truth}: line 3: unknown label 'de'"
+
+
+@pytest.mark.parametrize("name", ["results.tsv", "truth.tsv"])
+def test_evaluate_rejects_a_repeated_gene_id(tmp_path, name):
+    lines = {
+        "results.tsv": ["gene_id\tp_value\tq_value\tdirection\tde_call",
+                        "g1\t1e-09\t2e-09\thigher_sp1\ttrue",
+                        "g2\t0.5\t0.5\tnone\tfalse"],
+        "truth.tsv": ["gene_id\tlabel", "g1\tde_up_sp1", "g2\tnull"],
+    }
+    # The repeat disagrees with the first row, which a last-row-wins read
+    # would silently score.
+    lines[name].append("g1\tNA\tNA\tNA\tfalse" if name == "results.tsv" else "g1\tnull")
+    for file_name, content in lines.items():
+        (tmp_path / file_name).write_text("\n".join(content) + "\n", encoding="utf-8")
+    result = CliRunner().invoke(main, [
+        "evaluate",
+        "--results", str(tmp_path / "results.tsv"),
+        "--truth", str(tmp_path / "truth.tsv"),
+    ])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.strip() == f"error: {tmp_path / name}: line 4: duplicate gene_id 'g1'"

@@ -10,7 +10,9 @@ from crossnorm.core import ConservedSet, GeneRecord, OrthologTable, ScalingFacto
 from crossnorm.exact_test import binom_twosided_pvalues, null_prob_values
 from crossnorm.normalization import (
     GridConfig,
+    _conserved_rows,
     _rejection_counts,
+    MedianScaleResult,
     PfdrInputs,
     empirical_type1_deviation,
     estimate_pfdr,
@@ -356,6 +358,112 @@ def test_median_fallback_when_filter_empties():
     assert not result.iqr_filtered
     assert result.kept_genes == 4
     assert result.factor.c == 1.0  # matching totals and mirrored medians
+
+
+def _reference_median_scaling_factor(table, conserved):
+    """Oracle: one Fraction per gene, sorted, with quantiles and the
+    interquartile window taken on the sorted Fraction lists."""
+
+    def quantile(sorted_vals, prob):
+        pos = (len(sorted_vals) - 1) * prob
+        j = int(pos)
+        g = pos - j
+        if g == 0:
+            return sorted_vals[j]
+        return sorted_vals[j] * (1 - g) + sorted_vals[j + 1] * g
+
+    def expression(counts, lengths, total):
+        return [Fraction(x, length * total) for x, length in zip(counts.tolist(), lengths.tolist())]
+
+    rows = _conserved_rows(table, conserved)
+    if rows.size < 4:
+        raise ValueError(f"median baseline needs >= 4 testable conserved genes, got {rows.size}")
+    e1 = expression(table.count_sp1[rows], table.length_sp1[rows], table.total_sp1)
+    e2 = expression(table.count_sp2[rows], table.length_sp2[rows], table.total_sp2)
+    s1, s2 = sorted(e1), sorted(e2)
+    q1_1, q3_1 = quantile(s1, Fraction(1, 4)), quantile(s1, Fraction(3, 4))
+    q1_2, q3_2 = quantile(s2, Fraction(1, 4)), quantile(s2, Fraction(3, 4))
+    kept = [i for i in range(len(e1)) if q1_1 <= e1[i] <= q3_1 and q1_2 <= e2[i] <= q3_2]
+    iqr_filtered = True
+    med1 = med2 = Fraction(0)
+    if kept:
+        med1 = quantile(sorted(e1[i] for i in kept), Fraction(1, 2))
+        med2 = quantile(sorted(e2[i] for i in kept), Fraction(1, 2))
+    if not kept or med1 == 0 or med2 == 0:
+        kept = list(range(len(e1)))
+        iqr_filtered = False
+        med1 = quantile(s1, Fraction(1, 2))
+        med2 = quantile(s2, Fraction(1, 2))
+    if med1 == 0 or med2 == 0:
+        raise ValueError("median conserved expression is zero in one species")
+    return MedianScaleResult(
+        factor=ScalingFactor(float(med1 / med2)), iqr_filtered=iqr_filtered, kept_genes=len(kept))
+
+
+def _median_outcome(fit, table, conserved):
+    try:
+        return fit(table, conserved)
+    except ValueError as exc:
+        return str(exc)
+
+
+_B = 2**40
+
+
+@st.composite
+def _median_tables(draw):
+    # near-tie: lengths near 2**40 and counts a few reads off a multiple of
+    # the length, so distinct ratios round to one float64.  tiny: counts 0-3
+    # and lengths 1-3, exact ties and zero medians.  ordinary: wide ranges,
+    # whose interquartile windows often miss each other (the fallback).
+    kind = draw(st.sampled_from(["near-tie", "tiny", "ordinary"]))
+    m = draw(st.integers(4, 12))
+
+    def column():
+        if kind == "near-tie":
+            lengths = [_B + draw(st.integers(0, 6)) for _ in range(m)]
+            counts = [draw(st.integers(0, 3)) * length + draw(st.integers(0, 6))
+                      for length in lengths]
+        elif kind == "tiny":
+            lengths = [draw(st.integers(1, 3)) for _ in range(m)]
+            counts = [draw(st.integers(0, 3)) for _ in range(m)]
+        else:
+            lengths = [draw(st.integers(1, 5000)) for _ in range(m)]
+            counts = [draw(st.integers(0, 400)) for _ in range(m)]
+        return lengths, counts
+
+    (l1, x1), (l2, x2) = column(), column()
+    # One non-conserved filler gene keeps both totals positive and apart
+    # from the conserved sums.
+    filler = draw(st.integers(1, 10**6)), draw(st.integers(1, 10**6))
+    table = validate_table([f"g{i}" for i in range(m + 1)], l1 + [1], l2 + [1],
+                           x1 + [filler[0]], x2 + [filler[1]])
+    return table, ConservedSet(frozenset(f"g{i}" for i in range(m)))
+
+
+@given(_median_tables())
+@settings(max_examples=300, deadline=None)
+def test_median_matches_a_fraction_sort_reference(case):
+    table, conserved = case
+    want = _median_outcome(_reference_median_scaling_factor, table, conserved)
+    assert _median_outcome(median_scaling_factor, table, conserved) == want
+
+
+def test_median_settles_float_ties_exactly():
+    # Genes g0-g4 of species 1 have distinct ratios (B+k+1)/(B+k) that all
+    # round to one float64 key; with 3 and 1/B for g5 and g6 that makes 3
+    # distinct keys and 7 distinct exact ratios.  Both species-1 quartiles
+    # lie inside the tied run and round to that same key, and the exact
+    # window keeps g1-g3 of it.  Species 2 keeps g2-g4, so 2 genes remain.
+    x1 = [_B + 1, _B + 2, _B + 3, _B + 4, _B + 5, 3 * _B, 1]
+    l1 = [_B, _B + 1, _B + 2, _B + 3, _B + 4, _B, _B]
+    x2 = list(range(5, 12))
+    table = validate_table([f"g{i}" for i in range(7)], l1, [10] * 7, x1, x2)
+    conserved = ConservedSet(frozenset(table.gene_ids))
+    result = median_scaling_factor(table, conserved)
+    assert result == _reference_median_scaling_factor(table, conserved)
+    assert result.iqr_filtered
+    assert result.kept_genes == 2
 
 
 # ---------------------------------------------------------------------------

@@ -364,6 +364,21 @@ def test_run_study_rejects_unknown_method():
         run_study(base, {}, ["tmm"], replicates=1, cutoff=0.01)
 
 
+@pytest.mark.parametrize("methods, message", [
+    ([], "methods must name at least one method"),
+    (["median", "median"], "methods must not repeat, got ['median', 'median']"),
+], ids=["empty", "repeated"])
+def test_run_study_rejects_empty_or_repeated_methods_before_generating(
+        monkeypatch, methods, message):
+    def no_dataset(cfg):
+        raise AssertionError("a dataset was generated")
+
+    monkeypatch.setattr(simulation, "generate_dataset", no_dataset)
+    with pytest.raises(ValueError) as excinfo:
+        run_study(_study1_config(), {}, methods, replicates=2, cutoff=0.01)
+    assert str(excinfo.value) == message
+
+
 def test_run_study_overlap_and_scores_match_a_recount_from_call_de(monkeypatch):
     base = _study1_config(n_orthologs=400, conserved_size=80, n_unique_sp1=40,
                           n_unique_sp2=80, n_unmapped_sp1=0, n_unmapped_sp2=0,
