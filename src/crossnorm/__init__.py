@@ -19,10 +19,8 @@ from .normalization import (
     GridConfig,
     MedianScaleResult,
     ObjectiveValue,
-    PfdrInputs,
     ScbnResult,
     empirical_type1_deviation,
-    estimate_pfdr,
     median_scaling_factor,
     scbn_scaling_factor,
 )
@@ -45,7 +43,6 @@ from .simulation import (
     SimulatedDataset,
     evaluate_run,
     generate_dataset,
-    ma_plot_points,
     run_study,
 )
 
@@ -62,10 +59,8 @@ __all__ = [
     "GridConfig",
     "MedianScaleResult",
     "ObjectiveValue",
-    "PfdrInputs",
     "ScbnResult",
     "empirical_type1_deviation",
-    "estimate_pfdr",
     "median_scaling_factor",
     "scbn_scaling_factor",
     "DEResult",
@@ -84,6 +79,5 @@ __all__ = [
     "SimulatedDataset",
     "evaluate_run",
     "generate_dataset",
-    "ma_plot_points",
     "run_study",
 ]

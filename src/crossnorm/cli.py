@@ -215,6 +215,8 @@ def _study_sweep(sweep) -> dict:
     if not isinstance(sweep, dict):
         raise ValueError("sweep must be a JSON object mapping fields to lists of values")
     _check_sim_fields(sweep)
+    if "rate_source" in sweep:
+        raise ValueError("sweep rate_source: only numeric simulation fields can be swept")
     for name, values in sweep.items():
         if not isinstance(values, list):
             raise ValueError(f"sweep {name} must be a list of values, got {values!r}")
@@ -369,11 +371,14 @@ def evaluate(results_path, truth_path, output_path) -> None:
         calls: dict[str, bool] = {}
         with Path(results_path).open("r", encoding="utf-8") as fh:
             header = fh.readline().rstrip("\n").split("\t")
-            if header[:1] != ["gene_id"] or "de_call" not in header:
+            if header[:1] != ["gene_id"] or not {"de_call", "p_value"} <= set(header):
                 raise ValueError(f"{results_path}: not a results table")
             de_col = header.index("de_call")
             p_col = header.index("p_value")
-            for _, fields in _tsv_rows(results_path, fh, len(header)):
+            for lineno, fields in _tsv_rows(results_path, fh, len(header)):
+                if fields[de_col] not in ("true", "false"):
+                    raise ValueError(f"{results_path}: line {lineno}: de_call must be true "
+                                     f"or false, got {fields[de_col]!r}")
                 if fields[p_col] == "NA":
                     continue
                 calls[fields[0]] = fields[de_col] == "true"

@@ -4,18 +4,15 @@ An :class:`OrthologTable` is columnar: a tuple of gene ids plus read-only
 int64 columns ``length_sp1``, ``length_sp2``, ``count_sp1`` and
 ``count_sp2``, the exact per-species read totals as Python ints, and a
 ``testable`` mask.  :func:`validate_table` is the one place that builds and
-checks a table.  :class:`GeneRecord` is the row type: build small tables
-from rows with :meth:`OrthologTable.from_records`, and read rows back
-through the cached ``table.records`` view.
+checks a table.  :class:`GeneRecord` is the row type of the cached, read-only
+``table.records`` view.
 
-All types are immutable after construction, so they can be shared freely
-across parallel workers.
+All types are immutable after construction.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -39,28 +36,15 @@ _INT64 = np.iinfo(np.int64)
 
 @dataclass(frozen=True)
 class GeneRecord:
-    """One orthologous gene: per-species gene length (bases) and mapped reads."""
+    """One row of a validated table: per-species gene length (bases), mapped
+    reads, and the table's ``testable`` flag."""
 
     gene_id: str
     length_sp1: int
     length_sp2: int
     count_sp1: int
     count_sp2: int
-
-    def __post_init__(self) -> None:
-        if not self.gene_id:
-            raise ValueError("gene_id must be a non-empty string")
-        if self.length_sp1 < 1:
-            raise ValueError(f"gene {self.gene_id!r}: length_sp1 must be >= 1")
-        if self.length_sp2 < 1:
-            raise ValueError(f"gene {self.gene_id!r}: length_sp2 must be >= 1")
-        if self.count_sp1 < 0 or self.count_sp2 < 0:
-            raise ValueError(f"gene {self.gene_id!r}: counts must be >= 0")
-
-    @property
-    def testable(self) -> bool:
-        """Genes with zero reads in both species carry no testable signal."""
-        return self.count_sp1 + self.count_sp2 > 0
+    testable: bool
 
 
 class InvalidRow(ValueError):
@@ -99,20 +83,12 @@ class OrthologTable:
             np.array_equal(getattr(self, name), getattr(other, name)) for name in _COLUMNS
         )
 
-    @classmethod
-    def from_records(cls, records: Iterable[GeneRecord]) -> "OrthologTable":
-        """Validate rows into a table, keeping their order."""
-        recs = tuple(records)
-        return validate_table(
-            [r.gene_id for r in recs],
-            *([getattr(r, name) for r in recs] for name in _COLUMNS),
-        )
-
     @cached_property
     def records(self) -> tuple[GeneRecord, ...]:
         """The table as rows, built on first access."""
         columns = (getattr(self, name).tolist() for name in _COLUMNS)
-        return tuple(GeneRecord(*row) for row in zip(self.gene_ids, *columns))
+        return tuple(GeneRecord(*row)
+                     for row in zip(self.gene_ids, *columns, self.testable.tolist()))
 
 
 def _int64_column(values) -> np.ndarray:
@@ -187,17 +163,6 @@ class ConservedSet:
     @property
     def m(self) -> int:
         return len(self.gene_ids)
-
-    @classmethod
-    def for_table(cls, gene_ids: Iterable[str], table: OrthologTable) -> "ConservedSet":
-        """Validate that every id occurs in the companion table."""
-        ids = frozenset(gene_ids)
-        known = set(table.gene_ids)
-        missing = ids - known
-        if missing:
-            some = ", ".join(sorted(missing)[:5])
-            raise ValueError(f"{len(missing)} conserved gene id(s) not in table: {some}")
-        return cls(gene_ids=ids)
 
 
 @dataclass(frozen=True)

@@ -42,6 +42,12 @@ _MIN_P = 5e-324                          # smallest positive float
 _MAX_P0 = float(np.nextafter(1.0, 0.0))  # keep p0 strictly inside (0, 1)
 
 
+def _p0(c, l1n1, l2n2):
+    # null_prob_values on the products L1*N1 and L2*N2; the SCBN grid shares it.
+    a = c * l1n1
+    return np.clip(a / (l2n2 + a), _MIN_P, _MAX_P0)
+
+
 def null_prob_values(c, length_sp1, length_sp2, total_sp1, total_sp2):
     """Null success probabilities for arrays of lengths at scaling factor c.
 
@@ -49,9 +55,7 @@ def null_prob_values(c, length_sp1, length_sp2, total_sp1, total_sp2):
     """
     l1 = np.asarray(length_sp1, dtype=np.float64)
     l2 = np.asarray(length_sp2, dtype=np.float64)
-    a = c * (l1 * float(total_sp1))
-    b = l2 * float(total_sp2)
-    return np.clip(a / (b + a), _MIN_P, _MAX_P0)
+    return _p0(c, l1 * float(total_sp1), l2 * float(total_sp2))
 
 
 def _binom_cdf(k, n, q0):

@@ -1,4 +1,4 @@
-"""Scaling-factor estimation and the positive false discovery rate.
+"""Scaling-factor estimation.
 
 Two estimators of the between-species scale live here:
 
@@ -38,6 +38,7 @@ from .exact_test import (
     _binom_cdf,
     _binom_sf,
     _mirror,
+    _p0,
     _tail_edges,
     binom_twosided_pvalues,
 )
@@ -47,11 +48,9 @@ __all__ = [
     "ObjectiveValue",
     "ScbnResult",
     "MedianScaleResult",
-    "PfdrInputs",
     "empirical_type1_deviation",
     "scbn_scaling_factor",
     "median_scaling_factor",
-    "estimate_pfdr",
     "final_grid_log_step",
 ]
 
@@ -88,10 +87,10 @@ class GridConfig:
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie in (0, 1)")
-        if self.center is not None and not (self.center > 0.0):
-            raise ValueError("grid center must be positive")
-        if not (self.span > 1.0):
-            raise ValueError("span must exceed 1")
+        if self.center is not None and not (0.0 < self.center < np.inf):
+            raise ValueError("grid center must be positive and finite")
+        if not (1.0 < self.span < np.inf):
+            raise ValueError("span must exceed 1 and be finite")
         if self.coarse_points < 10:
             raise ValueError("coarse_points must be >= 10")
         if self.refine_rounds < 0:
@@ -149,12 +148,6 @@ def _conserved_arrays(table: OrthologTable, conserved: ConservedSet):
     l1n1 = table.length_sp1[rows] * float(table.total_sp1)
     l2n2 = table.length_sp2[rows] * float(table.total_sp2)
     return x1, n, l1n1, l2n2
-
-
-def _null_prob(cs, l1n1, l2n2):
-    # The kernel's p0 at factor(s) cs: the expression null_prob_values uses.
-    a = cs * l1n1
-    return np.clip(a / (l2n2 + a), _MIN_P, _MAX_P0)
 
 
 def _two_tail_bound(x, n, below, q_obs, q_far):
@@ -248,8 +241,8 @@ def _rejection_counts(cs, x1, n, l1n1, l2n2, alpha):
         gene, left, right = gene[~leaf], left[~leaf], right[~leaf]
         verdict = _interval_verdicts(
             x1[gene], n[gene],
-            _null_prob(cs[left], l1n1[gene], l2n2[gene]),
-            _null_prob(cs[right], l1n1[gene], l2n2[gene]),
+            _p0(cs[left], l1n1[gene], l2n2[gene]),
+            _p0(cs[right], l1n1[gene], l2n2[gene]),
             alpha,
         )
         verdict[n[gene] >= _MAX_BOUNDED_N] = 0
@@ -267,7 +260,7 @@ def _rejection_counts(cs, x1, n, l1n1, l2n2, alpha):
     inside = cell <= right[:, None]
     gene = np.broadcast_to(gene[:, None], cell.shape)[inside]
     cell = cell[inside]
-    p = binom_twosided_pvalues(x1[gene], n[gene], _null_prob(cs[cell], l1n1[gene], l2n2[gene]))
+    p = binom_twosided_pvalues(x1[gene], n[gene], _p0(cs[cell], l1n1[gene], l2n2[gene]))
     return np.cumsum(runs[:-1]) + np.bincount(cell[p < alpha], minlength=points)
 
 
@@ -432,44 +425,3 @@ def median_scaling_factor(table: OrthologTable, conserved: ConservedSet) -> Medi
         iqr_filtered=iqr_filtered,
         kept_genes=kept_genes,
     )
-
-
-@dataclass(frozen=True)
-class PfdrInputs:
-    """Known priors plus p-value collections for the null and alternative sets."""
-
-    prior_h0: float
-    prior_h1: float
-    pvalues_null: tuple[float, ...]
-    pvalues_alt: tuple[float, ...]
-    alpha: float
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.prior_h0 <= 1.0 and 0.0 <= self.prior_h1 <= 1.0):
-            raise ValueError("priors must lie in [0, 1]")
-        if abs(self.prior_h0 + self.prior_h1 - 1.0) > 1e-12:
-            raise ValueError("priors must sum to 1 within 1e-12")
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError("alpha must lie in (0, 1)")
-        if len(self.pvalues_null) == 0 or len(self.pvalues_alt) == 0:
-            raise ValueError("both p-value collections must be non-empty")
-        for p in (*self.pvalues_null, *self.pvalues_alt):
-            if not (0.0 < p <= 1.0):
-                raise ValueError(f"p-values must lie in (0, 1], got {p!r}")
-
-
-def estimate_pfdr(inputs: PfdrInputs) -> float | None:
-    """Positive false discovery rate from empirical rejection probabilities.
-
-    Returns None when nothing is rejected in either set (the rate is then
-    undefined rather than zero).
-    """
-    null = np.asarray(inputs.pvalues_null, dtype=np.float64)
-    alt = np.asarray(inputs.pvalues_alt, dtype=np.float64)
-    r0 = float((null < inputs.alpha).mean())
-    r1 = float((alt < inputs.alpha).mean())
-    numerator = inputs.prior_h0 * r0
-    denominator = numerator + inputs.prior_h1 * r1
-    if denominator == 0.0:
-        return None
-    return numerator / denominator

@@ -33,11 +33,9 @@ __all__ = [
     "SimConfig",
     "SimulatedDataset",
     "Metrics",
-    "MaPlot",
     "StudyCellResult",
     "generate_dataset",
     "evaluate_run",
-    "ma_plot_points",
     "run_study",
 ]
 
@@ -118,17 +116,6 @@ class Metrics:
     precision: float | None
     sensitivity: float | None
     f_score: float
-
-
-@dataclass(frozen=True)
-class MaPlot:
-    """Per-gene (A, M) points plus the level of the scaling-factor line."""
-
-    gene_ids: tuple[str, ...]
-    a: np.ndarray
-    m: np.ndarray
-    factor_level: float
-    skipped: int
 
 
 def _draw_rates(rng: np.random.Generator, size: int, source: tuple[float, ...] | None):
@@ -212,7 +199,7 @@ def generate_dataset(config: SimConfig) -> SimulatedDataset:
     chosen = list(rng.choice(null_pool, size=n_keep_null, replace=False))
     if n_keep_noise:
         chosen.extend(rng.choice(noise_pool, size=n_keep_noise, replace=False))
-    conserved = ConservedSet.for_table((ids[i] for i in chosen), table)
+    conserved = ConservedSet(frozenset(ids[i] for i in chosen))
 
     meta = {
         "n_null": int(n_null),
@@ -274,25 +261,6 @@ def evaluate_run(calls: Mapping[str, bool], truth: Mapping[str, str]) -> Metrics
         raise ValueError("calls and truth must cover the same genes")
     called = np.fromiter(calls.values(), dtype=bool, count=len(calls))
     return _score(called, _de_mask(truth, calls.keys()))
-
-
-def ma_plot_points(table: OrthologTable, c: ScalingFactor) -> MaPlot:
-    """Mean/difference log-expression pairs for every double-expressed gene.
-
-    M is the species log-ratio, A the mean log-expression, both from
-    count / (length * depth); the non-DE cloud should sit near log2(c).
-    Genes with a zero count in either species are skipped (count reported).
-    """
-    keep = (table.count_sp1 > 0) & (table.count_sp2 > 0)
-    e1 = table.count_sp1[keep] / (table.length_sp1[keep] * float(table.total_sp1))
-    e2 = table.count_sp2[keep] / (table.length_sp2[keep] * float(table.total_sp2))
-    return MaPlot(
-        gene_ids=tuple(itertools.compress(table.gene_ids, keep.tolist())),
-        a=0.5 * np.log2(e1 * e2),
-        m=np.log2(e1 / e2),
-        factor_level=math.log2(c.c),
-        skipped=int(keep.size - keep.sum()),
-    )
 
 
 @dataclass(frozen=True)

@@ -231,8 +231,13 @@ _STUDY_BASE = {"n_orthologs": 100, "conserved_size": 20}
      "error: methods must name at least one method"),
     ({"base": _STUDY_BASE, "methods": ["median", "median"]},
      "error: methods must not repeat, got ['median', 'median']"),
+    ({"base": _STUDY_BASE, "sweep": {"rate_source": [[1.0, 2.0, 3.0]]}},
+     "error: sweep rate_source: only numeric simulation fields can be swept"),
+    ({"base": _STUDY_BASE, "sweep": {"rate_source": [None]}},
+     "error: sweep rate_source: only numeric simulation fields can be swept"),
 ], ids=["sweep-value-not-a-list", "sweep-entry-not-a-number", "spec-not-an-object",
-        "base-field-not-a-number", "methods-not-a-list", "methods-empty", "methods-repeated"])
+        "base-field-not-a-number", "methods-not-a-list", "methods-empty", "methods-repeated",
+        "sweep-rate-source-list", "sweep-rate-source-null"])
 def test_study_spec_of_the_wrong_shape_is_a_one_line_error(tmp_path, spec, message):
     runner = CliRunner()
     path = tmp_path / "study.json"
@@ -262,6 +267,25 @@ def test_scbn_optimum_at_the_window_edge_warns(tmp_path):
         assert "edge of the grid window" not in default.stderr
 
 
+@pytest.mark.parametrize("option, message", [
+    ("--grid-span", "span must exceed 1 and be finite"),
+    ("--grid-center", "grid center must be positive and finite"),
+], ids=["span", "center"])
+def test_infinite_grid_setting_is_a_one_line_error(tmp_path, option, message):
+    counts = tmp_path / "counts.tsv"
+    counts.write_text("gene_id\tlength_sp1\tcount_sp1\tlength_sp2\tcount_sp2\n"
+                      + "".join(f"g{i}\t100\t{5 + i}\t100\t{6 + i}\n" for i in range(8)),
+                      encoding="utf-8")
+    cons = tmp_path / "cons.txt"
+    cons.write_text("".join(f"g{i}\n" for i in range(8)), encoding="utf-8")
+    for command in (["normalize"], ["test", "--output", str(tmp_path / "run")]):
+        result = CliRunner().invoke(main, command + ["--counts", str(counts), "--conserved",
+                                                     str(cons), option, "inf"])
+        assert result.exit_code == 1
+        assert isinstance(result.exception, SystemExit)
+        assert result.output.strip() == f"error: {message}"
+
+
 def test_count_beyond_2_pow_53_fails_with_line_number(tmp_path):
     runner = CliRunner()
     counts = tmp_path / "counts.tsv"
@@ -281,12 +305,14 @@ def test_count_beyond_2_pow_53_fails_with_line_number(tmp_path):
         assert "scaling_factor" not in result.output
 
 
-@pytest.mark.parametrize("name, row, width", [
-    ("results.tsv", "g2\t0.1", 5),
-    ("results.tsv", "", 5),
-    ("truth.tsv", "g2\tnull\textra", 2),
-], ids=["short-results-row", "blank-results-row", "three-field-truth-row"])
-def test_evaluate_malformed_row_is_a_one_line_error(tmp_path, name, row, width):
+@pytest.mark.parametrize("name, row, message", [
+    ("results.tsv", "g2\t0.1", "expected 5 tab-separated fields"),
+    ("results.tsv", "", "expected 5 tab-separated fields"),
+    ("truth.tsv", "g2\tnull\textra", "expected 2 tab-separated fields"),
+    ("results.tsv", "g2\t1e-09\t2e-09\thigher_sp1\tyes",
+     "de_call must be true or false, got 'yes'"),
+], ids=["short-results-row", "blank-results-row", "three-field-truth-row", "de-call-yes"])
+def test_evaluate_malformed_row_is_a_one_line_error(tmp_path, name, row, message):
     lines = {
         "results.tsv": ["gene_id\tp_value\tq_value\tdirection\tde_call",
                         "g1\t0.5\t0.5\tnone\tfalse"],
@@ -302,8 +328,24 @@ def test_evaluate_malformed_row_is_a_one_line_error(tmp_path, name, row, width):
     ])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
-    assert result.output.strip() == \
-        f"error: {tmp_path / name}: line 3: expected {width} tab-separated fields"
+    assert result.output.strip() == f"error: {tmp_path / name}: line 3: {message}"
+
+
+@pytest.mark.parametrize("header", [
+    "gene_id\tq_value\tdirection\tde_call",
+    "gene_id\tp_value\tq_value\tdirection",
+    "p_value\tgene_id\tq_value\tdirection\tde_call",
+], ids=["no-p-value", "no-de-call", "gene-id-not-first"])
+def test_evaluate_rejects_a_header_it_cannot_score(tmp_path, header):
+    results = tmp_path / "results.tsv"
+    results.write_text(header + "\n", encoding="utf-8")
+    truth = tmp_path / "truth.tsv"
+    truth.write_text("gene_id\tlabel\ng1\tnull\n", encoding="utf-8")
+    result = CliRunner().invoke(main, ["evaluate", "--results", str(results),
+                                       "--truth", str(truth)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.strip() == f"error: {results}: not a results table"
 
 
 def test_evaluate_rejects_an_unknown_truth_label(tmp_path):

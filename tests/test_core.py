@@ -3,32 +3,27 @@ import dataclasses
 import numpy as np
 import pytest
 
-from crossnorm.core import (
-    ConservedSet,
-    GeneRecord,
-    InvalidRow,
-    OrthologTable,
-    ScalingFactor,
-    validate_table,
-)
+from crossnorm.core import ConservedSet, InvalidRow, ScalingFactor, validate_table
+from crossnorm.pipeline import load_conserved_list
+from rowtable import table_of
 
 
-def _records():
+def _rows():
     return [
-        GeneRecord("g1", 100, 200, 5, 2),
-        GeneRecord("g2", 300, 300, 0, 1),
-        GeneRecord("g3", 150, 120, 7, 7),
+        ("g1", 100, 200, 5, 2),
+        ("g2", 300, 300, 0, 1),
+        ("g3", 150, 120, 7, 7),
     ]
 
 
 def test_totals_are_exact_sums():
-    table = OrthologTable.from_records(_records())
+    table = table_of(_rows())
     assert table.total_sp1 == 12
     assert table.total_sp2 == 10
 
 
 def test_columns_are_read_only_int64():
-    table = OrthologTable.from_records(_records())
+    table = table_of(_rows())
     assert table.gene_ids == ("g1", "g2", "g3")
     assert table.count_sp1.tolist() == [5, 0, 7]
     assert table.length_sp2.tolist() == [200, 300, 120]
@@ -74,30 +69,27 @@ def test_mismatched_column_lengths_rejected():
 
 
 def test_duplicate_gene_id_rejected_by_name():
-    records = [GeneRecord("g1", 10, 10, 1, 1), GeneRecord("g1", 20, 20, 2, 2)]
     with pytest.raises(ValueError, match="g1"):
-        OrthologTable.from_records(records)
+        table_of([("g1", 10, 10, 1, 1), ("g1", 20, 20, 2, 2)])
 
 
 def test_nonpositive_length_rejected_by_name():
-    with pytest.raises(ValueError, match="bad"):
-        GeneRecord("bad", 100, 0, 1, 1)
+    with pytest.raises(InvalidRow, match=r"'bad'.*length_sp2 must be >= 1"):
+        table_of([("ok", 100, 100, 1, 1), ("bad", 100, 0, 1, 1)])
 
 
 def test_negative_count_rejected():
-    with pytest.raises(ValueError):
-        GeneRecord("g1", 100, 100, -1, 0)
+    with pytest.raises(InvalidRow, match=r"'g1'.*counts must be >= 0"):
+        table_of([("g1", 100, 100, -1, 0), ("g2", 100, 100, 1, 1)])
 
 
 def test_all_zero_totals_rejected():
-    records = [GeneRecord("g1", 10, 10, 0, 0)]
     with pytest.raises(ValueError):
-        OrthologTable.from_records(records)
+        table_of([("g1", 10, 10, 0, 0)])
 
 
 def test_zero_count_gene_retained_but_untestable():
-    records = _records() + [GeneRecord("g4", 50, 60, 0, 0)]
-    table = OrthologTable.from_records(records)
+    table = table_of(_rows() + [("g4", 50, 60, 0, 0)])
     assert len(table) == 4
     assert table.total_sp1 == 12  # the all-zero gene adds nothing
     flags = {r.gene_id: r.testable for r in table.records}
@@ -106,25 +98,31 @@ def test_zero_count_gene_retained_but_untestable():
 
 
 def test_validate_table_is_idempotent():
-    table = OrthologTable.from_records(_records())
+    table = table_of(_rows())
     again = validate_table(table.gene_ids, table.length_sp1, table.length_sp2,
                            table.count_sp1, table.count_sp2)
     assert again == table
-    assert OrthologTable.from_records(table.records) == table
 
 
 def test_records_are_immutable():
-    rec = GeneRecord("g1", 10, 10, 1, 1)
+    rec = table_of(_rows()).records[0]
     with pytest.raises(dataclasses.FrozenInstanceError):
         rec.count_sp1 = 5
 
 
-def test_conserved_set_requires_known_ids():
-    table = OrthologTable.from_records(_records())
-    conserved = ConservedSet.for_table(["g1", "g3"], table)
-    assert conserved.m == 2
-    with pytest.raises(ValueError, match="gX"):
-        ConservedSet.for_table(["g1", "gX"], table)
+def test_conserved_set_requires_known_ids(tmp_path):
+    # Ids from outside the program meet the table in load_conserved_list,
+    # which drops and counts the unknown ones.
+    table = table_of(_rows())
+    assert ConservedSet(frozenset(["g1", "g3"])).m == 2
+    path = tmp_path / "conserved.txt"
+    path.write_text("g1\ngX\n", encoding="utf-8")
+    conserved, unknown = load_conserved_list(path, table)
+    assert conserved.gene_ids == frozenset({"g1"})
+    assert unknown == 1
+    path.write_text("gX\n", encoding="utf-8")
+    with pytest.raises(ValueError):
+        load_conserved_list(path, table)
     with pytest.raises(ValueError):
         ConservedSet(frozenset())
 

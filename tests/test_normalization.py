@@ -6,38 +6,36 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossnorm.core import ConservedSet, GeneRecord, OrthologTable, ScalingFactor, validate_table
+from crossnorm.core import ConservedSet, ScalingFactor, validate_table
 from crossnorm.exact_test import binom_twosided_pvalues, null_prob_values
 from crossnorm.normalization import (
     GridConfig,
     _conserved_rows,
     _rejection_counts,
     MedianScaleResult,
-    PfdrInputs,
     empirical_type1_deviation,
-    estimate_pfdr,
     final_grid_log_step,
     median_scaling_factor,
     scbn_scaling_factor,
 )
+from rowtable import table_of
 
 # ---------------------------------------------------------------------------
 # Helpers
 # ---------------------------------------------------------------------------
 
 
-def _table_with_conserved(records, conserved_ids):
-    table = OrthologTable.from_records(records)
-    return table, ConservedSet.for_table(conserved_ids, table)
+def _table_with_conserved(rows, conserved_ids):
+    return table_of(rows), ConservedSet(frozenset(conserved_ids))
 
 
 def _balanced(gene_id, count, length=500):
-    return GeneRecord(gene_id, length, length, count, count)
+    return (gene_id, length, length, count, count)
 
 
 def _extreme(gene_id, count, length=500):
     # all reads in species 1: p-value ~ 2^-(count-1) at p0 = 1/2
-    return GeneRecord(gene_id, length, length, count, 0)
+    return (gene_id, length, length, count, 0)
 
 
 def _null_poisson_table(rng, m, c_true, conserved_reads=3.0e5, depth=1.0e6, length=1000):
@@ -54,10 +52,10 @@ def _null_poisson_table(rng, m, c_true, conserved_reads=3.0e5, depth=1.0e6, leng
     f1 = rng.poisson(w1 / w1.sum() * (depth - conserved_reads))
     f2 = rng.poisson(w2 / w2.sum() * (depth - conserved_reads / c_true))
     records = [
-        GeneRecord(f"c{i:05d}", length, length, int(x1[i]), int(x2[i])) for i in range(m)
+        (f"c{i:05d}", length, length, int(x1[i]), int(x2[i])) for i in range(m)
     ]
     records += [
-        GeneRecord(f"f{i:05d}", length, length, int(f1[i]), int(f2[i])) for i in range(nf)
+        (f"f{i:05d}", length, length, int(f1[i]), int(f2[i])) for i in range(nf)
     ]
     return _table_with_conserved(records, [f"c{i:05d}" for i in range(m)])
 
@@ -69,7 +67,7 @@ def _null_poisson_table(rng, m, c_true, conserved_reads=3.0e5, depth=1.0e6, leng
 
 def test_no_rejections_gives_deviation_alpha():
     records = [_balanced(f"g{i}", 10 + i) for i in range(20)]
-    table, conserved = _table_with_conserved(records, [r.gene_id for r in records])
+    table, conserved = _table_with_conserved(records, [r[0] for r in records])
     value = empirical_type1_deviation(table, conserved, ScalingFactor(1.0), alpha=0.05)
     assert value.rejection_rate == 0.0
     assert value.deviation == 0.05
@@ -81,8 +79,8 @@ def test_exact_nominal_rate_gives_zero_deviation():
     # the null probability is exactly 1/2 at c = 1.
     records = [_balanced(f"b{i}", 12) for i in range(95)]
     records += [_extreme(f"e{i}", 40) for i in range(5)]
-    records.append(GeneRecord("filler", 500, 500, 0, 200))
-    table, conserved = _table_with_conserved(records, [r.gene_id for r in records[:-1]])
+    records.append(("filler", 500, 500, 0, 200))
+    table, conserved = _table_with_conserved(records, [r[0] for r in records[:-1]])
     value = empirical_type1_deviation(table, conserved, ScalingFactor(1.0), alpha=0.05)
     assert value.rejection_rate == pytest.approx(0.05, abs=1e-15)
     assert value.deviation == pytest.approx(0.0, abs=1e-15)
@@ -91,22 +89,22 @@ def test_exact_nominal_rate_gives_zero_deviation():
 def test_three_of_ten_rejections():
     records = [_balanced(f"b{i}", 12) for i in range(7)]
     records += [_extreme(f"e{i}", 40) for i in range(3)]
-    records.append(GeneRecord("filler", 500, 500, 0, 120))
-    table, conserved = _table_with_conserved(records, [r.gene_id for r in records[:-1]])
+    records.append(("filler", 500, 500, 0, 120))
+    table, conserved = _table_with_conserved(records, [r[0] for r in records[:-1]])
     value = empirical_type1_deviation(table, conserved, ScalingFactor(1.0), alpha=0.05)
     assert value.rejection_rate == pytest.approx(0.3, abs=1e-15)
     assert value.deviation == pytest.approx(0.25, abs=1e-15)
 
 
 def test_untestable_conserved_genes_reduce_m():
-    records = [_balanced("b0", 12), _balanced("b1", 12), GeneRecord("z", 100, 100, 0, 0)]
+    records = [_balanced("b0", 12), _balanced("b1", 12), ("z", 100, 100, 0, 0)]
     table, conserved = _table_with_conserved(records, ["b0", "b1", "z"])
     value = empirical_type1_deviation(table, conserved, ScalingFactor(1.0), alpha=0.05)
     assert value.rejection_rate == 0.0  # z dropped, m = 2
 
 
 def test_all_untestable_conserved_is_an_error():
-    records = [_balanced("b0", 12), GeneRecord("z", 100, 100, 0, 0)]
+    records = [_balanced("b0", 12), ("z", 100, 100, 0, 0)]
     table, conserved = _table_with_conserved(records, ["z"])
     with pytest.raises(ValueError):
         empirical_type1_deviation(table, conserved, ScalingFactor(1.0))
@@ -206,6 +204,11 @@ def test_grid_config_validation():
         GridConfig(refine_shrink=1.0)
     with pytest.raises(ValueError):
         GridConfig(center=-2.0)
+    for bad in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="span must exceed 1 and be finite"):
+            GridConfig(span=bad)
+        with pytest.raises(ValueError, match="grid center must be positive and finite"):
+            GridConfig(center=bad)
 
 
 def test_scbn_recovers_known_scale():
@@ -224,16 +227,13 @@ def test_scbn_recovers_known_scale():
 def test_scbn_swap_symmetry():
     rng = np.random.default_rng(77)
     table, conserved = _null_poisson_table(rng, 400, 1.25)
-    swapped = OrthologTable.from_records(
-        [
-            GeneRecord(r.gene_id, r.length_sp2, r.length_sp1, r.count_sp2, r.count_sp1)
-            for r in table.records
-        ]
+    swapped = table_of(
+        (r.gene_id, r.length_sp2, r.length_sp1, r.count_sp2, r.count_sp1)
+        for r in table.records
     )
-    conserved_swapped = ConservedSet.for_table(sorted(conserved.gene_ids), swapped)
     grid = GridConfig()
     fit = scbn_scaling_factor(table, conserved, grid)
-    fit_swapped = scbn_scaling_factor(swapped, conserved_swapped, grid)
+    fit_swapped = scbn_scaling_factor(swapped, conserved, grid)
     step = final_grid_log_step(grid)
     assert abs(math.log(fit.factor.c * fit_swapped.factor.c)) <= step + 1e-12
 
@@ -275,9 +275,9 @@ def test_scbn_deterministic_and_grid_center_override():
 
 def test_median_identity():
     records = [
-        GeneRecord(f"g{i}", 100, 100, x, x) for i, x in enumerate([9, 14, 23, 37, 51])
+        (f"g{i}", 100, 100, x, x) for i, x in enumerate([9, 14, 23, 37, 51])
     ]
-    table, conserved = _table_with_conserved(records, [r.gene_id for r in records])
+    table, conserved = _table_with_conserved(records, [r[0] for r in records])
     result = median_scaling_factor(table, conserved)
     assert result.factor.c == 1.0
     assert result.iqr_filtered
@@ -285,8 +285,8 @@ def test_median_identity():
 
 def test_median_constant_expressions():
     # e1 = {2,2,2,2} and e2 = {1,1,1,1} in count/(length*total) units
-    records = [GeneRecord(f"g{i}", 1, 2, 8, 4) for i in range(4)]
-    table, conserved = _table_with_conserved(records, [r.gene_id for r in records])
+    records = [(f"g{i}", 1, 2, 8, 4) for i in range(4)]
+    table, conserved = _table_with_conserved(records, [r[0] for r in records])
     result = median_scaling_factor(table, conserved)
     assert result.factor.c == 2.0
 
@@ -300,9 +300,9 @@ def test_median_seven_gene_hand_computation():
     #   c = median(30,40)/77400 over median(32,42)/118200 = 6895/4773.
     counts = [(10, 12), (20, 22), (30, 32), (40, 42), (50, 52), (600, 26), (24, 602)]
     records = [
-        GeneRecord(f"g{i+1}", 100, 150, a, b) for i, (a, b) in enumerate(counts)
+        (f"g{i+1}", 100, 150, a, b) for i, (a, b) in enumerate(counts)
     ]
-    table, conserved = _table_with_conserved(records, [r.gene_id for r in records])
+    table, conserved = _table_with_conserved(records, [r[0] for r in records])
     result = median_scaling_factor(table, conserved)
     assert result.factor.c == float(Fraction(6895, 4773))
     assert result.iqr_filtered
@@ -313,9 +313,9 @@ def test_median_length_equivariance_is_exact():
     counts = [(10, 12), (20, 22), (30, 32), (40, 42), (50, 52), (600, 26), (24, 602)]
     for k in (2, 10):
         records = [
-            GeneRecord(f"g{i+1}", 100 * k, 150, a, b) for i, (a, b) in enumerate(counts)
+            (f"g{i+1}", 100 * k, 150, a, b) for i, (a, b) in enumerate(counts)
         ]
-        table, conserved = _table_with_conserved(records, [r.gene_id for r in records])
+        table, conserved = _table_with_conserved(records, [r[0] for r in records])
         result = median_scaling_factor(table, conserved)
         assert result.factor.c == float(Fraction(6895, 4773) / k)
 
@@ -332,7 +332,7 @@ def test_median_stays_exact_when_length_times_total_exceeds_int64():
 
 def test_median_needs_four_testable_genes():
     records = [_balanced(f"g{i}", 5) for i in range(3)]
-    table, conserved = _table_with_conserved(records, [r.gene_id for r in records])
+    table, conserved = _table_with_conserved(records, [r[0] for r in records])
     with pytest.raises(ValueError):
         median_scaling_factor(table, conserved)
 
@@ -340,8 +340,8 @@ def test_median_needs_four_testable_genes():
 def test_median_zero_expression_is_an_error():
     # species-2 counts all zero among conserved genes; a filler gene keeps
     # the table total positive
-    records = [GeneRecord(f"g{i}", 100, 100, 5 + i, 0) for i in range(4)]
-    records.append(GeneRecord("filler", 100, 100, 1, 50))
+    records = [(f"g{i}", 100, 100, 5 + i, 0) for i in range(4)]
+    records.append(("filler", 100, 100, 1, 50))
     table, conserved = _table_with_conserved(records, [f"g{i}" for i in range(4)])
     with pytest.raises(ValueError):
         median_scaling_factor(table, conserved)
@@ -352,8 +352,8 @@ def test_median_fallback_when_filter_empties():
     # ({10, 11} middle counts) are exactly the sp2 extremes, and vice versa,
     # so the intersection is empty and the flagged fallback applies.
     counts = [(10, 1), (11, 1000), (1, 10), (1000, 11)]
-    records = [GeneRecord(f"g{i}", 10, 10, a, b) for i, (a, b) in enumerate(counts)]
-    table, conserved = _table_with_conserved(records, [r.gene_id for r in records])
+    records = [(f"g{i}", 10, 10, a, b) for i, (a, b) in enumerate(counts)]
+    table, conserved = _table_with_conserved(records, [r[0] for r in records])
     result = median_scaling_factor(table, conserved)
     assert not result.iqr_filtered
     assert result.kept_genes == 4
@@ -464,74 +464,3 @@ def test_median_settles_float_ties_exactly():
     assert result == _reference_median_scaling_factor(table, conserved)
     assert result.iqr_filtered
     assert result.kept_genes == 2
-
-
-# ---------------------------------------------------------------------------
-# pFDR estimator
-# ---------------------------------------------------------------------------
-
-
-def test_pfdr_direct_substitution():
-    # 0.9*0.05 / (0.9*0.05 + 0.1*0.5) = 9/19
-    inputs = PfdrInputs(
-        prior_h0=0.9,
-        prior_h1=0.1,
-        pvalues_null=(0.01,) + (0.9,) * 19,
-        pvalues_alt=(0.001,) * 5 + (0.9,) * 5,
-        alpha=0.05,
-    )
-    assert estimate_pfdr(inputs) == pytest.approx(9 / 19, abs=1e-12)
-
-
-def test_pfdr_boundary_no_alt_rejections():
-    inputs = PfdrInputs(
-        prior_h0=0.5,
-        prior_h1=0.5,
-        pvalues_null=(0.01, 0.2),
-        pvalues_alt=(0.6, 0.9),
-        alpha=0.05,
-    )
-    assert estimate_pfdr(inputs) == 1.0
-
-
-def test_pfdr_hand_computed_mixture():
-    inputs = PfdrInputs(
-        prior_h0=0.5,
-        prior_h1=0.5,
-        pvalues_null=(0.01, 0.2, 0.6, 0.9),
-        pvalues_alt=(0.001, 0.002, 0.3, 0.4),
-        alpha=0.05,
-    )
-    assert estimate_pfdr(inputs) == pytest.approx(1 / 3, abs=1e-12)
-
-
-def test_pfdr_no_rejections_is_distinguished():
-    inputs = PfdrInputs(
-        prior_h0=0.5,
-        prior_h1=0.5,
-        pvalues_null=(0.2, 0.6),
-        pvalues_alt=(0.3, 0.4),
-        alpha=0.05,
-    )
-    assert estimate_pfdr(inputs) is None
-
-
-def test_pfdr_permutation_invariant_and_bounded():
-    rng = np.random.default_rng(2)
-    null = tuple(rng.uniform(0.001, 1.0, 50))
-    alt = tuple(rng.uniform(0.0001, 1.0, 40))
-    inputs = PfdrInputs(0.8, 0.2, null, alt, 0.05)
-    shuffled = PfdrInputs(0.8, 0.2, null[::-1], tuple(sorted(alt)), 0.05)
-    a, b = estimate_pfdr(inputs), estimate_pfdr(shuffled)
-    assert a == b
-    if a is not None:
-        assert 0.0 <= a <= 1.0
-
-
-def test_pfdr_input_validation():
-    with pytest.raises(ValueError):
-        PfdrInputs(0.6, 0.3, (0.1,), (0.1,), 0.05)  # priors must sum to 1
-    with pytest.raises(ValueError):
-        PfdrInputs(0.5, 0.5, (), (0.1,), 0.05)  # empty null set
-    with pytest.raises(ValueError):
-        PfdrInputs(0.5, 0.5, (0.0,), (0.1,), 0.05)  # p outside (0, 1]

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossnorm.core import ConservedSet, GeneRecord, OrthologTable, ScalingFactor, validate_table
+from crossnorm.core import ConservedSet, ScalingFactor, validate_table
 from crossnorm.exact_test import binom_twosided_pvalues, null_prob_values
 from crossnorm.normalization import (
     GridConfig,
@@ -27,6 +27,7 @@ from crossnorm.pipeline import (
 )
 from crossnorm.pipeline import testable_calls as de_calls_for
 from crossnorm.simulation import SimConfig, evaluate_run, generate_dataset
+from rowtable import table_of
 
 # ---------------------------------------------------------------------------
 # Helpers
@@ -185,9 +186,7 @@ def test_write_counts_then_load_gives_an_equal_table(tmp_path):
 
 
 def _small_table():
-    return OrthologTable.from_records(
-        [GeneRecord(f"g{i}", 100, 100, 5 + i, 6 + i) for i in range(10)]
-    )
+    return table_of([(f"g{i}", 100, 100, 5 + i, 6 + i) for i in range(10)])
 
 
 def test_conserved_list_with_comments_and_unknowns(tmp_path):
@@ -309,9 +308,7 @@ def test_bh_nan_entries_between_pvalues(entries):
 
 
 def test_call_de_balanced_gene_not_called():
-    table = OrthologTable.from_records(
-        [GeneRecord("bal", 500, 500, 3, 3), GeneRecord("pad", 500, 500, 10, 10)]
-    )
+    table = table_of([("bal", 500, 500, 3, 3), ("pad", 500, 500, 10, 10)])
     results = call_de(table, ScalingFactor(1.0), cutoff=1e-6).records
     r = results[0]
     assert r.p_value == 1.0
@@ -320,10 +317,10 @@ def test_call_de_balanced_gene_not_called():
 
 
 def test_call_de_extreme_gene_called_with_direction():
-    rows = [GeneRecord("hot", 500, 500, 50, 0)] + [
-        GeneRecord(f"b{i}", 500, 500, 10, 11) for i in range(50)
+    rows = [("hot", 500, 500, 50, 0)] + [
+        (f"b{i}", 500, 500, 10, 11) for i in range(50)
     ]
-    table = OrthologTable.from_records(rows)
+    table = table_of(rows)
     # equalize totals so p0 = 1/2 for every gene at c = 1
     assert table.total_sp1 == 550
     assert table.total_sp2 == 550
@@ -336,11 +333,11 @@ def test_call_de_extreme_gene_called_with_direction():
 
 def test_call_de_untestable_gene_excluded_from_ranking():
     rows = [
-        GeneRecord("z", 100, 100, 0, 0),
-        GeneRecord("a", 100, 100, 8, 2),
-        GeneRecord("b", 100, 100, 3, 9),
+        ("z", 100, 100, 0, 0),
+        ("a", 100, 100, 8, 2),
+        ("b", 100, 100, 3, 9),
     ]
-    table = OrthologTable.from_records(rows)
+    table = table_of(rows)
     results = {r.gene_id: r for r in call_de(table, ScalingFactor(1.0), cutoff=1e-6).records}
     assert results["z"].p_value is None
     assert results["z"].q_value is None
@@ -368,11 +365,9 @@ def test_call_de_direction_antisymmetric_under_species_swap():
                   seed=10, depth_sp1=1e5, depth_sp2=1e5)
     )
     c = ds.true_c.c
-    swapped = OrthologTable.from_records(
-        [
-            GeneRecord(r.gene_id, r.length_sp2, r.length_sp1, r.count_sp2, r.count_sp1)
-            for r in ds.table.records
-        ]
+    swapped = table_of(
+        (r.gene_id, r.length_sp2, r.length_sp1, r.count_sp2, r.count_sp1)
+        for r in ds.table.records
     )
     fwd = {r.gene_id: r for r in call_de(ds.table, ScalingFactor(c), cutoff=1e-6).records}
     rev = {r.gene_id: r for r in call_de(swapped, ScalingFactor(1.0 / c), cutoff=1e-6).records}
@@ -651,13 +646,13 @@ def test_call_de_columns_match_a_per_gene_loop(case, c, cutoff):
 
 # Equal lengths and equal totals give p0 = 1/2 at c = 1.
 _EDGE_ROWS = [
-    GeneRecord("zero", 100, 100, 0, 0),        # untestable
-    GeneRecord("bal", 500, 500, 3, 3),         # p == 1
-    GeneRecord("deep1", 500, 500, 5000, 0),    # p clipped to 5e-324
-    GeneRecord("deep2", 500, 500, 0, 5000),
-    GeneRecord("hot", 500, 500, 50, 0),        # called, both directions
-    GeneRecord("cold", 500, 500, 0, 50),
-] + [GeneRecord(f"t{i}", 500, 500, 10 + i % 2, 11 - i % 2) for i in range(8)]  # tied q
+    ("zero", 100, 100, 0, 0),        # untestable
+    ("bal", 500, 500, 3, 3),         # p == 1
+    ("deep1", 500, 500, 5000, 0),    # p clipped to 5e-324
+    ("deep2", 500, 500, 0, 5000),
+    ("hot", 500, 500, 50, 0),        # called, both directions
+    ("cold", 500, 500, 0, 50),
+] + [(f"t{i}", 500, 500, 10 + i % 2, 11 - i % 2) for i in range(8)]  # tied q
 
 
 def _result_line(r):
@@ -676,7 +671,7 @@ def _report_of(calls):
 
 
 def test_results_tsv_matches_the_row_by_row_writer(tmp_path):
-    edge = _check_columns_against_loop(OrthologTable.from_records(_EDGE_ROWS), 1.0, 1e-6)
+    edge = _check_columns_against_loop(table_of(_EDGE_ROWS), 1.0, 1e-6)
     p, q = edge.p_value, edge.q_value
     assert np.isnan(p[0]) and p[1] == 1.0 and p[2] == p[3] == 5e-324
     assert np.unique(q[1:]).size < q[1:].size

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossnorm import normalization, pipeline, simulation
-from crossnorm.core import GeneRecord, OrthologTable, ScalingFactor
 from crossnorm.normalization import empirical_type1_deviation
 from crossnorm.simulation import (
     DE_LABELS,
@@ -19,7 +18,6 @@ from crossnorm.simulation import (
     SimConfig,
     evaluate_run,
     generate_dataset,
-    ma_plot_points,
     run_study,
 )
 
@@ -242,53 +240,6 @@ def test_column_scorer_and_evaluate_run_match_a_per_gene_loop(rows):
     # crossnorm evaluate writes these to JSON.
     assert type(got.false_discoveries) is int and type(got.f_score) is float
     assert all(v is None or type(v) is float for v in (got.precision, got.sensitivity))
-
-
-# ---------------------------------------------------------------------------
-# MA plot data
-# ---------------------------------------------------------------------------
-
-
-def test_ma_plot_values():
-    records = [
-        GeneRecord("same", 100, 100, 50, 50),     # e1 == e2 -> M = 0
-        GeneRecord("quad", 100, 100, 200, 50),    # e1 = 4 e2 -> M = 2
-        GeneRecord("skip", 100, 100, 0, 150),     # zero in one species
-    ]
-    table = OrthologTable.from_records(records)
-    plot = ma_plot_points(table, ScalingFactor(1.0))
-    assert plot.skipped == 1
-    assert plot.gene_ids == ("same", "quad")
-    # totals are equal (250 reads each side), so count ratios are e ratios
-    assert plot.m[0] == pytest.approx(0.0, abs=1e-12)
-    assert plot.m[1] == pytest.approx(2.0, abs=1e-12)
-    assert plot.factor_level == 0.0
-    expected_a = 0.5 * math.log2((50 / (100 * 250)) ** 2)
-    assert plot.a[0] == pytest.approx(expected_a, rel=1e-12)
-
-
-def test_ma_plot_factor_line():
-    records = [GeneRecord("g", 100, 100, 10, 10)]
-    table = OrthologTable.from_records(records)
-    assert ma_plot_points(table, ScalingFactor(2.0)).factor_level == 1.0
-
-
-def test_ma_plot_preserves_table_order():
-    rng = np.random.default_rng(4)
-    records = [
-        GeneRecord(f"g{i}", 100, 100, int(rng.integers(1, 50)), int(rng.integers(1, 50)))
-        for i in range(20)
-    ]
-    table = OrthologTable.from_records(records)
-    plot = ma_plot_points(table, ScalingFactor(1.0))
-    assert list(plot.gene_ids) == [r.gene_id for r in records]
-    # Per-gene reference on exact integer products; float64 rounding allows
-    # a few ulps of difference.
-    for i, r in enumerate(records):
-        e1 = r.count_sp1 / (r.length_sp1 * table.total_sp1)
-        e2 = r.count_sp2 / (r.length_sp2 * table.total_sp2)
-        assert plot.m[i] == pytest.approx(math.log2(e1 / e2), rel=1e-12, abs=1e-12)
-        assert plot.a[i] == pytest.approx(0.5 * math.log2(e1 * e2), rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
