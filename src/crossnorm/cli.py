@@ -15,7 +15,7 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .normalization import GridConfig, ScbnResult
+from .normalization import ScbnResult
 from .pipeline import (
     METHODS,
     RunConfig,
@@ -38,6 +38,7 @@ _WINDOW_EDGE_WARNING = (
     "warning: the scbn optimum is at the edge of the grid window, so the best "
     "factor may lie outside it; widen --grid-span or move --grid-center"
 )
+_IQR_FALLBACK_WARNING = "warning: IQR filter kept no genes; used all conserved genes"
 
 
 def _fail(message: str) -> None:
@@ -45,23 +46,23 @@ def _fail(message: str) -> None:
     sys.exit(1)
 
 
-_grid_options = [
-    click.option("--alpha", type=float, default=0.05, show_default=True,
-                 help="Significance level for the rejection-rate objective."),
-    click.option("--grid-center", type=float, default=None,
-                 help="Grid center (defaults to the median baseline estimate)."),
-    click.option("--grid-span", type=float, default=10.0, show_default=True,
-                 help="Grid spans [center/span, center*span]."),
-    click.option("--grid-points", type=int, default=1000, show_default=True),
-]
-
-
-def _add_options(options):
-    def wrap(func):
-        for option in reversed(options):
-            func = option(func)
-        return func
-    return wrap
+def _run_options(func):
+    """The options ``normalize`` and ``test`` share, named after RunConfig's fields."""
+    for option in reversed([
+        click.option("--counts", "counts_path", required=True, type=click.Path(exists=True)),
+        click.option("--conserved", "conserved_path", required=True,
+                     type=click.Path(exists=True)),
+        click.option("--method", type=click.Choice(METHODS), default="scbn", show_default=True),
+        click.option("--alpha", type=float, default=0.05, show_default=True,
+                     help="Significance level for the rejection-rate objective."),
+        click.option("--grid-center", type=float, default=None,
+                     help="Grid center (defaults to the median baseline estimate)."),
+        click.option("--grid-span", type=float, default=10.0, show_default=True,
+                     help="Grid spans [center/span, center*span]."),
+        click.option("--grid-points", type=int, default=1000, show_default=True),
+    ]):
+        func = option(func)
+    return func
 
 
 @click.group()
@@ -71,25 +72,19 @@ def main() -> None:
 
 
 @main.command()
-@click.option("--counts", "counts_path", required=True, type=click.Path(exists=True))
-@click.option("--conserved", "conserved_path", required=True, type=click.Path(exists=True))
-@click.option("--method", type=click.Choice(METHODS), default="scbn",
-              show_default=True)
-@_add_options(_grid_options)
+@_run_options
 @click.option("--output", "output_path", type=click.Path(), default=None,
               help="Optional JSON file for the estimate.")
-def normalize(counts_path, conserved_path, method, alpha, grid_center, grid_span,
-              grid_points, output_path) -> None:
+def normalize(output_path, **settings) -> None:
     """Estimate the between-species scaling factor."""
     try:
-        table = load_counts_tsv(counts_path)
-        conserved, unknown = load_conserved_list(conserved_path, table)
+        config = RunConfig(**settings)
+        table = load_counts_tsv(config.counts_path)
+        conserved, unknown = load_conserved_list(config.conserved_path, table)
         if unknown:
             click.echo(f"warning: {unknown} conserved id(s) not in the count table", err=True)
-        grid = GridConfig(alpha=alpha, center=grid_center, span=grid_span,
-                          coarse_points=grid_points)
-        fit = estimate_factor(table, conserved, method, grid)
-        payload = {"method": method, "conserved_used": conserved.m,
+        fit = estimate_factor(table, conserved, config.method, config.grid())
+        payload = {"method": config.method, "conserved_used": conserved.m,
                    "scaling_factor": float(_fmt6(fit.factor.c))}
         click.echo(f"scaling_factor\t{_fmt6(fit.factor.c)}")
         if isinstance(fit, ScbnResult):
@@ -105,8 +100,7 @@ def normalize(counts_path, conserved_path, method, alpha, grid_center, grid_span
             payload["iqr_filtered"] = fit.iqr_filtered
             payload["kept_genes"] = fit.kept_genes
             if not fit.iqr_filtered:
-                click.echo("warning: IQR filter kept no genes; used all conserved genes",
-                           err=True)
+                click.echo(_IQR_FALLBACK_WARNING, err=True)
         if output_path:
             Path(output_path).write_text(
                 json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -116,32 +110,17 @@ def normalize(counts_path, conserved_path, method, alpha, grid_center, grid_span
 
 
 @main.command(name="test")
-@click.option("--counts", "counts_path", required=True, type=click.Path(exists=True))
-@click.option("--conserved", "conserved_path", required=True, type=click.Path(exists=True))
-@click.option("--method", type=click.Choice(METHODS), default="scbn",
-              show_default=True)
-@_add_options(_grid_options)
+@_run_options
 @click.option("--cutoff", type=float, default=1e-6, show_default=True,
               help="DE-calling p-value threshold.")
 @click.option("--eval-list", "eval_list_path", type=click.Path(exists=True), default=None,
               help="Gene list whose DE tally is reported separately.")
 @click.option("--output", "output_dir", required=True, type=click.Path(),
               help="Directory for summary.json and results.tsv.")
-def test_cmd(counts_path, conserved_path, method, alpha, grid_center, grid_span,
-             grid_points, cutoff, eval_list_path, output_dir) -> None:
+def test_cmd(output_dir, **settings) -> None:
     """Run the full pipeline: normalize, test every gene, call DE, report."""
     try:
-        config = RunConfig(
-            counts_path=counts_path,
-            conserved_path=conserved_path,
-            method=method,
-            alpha=alpha,
-            cutoff=cutoff,
-            eval_list_path=eval_list_path,
-            grid_center=grid_center,
-            grid_span=grid_span,
-            grid_points=grid_points,
-        )
+        config = RunConfig(**settings)
         report = run_pipeline(config)
         if report.conserved_unknown:
             click.echo(
@@ -150,6 +129,8 @@ def test_cmd(counts_path, conserved_path, method, alpha, grid_center, grid_span,
             )
         if report.window_edge:
             click.echo(_WINDOW_EDGE_WARNING, err=True)
+        if report.iqr_fallback:
+            click.echo(_IQR_FALLBACK_WARNING, err=True)
         summary_path, results_path = write_report(report, output_dir)
         click.echo(f"scaling_factor\t{_fmt6(report.scaling_factor)}")
         click.echo(f"total_de\t{report.total_de}")
@@ -161,68 +142,10 @@ def test_cmd(counts_path, conserved_path, method, alpha, grid_center, grid_span,
         _fail(str(exc))
 
 
-# JSON specs arrive untyped; SimConfig compares and computes with its fields.
-_SIM_FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(SimConfig)}
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
-
-
-def _spec_integer(name: str, value) -> int:
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
-def _spec_number(name: str, value) -> float:
-    if not _is_number(value):
-        raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
-
-
-def _check_sim_fields(names) -> None:
-    unknown = set(names) - set(_SIM_FIELD_TYPES)
-    if unknown:
-        raise ValueError(f"unknown simulation field(s): {', '.join(sorted(unknown))}")
-
-
-def _check_sim_value(name: str, value) -> None:
-    if name == "rate_source":
-        if value is not None and not (
-            isinstance(value, list) and all(map(_is_number, value))
-        ):
-            raise ValueError(f"rate_source must be a list of numbers, got {value!r}")
-    elif _SIM_FIELD_TYPES[name] == "int":
-        _spec_integer(name, value)
-    else:
-        _spec_number(name, value)
-
-
-def _sim_config_from_spec(spec) -> SimConfig:
-    if not isinstance(spec, dict):
-        raise ValueError("a simulation spec must be a JSON object of SimConfig fields")
-    _check_sim_fields(spec)
-    for name, value in spec.items():
-        _check_sim_value(name, value)
-    if spec.get("rate_source") is not None:
-        spec = dict(spec)
-        spec["rate_source"] = tuple(float(v) for v in spec["rate_source"])
-    return SimConfig(**spec)
-
-
-def _study_sweep(sweep) -> dict:
-    if not isinstance(sweep, dict):
-        raise ValueError("sweep must be a JSON object mapping fields to lists of values")
-    _check_sim_fields(sweep)
-    if "rate_source" in sweep:
-        raise ValueError("sweep rate_source: only numeric simulation fields can be swept")
-    for name, values in sweep.items():
-        if not isinstance(values, list):
-            raise ValueError(f"sweep {name} must be a list of values, got {values!r}")
-        for value in values:
-            _check_sim_value(name, value)
-    return sweep
+def _grid_text(value) -> str:
+    if value is None:
+        return "NA"
+    return _fmt6(value) if isinstance(value, float) else str(value)
 
 
 def _load_rate_table(path: str) -> tuple[float, ...]:
@@ -240,10 +163,10 @@ def _load_rate_table(path: str) -> tuple[float, ...]:
 @click.option("--de-rate", type=float, default=0.1, show_default=True)
 @click.option("--fold", type=float, default=1.5, show_default=True)
 @click.option("--up-rate-sp2", type=float, default=0.9, show_default=True)
-@click.option("--unique-sp1", type=int, default=0, show_default=True)
-@click.option("--unique-sp2", type=int, default=0, show_default=True)
-@click.option("--unmapped-sp1", type=int, default=0, show_default=True)
-@click.option("--unmapped-sp2", type=int, default=0, show_default=True)
+@click.option("--unique-sp1", "n_unique_sp1", type=int, default=0, show_default=True)
+@click.option("--unique-sp2", "n_unique_sp2", type=int, default=0, show_default=True)
+@click.option("--unmapped-sp1", "n_unmapped_sp1", type=int, default=0, show_default=True)
+@click.option("--unmapped-sp2", "n_unmapped_sp2", type=int, default=0, show_default=True)
 @click.option("--noise-rate", type=float, default=0.0, show_default=True)
 @click.option("--depth-sp1", type=float, default=1e6, show_default=True)
 @click.option("--depth-sp2", type=float, default=1e6, show_default=True)
@@ -251,32 +174,15 @@ def _load_rate_table(path: str) -> tuple[float, ...]:
               help="Count table supplying the empirical rate distribution.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--output", "output_dir", required=True, type=click.Path())
-def simulate(spec_path, n_orthologs, conserved_size, de_rate, fold, up_rate_sp2,
-             unique_sp1, unique_sp2, unmapped_sp1, unmapped_sp2, noise_rate,
-             depth_sp1, depth_sp2, rate_table, seed, output_dir) -> None:
+def simulate(spec_path, rate_table, output_dir, **fields) -> None:
     """Write a synthetic dataset: counts.tsv, conserved.txt, truth.tsv, meta.json."""
     try:
         if spec_path is not None:
-            config = _sim_config_from_spec(json.loads(Path(spec_path).read_text("utf-8")))
+            config = SimConfig.from_mapping(json.loads(Path(spec_path).read_text("utf-8")))
+        elif fields["n_orthologs"] is None:
+            raise ValueError("either --spec or --n-orthologs is required")
         else:
-            if n_orthologs is None:
-                raise ValueError("either --spec or --n-orthologs is required")
-            config = SimConfig(
-                n_orthologs=n_orthologs,
-                conserved_size=conserved_size,
-                de_rate=de_rate,
-                fold=fold,
-                up_rate_sp2=up_rate_sp2,
-                n_unique_sp1=unique_sp1,
-                n_unique_sp2=unique_sp2,
-                n_unmapped_sp1=unmapped_sp1,
-                n_unmapped_sp2=unmapped_sp2,
-                noise_rate=noise_rate,
-                depth_sp1=depth_sp1,
-                depth_sp2=depth_sp2,
-                rate_source=_load_rate_table(rate_table) if rate_table else None,
-                seed=seed,
-            )
+            config = SimConfig(**fields, rate_source=rate_table and _load_rate_table(rate_table))
         dataset = generate_dataset(config)
         out = Path(output_dir)
         out.mkdir(parents=True, exist_ok=True)
@@ -311,35 +217,21 @@ def study(spec_path, output_dir) -> None:
             raise ValueError("a study spec must be a JSON object")
         if "base" not in spec:
             raise ValueError("a study spec needs a base object of simulation fields")
-        base = _sim_config_from_spec(spec["base"])
-        sweep = _study_sweep(spec.get("sweep", {}))
-        methods = spec.get("methods", list(METHODS))
-        if not (isinstance(methods, list) and all(isinstance(m, str) for m in methods)):
-            raise ValueError(f"methods must be a list of method names, got {methods!r}")
-        replicates = _spec_integer("replicates", spec.get("replicates", 100))
-        cutoff = _spec_number("cutoff", spec.get("cutoff", 1e-6))
-        alpha = _spec_number("alpha", spec.get("alpha", 0.05))
-        master_seed = _spec_integer("seed", spec.get("seed", 0))
-        cells = run_study(base, sweep, methods, replicates, cutoff,
-                          alpha=alpha, master_seed=master_seed)
+        sweep = spec.get("sweep", {})
+        cells = run_study(SimConfig.from_mapping(spec["base"]), sweep,
+                          spec.get("methods", list(METHODS)), spec.get("replicates", 100),
+                          spec.get("cutoff", 1e-6), alpha=spec.get("alpha", 0.05),
+                          master_seed=spec.get("seed", 0))
         out = Path(output_dir)
         out.mkdir(parents=True, exist_ok=True)
-        sweep_fields = list(sweep.keys())
         columns = [f.name for f in dataclasses.fields(StudyCellResult) if f.name != "params"]
         grid_path = out / "grid.tsv"
         with grid_path.open("w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\t".join(sweep_fields + columns) + "\n")
+            fh.write("\t".join([*sweep, *columns]) + "\n")
             for cell in cells:
-                row = [_fmt6(float(cell.params[f])) for f in sweep_fields]
-                for col in columns:
-                    value = getattr(cell, col)
-                    if value is None:
-                        row.append("NA")
-                    elif isinstance(value, float):
-                        row.append(_fmt6(value))
-                    else:
-                        row.append(str(value))
-                fh.write("\t".join(row) + "\n")
+                values = [float(cell.params[f]) for f in sweep]
+                values += [getattr(cell, col) for col in columns]
+                fh.write("\t".join(map(_grid_text, values)) + "\n")
         click.echo(f"cells\t{len(cells)}")
         click.echo(f"grid\t{grid_path}")
     except (ValueError, OSError) as exc:

@@ -11,6 +11,7 @@ All types are immutable after construction.
 """
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,6 +33,18 @@ _COLUMNS = ("length_sp1", "length_sp2", "count_sp1", "count_sp2")
 # test's kernel) still represents every integer exactly.
 _VALUE_LIMIT = 2**53
 _INT64 = np.iinfo(np.int64)
+
+
+def require_integer(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is an integral number (numpy's too), not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def require_number(name: str, value) -> None:
+    """Raise ValueError unless ``value`` is a real number (numpy's too), not a bool."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
 
 
 @dataclass(frozen=True)

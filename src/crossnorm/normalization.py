@@ -131,6 +131,20 @@ def final_grid_log_step(grid: GridConfig) -> float:
     return 2.0 * half_width / (grid.coarse_points - 1)
 
 
+def _check_window(log_center: float, grid: GridConfig, l1n1, l2n2) -> None:
+    """Raise ValueError unless c > 0 and c*L1*N1 + L2*N2 is finite on every
+    round, and round 0 moves some gene's p0 off the clip bounds."""
+    h = np.log(grid.span)
+    reach = h * sum(grid.refine_shrink**k for k in range(grid.refine_rounds + 1))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        lo, hi = np.exp([log_center - reach, log_center + reach])
+        p_lo, p_hi = _p0(np.exp([[log_center - h], [log_center + h]]), l1n1, l2n2)
+        if not (lo > 0.0 and np.isfinite(hi * l1n1.max() + l2n2.max())
+                and p_lo.min() < _MAX_P0 and p_hi.max() > _MIN_P):
+            raise ValueError("the grid window overflows or pins every conserved gene's null "
+                             "probability at 0 or 1; narrow the span or move the center")
+
+
 def _conserved_rows(table: OrthologTable, conserved: ConservedSet) -> np.ndarray:
     """Positions of the testable conserved genes, in table order."""
     wanted = conserved.gene_ids
@@ -281,8 +295,7 @@ def empirical_type1_deviation(
     Untestable conserved genes are dropped and the denominator reduced
     accordingly.
     """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie in (0, 1)")
+    GridConfig(alpha=alpha)  # the one check of alpha
     x1, n, l1n1, l2n2 = _conserved_arrays(table, conserved)
     rate, dev = _deviation_curve(np.asarray([c.c]), x1, n, l1n1, l2n2, alpha)
     return ObjectiveValue(deviation=float(dev[0]), rejection_rate=float(rate[0]))
@@ -307,6 +320,7 @@ def scbn_scaling_factor(
         center = median_scaling_factor(table, conserved).factor.c
 
     log_center = np.log(center)
+    _check_window(log_center, grid, l1n1, l2n2)
     half_width = np.log(grid.span)
     best_rate = 0.0
     best_dev = np.inf

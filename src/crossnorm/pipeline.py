@@ -33,7 +33,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import ConservedSet, InvalidRow, OrthologTable, ScalingFactor, validate_table
+from .core import (ConservedSet, InvalidRow, OrthologTable, ScalingFactor, require_number,
+                   validate_table)
 from .exact_test import binom_twosided_pvalues, null_prob_values
 from .normalization import (
     GridConfig,
@@ -143,10 +144,8 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {', '.join(METHODS)}, got {self.method!r}")
-        if not (0.0 < self.cutoff < 1.0):
-            raise ValueError("cutoff must lie in (0, 1)")
-        if not (0.0 < self.alpha < 1.0):
-            raise ValueError("alpha must lie in (0, 1)")
+        _check_cutoff(self.cutoff)
+        self.grid()  # GridConfig checks alpha and the grid settings
 
     def grid(self) -> GridConfig:
         return GridConfig(
@@ -175,8 +174,9 @@ class Report:
     conserved_unknown: int
     eval_list_size: int | None = None
     eval_list_de: int | None = None
-    # ScbnResult.window_edge of the fit; not written to the reports.
+    # Fit flags behind the CLI's warnings; not written to the reports.
     window_edge: bool = False
+    iqr_fallback: bool = False
 
     @property
     def results(self) -> tuple[TestResult, ...]:
@@ -287,6 +287,13 @@ def bh_adjust(pvalues: np.ndarray) -> np.ndarray:
     return q
 
 
+def _check_cutoff(cutoff) -> None:
+    """The DE-calling threshold rule: a number strictly inside (0, 1)."""
+    require_number("cutoff", cutoff)
+    if not (0.0 < cutoff < 1.0):
+        raise ValueError("cutoff must lie in (0, 1)")
+
+
 def call_de(table: OrthologTable, c: ScalingFactor, cutoff: float) -> DEResult:
     """Test every gene at factor c, adjust, and call DE below the cutoff.
 
@@ -294,8 +301,7 @@ def call_de(table: OrthologTable, c: ScalingFactor, cutoff: float) -> DEResult:
     exceeds its null share.  Untestable genes carry NaN p/q and are left
     out of the q-value ranking.
     """
-    if not (0.0 < cutoff < 1.0):
-        raise ValueError("cutoff must lie in (0, 1)")
+    _check_cutoff(cutoff)
     x1 = table.count_sp1
     n = x1 + table.count_sp2
     p0 = null_prob_values(c.c, table.length_sp1, table.length_sp2,
@@ -368,6 +374,7 @@ def run_pipeline(config: RunConfig) -> Report:
         eval_list_size=eval_size,
         eval_list_de=eval_de,
         window_edge=isinstance(fit, ScbnResult) and fit.window_edge,
+        iqr_fallback=isinstance(fit, MedianScaleResult) and not fit.iqr_filtered,
     )
 
 

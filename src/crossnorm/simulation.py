@@ -11,17 +11,22 @@ genes to probe normalization robustness.
 
 One scorer counts DE calls against the truth on aligned bool columns:
 :func:`run_study` feeds it ``call_de`` columns, :func:`evaluate_run` dicts.
+
+:class:`SimConfig` owns the config rules: its ``int`` fields take integral
+numbers and its ``float`` fields real ones (numpy scalars pass, bools do
+not).  :func:`run_study` checks every argument and cell before drawing.
 """
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
-from typing import Mapping, Sequence
+from dataclasses import MISSING, dataclass, field, fields, replace
+from typing import Mapping, Sequence, get_type_hints
 
 import numpy as np
 
-from .core import ConservedSet, OrthologTable, ScalingFactor, validate_table
+from .core import (ConservedSet, OrthologTable, ScalingFactor, require_integer, require_number,
+                   validate_table)
 
 __all__ = [
     "LABEL_NULL",
@@ -55,7 +60,13 @@ _LOGNORMAL_SIGMA = 1.5  # fallback rate model when no reference table is given
 
 @dataclass(frozen=True)
 class SimConfig:
-    """Generator settings for one synthetic dataset."""
+    """Generator settings for one synthetic dataset.
+
+    Types are checked before ranges: an ``int`` field takes an integral
+    number and a ``float`` field a real one (numpy scalars pass, bools do
+    not); ``rate_source`` is None or a sequence of positive numbers, stored
+    as a tuple of floats.  A config that constructs can be generated.
+    """
 
     n_orthologs: int
     conserved_size: int
@@ -74,27 +85,78 @@ class SimConfig:
     rate_source: tuple[float, ...] | None = None
     seed: int = 0
 
+    @classmethod
+    def from_mapping(cls, spec) -> SimConfig:
+        """Build a config from a mapping of field names, such as a JSON object."""
+        if not isinstance(spec, Mapping):
+            raise ValueError("a simulation spec must be a JSON object of SimConfig fields")
+        _check_field_names(spec)
+        missing = [f.name for f in fields(cls) if f.default is MISSING and f.name not in spec]
+        if missing:
+            raise ValueError(f"missing simulation field(s): {', '.join(missing)}")
+        return cls(**spec)
+
     def __post_init__(self) -> None:
+        for name, kind in _FIELD_TYPES.items():
+            value = getattr(self, name)
+            if kind is int:
+                require_integer(name, value)
+            elif kind is float:
+                require_number(name, value)
+            elif value is not None:
+                object.__setattr__(self, name, _rates(value))
         if self.n_orthologs <= 0:
             raise ValueError("n_orthologs must be positive")
         for name in ("de_rate", "up_rate_sp2", "noise_rate"):
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if not (self.fold > 1.0):
-            raise ValueError("fold must exceed 1")
-        for name in ("n_unique_sp1", "n_unique_sp2", "n_unmapped_sp1", "n_unmapped_sp2"):
+        if not (1.0 < self.fold < math.inf):
+            raise ValueError("fold must exceed 1 and be finite")
+        for name in ("n_unique_sp1", "n_unique_sp2", "n_unmapped_sp1", "n_unmapped_sp2", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.conserved_size < 1:
             raise ValueError("conserved_size must be >= 1")
-        if self.depth_sp1 <= 0 or self.depth_sp2 <= 0:
-            raise ValueError("depths must be positive")
+        if not (0.0 < self.depth_sp1 < math.inf and 0.0 < self.depth_sp2 < math.inf):
+            raise ValueError("depths must be positive and finite")
         if not (1 <= self.length_min <= self.length_max):
             raise ValueError("need 1 <= length_min <= length_max")
-        if self.rate_source is not None:
-            if len(self.rate_source) == 0 or min(self.rate_source) <= 0:
-                raise ValueError("rate_source must contain positive values")
+        n_de, n_keep_null, n_keep_noise = _conserved_split(self)
+        if n_keep_null > self.n_orthologs - n_de:
+            raise ValueError(f"conserved_size needs {n_keep_null} null orthologs, "
+                             f"only {self.n_orthologs - n_de} available")
+        if n_keep_noise > n_de + self.n_unique_sp1 + self.n_unique_sp2:
+            raise ValueError(f"conserved noise needs {n_keep_noise} non-null orthologs, only "
+                             f"{n_de + self.n_unique_sp1 + self.n_unique_sp2} available")
+
+
+# Each field's annotation (int, float, or rate_source's) is its type rule.
+_FIELD_TYPES = get_type_hints(SimConfig)
+
+
+def _check_field_names(names) -> None:
+    unknown = set(names) - set(_FIELD_TYPES)
+    if unknown:
+        raise ValueError(f"unknown simulation field(s): {', '.join(sorted(unknown))}")
+
+
+def _rates(value) -> tuple[float, ...]:
+    if isinstance(value, str) or not isinstance(value, (Sequence, np.ndarray)):
+        raise ValueError(f"rate_source must be a list of numbers, got {value!r}")
+    for entry in value:
+        require_number("a rate_source entry", entry)
+    rates = tuple(map(float, value))
+    if not rates or min(rates) <= 0 or not math.isfinite(sum(rates)):
+        raise ValueError("rate_source must contain positive values with a finite sum")
+    return rates
+
+
+def _conserved_split(config: SimConfig) -> tuple[int, int, int]:
+    """Planted DE orthologs, and the reported conserved set's null and non-null genes."""
+    n_de = int(round(config.de_rate * config.n_orthologs))
+    n_keep_null = math.ceil((1.0 - config.noise_rate) * config.conserved_size)
+    return n_de, n_keep_null, config.conserved_size - n_keep_null
 
 
 @dataclass(frozen=True)
@@ -134,7 +196,7 @@ def generate_dataset(config: SimConfig) -> SimulatedDataset:
 
     # Expression rates and DE assignment for the shared orthologs.
     mu1 = _draw_rates(rng, n_orth, config.rate_source)
-    n_de = int(round(config.de_rate * n_orth))
+    n_de, n_keep_null, n_keep_noise = _conserved_split(config)
     n_null = n_orth - n_de
     order = rng.permutation(n_orth)
     de_idx = order[:n_de]
@@ -181,21 +243,10 @@ def generate_dataset(config: SimConfig) -> SimulatedDataset:
                      + [LABEL_UNIQUE_SP2] * config.n_unique_sp2))
 
     # Reported conserved set: mostly nulls, contaminated at the noise rate.
-    # The contaminant pool is every non-null ortholog: planted fold-change
-    # genes and unique genes alike are differentially expressed.
-    n_keep_null = math.ceil((1.0 - config.noise_rate) * config.conserved_size)
-    n_keep_noise = config.conserved_size - n_keep_null
+    # The contaminant pool is every non-null ortholog (planted fold-change
+    # and unique genes); SimConfig has checked both pools are large enough.
     null_pool = np.flatnonzero(labels == LABEL_NULL)
     noise_pool = np.concatenate([de_idx, np.arange(n_orth, n_table)])
-    if n_keep_null > null_pool.size:
-        raise ValueError(
-            f"conserved_size needs {n_keep_null} null orthologs, only {null_pool.size} available"
-        )
-    if n_keep_noise > noise_pool.size:
-        raise ValueError(
-            f"conserved noise needs {n_keep_noise} non-null orthologs, "
-            f"only {noise_pool.size} available"
-        )
     chosen = list(rng.choice(null_pool, size=n_keep_null, replace=False))
     if n_keep_noise:
         chosen.extend(rng.choice(noise_pool, size=n_keep_noise, replace=False))
@@ -301,16 +352,32 @@ def run_study(
 ) -> list[StudyCellResult]:
     """Generate/normalize/test/score over a configuration sweep.
 
-    Every (cell, replicate) gets an independent derived seed, and all
-    methods see the same dataset within a replicate.  Results are averaged
-    per cell and method; replicates with an undefined metric are excluded
-    from that metric's average with the exclusion counted.
+    Every argument and every cell's config are checked before the first
+    dataset is drawn.  Each (cell, replicate) gets an independent derived
+    seed, and all methods see the same dataset within a replicate.  Results
+    are averaged per cell and method; replicates with an undefined metric
+    are excluded from that metric's average with the exclusion counted.
     """
     from .normalization import GridConfig
-    from .pipeline import METHODS, estimate_factor, testable_calls
+    from .pipeline import METHODS, _check_cutoff, estimate_factor, testable_calls
 
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
+    if not isinstance(sweep, Mapping):
+        raise ValueError("sweep must map simulation fields to lists of values")
+    _check_field_names(sweep)
+    if "rate_source" in sweep:
+        raise ValueError("sweep rate_source: only numeric simulation fields can be swept")
+    if "seed" in sweep:
+        raise ValueError("sweep seed: each replicate's seed derives from the study seed")
+    for name, values in sweep.items():
+        if isinstance(values, str) or not isinstance(values, (Sequence, np.ndarray)):
+            raise ValueError(f"sweep {name} must be a list of values, got {values!r}")
+        if len(values) == 0:
+            raise ValueError(f"sweep {name} must list at least one value")
+    cells = [dict(zip(sweep, combo)) for combo in itertools.product(*sweep.values())]
+    cells = [(overrides, replace(base, **overrides)) for overrides in cells]
+    if isinstance(methods, str) or not (
+            isinstance(methods, Sequence) and all(isinstance(m, str) for m in methods)):
+        raise ValueError(f"methods must be a list of method names, got {methods!r}")
     if not methods:
         raise ValueError("methods must name at least one method")
     for method in methods:
@@ -318,21 +385,26 @@ def run_study(
             raise ValueError(f"unknown method {method!r}")
     if len(set(methods)) != len(methods):
         raise ValueError(f"methods must not repeat, got {list(methods)!r}")
+    require_integer("replicates", replicates)
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
+    _check_cutoff(cutoff)
+    require_number("alpha", alpha)
+    require_integer("study seed", master_seed)
+    if master_seed < 0:
+        raise ValueError("study seed must be >= 0")
     if grid is None:
         grid = GridConfig(alpha=alpha)
 
-    fields = list(sweep.keys())
-    cells = [dict(zip(fields, combo)) for combo in itertools.product(*sweep.values())]
     results: list[StudyCellResult] = []
-    for cell_index, overrides in enumerate(cells):
+    for cell_index, (overrides, cell) in enumerate(cells):
         per_method: dict[str, list[Metrics]] = {m: [] for m in methods}
         factors: dict[str, list[float]] = {m: [] for m in methods}
         true_cs: list[float] = []
         overlap_any: list[int] = []
         overlap_dir: list[int] = []
         for rep in range(replicates):
-            cfg = replace(base, seed=_child_seed(master_seed, cell_index, rep), **overrides)
-            ds = generate_dataset(cfg)
+            ds = generate_dataset(replace(cell, seed=_child_seed(master_seed, cell_index, rep)))
             true_cs.append(ds.true_c.c)
             is_de = _de_mask(ds.truth, ds.table.gene_ids)[ds.table.testable]
             calls_by_method = {}

@@ -235,9 +235,16 @@ _STUDY_BASE = {"n_orthologs": 100, "conserved_size": 20}
      "error: sweep rate_source: only numeric simulation fields can be swept"),
     ({"base": _STUDY_BASE, "sweep": {"rate_source": [None]}},
      "error: sweep rate_source: only numeric simulation fields can be swept"),
+    ({"base": _STUDY_BASE, "sweep": {"noise_rate": []}},
+     "error: sweep noise_rate must list at least one value"),
+    ({"base": _STUDY_BASE, "sweep": {"seed": [1, 2]}},
+     "error: sweep seed: each replicate's seed derives from the study seed"),
+    ({"base": {"n_orthologs": 100}},
+     "error: missing simulation field(s): conserved_size"),
 ], ids=["sweep-value-not-a-list", "sweep-entry-not-a-number", "spec-not-an-object",
         "base-field-not-a-number", "methods-not-a-list", "methods-empty", "methods-repeated",
-        "sweep-rate-source-list", "sweep-rate-source-null"])
+        "sweep-rate-source-list", "sweep-rate-source-null", "sweep-empty", "sweep-seed",
+        "base-field-missing"])
 def test_study_spec_of_the_wrong_shape_is_a_one_line_error(tmp_path, spec, message):
     runner = CliRunner()
     path = tmp_path / "study.json"
@@ -267,11 +274,17 @@ def test_scbn_optimum_at_the_window_edge_warns(tmp_path):
         assert "edge of the grid window" not in default.stderr
 
 
-@pytest.mark.parametrize("option, message", [
-    ("--grid-span", "span must exceed 1 and be finite"),
-    ("--grid-center", "grid center must be positive and finite"),
-], ids=["span", "center"])
-def test_infinite_grid_setting_is_a_one_line_error(tmp_path, option, message):
+_WINDOW_OUT_OF_RANGE = ("the grid window overflows or pins every conserved gene's null "
+                       "probability at 0 or 1; narrow the span or move the center")
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--grid-span", "inf", "span must exceed 1 and be finite"),
+    ("--grid-center", "inf", "grid center must be positive and finite"),
+    ("--grid-span", "1e308", _WINDOW_OUT_OF_RANGE),
+    ("--grid-center", "1e300", _WINDOW_OUT_OF_RANGE),
+], ids=["span", "center", "span-1e308", "center-1e300"])
+def test_infinite_grid_setting_is_a_one_line_error(tmp_path, option, value, message):
     counts = tmp_path / "counts.tsv"
     counts.write_text("gene_id\tlength_sp1\tcount_sp1\tlength_sp2\tcount_sp2\n"
                       + "".join(f"g{i}\t100\t{5 + i}\t100\t{6 + i}\n" for i in range(8)),
@@ -280,7 +293,7 @@ def test_infinite_grid_setting_is_a_one_line_error(tmp_path, option, message):
     cons.write_text("".join(f"g{i}\n" for i in range(8)), encoding="utf-8")
     for command in (["normalize"], ["test", "--output", str(tmp_path / "run")]):
         result = CliRunner().invoke(main, command + ["--counts", str(counts), "--conserved",
-                                                     str(cons), option, "inf"])
+                                                     str(cons), option, value])
         assert result.exit_code == 1
         assert isinstance(result.exception, SystemExit)
         assert result.output.strip() == f"error: {message}"
@@ -383,3 +396,44 @@ def test_evaluate_rejects_a_repeated_gene_id(tmp_path, name):
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert result.output.strip() == f"error: {tmp_path / name}: line 4: duplicate gene_id 'g1'"
+
+
+def _write_inputs(tmp_path, counts):
+    """A count table with length-10 genes g0, g1, ... and a conserved list of them all."""
+    table = tmp_path / "counts.tsv"
+    table.write_text("gene_id\tlength_sp1\tcount_sp1\tlength_sp2\tcount_sp2\n"
+                     + "".join(f"g{i}\t10\t{a}\t10\t{b}\n" for i, (a, b) in enumerate(counts)),
+                     encoding="utf-8")
+    cons = tmp_path / "cons.txt"
+    cons.write_text("".join(f"g{i}\n" for i in range(len(counts))), encoding="utf-8")
+    return ["--counts", str(table), "--conserved", str(cons)]
+
+
+def test_median_fallback_warns_from_normalize_and_test(tmp_path):
+    # The interquartile memberships of the two species are disjoint, so the
+    # median fit falls back to all conserved genes.
+    inputs = _write_inputs(tmp_path, [(10, 1), (11, 1000), (1, 10), (1000, 11)])
+    warning = "warning: IQR filter kept no genes; used all conserved genes"
+    out = tmp_path / "run"
+    for command in (["normalize"], ["test", "--output", str(out)]):
+        result = CliRunner().invoke(main, command + inputs + ["--method", "median"])
+        assert result.exit_code == 0, result.output
+        assert result.stderr.strip() == warning
+        assert warning not in result.stdout
+    summary = json.loads((out / "summary.json").read_text())
+    assert set(summary) == {"method", "scaling_factor", "objective", "genes", "tallies",
+                            "conserved", "config"}
+
+
+@pytest.mark.parametrize("option, value, message", [
+    ("--grid-points", "5", "coarse_points must be >= 10"),
+    ("--grid-span", "1", "span must exceed 1 and be finite"),
+    ("--grid-center", "0", "grid center must be positive and finite"),
+], ids=["points", "span", "center"])
+def test_grid_settings_are_checked_before_the_inputs_are_read(tmp_path, option, value, message):
+    # The count table is malformed too, but the grid error comes first.
+    inputs = _write_inputs(tmp_path, [(1, "x")])
+    for command in (["normalize"], ["test", "--output", str(tmp_path / "run")]):
+        result = CliRunner().invoke(main, command + inputs + [option, value])
+        assert result.exit_code == 1
+        assert result.output.strip() == f"error: {message}"

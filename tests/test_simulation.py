@@ -127,6 +127,54 @@ def test_degenerate_configs_error():
         )
 
 
+_INTEGER_FIELDS = ["n_orthologs", "conserved_size", "n_unique_sp1", "n_unique_sp2",
+                   "n_unmapped_sp1", "n_unmapped_sp2", "length_min", "length_max", "seed"]
+_FLOAT_FIELDS = ["de_rate", "fold", "up_rate_sp2", "noise_rate", "depth_sp1", "depth_sp2"]
+
+
+@pytest.mark.parametrize("name, value", [
+    *((name, value) for name in _INTEGER_FIELDS for value in (True, 2.5, "5")),
+    *((name, value) for name in _FLOAT_FIELDS for value in (True, "x")),
+])
+def test_sim_config_rejects_a_field_of_the_wrong_type(name, value):
+    fields = dict(n_orthologs=100, conserved_size=10)
+    fields[name] = value
+    kind = "an integer" if name in _INTEGER_FIELDS else "a number"
+    with pytest.raises(ValueError) as excinfo:
+        SimConfig(**fields)
+    assert str(excinfo.value) == f"{name} must be {kind}, got {value!r}"
+
+
+def test_sim_config_takes_numpy_scalars_and_stores_rates_as_floats():
+    config = SimConfig(n_orthologs=np.int64(200), conserved_size=np.int32(40),
+                       de_rate=np.float32(0.1), noise_rate=np.float64(0.1),
+                       rate_source=np.arange(1, 50), seed=np.uint8(3))
+    assert config.rate_source == tuple(float(v) for v in range(1, 50))
+    assert all(type(v) is float for v in config.rate_source)
+    generate_dataset(config)
+
+
+@pytest.mark.parametrize("rate_source, message", [
+    ("abc", "rate_source must be a list of numbers, got 'abc'"),
+    ([1.0, True], "a rate_source entry must be a number, got True"),
+    ([], "rate_source must contain positive values with a finite sum"),
+    ([1.0, 0.0], "rate_source must contain positive values with a finite sum"),
+], ids=["string", "bool-entry", "empty", "zero-entry"])
+def test_sim_config_rejects_a_bad_rate_source(rate_source, message):
+    with pytest.raises(ValueError) as excinfo:
+        SimConfig(n_orthologs=100, conserved_size=10, rate_source=rate_source)
+    assert str(excinfo.value) == message
+
+
+def test_from_mapping_names_unknown_and_missing_fields():
+    with pytest.raises(ValueError, match=r"^unknown simulation field\(s\): bogus$"):
+        SimConfig.from_mapping({"n_orthologs": 10, "conserved_size": 2, "bogus": 1})
+    with pytest.raises(ValueError, match=r"^missing simulation field\(s\): conserved_size$"):
+        SimConfig.from_mapping({"n_orthologs": 10})
+    assert SimConfig.from_mapping({"n_orthologs": 10, "conserved_size": 2, "rate_source": [1, 2]}) \
+        == SimConfig(n_orthologs=10, conserved_size=2, rate_source=(1.0, 2.0))
+
+
 def test_rate_source_sampling():
     ds = generate_dataset(_study1_config(rate_source=tuple(float(v) for v in range(1, 200))))
     assert ds.meta["rate_model"] == "reference_table"
@@ -328,6 +376,27 @@ def test_run_study_rejects_empty_or_repeated_methods_before_generating(
     with pytest.raises(ValueError) as excinfo:
         run_study(_study1_config(), {}, methods, replicates=2, cutoff=0.01)
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("sweep, methods, cutoff, message", [
+    ({"noise_rate": [0.0, 1.5]}, ["median"], 0.01, "noise_rate must lie in [0, 1]"),
+    ({"fold": [1.5, 2.0], "noise_rate": [0.0, "x"]}, ["median"], 0.01,
+     "noise_rate must be a number, got 'x'"),
+    ({"noise_rate": []}, ["median"], 0.01, "sweep noise_rate must list at least one value"),
+    ({}, ["median"], 2, "cutoff must lie in (0, 1)"),
+    ({}, "median", 0.01, "methods must be a list of method names, got 'median'"),
+    ({"conserved_size": [200, 1200]}, ["median"], 0.01,
+     "conserved_size needs 1200 null orthologs, only 1080 available"),
+], ids=["second-value-out-of-range", "last-cell-not-a-number", "empty-list", "cutoff-2",
+        "methods-a-string", "conserved-set-too-large"])
+def test_run_study_draws_no_dataset_for_an_invalid_study(monkeypatch, sweep, methods, cutoff,
+                                                          message):
+    drawn = []
+    monkeypatch.setattr(simulation, "generate_dataset", drawn.append)
+    with pytest.raises(ValueError) as excinfo:
+        run_study(_study1_config(), sweep, methods, replicates=2, cutoff=cutoff)
+    assert str(excinfo.value) == message
+    assert drawn == []
 
 
 def test_run_study_overlap_and_scores_match_a_recount_from_call_de(monkeypatch):
