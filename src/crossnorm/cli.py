@@ -205,6 +205,9 @@ def simulate(spec_path, rate_table, output_dir, **fields) -> None:
         _fail(str(exc))
 
 
+_STUDY_SPEC_KEYS = {"seed", "replicates", "methods", "alpha", "cutoff", "base", "sweep"}
+
+
 @main.command()
 @click.option("--spec", "spec_path", required=True, type=click.Path(exists=True),
               help="JSON study spec: base config, sweep, methods, replicates.")
@@ -215,6 +218,9 @@ def study(spec_path, output_dir) -> None:
         spec = json.loads(Path(spec_path).read_text("utf-8"))
         if not isinstance(spec, dict):
             raise ValueError("a study spec must be a JSON object")
+        unknown = set(spec) - _STUDY_SPEC_KEYS
+        if unknown:
+            raise ValueError(f"unknown study spec key(s): {', '.join(sorted(unknown))}")
         if "base" not in spec:
             raise ValueError("a study spec needs a base object of simulation fields")
         sweep = spec.get("sweep", {})

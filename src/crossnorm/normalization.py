@@ -133,14 +133,15 @@ def final_grid_log_step(grid: GridConfig) -> float:
 
 def _check_window(log_center: float, grid: GridConfig, l1n1, l2n2) -> None:
     """Raise ValueError unless c > 0 and c*L1*N1 + L2*N2 is finite on every
-    round, and round 0 moves some gene's p0 off the clip bounds."""
+    round, and round 0 brings some gene's p0 more than 2**-53 (the gap
+    between ``_MAX_P0`` and 1) away from 1 and, likewise, away from 0."""
     h = np.log(grid.span)
     reach = h * sum(grid.refine_shrink**k for k in range(grid.refine_rounds + 1))
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         lo, hi = np.exp([log_center - reach, log_center + reach])
         p_lo, p_hi = _p0(np.exp([[log_center - h], [log_center + h]]), l1n1, l2n2)
         if not (lo > 0.0 and np.isfinite(hi * l1n1.max() + l2n2.max())
-                and p_lo.min() < _MAX_P0 and p_hi.max() > _MIN_P):
+                and p_lo.min() < _MAX_P0 and p_hi.max() > 1.0 - _MAX_P0):
             raise ValueError("the grid window overflows or pins every conserved gene's null "
                              "probability at 0 or 1; narrow the span or move the center")
 

@@ -15,11 +15,20 @@ One scorer counts DE calls against the truth on aligned bool columns:
 :class:`SimConfig` owns the config rules: its ``int`` fields take integral
 numbers and its ``float`` fields real ones (numpy scalars pass, bools do
 not).  :func:`run_study` checks every argument and cell before drawing.
+
+:func:`run_study` runs each (cell, replicate) through one function,
+``_replicate``, whose result depends only on its seeded task.  Replicates
+run in ``fork``-started worker processes, one per CPU the process may use
+(``os.sched_getaffinity``), so workers inherit the loaded modules instead
+of importing them again; with one usable CPU, or on a platform that cannot
+say, they run serially in the calling process.  Averaging happens in the
+caller in task order, so the result grid is bit-identical either way.
 """
 from __future__ import annotations
 
 import itertools
 import math
+import os
 from dataclasses import MISSING, dataclass, field, fields, replace
 from typing import Mapping, Sequence, get_type_hints
 
@@ -340,6 +349,69 @@ def _child_seed(master_seed: int, cell_index: int, rep: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+def _replicate(task) -> tuple[float, dict[str, tuple[Metrics, float]], tuple[int, int] | None]:
+    """Draw, fit, call and score one study replicate.
+
+    ``task`` is the seeded cell config, the methods, the cutoff and the
+    grid.  Returns the true factor, each method's metrics and fitted
+    factor, and the scbn/median overlap (called genes, and those called in
+    the same direction), or None unless both methods ran.
+    """
+    from .pipeline import estimate_factor, testable_calls
+
+    cell, methods, cutoff, grid = task
+    ds = generate_dataset(cell)
+    is_de = _de_mask(ds.truth, ds.table.gene_ids)[ds.table.testable]
+    calls_by_method = {}
+    fits = {}
+    fit_grid = grid  # read by scbn only
+    if grid.center is None:
+        # The median fit is SCBN's default grid center: compute it once.
+        fits["median"] = estimate_factor(ds.table, ds.reported_conserved, "median", grid)
+        fit_grid = replace(grid, center=fits["median"].factor.c)
+    outcomes = {}
+    for method in methods:
+        if method not in fits:
+            fits[method] = estimate_factor(ds.table, ds.reported_conserved, method, fit_grid)
+        factor = fits[method].factor
+        called, direction = testable_calls(ds.table, factor, cutoff)
+        outcomes[method] = (_score(called, is_de), factor.c)
+        calls_by_method[method] = (called, direction)
+    overlap = None
+    if "scbn" in calls_by_method and "median" in calls_by_method:
+        called_a, dir_a = calls_by_method["scbn"]
+        called_b, dir_b = calls_by_method["median"]
+        both = called_a & called_b
+        overlap = (int(both.sum()), int((both & (dir_a == dir_b)).sum()))
+    return ds.true_c.c, outcomes, overlap
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the platform cannot say."""
+    if not hasattr(os, "sched_getaffinity"):
+        return 1
+    return len(os.sched_getaffinity(0))
+
+
+def _map_replicates(tasks: list) -> list:
+    """:func:`_replicate` over ``tasks``, in order.
+
+    One worker per usable CPU, up to one per task.  With one worker the
+    tasks run serially in this process; otherwise in forked processes, which
+    inherit the loaded modules instead of importing them again.  A failing
+    task raises in task order, so the caller sees the exception a serial
+    run raises first.
+    """
+    workers = min(_usable_cpus(), len(tasks))
+    if workers <= 1:
+        return list(map(_replicate, tasks))
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        return list(pool.map(_replicate, tasks))
+
+
 def run_study(
     base: SimConfig,
     sweep: Mapping[str, Sequence],
@@ -354,12 +426,14 @@ def run_study(
 
     Every argument and every cell's config are checked before the first
     dataset is drawn.  Each (cell, replicate) gets an independent derived
-    seed, and all methods see the same dataset within a replicate.  Results
-    are averaged per cell and method; replicates with an undefined metric
-    are excluded from that metric's average with the exclusion counted.
+    seed, and all methods see the same dataset within a replicate; the
+    replicates run in worker processes when more than one CPU is usable,
+    with results identical to a serial run.  Results are averaged per cell
+    and method; replicates with an undefined metric are excluded from that
+    metric's average with the exclusion counted.
     """
     from .normalization import GridConfig
-    from .pipeline import METHODS, _check_cutoff, estimate_factor, testable_calls
+    from .pipeline import METHODS, _check_cutoff
 
     if not isinstance(sweep, Mapping):
         raise ValueError("sweep must map simulation fields to lists of values")
@@ -396,42 +470,20 @@ def run_study(
     if grid is None:
         grid = GridConfig(alpha=alpha)
 
-    results: list[StudyCellResult] = []
-    for cell_index, (overrides, cell) in enumerate(cells):
-        per_method: dict[str, list[Metrics]] = {m: [] for m in methods}
-        factors: dict[str, list[float]] = {m: [] for m in methods}
-        true_cs: list[float] = []
-        overlap_any: list[int] = []
-        overlap_dir: list[int] = []
-        for rep in range(replicates):
-            ds = generate_dataset(replace(cell, seed=_child_seed(master_seed, cell_index, rep)))
-            true_cs.append(ds.true_c.c)
-            is_de = _de_mask(ds.truth, ds.table.gene_ids)[ds.table.testable]
-            calls_by_method = {}
-            fits = {}
-            fit_grid = grid  # read by scbn only
-            if grid.center is None:
-                # The median fit is SCBN's default grid center: compute it once.
-                fits["median"] = estimate_factor(ds.table, ds.reported_conserved, "median", grid)
-                fit_grid = replace(grid, center=fits["median"].factor.c)
-            for method in methods:
-                if method not in fits:
-                    fits[method] = estimate_factor(
-                        ds.table, ds.reported_conserved, method, fit_grid)
-                factor = fits[method].factor
-                called, direction = testable_calls(ds.table, factor, cutoff)
-                per_method[method].append(_score(called, is_de))
-                factors[method].append(factor.c)
-                calls_by_method[method] = (called, direction)
-            if "scbn" in calls_by_method and "median" in calls_by_method:
-                called_a, dir_a = calls_by_method["scbn"]
-                called_b, dir_b = calls_by_method["median"]
-                both = called_a & called_b
-                overlap_any.append(int(both.sum()))
-                overlap_dir.append(int((both & (dir_a == dir_b)).sum()))
+    tasks = [(replace(cell, seed=_child_seed(master_seed, cell_index, rep)), methods, cutoff, grid)
+             for cell_index, (_, cell) in enumerate(cells) for rep in range(replicates)]
+    outcomes = _map_replicates(tasks)
 
+    results: list[StudyCellResult] = []
+    for cell_index, (overrides, _) in enumerate(cells):
+        reps = outcomes[cell_index * replicates:(cell_index + 1) * replicates]
+        true_cs = [true_c for true_c, _, _ in reps]
+        overlaps = [overlap for _, _, overlap in reps if overlap is not None]
+        overlap_any = [n for n, _ in overlaps]
+        overlap_dir = [d for _, d in overlaps]
         for method in methods:
-            metrics = per_method[method]
+            metrics = [fits[method][0] for _, fits, _ in reps]
+            factors = [fits[method][1] for _, fits, _ in reps]
             precisions = [m.precision for m in metrics if m.precision is not None]
             sensitivities = [m.sensitivity for m in metrics if m.sensitivity is not None]
             results.append(
@@ -447,7 +499,7 @@ def run_study(
                     mean_sensitivity=float(np.mean(sensitivities)) if sensitivities else None,
                     sensitivity_undefined=len(metrics) - len(sensitivities),
                     mean_f_score=float(np.mean([m.f_score for m in metrics])),
-                    mean_scaling_factor=float(np.mean(factors[method])),
+                    mean_scaling_factor=float(np.mean(factors)),
                     mean_true_c=float(np.mean(true_cs)),
                     mean_overlap_genes=float(np.mean(overlap_any)) if overlap_any else None,
                     mean_overlap_directional=float(np.mean(overlap_dir)) if overlap_dir else None,

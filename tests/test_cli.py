@@ -3,6 +3,7 @@ import json
 import pytest
 from click.testing import CliRunner
 
+from crossnorm import simulation
 from crossnorm.cli import main
 
 
@@ -241,10 +242,12 @@ _STUDY_BASE = {"n_orthologs": 100, "conserved_size": 20}
      "error: sweep seed: each replicate's seed derives from the study seed"),
     ({"base": {"n_orthologs": 100}},
      "error: missing simulation field(s): conserved_size"),
+    ({"base": _STUDY_BASE, "replicate": 2},
+     "error: unknown study spec key(s): replicate"),
 ], ids=["sweep-value-not-a-list", "sweep-entry-not-a-number", "spec-not-an-object",
         "base-field-not-a-number", "methods-not-a-list", "methods-empty", "methods-repeated",
         "sweep-rate-source-list", "sweep-rate-source-null", "sweep-empty", "sweep-seed",
-        "base-field-missing"])
+        "base-field-missing", "spec-key-unknown"])
 def test_study_spec_of_the_wrong_shape_is_a_one_line_error(tmp_path, spec, message):
     runner = CliRunner()
     path = tmp_path / "study.json"
@@ -253,6 +256,21 @@ def test_study_spec_of_the_wrong_shape_is_a_one_line_error(tmp_path, spec, messa
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert result.output.strip() == message
+
+
+@pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "workers"])
+def test_study_replicate_failure_is_a_one_line_error(tmp_path, monkeypatch, cpus):
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: cpus)
+    spec = {"base": {"n_orthologs": 100, "conserved_size": 3}, "methods": ["median"],
+            "replicates": 3}
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    result = CliRunner().invoke(main, ["study", "--spec", str(path),
+                                       "--output", str(tmp_path / "x")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.strip() == (
+        "error: median baseline needs >= 4 testable conserved genes, got 3")
 
 
 def test_scbn_optimum_at_the_window_edge_warns(tmp_path):
@@ -283,7 +301,8 @@ _WINDOW_OUT_OF_RANGE = ("the grid window overflows or pins every conserved gene'
     ("--grid-center", "inf", "grid center must be positive and finite"),
     ("--grid-span", "1e308", _WINDOW_OUT_OF_RANGE),
     ("--grid-center", "1e300", _WINDOW_OUT_OF_RANGE),
-], ids=["span", "center", "span-1e308", "center-1e300"])
+    ("--grid-center", "1e-300", _WINDOW_OUT_OF_RANGE),
+], ids=["span", "center", "span-1e308", "center-1e300", "center-1e-300"])
 def test_infinite_grid_setting_is_a_one_line_error(tmp_path, option, value, message):
     counts = tmp_path / "counts.tsv"
     counts.write_text("gene_id\tlength_sp1\tcount_sp1\tlength_sp2\tcount_sp2\n"

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
@@ -6,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossnorm import normalization, pipeline, simulation
-from crossnorm.normalization import empirical_type1_deviation
+from crossnorm.normalization import GridConfig, empirical_type1_deviation
 from crossnorm.simulation import (
     DE_LABELS,
     LABEL_DE_UP_SP1,
@@ -326,6 +328,61 @@ def test_run_study_single_method_has_no_overlap():
     assert cells[0].mean_overlap_genes is None
 
 
+def _use_cpus(monkeypatch, n: int) -> None:
+    """Make run_study see ``n`` usable CPUs: serial for 1, forked workers above."""
+    monkeypatch.setattr(simulation, "_usable_cpus", lambda: n)
+
+
+@pytest.mark.parametrize("center", [None, 1.1], ids=["median-seed", "set-center"])
+def test_run_study_cells_are_identical_serially_and_in_worker_processes(monkeypatch, center):
+    base = _study1_config(n_orthologs=400, conserved_size=80, n_unique_sp1=40,
+                          n_unique_sp2=80, n_unmapped_sp1=0, n_unmapped_sp2=0,
+                          depth_sp1=5e4, depth_sp2=5e4)
+    drawn = []
+    original = simulation.generate_dataset
+
+    def recorded_generate(cfg):
+        drawn.append(cfg.seed)
+        return original(cfg)
+
+    monkeypatch.setattr(simulation, "generate_dataset", recorded_generate)
+    runs = {}
+    for cpus in (1, 2):
+        _use_cpus(monkeypatch, cpus)
+        drawn.clear()
+        cells = run_study(base, {"noise_rate": [0.0, 0.15, 0.3]}, ["scbn", "median"],
+                          replicates=3, cutoff=0.01, master_seed=5,
+                          grid=GridConfig(center=center, coarse_points=200))
+        runs[cpus] = [dataclasses.asdict(cell) for cell in cells]
+        # Serial runs draw every replicate here; with two workers none is.
+        assert len(drawn) == (9 if cpus == 1 else 0)
+    assert len(runs[1]) == 3 * 2
+    assert runs[1] == runs[2]
+
+
+def test_a_failing_replicate_raises_the_serial_runs_first_error_from_workers(monkeypatch):
+    # Every replicate fails; the three cells fail with three different messages,
+    # and the first cell is the slowest, so its error is the last to arrive.
+    original = simulation.generate_dataset
+
+    def slow_first_cell(cfg):
+        if cfg.conserved_size == 3:
+            time.sleep(0.3)
+        return original(cfg)
+
+    monkeypatch.setattr(simulation, "generate_dataset", slow_first_cell)
+    base = SimConfig(n_orthologs=100, conserved_size=3)
+    raised = {}
+    for cpus in (1, 2):
+        _use_cpus(monkeypatch, cpus)
+        with pytest.raises(ValueError) as info:
+            run_study(base, {"conserved_size": [3, 2, 1]}, ["median"], replicates=1,
+                      cutoff=0.01)
+        raised[cpus] = (type(info.value), str(info.value))
+    assert raised[1] == (ValueError, "median baseline needs >= 4 testable conserved genes, got 3")
+    assert raised[2] == raised[1]
+
+
 def test_run_study_fits_the_median_once_per_replicate(monkeypatch):
     base = _study1_config(n_orthologs=400, conserved_size=80, n_unique_sp1=40,
                           n_unique_sp2=80, n_unmapped_sp1=0, n_unmapped_sp2=0,
@@ -342,6 +399,7 @@ def test_run_study_fits_the_median_once_per_replicate(monkeypatch):
 
     monkeypatch.setattr(normalization, "median_scaling_factor", counted)
     monkeypatch.setattr(pipeline, "median_scaling_factor", counted)
+    _use_cpus(monkeypatch, 1)  # the calls are counted in this process
 
     def run_counted(methods):
         calls.clear()
@@ -416,6 +474,7 @@ def test_run_study_overlap_and_scores_match_a_recount_from_call_de(monkeypatch):
 
     monkeypatch.setattr(simulation, "generate_dataset", recorded_generate)
     monkeypatch.setattr(pipeline, "call_de", recorded_call_de)
+    _use_cpus(monkeypatch, 1)  # the calls are recorded in this process
     cells = run_study(base, {"noise_rate": [0.0, 0.3]}, ["scbn", "median"], replicates=3,
                       cutoff=0.01, master_seed=9)
     assert len(datasets) == 2 * 3 and len(results) == 2 * len(datasets)
