@@ -246,11 +246,14 @@ def study(spec_path, output_dir) -> None:
 
 def _tsv_rows(path, fh, width: int):
     """Split the data lines after a header into ``width`` fields each, and
-    yield them with their line numbers; the first field (the gene id) must
-    not repeat."""
+    yield them with their line numbers; blank lines are skipped, and the
+    first field (the gene id) must not repeat."""
     seen: set[str] = set()
     for lineno, line in enumerate(fh, start=2):
-        fields = line.rstrip("\n").split("\t")
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        fields = line.split("\t")
         if len(fields) != width:
             raise ValueError(f"{path}: line {lineno}: expected {width} tab-separated fields")
         if fields[0] in seen:
@@ -267,7 +270,7 @@ def evaluate(results_path, truth_path, output_path) -> None:
     """Score a results.tsv against simulation truth labels."""
     try:
         calls: dict[str, bool] = {}
-        with Path(results_path).open("r", encoding="utf-8") as fh:
+        with Path(results_path).open("r", encoding="utf-8-sig") as fh:
             header = fh.readline().rstrip("\n").split("\t")
             if header[:1] != ["gene_id"] or not {"de_call", "p_value"} <= set(header):
                 raise ValueError(f"{results_path}: not a results table")
@@ -281,7 +284,7 @@ def evaluate(results_path, truth_path, output_path) -> None:
                     continue
                 calls[fields[0]] = fields[de_col] == "true"
         truth: dict[str, str] = {}
-        with Path(truth_path).open("r", encoding="utf-8") as fh:
+        with Path(truth_path).open("r", encoding="utf-8-sig") as fh:
             header = fh.readline().rstrip("\n").split("\t")
             if header != ["gene_id", "label"]:
                 raise ValueError(f"{truth_path}: expected header 'gene_id\\tlabel'")

@@ -6,15 +6,20 @@ Two estimators of the between-species scale live here:
   rejection rate at level alpha is closest to alpha itself.  The objective
   is a piecewise-constant step function of the factor, so the search is a
   log-spaced grid with shrinking refinement windows rather than anything
-  derivative-based.  Each round counts rejections at every grid point
-  without testing every (gene, factor) cell: for one gene, p0 rises with
-  the factor and the exact tails are monotone in p0, so tails taken at
-  the two ends of a run of grid points bound the p-value everywhere in
-  it.  A run whose bounds both fall on one side of alpha adds its whole
-  count at once; any other run is halved, and runs of at most four
-  points are tested cell by cell with the same kernel.  The counts equal
-  a dense sweep's exactly, and betainc runs mainly on the few cells near
-  a gene's decision change.
+  derivative-based.  Each round counts rejections without testing every
+  (gene, factor) cell: for one gene, p0 rises with the factor and the
+  exact tails are monotone in p0, so tails taken at the two ends of a run
+  of grid points bound the p-value everywhere in it.  A run whose bounds
+  both fall on one side of alpha adds its whole count at once; any other
+  run is halved, and runs of at most four points are tested cell by cell
+  with the same kernel.  The halving is a branch-and-bound: the proven
+  and still-open genes bound every grid point's count, and the deviation
+  |count/m - alpha| is V-shaped in the count, so a point whose deviation
+  is bound to exceed some other point's by more than the fit's tie slack
+  can never be picked, and its open runs are dropped.  Every other point
+  gets the count a dense sweep gives, so the fit equals that of counting
+  every point exactly, and betainc runs mainly on the few cells near a
+  gene's decision change at the points that can hold the minimum.
 
 * ``median_scaling_factor`` is the conventional baseline: length- and
   depth-normalized expression per gene, an interquartile filter applied in
@@ -65,6 +70,11 @@ _ALPHA_MARGIN = 1e-9
 # rounding error in mu - slack stays far below the tie slack.  Larger genes
 # are always tested cell by cell.
 _MAX_BOUNDED_N = 2.0**40
+# The fit's minimizing set is every grid point within this deviation of the
+# minimum.  Distinct rejection counts give deviations at least 1/m apart, so
+# the slack merges only rounding-split exact ties (e.g. counts equidistant
+# from m*alpha on both sides).
+_MERGE_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -235,24 +245,71 @@ def _interval_verdicts(x1, n, p_lo, p_hi, alpha):
     return verdict
 
 
+def _deviation(counts, m, alpha):
+    """The fit's objective |count/m - alpha| in float64.  fl(k/m) - alpha
+    is monotone in k, so the result is V-shaped in k."""
+    return np.abs(counts / m - alpha)
+
+
+def _coverage(left, right, points):
+    """Number of the index intervals [left, right] that cover each cell."""
+    ends = np.bincount(left, minlength=points + 1) - np.bincount(right + 1, minlength=points + 1)
+    return np.cumsum(ends[:-1])
+
+
 def _rejection_counts(cs, x1, n, l1n1, l2n2, alpha):
-    """Number of genes with p < alpha at each factor of the ascending ``cs``.
+    """Number of genes with p < alpha at each factor of the ascending ``cs``
+    that can hold the minimum of the fit's deviation, and the mask of those
+    cells.  Counts at the other cells are only lower bounds.
 
     Each gene starts with the whole grid as one interval of grid indices.
-    An interval its end-point bounds decide adds its whole run to a
-    difference array; any other interval is halved.  Intervals at most
+    An interval its end-point bounds decide adds its whole run to the
+    proven counts; any other interval is halved.  Intervals at most
     _LEAF_WIDTH wide are counted cell by cell with binom_twosided_pvalues,
-    on the same p0 expression, so the counts equal a dense sweep's.
+    on the same p0 expression, so a kept cell's count equals a dense
+    sweep's.
+
+    The bisection is a branch-and-bound over cells.  Before each level,
+    a cell's count lies in [lo, hi]: lo is its proven count, and every open
+    (gene, interval) pair that covers it adds 1 to hi.  The fit's float
+    deviation is V-shaped in the count (see _deviation), so on [lo, hi] it
+    is at most the larger of its two end values, and at least the smaller
+    one; when alpha*m lies within one count of [lo, hi] the lower bound is
+    taken as 0 instead, so rounding in k/m cannot matter.  The smallest
+    upper bound is at least the minimum deviation, and scbn_scaling_factor
+    keeps every cell within _MERGE_SLACK of that minimum, by the same float
+    expressions.  A cell whose lower bound exceeds the smallest upper bound
+    plus _MERGE_SLACK can therefore never join the minimizing set: it is
+    dropped, with every open pair that covers only dropped cells.  Bounds
+    only tighten, so a dropped cell stays dropped, and every kept cell ends
+    with its exact count.  A one-point grid is never pruned.
     """
-    points = cs.size
-    runs = np.zeros(points + 1, dtype=np.int64)
-    gene = np.arange(x1.size)
-    left = np.zeros(x1.size, dtype=np.int64)
-    right = np.full(x1.size, points - 1, dtype=np.int64)
-    leaves = []
+    points, m = cs.size, x1.size
+    proven = np.zeros(points, dtype=np.int64)
+    kept = np.ones(points, dtype=bool)
+    gene = np.arange(m)
+    left = np.zeros(m, dtype=np.int64)
+    right = np.full(m, points - 1, dtype=np.int64)
     while gene.size:
+        hi = proven + _coverage(left, right, points)
+        d_lo, d_hi = _deviation(proven, m, alpha), _deviation(hi, m, alpha)
+        straddles = (proven - 1 <= alpha * m) & (alpha * m <= hi + 1)
+        lower = np.where(straddles, 0.0, np.minimum(d_lo, d_hi))
+        kept &= lower <= np.maximum(d_lo, d_hi)[kept].min() + _MERGE_SLACK
+        live = np.concatenate(([0], np.cumsum(kept)))
+        covers = live[right + 1] > live[left]
+        gene, left, right = gene[covers], left[covers], right[covers]
+
         leaf = right - left < _LEAF_WIDTH
-        leaves.append((gene[leaf], left[leaf], right[leaf]))
+        if leaf.any():
+            cell = left[leaf, None] + np.arange(_LEAF_WIDTH)
+            inside = cell <= right[leaf, None]
+            inside[inside] = kept[cell[inside]]
+            at = np.broadcast_to(gene[leaf, None], cell.shape)[inside]
+            cell = cell[inside]
+            p = binom_twosided_pvalues(x1[at], n[at], _p0(cs[cell], l1n1[at], l2n2[at]))
+            proven += np.bincount(cell[p < alpha], minlength=points)
+
         gene, left, right = gene[~leaf], left[~leaf], right[~leaf]
         verdict = _interval_verdicts(
             x1[gene], n[gene],
@@ -262,27 +319,21 @@ def _rejection_counts(cs, x1, n, l1n1, l2n2, alpha):
         )
         verdict[n[gene] >= _MAX_BOUNDED_N] = 0
         run = verdict > 0
-        runs += np.bincount(left[run], minlength=points + 1)
-        runs -= np.bincount(right[run] + 1, minlength=points + 1)
+        proven += _coverage(left[run], right[run], points)
         split = verdict == 0
         gene, left, right = gene[split], left[split], right[split]
         mid = (left + right) // 2
         gene = np.concatenate([gene, gene])
         left, right = np.concatenate([left, mid + 1]), np.concatenate([mid, right])
-
-    gene, left, right = (np.concatenate(parts) for parts in zip(*leaves))
-    cell = left[:, None] + np.arange(_LEAF_WIDTH)
-    inside = cell <= right[:, None]
-    gene = np.broadcast_to(gene[:, None], cell.shape)[inside]
-    cell = cell[inside]
-    p = binom_twosided_pvalues(x1[gene], n[gene], _p0(cs[cell], l1n1[gene], l2n2[gene]))
-    return np.cumsum(runs[:-1]) + np.bincount(cell[p < alpha], minlength=points)
+    return proven, kept
 
 
 def _deviation_curve(cs, x1, n, l1n1, l2n2, alpha):
-    """Rejection rate and |rate - alpha| at every factor of the ascending ``cs``."""
-    rate = _rejection_counts(np.asarray(cs, dtype=np.float64), x1, n, l1n1, l2n2, alpha) / x1.size
-    return rate, np.abs(rate - alpha)
+    """Rejection rate and |rate - alpha| at every factor of the ascending
+    ``cs``: NaN and inf at the cells that cannot hold the minimum."""
+    m = x1.size
+    counts, kept = _rejection_counts(np.asarray(cs, dtype=np.float64), x1, n, l1n1, l2n2, alpha)
+    return np.where(kept, counts / m, np.nan), np.where(kept, _deviation(counts, m, alpha), np.inf)
 
 
 def empirical_type1_deviation(
@@ -330,10 +381,7 @@ def scbn_scaling_factor(
         h = half_width * grid.refine_shrink**round_idx
         cs = np.exp(np.linspace(log_center - h, log_center + h, grid.coarse_points))
         rate, dev = _deviation_curve(cs, x1, n, l1n1, l2n2, grid.alpha)
-        # Distinct rejection counts give deviations at least 1/m apart, so a
-        # 1e-12 slack merges only rounding-split exact ties (e.g. counts
-        # equidistant from m*alpha on both sides).
-        minima = np.flatnonzero(dev <= dev.min() + 1e-12)
+        minima = np.flatnonzero(dev <= dev.min() + _MERGE_SLACK)
         pick = minima[(minima.size - 1) // 2]
         if round_idx == 0:
             window_edge = bool(minima[0] == 0 or minima[-1] == cs.size - 1)

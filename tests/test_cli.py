@@ -338,11 +338,12 @@ def test_count_beyond_2_pow_53_fails_with_line_number(tmp_path):
 
 
 @pytest.mark.parametrize("name, row, message", [
-    ("results.tsv", "g2\t0.1", "expected 5 tab-separated fields"),
-    ("results.tsv", "", "expected 5 tab-separated fields"),
-    ("truth.tsv", "g2\tnull\textra", "expected 2 tab-separated fields"),
+    ("results.tsv", "g2\t0.1", "line 3: expected 5 tab-separated fields"),
+    # A blank line is skipped but still counted.
+    ("results.tsv", "\ng2\t0.1", "line 4: expected 5 tab-separated fields"),
+    ("truth.tsv", "g2\tnull\textra", "line 3: expected 2 tab-separated fields"),
     ("results.tsv", "g2\t1e-09\t2e-09\thigher_sp1\tyes",
-     "de_call must be true or false, got 'yes'"),
+     "line 3: de_call must be true or false, got 'yes'"),
 ], ids=["short-results-row", "blank-results-row", "three-field-truth-row", "de-call-yes"])
 def test_evaluate_malformed_row_is_a_one_line_error(tmp_path, name, row, message):
     lines = {
@@ -360,7 +361,37 @@ def test_evaluate_malformed_row_is_a_one_line_error(tmp_path, name, row, message
     ])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
-    assert result.output.strip() == f"error: {tmp_path / name}: line 3: {message}"
+    assert result.output.strip() == f"error: {tmp_path / name}: {message}"
+
+
+@pytest.mark.parametrize("name, edit", [
+    ("results.tsv", lambda text: "\ufeff" + text),
+    ("truth.tsv", lambda text: "\ufeff" + text),
+    ("results.tsv", lambda text: text + "\n"),
+], ids=["bom-results-header", "bom-truth-header", "trailing-blank-line"])
+def test_evaluate_reads_its_inputs_as_the_count_loader_does(tmp_path, name, edit):
+    lines = {
+        "results.tsv": ["gene_id\tp_value\tq_value\tdirection\tde_call",
+                        "g1\t0.5\t0.5\tnone\tfalse",
+                        "g2\t1e-09\t2e-09\thigher_sp1\ttrue"],
+        "truth.tsv": ["gene_id\tlabel", "g1\tnull", "g2\tde_up_sp1"],
+    }
+    outputs = []
+    for variant in ("plain", "edited"):
+        for file_name, content in lines.items():
+            text = "\n".join(content) + "\n"
+            if variant == "edited" and file_name == name:
+                text = edit(text)
+            (tmp_path / file_name).write_text(text, encoding="utf-8")
+        result = CliRunner().invoke(main, [
+            "evaluate",
+            "--results", str(tmp_path / "results.tsv"),
+            "--truth", str(tmp_path / "truth.tsv"),
+        ])
+        assert result.exit_code == 0, result.output
+        outputs.append(json.loads(result.output))
+    assert outputs[1] == outputs[0]
+    assert outputs[0]["tested_genes"] == 2 and outputs[0]["f_score"] == 1.0
 
 
 @pytest.mark.parametrize("header", [

@@ -7,12 +7,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossnorm.core import ConservedSet, ScalingFactor, validate_table
-from crossnorm.exact_test import binom_twosided_pvalues, null_prob_values
+from crossnorm.exact_test import _p0, binom_twosided_pvalues, null_prob_values
 from crossnorm.normalization import (
+    _LEAF_WIDTH,
+    _MAX_BOUNDED_N,
     GridConfig,
-    _conserved_rows,
-    _rejection_counts,
     MedianScaleResult,
+    ObjectiveValue,
+    ScbnResult,
+    _check_window,
+    _conserved_arrays,
+    _conserved_rows,
+    _interval_verdicts,
+    _rejection_counts,
     empirical_type1_deviation,
     final_grid_log_step,
     median_scaling_factor,
@@ -36,6 +43,14 @@ def _balanced(gene_id, count, length=500):
 def _extreme(gene_id, count, length=500):
     # all reads in species 1: p-value ~ 2^-(count-1) at p0 = 1/2
     return (gene_id, length, length, count, 0)
+
+
+def _outcome(fit, *args):
+    """The fit's result, or its ValueError message."""
+    try:
+        return fit(*args)
+    except ValueError as exc:
+        return str(exc)
 
 
 def _null_poisson_table(rng, m, c_true, conserved_reads=3.0e5, depth=1.0e6, length=1000):
@@ -177,6 +192,9 @@ def _grid_count_cases(draw):
 @given(_grid_count_cases())
 @settings(max_examples=150, deadline=None)
 def test_rejection_counts_match_a_dense_sweep_on_every_round(case):
+    # Kept cells carry the dense count, a dropped cell's dense deviation is
+    # above the dense minimum plus the merge slack, and so the minimizing
+    # set is the dense one.
     (x1, n, l1n1, l2n2), center, span, points, alpha = case
     grid = GridConfig()
     for round_idx in range(grid.refine_rounds + 1):
@@ -185,7 +203,13 @@ def test_rejection_counts_match_a_dense_sweep_on_every_round(case):
         if center == 1.0 and points % 2:
             cs[points // 2] = 1.0
         want = _dense_rejection_counts(cs, x1, n, l1n1, l2n2, alpha)
-        assert _rejection_counts(cs, x1, n, l1n1, l2n2, alpha).tolist() == want.tolist()
+        counts, kept = _rejection_counts(cs, x1, n, l1n1, l2n2, alpha)
+        assert counts[kept].tolist() == want[kept].tolist()
+        dense_dev = np.abs(want / x1.size - alpha)
+        assert (dense_dev[~kept] > dense_dev.min() + 1e-12).all()
+        got_dev = np.where(kept, np.abs(counts / x1.size - alpha), np.inf)
+        assert (np.flatnonzero(got_dev <= got_dev.min() + 1e-12).tolist()
+                == np.flatnonzero(dense_dev <= dense_dev.min() + 1e-12).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -266,6 +290,155 @@ def test_scbn_deterministic_and_grid_center_override():
     assert fit1 == fit2
     pinned = scbn_scaling_factor(table, conserved, GridConfig(center=1.1, span=2.0))
     assert 0.9 < pinned.factor.c / fit1.factor.c < 1.1
+
+
+# ---------------------------------------------------------------------------
+# The fit against a full-count reference
+# ---------------------------------------------------------------------------
+
+
+def _full_rejection_counts(cs, x1, n, l1n1, l2n2, alpha):
+    """Reference: the interval bisection without pruning, which counts every
+    grid cell exactly."""
+    points = cs.size
+    runs = np.zeros(points + 1, dtype=np.int64)
+    gene = np.arange(x1.size)
+    left = np.zeros(x1.size, dtype=np.int64)
+    right = np.full(x1.size, points - 1, dtype=np.int64)
+    leaves = []
+    while gene.size:
+        leaf = right - left < _LEAF_WIDTH
+        leaves.append((gene[leaf], left[leaf], right[leaf]))
+        gene, left, right = gene[~leaf], left[~leaf], right[~leaf]
+        verdict = _interval_verdicts(
+            x1[gene], n[gene],
+            _p0(cs[left], l1n1[gene], l2n2[gene]),
+            _p0(cs[right], l1n1[gene], l2n2[gene]),
+            alpha,
+        )
+        verdict[n[gene] >= _MAX_BOUNDED_N] = 0
+        run = verdict > 0
+        runs += np.bincount(left[run], minlength=points + 1)
+        runs -= np.bincount(right[run] + 1, minlength=points + 1)
+        split = verdict == 0
+        gene, left, right = gene[split], left[split], right[split]
+        mid = (left + right) // 2
+        gene = np.concatenate([gene, gene])
+        left, right = np.concatenate([left, mid + 1]), np.concatenate([mid, right])
+
+    gene, left, right = (np.concatenate(parts) for parts in zip(*leaves))
+    cell = left[:, None] + np.arange(_LEAF_WIDTH)
+    inside = cell <= right[:, None]
+    gene = np.broadcast_to(gene[:, None], cell.shape)[inside]
+    cell = cell[inside]
+    p = binom_twosided_pvalues(x1[gene], n[gene], _p0(cs[cell], l1n1[gene], l2n2[gene]))
+    return np.cumsum(runs[:-1]) + np.bincount(cell[p < alpha], minlength=points)
+
+
+def _reference_scbn_scaling_factor(table, conserved, grid):
+    """Reference: the round loop on every grid cell's full count."""
+    x1, n, l1n1, l2n2 = _conserved_arrays(table, conserved)
+    center = grid.center
+    if center is None:
+        center = median_scaling_factor(table, conserved).factor.c
+    log_center = np.log(center)
+    _check_window(log_center, grid, l1n1, l2n2)
+    half_width = np.log(grid.span)
+    for round_idx in range(grid.refine_rounds + 1):
+        h = half_width * grid.refine_shrink**round_idx
+        cs = np.exp(np.linspace(log_center - h, log_center + h, grid.coarse_points))
+        rate = _full_rejection_counts(cs, x1, n, l1n1, l2n2, grid.alpha) / x1.size
+        dev = np.abs(rate - grid.alpha)
+        minima = np.flatnonzero(dev <= dev.min() + 1e-12)
+        pick = minima[(minima.size - 1) // 2]
+        if round_idx == 0:
+            window_edge = bool(minima[0] == 0 or minima[-1] == cs.size - 1)
+        log_center = np.log(cs[pick])
+        best_rate, best_dev = float(rate[pick]), float(dev[pick])
+    return ScbnResult(
+        factor=ScalingFactor(float(np.exp(log_center))),
+        objective=ObjectiveValue(deviation=best_dev, rejection_rate=best_rate),
+        window_edge=window_edge,
+    )
+
+
+@st.composite
+def _scbn_cases(draw):
+    # null: conserved genes drawn from the mean model at a known scale, so
+    # the objective has a clear minimum and most cells get dropped.  random:
+    # unrelated counts and lengths, with wide and flat minimizing sets.
+    if draw(st.booleans()):
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        table, conserved = _null_poisson_table(
+            rng, draw(st.integers(4, 200)), draw(st.floats(0.5, 2.0)),
+            conserved_reads=draw(st.sampled_from([3.0e3, 3.0e5])))
+    else:
+        m = draw(st.integers(4, 60))
+
+        def column(top):
+            return [draw(st.integers(1, top)) for _ in range(m)] + [draw(st.integers(1, 10**4))]
+
+        table = validate_table([f"g{i}" for i in range(m + 1)], column(5000), column(5000),
+                               column(400), column(400))
+        conserved = ConservedSet(frozenset(f"g{i}" for i in range(m)))
+    grid = GridConfig(
+        alpha=draw(st.sampled_from([0.01, 0.05, 0.2])),
+        center=draw(st.none() | st.floats(0.1, 10.0)),
+        span=draw(st.floats(1.5, 100.0)),
+        coarse_points=draw(st.sampled_from([10, 37, 100, 1000])),
+    )
+    return table, conserved, grid
+
+
+@given(_scbn_cases())
+@settings(max_examples=100, deadline=None)
+def test_scbn_fit_equals_the_full_count_reference(case):
+    table, conserved, grid = case
+    want = _outcome(_reference_scbn_scaling_factor, table, conserved, grid)
+    assert _outcome(scbn_scaling_factor, table, conserved, grid) == want
+
+
+def _flat_objective_case():
+    # Three reads per gene split evenly: no p0 in [1/1.5, 1.5] brings a p-value
+    # below alpha, so every grid point has rate 0 and deviation alpha.
+    records = [_balanced(f"g{i}", 3) for i in range(20)]
+    table, conserved = _table_with_conserved(records, [r[0] for r in records])
+    return table, conserved, GridConfig(center=1.0, span=1.5)
+
+
+def _window_edge_case():
+    # [1/1.2, 1.2] excludes the true 1.4: the minimum is the last grid point.
+    table, conserved = _null_poisson_table(np.random.default_rng(3), 300, 1.4)
+    return table, conserved, GridConfig(center=1.0, span=1.2)
+
+
+@pytest.mark.parametrize("build", [_flat_objective_case, _window_edge_case],
+                         ids=["flat-objective", "window-edge"])
+def test_scbn_fit_equals_the_full_count_reference_at_the_edges(build):
+    table, conserved, grid = build()
+    want = _reference_scbn_scaling_factor(table, conserved, grid)
+    assert want.window_edge
+    assert scbn_scaling_factor(table, conserved, grid) == want
+
+
+def test_scbn_fit_merges_a_rounding_split_tie_like_the_reference():
+    # 15 genes at alpha 0.2: 1 always rejected, 10 never, and 4 identical
+    # genes rejected from some c on.  Counts 1 and 5 are equidistant from
+    # alpha*m = 3, and more than one count from it, but their float
+    # deviations differ in the last bit: only the merge slack keeps both
+    # plateaus in the minimizing set.
+    records = [_balanced(f"b{i}", 3) for i in range(10)]
+    records.append(_extreme("e", 40))
+    records += [(f"s{i}", 500, 500, 10, 20) for i in range(4)]
+    records.append(("filler", 500, 500, 1, 1))
+    table, conserved = _table_with_conserved(records, [r[0] for r in records[:-1]])
+    grid = GridConfig(alpha=0.2, center=1.0, span=2.0)
+    cs = np.exp(np.linspace(-math.log(2.0), math.log(2.0), grid.coarse_points))
+    counts = _full_rejection_counts(cs, *_conserved_arrays(table, conserved), grid.alpha)
+    assert set(counts.tolist()) == {1, 5}
+    assert abs(1 / 15 - 0.2) != abs(5 / 15 - 0.2)
+    assert scbn_scaling_factor(table, conserved, grid) == _reference_scbn_scaling_factor(
+        table, conserved, grid)
 
 
 # ---------------------------------------------------------------------------
@@ -400,13 +573,6 @@ def _reference_median_scaling_factor(table, conserved):
         factor=ScalingFactor(float(med1 / med2)), iqr_filtered=iqr_filtered, kept_genes=len(kept))
 
 
-def _median_outcome(fit, table, conserved):
-    try:
-        return fit(table, conserved)
-    except ValueError as exc:
-        return str(exc)
-
-
 _B = 2**40
 
 
@@ -445,8 +611,8 @@ def _median_tables(draw):
 @settings(max_examples=300, deadline=None)
 def test_median_matches_a_fraction_sort_reference(case):
     table, conserved = case
-    want = _median_outcome(_reference_median_scaling_factor, table, conserved)
-    assert _median_outcome(median_scaling_factor, table, conserved) == want
+    want = _outcome(_reference_median_scaling_factor, table, conserved)
+    assert _outcome(median_scaling_factor, table, conserved) == want
 
 
 def test_median_settles_float_ties_exactly():
