@@ -75,6 +75,9 @@ _MAX_BOUNDED_N = 2.0**40
 # the slack merges only rounding-split exact ties (e.g. counts equidistant
 # from m*alpha on both sides).
 _MERGE_SLACK = 1e-12
+# The most grid points a round may have.  A round holds about 120 bytes per
+# grid point (measured on a 40-gene table), so this keeps it near 120 MB.
+MAX_COARSE_POINTS = 10**6
 
 
 @dataclass(frozen=True)
@@ -85,6 +88,7 @@ class GridConfig:
     refinement round re-grids the same number of points over a window whose
     log half-width shrinks by ``refine_shrink`` per round, centered on the
     incumbent.  When ``center`` is unset the median baseline seeds it.
+    ``coarse_points`` lies in [10, MAX_COARSE_POINTS].
     """
 
     alpha: float = 0.05
@@ -103,6 +107,8 @@ class GridConfig:
             raise ValueError("span must exceed 1 and be finite")
         if self.coarse_points < 10:
             raise ValueError("coarse_points must be >= 10")
+        if self.coarse_points > MAX_COARSE_POINTS:
+            raise ValueError(f"coarse_points must be <= {MAX_COARSE_POINTS}")
         if self.refine_rounds < 0:
             raise ValueError("refine_rounds must be >= 0")
         if not (0.0 < self.refine_shrink < 1.0):
@@ -163,9 +169,9 @@ def _conserved_rows(table: OrthologTable, conserved: ConservedSet) -> np.ndarray
     return np.flatnonzero(in_set & table.testable)
 
 
-def _conserved_arrays(table: OrthologTable, conserved: ConservedSet):
-    """Testable conserved genes' x1, n, L1*N1 and L2*N2 as float64 arrays."""
-    rows = _conserved_rows(table, conserved)
+def _conserved_arrays(table: OrthologTable, rows: np.ndarray):
+    """The x1, n, L1*N1 and L2*N2 of the genes at ``rows`` (see _conserved_rows)
+    as float64 arrays."""
     if rows.size == 0:
         raise ValueError("no testable conserved genes")
     x1 = table.count_sp1[rows].astype(np.float64)
@@ -348,7 +354,7 @@ def empirical_type1_deviation(
     accordingly.
     """
     GridConfig(alpha=alpha)  # the one check of alpha
-    x1, n, l1n1, l2n2 = _conserved_arrays(table, conserved)
+    x1, n, l1n1, l2n2 = _conserved_arrays(table, _conserved_rows(table, conserved))
     rate, dev = _deviation_curve(np.asarray([c.c]), x1, n, l1n1, l2n2, alpha)
     return ObjectiveValue(deviation=float(dev[0]), rejection_rate=float(rate[0]))
 
@@ -364,12 +370,13 @@ def scbn_scaling_factor(
     objective is a union of grid intervals; ties break to the (lower) median
     grid point of that set, which is stable under small grid perturbations.
     """
-    x1, n, l1n1, l2n2 = _conserved_arrays(table, conserved)
+    rows = _conserved_rows(table, conserved)
+    x1, n, l1n1, l2n2 = _conserved_arrays(table, rows)
 
     if grid.center is not None:
         center = grid.center
     else:
-        center = median_scaling_factor(table, conserved).factor.c
+        center = _median_factor(table, rows).factor.c
 
     log_center = np.log(center)
     _check_window(log_center, grid, l1n1, l2n2)
@@ -460,7 +467,11 @@ def median_scaling_factor(table: OrthologTable, conserved: ConservedSet) -> Medi
     The depth is common to a species' genes, so ordering, quartiles and the
     window use count / length; the depths enter only the final ratio.
     """
-    rows = _conserved_rows(table, conserved)
+    return _median_factor(table, _conserved_rows(table, conserved))
+
+
+def _median_factor(table: OrthologTable, rows: np.ndarray) -> MedianScaleResult:
+    """median_scaling_factor over the genes at ``rows`` (see _conserved_rows)."""
     if rows.size < 4:
         raise ValueError(f"median baseline needs >= 4 testable conserved genes, got {rows.size}")
     r1 = _RankedRatios(table.count_sp1[rows], table.length_sp1[rows])

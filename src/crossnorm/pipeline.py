@@ -4,11 +4,17 @@ File formats
 ------------
 Count table: UTF-8 TSV, header ``gene_id length_sp1 count_sp1 length_sp2
 count_sp2`` (tab-separated), one gene per line, integer lengths and counts
-below 2**53.
+below 2**53.  A length or count is written ``-?[0-9]+``: ASCII digits with
+an optional minus sign, leading zeros allowed; ``+``, spaces, ``_`` and
+non-ASCII digits are errors.
 
 Conserved list: plain text, one gene id per line, ``#`` comments allowed.
 
 Both input formats may start with a UTF-8 byte-order mark, which is ignored.
+A byte that is not valid UTF-8 raises ``<path>: line N: not valid UTF-8``.
+
+``RunConfig.grid_points`` lies in [10, ``normalization.MAX_COARSE_POINTS``]
+(10**6).
 
 Reports: a JSON summary (method, factor, tallies, config echo) plus a
 per-gene TSV ``gene_id  p_value  q_value  direction  de_call`` where
@@ -25,8 +31,10 @@ first access, for inspection only.  :func:`testable_calls` slices the
 """
 from __future__ import annotations
 
+import io
 import itertools
 import json
+import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -65,6 +73,14 @@ __all__ = [
 
 COUNTS_HEADER = ("gene_id", "length_sp1", "count_sp1", "length_sp2", "count_sp2")
 _HEADER_LINE = "\t".join(COUNTS_HEADER)
+# A length or count field: an optional minus sign, then ASCII digits.
+_INTEGER = re.compile(r"-?[0-9]+")
+# Every body line's separators: four tabs, then the line end.
+_ROW_SEPARATORS = np.frombuffer(b"\t\t\t\t\n", dtype=np.uint8)
+# Fields of up to this many digits are summed in int64 without overflow;
+# longer ones go through int().
+_FAST_DIGITS = 18
+_INT64_MAX = np.iinfo(np.int64).max
 
 # Normalization methods, in the order the CLI lists them.
 METHODS = ("scbn", "median")
@@ -184,11 +200,23 @@ class Report:
         return self.calls.records
 
 
+def _read_text(path: Path) -> str:
+    """The file's text, decoded as UTF-8 with an optional byte-order mark."""
+    data = path.read_bytes()
+    try:
+        return data.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        # exc.object is the data after the byte-order mark; lines are counted
+        # as str.splitlines splits them.
+        head = exc.object[:exc.start].decode("utf-8")
+        lineno = len((head + "x").splitlines())
+        raise ValueError(f"{path}: line {lineno}: not valid UTF-8") from None
+
+
 def load_counts_tsv(path: str | Path) -> OrthologTable:
     """Parse and validate a count table, reporting offending line numbers."""
     path = Path(path)
-    with path.open("r", encoding="utf-8-sig", newline="") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text(path).splitlines()
     if not lines:
         raise ValueError(f"{path}: file is empty")
     header = tuple(lines[0].split("\t"))
@@ -197,21 +225,61 @@ def load_counts_tsv(path: str | Path) -> OrthologTable:
             f"{path}: line 1: expected header {_HEADER_LINE!r}, got {lines[0]!r}"
         )
     body = list(filter(None, lines[1:]))  # blank lines are skipped
-    if not set(map(str.count, body, itertools.repeat("\t"))) <= {4}:
+    columns = _numeric_columns(body)
+    if columns is None:
         raise _first_bad_line(path, lines)
-    fields = "\t".join(body).split("\t") if body else []
+    gene_ids = [line.partition("\t")[0] for line in body]
+    l1, x1, l2, x2 = columns
     try:
-        l1, x1, l2, x2 = (list(map(int, fields[k::5])) for k in range(1, 5))
-    except ValueError:
-        raise _first_bad_line(path, lines) from None
-    try:
-        return validate_table(fields[0::5], length_sp1=l1, length_sp2=l2,
+        return validate_table(gene_ids, length_sp1=l1, length_sp2=l2,
                               count_sp1=x1, count_sp2=x2)
     except InvalidRow as exc:
         lineno = [i for i, line in enumerate(lines[1:], start=2) if line][exc.row]
         raise ValueError(f"{path}: line {lineno}: {exc}") from None
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+
+
+def _numeric_columns(body: list[str]) -> np.ndarray | None:
+    """The four numeric columns of the body lines, as the rows of a
+    (4, lines) int64 array; None when a line has other than 5 fields or a
+    numeric field breaks the _INTEGER grammar.
+
+    One pass over the body's UTF-8 bytes: the tab and newline positions
+    bound every field, and the digits are summed one digit position at a
+    time across all fields, right-aligned at the field ends.  Values beyond
+    int64 are clamped into it, which keeps every validate_table verdict.
+    """
+    buf = np.frombuffer("\n".join([*body, ""]).encode(), dtype=np.uint8)
+    seps = np.flatnonzero((buf == ord("\t")) | (buf == ord("\n")))
+    if seps.size != 5 * len(body) or not (buf[seps].reshape(-1, 5) == _ROW_SEPARATORS).all():
+        return None
+    seps = seps.reshape(-1, 5)
+    first, end = seps[:, :4] + 1, seps[:, 1:]
+    negative = buf[first] == ord("-")
+    width = end - first
+    width -= negative
+    bad = width < 1
+    digits = min(int(width.max(initial=0)), _FAST_DIGITS)
+    value = np.zeros(width.shape, dtype=np.int64)
+    pos = end - digits
+    for place in range(digits, 0, -1):
+        digit = buf.take(pos, mode="clip") - np.uint8(ord("0"))  # wraps below "0"
+        digit *= width >= place
+        bad |= digit > 9
+        value *= 10
+        value += digit
+        pos += 1
+    if bad.any():
+        return None
+    for k in np.flatnonzero(width > _FAST_DIGITS):
+        field = buf[first.flat[k]:end.flat[k]].tobytes().decode()
+        if not _INTEGER.fullmatch(field):
+            return None
+        # Without leading zeros, 20 digits already exceed int64.
+        value.flat[k] = min(int(field.lstrip("-").lstrip("0")[:20] or "0"), _INT64_MAX)
+    np.negative(value, out=value, where=negative)
+    return value.T
 
 
 def _first_bad_line(path: Path, lines: list[str]) -> ValueError:
@@ -222,10 +290,7 @@ def _first_bad_line(path: Path, lines: list[str]) -> ValueError:
         fields = line.split("\t")
         if len(fields) != 5:
             return ValueError(f"{path}: line {lineno}: expected 5 tab-separated fields")
-        try:
-            for field in fields[1:]:
-                int(field)
-        except ValueError:
+        if not all(map(_INTEGER.fullmatch, fields[1:])):
             return ValueError(f"{path}: line {lineno}: lengths and counts must be integers")
     raise AssertionError("the bulk parse rejected a table that parses line by line")
 
@@ -248,12 +313,11 @@ def load_conserved_list(path: str | Path, table: OrthologTable) -> tuple[Conserv
     """
     path = Path(path)
     wanted: list[str] = []
-    with path.open("r", encoding="utf-8-sig") as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            wanted.append(line)
+    for raw in io.StringIO(_read_text(path), newline=None):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        wanted.append(line)
     if not wanted:
         raise ValueError(f"{path}: no gene ids in file")
     known = set(table.gene_ids)

@@ -176,6 +176,23 @@ def test_malformed_counts_fails_nonzero(tmp_path):
     assert "line 2" in result.output
 
 
+@pytest.mark.parametrize("bad_file", ["counts", "conserved"])
+def test_non_utf8_input_names_its_file_and_line(tmp_path, bad_file):
+    counts = tmp_path / "counts.tsv"
+    cons = tmp_path / "cons.txt"
+    counts.write_bytes(b"\xef\xbb\xbfgene_id\tlength_sp1\tcount_sp1\tlength_sp2\tcount_sp2\n"
+                       b"g1\t10\t5\t10\t5\r\n\ng2\t10\t5\t10\t5\n")
+    cons.write_bytes(b"# list\ng1\ng2\n")
+    bad, lineno = (counts, 4) if bad_file == "counts" else (cons, 3)
+    # The bad byte opens its line, so the line count includes the break before it.
+    bad.write_bytes(bad.read_bytes().replace(b"g2", b"\xffg2"))
+    for command in (["normalize"], ["test", "--output", str(tmp_path / "run")]):
+        result = CliRunner().invoke(main, command + ["--counts", str(counts),
+                                                     "--conserved", str(cons)])
+        assert result.exit_code == 1
+        assert result.output == f"error: {bad}: line {lineno}: not valid UTF-8\n"
+
+
 def test_simulate_requires_config(tmp_path):
     runner = CliRunner()
     result = runner.invoke(main, ["simulate", "--output", str(tmp_path / "x")])
@@ -479,7 +496,8 @@ def test_median_fallback_warns_from_normalize_and_test(tmp_path):
     ("--grid-points", "5", "coarse_points must be >= 10"),
     ("--grid-span", "1", "span must exceed 1 and be finite"),
     ("--grid-center", "0", "grid center must be positive and finite"),
-], ids=["points", "span", "center"])
+    ("--grid-points", "100000000000", "coarse_points must be <= 1000000"),
+], ids=["points", "span", "center", "points-cap"])
 def test_grid_settings_are_checked_before_the_inputs_are_read(tmp_path, option, value, message):
     # The count table is malformed too, but the grid error comes first.
     inputs = _write_inputs(tmp_path, [(1, "x")])

@@ -337,7 +337,7 @@ def _full_rejection_counts(cs, x1, n, l1n1, l2n2, alpha):
 
 def _reference_scbn_scaling_factor(table, conserved, grid):
     """Reference: the round loop on every grid cell's full count."""
-    x1, n, l1n1, l2n2 = _conserved_arrays(table, conserved)
+    x1, n, l1n1, l2n2 = _conserved_arrays(table, _conserved_rows(table, conserved))
     center = grid.center
     if center is None:
         center = median_scaling_factor(table, conserved).factor.c
@@ -434,7 +434,8 @@ def test_scbn_fit_merges_a_rounding_split_tie_like_the_reference():
     table, conserved = _table_with_conserved(records, [r[0] for r in records[:-1]])
     grid = GridConfig(alpha=0.2, center=1.0, span=2.0)
     cs = np.exp(np.linspace(-math.log(2.0), math.log(2.0), grid.coarse_points))
-    counts = _full_rejection_counts(cs, *_conserved_arrays(table, conserved), grid.alpha)
+    arrays = _conserved_arrays(table, _conserved_rows(table, conserved))
+    counts = _full_rejection_counts(cs, *arrays, grid.alpha)
     assert set(counts.tolist()) == {1, 5}
     assert abs(1 / 15 - 0.2) != abs(5 / 15 - 0.2)
     assert scbn_scaling_factor(table, conserved, grid) == _reference_scbn_scaling_factor(

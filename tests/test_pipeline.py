@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossnorm.core import ConservedSet, ScalingFactor, validate_table
+from crossnorm.core import ConservedSet, InvalidRow, ScalingFactor, validate_table
 from crossnorm.exact_test import binom_twosided_pvalues, null_prob_values
 from crossnorm.normalization import (
     GridConfig,
@@ -144,18 +145,96 @@ def test_load_counts_names_the_first_bad_line_after_blank_lines(tmp_path, rows, 
         load_counts_tsv(path)
 
 
-def test_load_counts_accepts_what_int_accepts(tmp_path):
-    values = [" 12", "1_000", "+7", "12 ", "\u0661\u0662", "0012"]
-    rows = [f"g{i}\t{v}\t{v}\t200\t2" for i, v in enumerate(values)]
+def test_load_counts_accepts_zero_padded_and_signed_zero_integers(tmp_path):
+    padded_five = "0" * 24 + "5"
+    rows = ["g0\t0012\t0\t200\t2", "g1\t100\t-0\t200\t2", f"g2\t{padded_five}\t3\t200\t2"]
     table = load_counts_tsv(_write_counts(tmp_path / "c.tsv", rows))
-    assert table.length_sp1.tolist() == table.count_sp1.tolist() == [int(v) for v in values]
+    assert table.length_sp1.tolist() == [12, 100, 5]
+    assert table.count_sp1.tolist() == [0, 0, 3]
 
 
-@pytest.mark.parametrize("value", ["1__0", "0x10", "1e3", "", "1.0", "_1", "12a"])
+# Everything outside the grammar -?[0-9]+, including the forms int() accepts.
+@pytest.mark.parametrize("value", ["1__0", "0x10", "1e3", "", "1.0", "_1", "12a",
+                                   " 12", "12 ", "+7", "1_000", "\u0661\u0662",
+                                   "+" + "0" * 24 + "5", "x" + "0" * 24 + "5"])
 def test_load_counts_rejects_what_int_rejects(tmp_path, value):
     path = _write_counts(tmp_path / "c.tsv", [_GOOD_ROW, f"g2\t100\t{value}\t200\t2"])
-    with pytest.raises(ValueError, match="line 3: lengths and counts must be integers"):
+    with pytest.raises(ValueError, match=rf"^{path}: line 3: lengths and counts must be integers$"):
         load_counts_tsv(path)
+
+
+def _reference_load_counts(path):
+    """Line by line: the field count, then -?[0-9]+ and int(), then validate_table."""
+    lines = path.read_text(encoding="utf-8-sig").splitlines()
+    assert lines[0] == "gene_id\tlength_sp1\tcount_sp1\tlength_sp2\tcount_sp2"
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) != 5:
+            raise ValueError(f"{path}: line {lineno}: expected 5 tab-separated fields")
+        if not all(re.fullmatch(r"-?[0-9]+", field) for field in fields[1:]):
+            raise ValueError(f"{path}: line {lineno}: lengths and counts must be integers")
+        rows.append((lineno, fields[0], *map(int, fields[1:])))
+    linenos, ids, l1, x1, l2, x2 = zip(*rows) if rows else ((),) * 6
+    try:
+        return validate_table(ids, length_sp1=l1, length_sp2=l2, count_sp1=x1, count_sp2=x2)
+    except InvalidRow as exc:
+        raise ValueError(f"{path}: line {linenos[exc.row]}: {exc}") from None
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+_VALUES = st.one_of(
+    st.integers(0, 10**6).map(str),
+    # Zero-padded, at times past the 18 digits summed in int64.
+    st.builds(lambda zeros, n: "0" * zeros + str(n), st.sampled_from([1, 17, 24]),
+              st.integers(0, 2**70)),
+    st.integers(2**53 - 2, 2**70).map(str),
+    st.integers(-2**70, -1).map(str),
+)
+_STRAYS = st.one_of(
+    st.text(alphabet="0123456789-+ _\u0663.x", max_size=4),
+    st.builds(lambda affix, value: affix[0] + value + affix[1],
+              st.sampled_from([("+", ""), (" ", ""), ("", " "), ("", "_0"), ("\u0663", ""),
+                               ("x", ""), ("", ".0"), ("-", ""), ("", "\u0663")]),
+              _VALUES),
+)
+
+
+def _line(gene_id, values, stray, at):
+    if stray is not None:
+        values[at % len(values)] = stray
+    return "\t".join([gene_id, *values])
+
+
+_LINES = st.one_of(
+    st.just(""),
+    st.builds(lambda i, values: "\t".join([f"r{i}", *values]), st.integers(0, 10**6),
+              st.lists(st.integers(1, 500).map(str), min_size=4, max_size=4)),
+    st.builds(_line, st.sampled_from(["g1", "g2", "\u00e9", ""]),
+              st.lists(_VALUES, min_size=4, max_size=4) | st.lists(_VALUES, min_size=3, max_size=5),
+              st.none() | _STRAYS, st.integers(0, 4)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_LINES, max_size=8))
+def test_load_counts_matches_a_line_by_line_reference(tmp_path_factory, lines):
+    path = tmp_path_factory.getbasetemp() / "reference-load.tsv"
+    path.write_text("\n".join(["gene_id\tlength_sp1\tcount_sp1\tlength_sp2\tcount_sp2", *lines]),
+                    encoding="utf-8")
+    try:
+        want = _reference_load_counts(path)
+    except ValueError as exc:
+        with pytest.raises(ValueError) as info:
+            load_counts_tsv(path)
+        assert str(info.value) == str(exc)
+    else:
+        got = load_counts_tsv(path)
+        assert got == want
+        assert (got.total_sp1, got.total_sp2) == (want.total_sp1, want.total_sp2)
 
 
 def test_load_counts_ignores_byte_order_mark(tmp_path):
