@@ -4,10 +4,15 @@ Subcommands map one-to-one onto the toolkit's activities: ``normalize``
 estimates the scaling factor, ``test`` runs the full per-gene pipeline,
 ``simulate`` draws a labeled synthetic dataset, ``study`` runs a
 configuration sweep, and ``evaluate`` scores calls against truth labels.
+
+Every file a subcommand reads, JSON specs included, is decoded by
+``pipeline._read_text``: UTF-8 with an optional byte-order mark, where a
+bad byte is an error naming the file and line.
 """
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import sys
 from pathlib import Path
@@ -19,6 +24,7 @@ from .normalization import ScbnResult
 from .pipeline import (
     METHODS,
     RunConfig,
+    _read_text,
     estimate_factor,
     load_conserved_list,
     load_counts_tsv,
@@ -44,6 +50,14 @@ _IQR_FALLBACK_WARNING = "warning: IQR filter kept no genes; used all conserved g
 def _fail(message: str) -> None:
     click.echo(f"error: {message}", err=True)
     sys.exit(1)
+
+
+def _load_spec(path: str):
+    """The JSON value in a spec file; a decode error names the file and position."""
+    try:
+        return json.loads(_read_text(Path(path)))
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
 
 
 def _run_options(func):
@@ -178,7 +192,7 @@ def simulate(spec_path, rate_table, output_dir, **fields) -> None:
     """Write a synthetic dataset: counts.tsv, conserved.txt, truth.tsv, meta.json."""
     try:
         if spec_path is not None:
-            config = SimConfig.from_mapping(json.loads(Path(spec_path).read_text("utf-8")))
+            config = SimConfig.from_mapping(_load_spec(spec_path))
         elif fields["n_orthologs"] is None:
             raise ValueError("either --spec or --n-orthologs is required")
         else:
@@ -215,7 +229,7 @@ _STUDY_SPEC_KEYS = {"seed", "replicates", "methods", "alpha", "cutoff", "base", 
 def study(spec_path, output_dir) -> None:
     """Run a simulation sweep and write the replicate-averaged result grid."""
     try:
-        spec = json.loads(Path(spec_path).read_text("utf-8"))
+        spec = _load_spec(spec_path)
         if not isinstance(spec, dict):
             raise ValueError("a study spec must be a JSON object")
         unknown = set(spec) - _STUDY_SPEC_KEYS
@@ -244,6 +258,11 @@ def study(spec_path, output_dir) -> None:
         _fail(str(exc))
 
 
+def _text_lines(path: str) -> io.StringIO:
+    """The file's lines as the count loaders decode them, with universal newlines."""
+    return io.StringIO(_read_text(Path(path)), newline=None)
+
+
 def _tsv_rows(path, fh, width: int):
     """Split the data lines after a header into ``width`` fields each, and
     yield them with their line numbers; blank lines are skipped, and the
@@ -270,7 +289,7 @@ def evaluate(results_path, truth_path, output_path) -> None:
     """Score a results.tsv against simulation truth labels."""
     try:
         calls: dict[str, bool] = {}
-        with Path(results_path).open("r", encoding="utf-8-sig") as fh:
+        with _text_lines(results_path) as fh:
             header = fh.readline().rstrip("\n").split("\t")
             if header[:1] != ["gene_id"] or not {"de_call", "p_value"} <= set(header):
                 raise ValueError(f"{results_path}: not a results table")
@@ -284,7 +303,7 @@ def evaluate(results_path, truth_path, output_path) -> None:
                     continue
                 calls[fields[0]] = fields[de_col] == "true"
         truth: dict[str, str] = {}
-        with Path(truth_path).open("r", encoding="utf-8-sig") as fh:
+        with _text_lines(truth_path) as fh:
             header = fh.readline().rstrip("\n").split("\t")
             if header != ["gene_id", "label"]:
                 raise ValueError(f"{truth_path}: expected header 'gene_id\\tlabel'")

@@ -17,12 +17,16 @@ numbers and its ``float`` fields real ones (numpy scalars pass, bools do
 not).  :func:`run_study` checks every argument and cell before drawing.
 
 :func:`run_study` runs each (cell, replicate) through one function,
-``_replicate``, whose result depends only on its seeded task.  Replicates
-run in ``fork``-started worker processes, one per CPU the process may use
-(``os.sched_getaffinity``), so workers inherit the loaded modules instead
-of importing them again; with one usable CPU, or on a platform that cannot
-say, they run serially in the calling process.  Averaging happens in the
-caller in task order, so the result grid is bit-identical either way.
+``_replicate``, whose result depends only on its seeded task.  With W
+usable CPUs (``os.sched_getaffinity``, up to one per task) the calling
+process runs every W-th replicate and W-1 ``fork``-started worker
+processes run the rest, so workers inherit the loaded modules instead of
+importing them again; with one usable CPU, or on a platform that cannot
+say, every replicate runs serially in the calling process.  Averaging
+happens in the caller in task order, so the result grid is bit-identical
+either way.  A worker that dies without sending its results raises
+ChildProcessError (one ``error:`` line in the CLI), and no worker outlives
+:func:`run_study`, whether it returns or raises.
 """
 from __future__ import annotations
 
@@ -393,23 +397,87 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
+def _run_share(tasks) -> tuple[list, Exception | None]:
+    """:func:`_replicate` over ``tasks`` in order, up to the first that raises.
+
+    Returns the results before that task and its exception, or every result
+    and None.
+    """
+    results = []
+    for task in tasks:
+        try:
+            results.append(_replicate(task))
+        except Exception as exc:  # reported to the caller in task order
+            return results, exc
+    return results, None
+
+
+def _send_share(tasks, sender) -> None:
+    """Body of a worker process: run its share and send it to the caller."""
+    with sender:
+        sender.send(_run_share(tasks))
+
+
+def _receive_share(child, receiver) -> tuple[list, Exception | None]:
+    """A worker's :func:`_run_share` result; ChildProcessError if it ended without one."""
+    try:
+        return receiver.recv()
+    except EOFError:
+        child.join()
+        raise ChildProcessError(f"a study worker process ended with exit code {child.exitcode} "
+                                "before sending its results") from None
+
+
 def _map_replicates(tasks: list) -> list:
     """:func:`_replicate` over ``tasks``, in order.
 
-    One worker per usable CPU, up to one per task.  With one worker the
-    tasks run serially in this process; otherwise in forked processes, which
-    inherit the loaded modules instead of importing them again.  A failing
-    task raises in task order, so the caller sees the exception a serial
-    run raises first.
+    W = one worker per usable CPU, up to one per task.  With W = 1 the tasks
+    run serially in this process.  Otherwise this process runs every W-th
+    task (``tasks[0::W]``) and W-1 forked processes, which inherit the loaded
+    modules instead of importing them again, run ``tasks[w::W]`` each and
+    send their results back over a pipe.  Each share stops at its first
+    failing task, and the failure with the lowest task index is raised, the
+    exception a serial run raises first.  A worker that ends without sending
+    its share raises ChildProcessError.  Every worker is joined, and
+    terminated first if it is still running, before this returns or raises.
     """
     workers = min(_usable_cpus(), len(tasks))
     if workers <= 1:
         return list(map(_replicate, tasks))
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        return list(pool.map(_replicate, tasks))
+    context = multiprocessing.get_context("fork")
+    children = []  # (process, receiving end) running tasks[w::workers], w = 1, 2, ...
+    try:
+        for w in range(1, workers):
+            receiver, sender = context.Pipe(duplex=False)
+            with sender:  # once started, the child holds the only open copy
+                child = context.Process(target=_send_share, args=(tasks[w::workers], sender))
+                child.start()
+            children.append((child, receiver))
+        shares = []
+        first, error = len(tasks), None  # the lowest failing task index and its exception
+        for w in range(workers):
+            if first < w:
+                break  # this share and the later ones start after a known failure
+            results, failure = (_run_share(tasks[::workers]) if w == 0
+                                else _receive_share(*children[w - 1]))
+            if failure is not None and w + workers * len(results) < first:
+                first, error = w + workers * len(results), failure
+            shares.append(results)
+        if error is not None:
+            raise error
+    finally:
+        for child, receiver in children:
+            receiver.close()
+            if child.is_alive():
+                child.terminate()
+            child.join()
+            child.close()
+    outcomes = [None] * len(tasks)
+    for w, results in enumerate(shares):
+        outcomes[w::workers] = results
+    return outcomes
 
 
 def run_study(
@@ -426,9 +494,9 @@ def run_study(
 
     Every argument and every cell's config are checked before the first
     dataset is drawn.  Each (cell, replicate) gets an independent derived
-    seed, and all methods see the same dataset within a replicate; the
-    replicates run in worker processes when more than one CPU is usable,
-    with results identical to a serial run.  Results are averaged per cell
+    seed, and all methods see the same dataset within a replicate; when
+    more than one CPU is usable, this process and forked workers share the
+    replicates, with results identical to a serial run.  Results are averaged per cell
     and method; replicates with an undefined metric are excluded from that
     metric's average with the exclusion counted.
     """

@@ -1,4 +1,5 @@
 import json
+import os
 
 import pytest
 from click.testing import CliRunner
@@ -176,21 +177,32 @@ def test_malformed_counts_fails_nonzero(tmp_path):
     assert "line 2" in result.output
 
 
-@pytest.mark.parametrize("bad_file", ["counts", "conserved"])
+@pytest.mark.parametrize("bad_file", ["counts", "conserved", "results", "truth"])
 def test_non_utf8_input_names_its_file_and_line(tmp_path, bad_file):
-    counts = tmp_path / "counts.tsv"
-    cons = tmp_path / "cons.txt"
-    counts.write_bytes(b"\xef\xbb\xbfgene_id\tlength_sp1\tcount_sp1\tlength_sp2\tcount_sp2\n"
-                       b"g1\t10\t5\t10\t5\r\n\ng2\t10\t5\t10\t5\n")
-    cons.write_bytes(b"# list\ng1\ng2\n")
-    bad, lineno = (counts, 4) if bad_file == "counts" else (cons, 3)
-    # The bad byte opens its line, so the line count includes the break before it.
-    bad.write_bytes(bad.read_bytes().replace(b"g2", b"\xffg2"))
-    for command in (["normalize"], ["test", "--output", str(tmp_path / "run")]):
-        result = CliRunner().invoke(main, command + ["--counts", str(counts),
-                                                     "--conserved", str(cons)])
+    # Each file's text and the line on which g2 starts.
+    files = {
+        "counts": (b"\xef\xbb\xbfgene_id\tlength_sp1\tcount_sp1\tlength_sp2\tcount_sp2\n"
+                   b"g1\t10\t5\t10\t5\r\n\ng2\t10\t5\t10\t5\n", 4),
+        "conserved": (b"# list\ng1\ng2\n", 3),
+        "results": (b"\xef\xbb\xbfgene_id\tp_value\tq_value\tdirection\tde_call\n"
+                    b"g1\t0.5\t0.5\tnone\tfalse\r\n\ng2\t1e-09\t2e-09\thigher_sp1\ttrue\n", 4),
+        "truth": (b"gene_id\tlabel\ng1\tnull\ng2\tde_up_sp1\n", 3),
+    }
+    paths = {name: tmp_path / f"{name}.txt" for name in files}
+    for name, (data, _) in files.items():
+        # The bad byte opens its line, so the line count includes the break before it.
+        paths[name].write_bytes(data.replace(b"g2", b"\xffg2") if name == bad_file else data)
+    if bad_file in ("results", "truth"):
+        commands = [["evaluate", "--results", str(paths["results"]),
+                     "--truth", str(paths["truth"])]]
+    else:
+        inputs = ["--counts", str(paths["counts"]), "--conserved", str(paths["conserved"])]
+        commands = [["normalize", *inputs], ["test", "--output", str(tmp_path / "run"), *inputs]]
+    for command in commands:
+        result = CliRunner().invoke(main, command)
         assert result.exit_code == 1
-        assert result.output == f"error: {bad}: line {lineno}: not valid UTF-8\n"
+        assert result.output == (f"error: {paths[bad_file]}: line {files[bad_file][1]}: "
+                                 "not valid UTF-8\n")
 
 
 def test_simulate_requires_config(tmp_path):
@@ -209,6 +221,29 @@ def test_simulate_spec_file(tmp_path):
     result = runner.invoke(main, ["simulate", "--spec", str(path), "--output", str(out)])
     assert result.exit_code == 0, result.output
     assert (out / "counts.tsv").exists()
+
+
+@pytest.mark.parametrize("data, message", [
+    (b'{"n_orthologs": 200, ', "<spec>: line 1 column 22: Expecting property name enclosed in "
+                               "double quotes"),
+    (b'{"n_orthologs": 200,\n "conserved_size": 40, "\xff": 1}', "<spec>: line 2: not valid UTF-8"),
+], ids=["truncated", "non-utf8"])
+def test_simulate_spec_that_is_not_json_names_its_file(tmp_path, data, message):
+    path = tmp_path / "sim.json"
+    path.write_bytes(data)
+    result = CliRunner().invoke(main, ["simulate", "--spec", str(path),
+                                       "--output", str(tmp_path / "x")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == f"error: {message.replace('<spec>', str(path))}\n"
+
+
+def test_simulate_spec_may_start_with_a_byte_order_mark(tmp_path):
+    path = tmp_path / "sim.json"
+    path.write_text('\ufeff{"n_orthologs": 50, "conserved_size": 10}', encoding="utf-8")
+    result = CliRunner().invoke(main, ["simulate", "--spec", str(path),
+                                       "--output", str(tmp_path / "x")])
+    assert result.exit_code == 0, result.output
 
 
 def test_simulate_spec_rejects_unknown_field(tmp_path):
@@ -261,33 +296,56 @@ _STUDY_BASE = {"n_orthologs": 100, "conserved_size": 20}
      "error: missing simulation field(s): conserved_size"),
     ({"base": _STUDY_BASE, "replicate": 2},
      "error: unknown study spec key(s): replicate"),
+    # Bytes are written as they are; <spec> stands for the spec's path.
+    (b'{"base": ', "error: <spec>: line 1 column 10: Expecting value"),
+    (b'{"base": {"n_orthologs": 100,\n "conserved_size": 20}, "seed": 1\xff}',
+     "error: <spec>: line 2: not valid UTF-8"),
 ], ids=["sweep-value-not-a-list", "sweep-entry-not-a-number", "spec-not-an-object",
         "base-field-not-a-number", "methods-not-a-list", "methods-empty", "methods-repeated",
         "sweep-rate-source-list", "sweep-rate-source-null", "sweep-empty", "sweep-seed",
-        "base-field-missing", "spec-key-unknown"])
+        "base-field-missing", "spec-key-unknown", "spec-truncated", "spec-non-utf8"])
 def test_study_spec_of_the_wrong_shape_is_a_one_line_error(tmp_path, spec, message):
     runner = CliRunner()
     path = tmp_path / "study.json"
-    path.write_text(json.dumps(spec), encoding="utf-8")
+    path.write_bytes(spec if isinstance(spec, bytes) else json.dumps(spec).encode("utf-8"))
     result = runner.invoke(main, ["study", "--spec", str(path), "--output", str(tmp_path / "x")])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
-    assert result.output.strip() == message
+    assert result.output.strip() == message.replace("<spec>", str(path))
 
 
-@pytest.mark.parametrize("cpus", [1, 2], ids=["serial", "workers"])
-def test_study_replicate_failure_is_a_one_line_error(tmp_path, monkeypatch, cpus):
+_TOO_FEW_CONSERVED = "error: median baseline needs >= 4 testable conserved genes, got 3"
+_WORKER_EXITED = ("error: a study worker process ended with exit code 3 before sending its "
+                  "results")
+
+
+@pytest.mark.parametrize("cpus, conserved_size, worker_exits, message", [
+    (1, 3, False, _TOO_FEW_CONSERVED),
+    (2, 3, False, _TOO_FEW_CONSERVED),
+    (2, 20, True, _WORKER_EXITED),
+], ids=["serial", "workers", "worker-exits"])
+def test_study_replicate_failure_is_a_one_line_error(tmp_path, monkeypatch, cpus,
+                                                     conserved_size, worker_exits, message):
     monkeypatch.setattr(simulation, "_usable_cpus", lambda: cpus)
-    spec = {"base": {"n_orthologs": 100, "conserved_size": 3}, "methods": ["median"],
-            "replicates": 3}
+    if worker_exits:
+        caller = os.getpid()
+        original = simulation.generate_dataset
+
+        def exit_in_worker(cfg):
+            if os.getpid() != caller:
+                os._exit(3)
+            return original(cfg)
+
+        monkeypatch.setattr(simulation, "generate_dataset", exit_in_worker)
+    spec = {"base": {"n_orthologs": 100, "conserved_size": conserved_size},
+            "methods": ["median"], "replicates": 3}
     path = tmp_path / "study.json"
     path.write_text(json.dumps(spec), encoding="utf-8")
     result = CliRunner().invoke(main, ["study", "--spec", str(path),
                                        "--output", str(tmp_path / "x")])
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
-    assert result.output.strip() == (
-        "error: median baseline needs >= 4 testable conserved genes, got 3")
+    assert result.output == message + "\n"
 
 
 def test_scbn_optimum_at_the_window_edge_warns(tmp_path):

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import os
 import time
 
 import numpy as np
@@ -333,6 +334,12 @@ def _use_cpus(monkeypatch, n: int) -> None:
     monkeypatch.setattr(simulation, "_usable_cpus", lambda: n)
 
 
+def _assert_no_child_process_left() -> None:
+    # waitpid(-1) raises once this process has no child, running or unreaped.
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 @pytest.mark.parametrize("center", [None, 1.1], ids=["median-seed", "set-center"])
 def test_run_study_cells_are_identical_serially_and_in_worker_processes(monkeypatch, center):
     base = _study1_config(n_orthologs=400, conserved_size=80, n_unique_sp1=40,
@@ -347,6 +354,7 @@ def test_run_study_cells_are_identical_serially_and_in_worker_processes(monkeypa
 
     monkeypatch.setattr(simulation, "generate_dataset", recorded_generate)
     runs = {}
+    seeds = {}
     for cpus in (1, 2):
         _use_cpus(monkeypatch, cpus)
         drawn.clear()
@@ -354,15 +362,20 @@ def test_run_study_cells_are_identical_serially_and_in_worker_processes(monkeypa
                           replicates=3, cutoff=0.01, master_seed=5,
                           grid=GridConfig(center=center, coarse_points=200))
         runs[cpus] = [dataclasses.asdict(cell) for cell in cells]
-        # Serial runs draw every replicate here; with two workers none is.
-        assert len(drawn) == (9 if cpus == 1 else 0)
+        seeds[cpus] = list(drawn)  # the replicates drawn in this process
+    # Serially every task's replicate is drawn here, in task order; with two
+    # CPUs this process draws tasks 0, 2, 4, 6 and 8, and one worker the rest.
+    assert len(seeds[1]) == 9
+    assert seeds[2] == seeds[1][0::2]
     assert len(runs[1]) == 3 * 2
     assert runs[1] == runs[2]
+    _assert_no_child_process_left()
 
 
 def test_a_failing_replicate_raises_the_serial_runs_first_error_from_workers(monkeypatch):
-    # Every replicate fails; the three cells fail with three different messages,
-    # and the first cell is the slowest, so its error is the last to arrive.
+    # Every replicate fails; the three cells fail with three different messages.
+    # The slow first cell runs in this process, so the worker's error, from
+    # the second cell, arrives first.
     original = simulation.generate_dataset
 
     def slow_first_cell(cfg):
@@ -381,6 +394,55 @@ def test_a_failing_replicate_raises_the_serial_runs_first_error_from_workers(mon
         raised[cpus] = (type(info.value), str(info.value))
     assert raised[1] == (ValueError, "median baseline needs >= 4 testable conserved genes, got 3")
     assert raised[2] == raised[1]
+
+
+def test_a_worker_that_dies_raises_child_process_error(monkeypatch):
+    caller = os.getpid()
+    original = simulation.generate_dataset
+
+    def exit_in_worker(cfg):
+        if os.getpid() != caller:
+            os._exit(3)
+        return original(cfg)
+
+    monkeypatch.setattr(simulation, "generate_dataset", exit_in_worker)
+    _use_cpus(monkeypatch, 2)
+    with pytest.raises(ChildProcessError, match="ended with exit code 3 before sending"):
+        run_study(SimConfig(n_orthologs=100, conserved_size=20), {}, ["median"],
+                  replicates=2, cutoff=0.01)
+    _assert_no_child_process_left()
+
+
+@pytest.mark.parametrize("sizes, slow_size, seconds, message", [
+    # Task 0 fails here at once while the worker sleeps in task 1: no later
+    # task can fail first, so the worker is stopped instead of waited for.
+    ([3, 4], 4, 10.0, "got 3"),
+    # Task 2 fails here at once; the worker's task 1 fails later but first
+    # in task order, so its error is the one raised.
+    ([20, 2, 3], 2, 0.3, "got 2"),
+], ids=["own-first-task", "worker-earlier-task"])
+def test_a_failure_in_this_processs_share_raises_the_serial_runs_first_error(
+        monkeypatch, sizes, slow_size, seconds, message):
+    original = simulation.generate_dataset
+
+    def sleep_in_one_cell(cfg):
+        if cfg.conserved_size == slow_size:
+            time.sleep(seconds)
+        return original(cfg)
+
+    monkeypatch.setattr(simulation, "generate_dataset", sleep_in_one_cell)
+    base = SimConfig(n_orthologs=100, conserved_size=20)
+    raised = {}
+    for cpus in (1, 2):
+        _use_cpus(monkeypatch, cpus)
+        start = time.perf_counter()
+        with pytest.raises(ValueError) as info:
+            run_study(base, {"conserved_size": sizes}, ["median"], replicates=1, cutoff=0.01)
+        raised[cpus] = str(info.value)
+        assert time.perf_counter() - start < 5.0
+    assert raised[1] == f"median baseline needs >= 4 testable conserved genes, {message}"
+    assert raised[2] == raised[1]
+    _assert_no_child_process_left()
 
 
 def test_run_study_fits_the_median_once_per_replicate(monkeypatch):
