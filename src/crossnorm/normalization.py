@@ -11,15 +11,18 @@ Two estimators of the between-species scale live here:
   exact tails are monotone in p0, so tails taken at the two ends of a run
   of grid points bound the p-value everywhere in it.  A run whose bounds
   both fall on one side of alpha adds its whole count at once; any other
-  run is halved, and runs of at most four points are tested cell by cell
-  with the same kernel.  The halving is a branch-and-bound: the proven
-  and still-open genes bound every grid point's count, and the deviation
-  |count/m - alpha| is V-shaped in the count, so a point whose deviation
-  is bound to exceed some other point's by more than the fit's tie slack
-  can never be picked, and its open runs are dropped.  Every other point
-  gets the count a dense sweep gives, so the fit equals that of counting
-  every point exactly, and betainc runs mainly on the few cells near a
-  gene's decision change at the points that can hold the minimum.
+  run is split in four, and runs of at most four points are tested cell by
+  cell with the same kernel.  The splitting is a branch-and-bound: the
+  proven and still-open genes bound every grid point's count, and the
+  deviation |count/m - alpha| is V-shaped in the count, so a point whose
+  deviation is bound to exceed some other point's, or the exact deviation
+  of the one point counted early next to the window's center, by more
+  than the fit's tie slack can never be picked, and its open runs are
+  dropped.
+  Every other point gets the count a dense sweep gives, so the fit equals
+  that of counting every point exactly, and betainc runs mainly on the few
+  cells near a gene's decision change at the points that can hold the
+  minimum.
 
 * ``median_scaling_factor`` is the conventional baseline: length- and
   depth-normalized expression per gene, an interquartile filter applied in
@@ -61,6 +64,8 @@ __all__ = [
 
 # Grid-index intervals at most this many cells wide are tested cell by cell.
 _LEAF_WIDTH = 4
+# An undecided interval is split into this many parts (at most _LEAF_WIDTH).
+_SPLIT = 4
 # Relative widening of an interval's end-point p0 (see _interval_verdicts).
 _P0_WIDEN = 1e-12
 # A bound decides an interval only when it clears alpha by this relative
@@ -270,25 +275,30 @@ def _rejection_counts(cs, x1, n, l1n1, l2n2, alpha):
 
     Each gene starts with the whole grid as one interval of grid indices.
     An interval its end-point bounds decide adds its whole run to the
-    proven counts; any other interval is halved.  Intervals at most
-    _LEAF_WIDTH wide are counted cell by cell with binom_twosided_pvalues,
-    on the same p0 expression, so a kept cell's count equals a dense
-    sweep's.
+    proven counts; any other interval is split into _SPLIT parts.
+    Intervals at most _LEAF_WIDTH wide are counted cell by cell with
+    binom_twosided_pvalues, on the same p0 expression, so a kept cell's
+    count equals a dense sweep's.
 
-    The bisection is a branch-and-bound over cells.  Before each level,
+    The splitting is a branch-and-bound over cells.  Before each level,
     a cell's count lies in [lo, hi]: lo is its proven count, and every open
     (gene, interval) pair that covers it adds 1 to hi.  The fit's float
     deviation is V-shaped in the count (see _deviation), so on [lo, hi] it
     is at most the larger of its two end values, and at least the smaller
     one; when alpha*m lies within one count of [lo, hi] the lower bound is
     taken as 0 instead, so rounding in k/m cannot matter.  The smallest
-    upper bound is at least the minimum deviation, and scbn_scaling_factor
-    keeps every cell within _MERGE_SLACK of that minimum, by the same float
-    expressions.  A cell whose lower bound exceeds the smallest upper bound
-    plus _MERGE_SLACK can therefore never join the minimizing set: it is
-    dropped, with every open pair that covers only dropped cells.  Bounds
-    only tighten, so a dropped cell stays dropped, and every kept cell ends
-    with its exact count.  A one-point grid is never pruned.
+    upper bound is at least the minimum deviation, and so is the exact
+    deviation of any one cell: the incumbent, points // 2, next to the
+    grid's center, is counted exactly after the first level by testing the
+    genes still open there.  scbn_scaling_factor keeps every cell within
+    _MERGE_SLACK of that minimum, by the same float expressions.  A cell
+    whose lower bound exceeds the smaller of the two plus _MERGE_SLACK can
+    therefore never join the minimizing set: it is dropped, with every open
+    pair that covers only dropped cells.  Bounds only tighten, so a dropped
+    cell stays dropped, and every kept cell ends with its exact count.  A
+    grid of at most _LEAF_WIDTH points, the one-point grid of
+    empirical_type1_deviation among them, is counted cell by cell at the
+    first level, with no pruning and no incumbent.
     """
     points, m = cs.size, x1.size
     proven = np.zeros(points, dtype=np.int64)
@@ -296,12 +306,21 @@ def _rejection_counts(cs, x1, n, l1n1, l2n2, alpha):
     gene = np.arange(m)
     left = np.zeros(m, dtype=np.int64)
     right = np.full(m, points - 1, dtype=np.int64)
+    incumbent, level = np.inf, 0
     while gene.size:
+        if level == 1:
+            # Level 0 gives every cell the same bounds and drops nothing, so
+            # the proven count plus the open genes' tests is mid's count.
+            mid = points // 2
+            at = gene[(left <= mid) & (mid <= right)]
+            p = binom_twosided_pvalues(x1[at], n[at], _p0(cs[mid], l1n1[at], l2n2[at]))
+            incumbent = _deviation(proven[mid] + np.count_nonzero(p < alpha), m, alpha)
+        level += 1
         hi = proven + _coverage(left, right, points)
         d_lo, d_hi = _deviation(proven, m, alpha), _deviation(hi, m, alpha)
         straddles = (proven - 1 <= alpha * m) & (alpha * m <= hi + 1)
         lower = np.where(straddles, 0.0, np.minimum(d_lo, d_hi))
-        kept &= lower <= np.maximum(d_lo, d_hi)[kept].min() + _MERGE_SLACK
+        kept &= lower <= min(np.maximum(d_lo, d_hi)[kept].min(), incumbent) + _MERGE_SLACK
         live = np.concatenate(([0], np.cumsum(kept)))
         covers = live[right + 1] > live[left]
         gene, left, right = gene[covers], left[covers], right[covers]
@@ -328,9 +347,10 @@ def _rejection_counts(cs, x1, n, l1n1, l2n2, alpha):
         proven += _coverage(left[run], right[run], points)
         split = verdict == 0
         gene, left, right = gene[split], left[split], right[split]
-        mid = (left + right) // 2
-        gene = np.concatenate([gene, gene])
-        left, right = np.concatenate([left, mid + 1]), np.concatenate([mid, right])
+        # Non-leaf intervals hold more than _SPLIT cells, so no part is empty.
+        ends = left[:, None] + (right - left + 1)[:, None] * np.arange(_SPLIT + 1) // _SPLIT
+        gene = np.repeat(gene, _SPLIT)
+        left, right = ends[:, :-1].ravel(), ends[:, 1:].ravel() - 1
     return proven, kept
 
 

@@ -38,8 +38,8 @@ from typing import Mapping, Sequence, get_type_hints
 
 import numpy as np
 
-from .core import (ConservedSet, OrthologTable, ScalingFactor, require_integer, require_number,
-                   validate_table)
+from .core import (_VALUE_LIMIT, ConservedSet, OrthologTable, ScalingFactor, require_integer,
+                   require_number, validate_table)
 
 __all__ = [
     "LABEL_NULL",
@@ -69,6 +69,14 @@ LABEL_UNIQUE_SP2 = "unique_sp2"
 DE_LABELS = frozenset({LABEL_DE_UP_SP1, LABEL_DE_UP_SP2, LABEL_UNIQUE_SP1, LABEL_UNIQUE_SP2})
 
 _LOGNORMAL_SIGMA = 1.5  # fallback rate model when no reference table is given
+# An ortholog-table gene's Poisson mean is its share of its species' depth,
+# so with depths up to 2**52 every table count stays below the 2**53 limit.
+# Unmapped genes are scaled by the table genes' total output, not bounded.
+_MAX_DEPTH = 2.0**52
+# Rates (at most about 1e9 from the lognormal, 1 from a rate table) times
+# the fold, lengths below 2**53 and any gene count stay far inside float64
+# with folds up to 1e100, in both directions of the fold.
+_MAX_FOLD = 1e100
 
 
 @dataclass(frozen=True)
@@ -124,17 +132,20 @@ class SimConfig:
             value = getattr(self, name)
             if not (0.0 <= value <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1]")
-        if not (1.0 < self.fold < math.inf):
-            raise ValueError("fold must exceed 1 and be finite")
+        if not (1.0 < self.fold <= _MAX_FOLD):
+            raise ValueError(f"fold must exceed 1 and be at most {_MAX_FOLD:g}")
         for name in ("n_unique_sp1", "n_unique_sp2", "n_unmapped_sp1", "n_unmapped_sp2", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.conserved_size < 1:
             raise ValueError("conserved_size must be >= 1")
-        if not (0.0 < self.depth_sp1 < math.inf and 0.0 < self.depth_sp2 < math.inf):
-            raise ValueError("depths must be positive and finite")
+        for name in ("depth_sp1", "depth_sp2"):
+            if not (0.0 < getattr(self, name) <= _MAX_DEPTH):
+                raise ValueError(f"{name} must be positive and at most 2**52")
         if not (1 <= self.length_min <= self.length_max):
             raise ValueError("need 1 <= length_min <= length_max")
+        if self.length_max >= _VALUE_LIMIT:
+            raise ValueError("length_max must be < 2**53")
         n_de, n_keep_null, n_keep_noise = _conserved_split(self)
         if n_keep_null > self.n_orthologs - n_de:
             raise ValueError(f"conserved_size needs {n_keep_null} null orthologs, "
@@ -397,14 +408,17 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _run_share(tasks) -> tuple[list, Exception | None]:
+def _run_share(tasks, proceed=None) -> tuple[list, Exception | None]:
     """:func:`_replicate` over ``tasks`` in order, up to the first that raises.
 
     Returns the results before that task and its exception, or every result
-    and None.
+    and None.  Before the i-th task, ``proceed(i)``, if given, may stop the
+    share early: the results so far are returned, with no exception.
     """
     results = []
-    for task in tasks:
+    for i, task in enumerate(tasks):
+        if proceed is not None and not proceed(i):
+            break
         try:
             results.append(_replicate(task))
         except Exception as exc:  # reported to the caller in task order
@@ -419,13 +433,14 @@ def _send_share(tasks, sender) -> None:
 
 
 def _receive_share(child, receiver) -> tuple[list, Exception | None]:
-    """A worker's :func:`_run_share` result; ChildProcessError if it ended without one."""
+    """A worker's :func:`_run_share` result, or no results and a
+    ChildProcessError if it ended without sending one."""
     try:
         return receiver.recv()
     except EOFError:
         child.join()
-        raise ChildProcessError(f"a study worker process ended with exit code {child.exitcode} "
-                                "before sending its results") from None
+        return [], ChildProcessError(f"a study worker process ended with exit code "
+                                     f"{child.exitcode} before sending its results")
 
 
 def _map_replicates(tasks: list) -> list:
@@ -438,13 +453,17 @@ def _map_replicates(tasks: list) -> list:
     send their results back over a pipe.  Each share stops at its first
     failing task, and the failure with the lowest task index is raised, the
     exception a serial run raises first.  A worker that ends without sending
-    its share raises ChildProcessError.  Every worker is joined, and
-    terminated first if it is still running, before this returns or raises.
+    its share fails at its first task with ChildProcessError.  Between its
+    own tasks this process reads every share already sent, and stops its
+    own once a known failure precedes its next task.  Every worker is
+    joined, and terminated first if it is still running, before this
+    returns or raises.
     """
     workers = min(_usable_cpus(), len(tasks))
     if workers <= 1:
         return list(map(_replicate, tasks))
     import multiprocessing
+    from multiprocessing.connection import wait
 
     context = multiprocessing.get_context("fork")
     children = []  # (process, receiving end) running tasks[w::workers], w = 1, 2, ...
@@ -455,16 +474,28 @@ def _map_replicates(tasks: list) -> list:
                 child = context.Process(target=_send_share, args=(tasks[w::workers], sender))
                 child.start()
             children.append((child, receiver))
-        shares = []
+        shares = [None] * workers
         first, error = len(tasks), None  # the lowest failing task index and its exception
-        for w in range(workers):
-            if first < w:
-                break  # this share and the later ones start after a known failure
-            results, failure = (_run_share(tasks[::workers]) if w == 0
-                                else _receive_share(*children[w - 1]))
+        unread = {receiver: w for w, (_, receiver) in enumerate(children, start=1)}
+
+        def settle(w, share):
+            nonlocal first, error
+            results, failure = shares[w] = share
             if failure is not None and w + workers * len(results) < first:
                 first, error = w + workers * len(results), failure
-            shares.append(results)
+
+        def read(receivers):
+            for receiver in receivers:
+                w = unread.pop(receiver)
+                settle(w, _receive_share(children[w - 1][0], receiver))
+
+        def proceed(i):
+            read(wait(list(unread), timeout=0))
+            return workers * i < first
+
+        settle(0, _run_share(tasks[::workers], proceed))
+        # A share that starts after a known failure is not waited for.
+        read(receiver for receiver, w in list(unread.items()) if w < first)
         if error is not None:
             raise error
     finally:
@@ -475,7 +506,7 @@ def _map_replicates(tasks: list) -> list:
             child.join()
             child.close()
     outcomes = [None] * len(tasks)
-    for w, results in enumerate(shares):
+    for w, (results, _) in enumerate(shares):
         outcomes[w::workers] = results
     return outcomes
 

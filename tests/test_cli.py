@@ -211,6 +211,20 @@ def test_simulate_requires_config(tmp_path):
     assert result.exit_code == 1
 
 
+@pytest.mark.parametrize("options, message", [
+    (["--fold", "1e308", "--de-rate", "0.5"], "fold must exceed 1 and be at most 1e+100"),
+    (["--depth-sp1", "1e300"], "depth_sp1 must be positive and at most 2**52"),
+    (["--depth-sp1", "1e18"], "depth_sp1 must be positive and at most 2**52"),
+], ids=["fold-1e308", "depth-1e300", "depth-1e18"])
+def test_simulate_input_that_would_overflow_is_a_one_line_error(tmp_path, options, message):
+    result = CliRunner().invoke(main, ["simulate", "--n-orthologs", "200", "--conserved-size",
+                                       "50", *options, "--output", str(tmp_path / "x")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == f"error: {message}\n"
+    assert not (tmp_path / "x").exists()
+
+
 def test_simulate_spec_file(tmp_path):
     runner = CliRunner()
     spec = {"n_orthologs": 200, "conserved_size": 40, "seed": 2,
@@ -296,6 +310,8 @@ _STUDY_BASE = {"n_orthologs": 100, "conserved_size": 20}
      "error: missing simulation field(s): conserved_size"),
     ({"base": _STUDY_BASE, "replicate": 2},
      "error: unknown study spec key(s): replicate"),
+    ({"base": dict(_STUDY_BASE, de_rate=0.5), "sweep": {"fold": [2.0, 1e308]}},
+     "error: fold must exceed 1 and be at most 1e+100"),
     # Bytes are written as they are; <spec> stands for the spec's path.
     (b'{"base": ', "error: <spec>: line 1 column 10: Expecting value"),
     (b'{"base": {"n_orthologs": 100,\n "conserved_size": 20}, "seed": 1\xff}',
@@ -303,7 +319,8 @@ _STUDY_BASE = {"n_orthologs": 100, "conserved_size": 20}
 ], ids=["sweep-value-not-a-list", "sweep-entry-not-a-number", "spec-not-an-object",
         "base-field-not-a-number", "methods-not-a-list", "methods-empty", "methods-repeated",
         "sweep-rate-source-list", "sweep-rate-source-null", "sweep-empty", "sweep-seed",
-        "base-field-missing", "spec-key-unknown", "spec-truncated", "spec-non-utf8"])
+        "base-field-missing", "spec-key-unknown", "sweep-fold-overflows", "spec-truncated",
+        "spec-non-utf8"])
 def test_study_spec_of_the_wrong_shape_is_a_one_line_error(tmp_path, spec, message):
     runner = CliRunner()
     path = tmp_path / "study.json"

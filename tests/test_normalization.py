@@ -189,12 +189,24 @@ def _grid_count_cases(draw):
     return columns, center, span, points, alpha
 
 
+def _assert_counts_match_a_dense_sweep(cs, x1, n, l1n1, l2n2, alpha):
+    """Kept cells carry the dense count, a dropped cell's dense deviation is
+    above the dense minimum plus the merge slack, and so the minimizing set
+    is the dense one.  Returns the dense deviations."""
+    want = _dense_rejection_counts(cs, x1, n, l1n1, l2n2, alpha)
+    counts, kept = _rejection_counts(cs, x1, n, l1n1, l2n2, alpha)
+    assert counts[kept].tolist() == want[kept].tolist()
+    dense_dev = np.abs(want / x1.size - alpha)
+    assert (dense_dev[~kept] > dense_dev.min() + 1e-12).all()
+    got_dev = np.where(kept, np.abs(counts / x1.size - alpha), np.inf)
+    assert (np.flatnonzero(got_dev <= got_dev.min() + 1e-12).tolist()
+            == np.flatnonzero(dense_dev <= dense_dev.min() + 1e-12).tolist())
+    return dense_dev
+
+
 @given(_grid_count_cases())
 @settings(max_examples=150, deadline=None)
 def test_rejection_counts_match_a_dense_sweep_on_every_round(case):
-    # Kept cells carry the dense count, a dropped cell's dense deviation is
-    # above the dense minimum plus the merge slack, and so the minimizing
-    # set is the dense one.
     (x1, n, l1n1, l2n2), center, span, points, alpha = case
     grid = GridConfig()
     for round_idx in range(grid.refine_rounds + 1):
@@ -202,14 +214,31 @@ def test_rejection_counts_match_a_dense_sweep_on_every_round(case):
         cs = np.exp(np.linspace(math.log(center) - h, math.log(center) + h, points))
         if center == 1.0 and points % 2:
             cs[points // 2] = 1.0
-        want = _dense_rejection_counts(cs, x1, n, l1n1, l2n2, alpha)
-        counts, kept = _rejection_counts(cs, x1, n, l1n1, l2n2, alpha)
-        assert counts[kept].tolist() == want[kept].tolist()
-        dense_dev = np.abs(want / x1.size - alpha)
-        assert (dense_dev[~kept] > dense_dev.min() + 1e-12).all()
-        got_dev = np.where(kept, np.abs(counts / x1.size - alpha), np.inf)
-        assert (np.flatnonzero(got_dev <= got_dev.min() + 1e-12).tolist()
-                == np.flatnonzero(dense_dev <= dense_dev.min() + 1e-12).tolist())
+        _assert_counts_match_a_dense_sweep(cs, x1, n, l1n1, l2n2, alpha)
+
+
+def test_rejection_counts_on_one_point_grids():
+    # empirical_type1_deviation's grid: one factor, no pruning, no incumbent.
+    table, conserved = _null_poisson_table(np.random.default_rng(4), 40, 1.3)
+    arrays = _conserved_arrays(table, _conserved_rows(table, conserved))
+    for c in (0.5, 1.0, 1.3, 2.0):
+        counts, kept = _rejection_counts(np.array([c]), *arrays, 0.05)
+        assert kept.tolist() == [True]
+        assert counts.tolist() == _dense_rejection_counts(np.array([c]), *arrays, 0.05).tolist()
+
+
+@pytest.mark.parametrize("round_idx", range(3))
+def test_rejection_counts_when_the_incumbent_is_outside_the_minimizing_set(round_idx):
+    # Round-sized windows around c = 1.1 exclude the true 1.4, so the
+    # incumbent, next to the center, is only an upper bound on the minimum.
+    # In the narrower windows the first level proves most genes rejected
+    # there, so its exact count needs the proven counts too.
+    table, conserved = _null_poisson_table(np.random.default_rng(3), 300, 1.4)
+    arrays = _conserved_arrays(table, _conserved_rows(table, conserved))
+    h = math.log(1.2) * 0.1**round_idx
+    cs = 1.1 * np.exp(np.linspace(-h, h, 1000))
+    dense_dev = _assert_counts_match_a_dense_sweep(cs, *arrays, 0.05)
+    assert dense_dev[cs.size // 2] > dense_dev.min() + 1e-12
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@ import dataclasses
 import math
 import os
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -167,6 +168,29 @@ def test_sim_config_rejects_a_bad_rate_source(rate_source, message):
     with pytest.raises(ValueError) as excinfo:
         SimConfig(n_orthologs=100, conserved_size=10, rate_source=rate_source)
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("fields, message", [
+    (dict(fold=1e308, de_rate=0.5), "fold must exceed 1 and be at most 1e+100"),
+    (dict(fold=math.inf), "fold must exceed 1 and be at most 1e+100"),
+    (dict(depth_sp1=1e300), "depth_sp1 must be positive and at most 2**52"),
+    (dict(depth_sp1=1e18), "depth_sp1 must be positive and at most 2**52"),
+    (dict(depth_sp2=math.nan), "depth_sp2 must be positive and at most 2**52"),
+    (dict(length_max=2**60), "length_max must be < 2**53"),
+], ids=["fold-1e308", "fold-inf", "depth-1e300", "depth-1e18", "depth-nan", "length-2**60"])
+def test_sim_config_rejects_values_whose_draws_would_overflow(fields, message):
+    with pytest.raises(ValueError) as excinfo:
+        SimConfig(n_orthologs=200, conserved_size=50, **fields)
+    assert str(excinfo.value) == message
+
+
+def test_sim_config_at_its_limits_generates_without_overflow():
+    config = SimConfig(n_orthologs=200, conserved_size=50, de_rate=0.5, fold=1e100,
+                       depth_sp1=2.0**52, depth_sp2=2.0**52, length_max=2**53 - 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = generate_dataset(config).table
+    assert max(table.count_sp1.max(), table.count_sp2.max(), table.length_sp1.max()) < 2**53
 
 
 def test_from_mapping_names_unknown_and_missing_fields():
@@ -397,19 +421,25 @@ def test_a_failing_replicate_raises_the_serial_runs_first_error_from_workers(mon
 
 
 def test_a_worker_that_dies_raises_child_process_error(monkeypatch):
+    # The worker exits at once, while each of this process's 8 tasks sleeps
+    # 0.4 s: the run ends after this process's first task or two, not after
+    # its whole 3.2 s share.
     caller = os.getpid()
     original = simulation.generate_dataset
 
     def exit_in_worker(cfg):
         if os.getpid() != caller:
             os._exit(3)
+        time.sleep(0.4)
         return original(cfg)
 
     monkeypatch.setattr(simulation, "generate_dataset", exit_in_worker)
     _use_cpus(monkeypatch, 2)
+    start = time.perf_counter()
     with pytest.raises(ChildProcessError, match="ended with exit code 3 before sending"):
         run_study(SimConfig(n_orthologs=100, conserved_size=20), {}, ["median"],
-                  replicates=2, cutoff=0.01)
+                  replicates=16, cutoff=0.01)
+    assert time.perf_counter() - start < 2.0
     _assert_no_child_process_left()
 
 
@@ -507,8 +537,9 @@ def test_run_study_rejects_empty_or_repeated_methods_before_generating(
     ({}, "median", 0.01, "methods must be a list of method names, got 'median'"),
     ({"conserved_size": [200, 1200]}, ["median"], 0.01,
      "conserved_size needs 1200 null orthologs, only 1080 available"),
+    ({"fold": [2.0, 1e308]}, ["median"], 0.01, "fold must exceed 1 and be at most 1e+100"),
 ], ids=["second-value-out-of-range", "last-cell-not-a-number", "empty-list", "cutoff-2",
-        "methods-a-string", "conserved-set-too-large"])
+        "methods-a-string", "conserved-set-too-large", "fold-overflows"])
 def test_run_study_draws_no_dataset_for_an_invalid_study(monkeypatch, sweep, methods, cutoff,
                                                           message):
     drawn = []
