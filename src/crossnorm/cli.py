@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import re
 import sys
 from pathlib import Path
 
@@ -38,6 +39,11 @@ from .simulation import (DE_LABELS, LABEL_NULL, SimConfig, StudyCellResult, eval
 
 def _fmt6(value: float) -> str:
     return f"{value:.6g}"
+
+
+# A decimal float as results.tsv writes one: digits with an optional point
+# and exponent, such as 0.25, 1.0 or 5e-324.
+_DECIMAL = re.compile(r"[+-]?(?:[0-9]+\.?[0-9]*|\.[0-9]+)(?:[eE][+-]?[0-9]+)?")
 
 
 _WINDOW_EDGE_WARNING = (
@@ -299,8 +305,12 @@ def evaluate(results_path, truth_path, output_path) -> None:
                 if fields[de_col] not in ("true", "false"):
                     raise ValueError(f"{results_path}: line {lineno}: de_call must be true "
                                      f"or false, got {fields[de_col]!r}")
-                if fields[p_col] == "NA":
+                p_value = fields[p_col]
+                if p_value == "NA":
                     continue
+                if not (_DECIMAL.fullmatch(p_value) and 0.0 < float(p_value) <= 1.0):
+                    raise ValueError(f"{results_path}: line {lineno}: p_value must be NA or a "
+                                     f"number in (0, 1], got {p_value!r}")
                 calls[fields[0]] = fields[de_col] == "true"
         truth: dict[str, str] = {}
         with _text_lines(truth_path) as fh:

@@ -19,7 +19,10 @@ A byte that is not valid UTF-8 raises ``<path>: line N: not valid UTF-8``.
 Reports: a JSON summary (method, factor, tallies, config echo) plus a
 per-gene TSV ``gene_id  p_value  q_value  direction  de_call`` where
 untestable genes carry NA in the p/q columns.  Non-p/q floats are printed
-with 6 significant digits; p and q keep their full round-trip form.
+with 6 significant digits.  p and q are written exactly as ``repr`` writes
+them (the shortest round-trip decimal), computed for whole columns at once
+by :func:`crossnorm.floattext.pq_text`; a p or q outside (0, 1] that is not
+NaN raises ValueError.  results.tsv is assembled as one byte buffer.
 
 DE results are columnar: :func:`call_de` returns a :class:`DEResult` whose
 ``p_value`` and ``q_value`` are float64 arrays in table order, with NaN for
@@ -44,6 +47,7 @@ import numpy as np
 from .core import (ConservedSet, InvalidRow, OrthologTable, ScalingFactor, require_number,
                    validate_table)
 from .exact_test import binom_twosided_pvalues, null_prob_values
+from .floattext import WIDTH, pq_text
 from .normalization import (
     GridConfig,
     MedianScaleResult,
@@ -90,8 +94,17 @@ DIRECTION_SP2 = "higher_sp2"
 DIRECTION_NONE = "none"
 # DEResult.direction codes -1, 0 and +1 index this tuple at code + 1.
 _DIRECTION_NAMES = (DIRECTION_SP2, DIRECTION_NONE, DIRECTION_SP1)
-# results.tsv's direction and de_call fields, at 3 * de_call + direction + 1.
-_CALL_FIELDS = tuple(f"{name}\t{flag}" for flag in ("false", "true") for name in _DIRECTION_NAMES)
+_RESULTS_HEADER = b"gene_id\tp_value\tq_value\tdirection\tde_call\n"
+# results.tsv's direction and de_call fields and the line end, at
+# 3 * de_call + direction + 1: row r's bytes are _CALL_CHARS[r][_CALL_KEEP[r]].
+_CALL_FIELDS = [f"\t{name}\t{flag}\n".encode() for flag in ("false", "true")
+                for name in _DIRECTION_NAMES]
+_CALL_CHARS = np.array(_CALL_FIELDS, dtype="S18").view(np.uint8).reshape(6, 18)
+_CALL_KEEP = _CALL_CHARS != 0
+_CALL_LENGTH = _CALL_KEEP.sum(axis=1)
+# results.tsv is built this many lines at a time, which keeps the
+# temporaries small enough to stay in cache.
+_ROWS = 4096
 
 
 @dataclass(frozen=True)
@@ -490,15 +503,49 @@ def summary_dict(report: Report) -> dict:
     return summary
 
 
-def _repr_column(values: np.ndarray) -> list[str]:
-    # repr of each value, NA for NaN.  repr runs once per distinct value:
-    # BH q-values come in long runs of equal values.
-    tested = ~np.isnan(values)
-    distinct, inverse = np.unique(values[tested], return_inverse=True)
-    text = np.array(["NA"] + [repr(v) for v in distinct.tolist()], dtype=object)
-    codes = np.zeros(values.shape, dtype=np.intp)
-    codes[tested] = inverse + 1
-    return text[codes].tolist()
+def _results_tsv(calls: DEResult) -> bytes:
+    """results.tsv, built from the columns up to _ROWS lines at a time."""
+    for name, values in (("p_value", calls.p_value), ("q_value", calls.q_value)):
+        bad = ~((values > 0.0) & (values <= 1.0) | np.isnan(values))
+        if bad.any():
+            raise ValueError(f"{name} must be NaN or lie in (0, 1], "
+                             f"got {float(values[bad][0])!r}")
+    ids = calls.gene_ids
+    id_bytes = np.frombuffer("".join(ids).encode("utf-8"), dtype=np.uint8)
+    id_ends = np.cumsum(np.fromiter(map(len, ids), np.intp, len(ids)))
+    if id_bytes.size != id_ends[-1:].sum():
+        # Some id is not ASCII: it ends where the character after its last
+        # one starts (a byte not of the form 0b10xxxxxx).
+        id_ends = np.append(np.flatnonzero((id_bytes & 0xC0) != 0x80), id_bytes.size)[id_ends]
+    id_length = np.diff(id_ends, prepend=0)
+    call_code = 3 * calls.de_call + calls.direction + 1
+
+    # A line is the id's bytes, then its tail: the kept bytes of a row of
+    # fixed columns holding a tab, the p text, a tab, the q text and the
+    # call fields.
+    q_at = 1 + WIDTH + 1
+    call_at = q_at + WIDTH
+    chars = np.zeros((min(len(ids), _ROWS), call_at + _CALL_CHARS.shape[1]), dtype=np.uint8)
+    keep = np.zeros(chars.shape, dtype=bool)
+    chars[:, [0, q_at - 1]] = ord("\t")
+    keep[:, [0, q_at - 1]] = True
+    lines = [_RESULTS_HEADER]
+    for start in range(0, len(ids), _ROWS):
+        rows = slice(start, start + _ROWS)
+        code = call_code[rows]
+        line_chars, line_keep = chars[:code.size], keep[:code.size]
+        p_length = pq_text(calls.p_value[rows], line_chars[:, 1:q_at - 1],
+                           line_keep[:, 1:q_at - 1])
+        q_length = pq_text(calls.q_value[rows], line_chars[:, q_at:call_at],
+                           line_keep[:, q_at:call_at])
+        line_chars[:, call_at:] = _CALL_CHARS.take(code, axis=0)
+        line_keep[:, call_at:] = _CALL_KEEP.take(code, axis=0)
+        tail_length = p_length + q_length + 2 + _CALL_LENGTH.take(code)
+        tail_starts = np.cumsum(tail_length) - tail_length
+        lines.append(np.insert(line_chars[line_keep], np.repeat(tail_starts, id_length[rows]),
+                               id_bytes[id_ends[start] - id_length[start]:id_ends[rows][-1]])
+                     .tobytes())
+    return b"".join(lines)
 
 
 def write_report(report: Report, out_dir: str | Path) -> tuple[Path, Path]:
@@ -510,11 +557,5 @@ def write_report(report: Report, out_dir: str | Path) -> tuple[Path, Path]:
     with summary_path.open("w", encoding="utf-8", newline="\n") as fh:
         json.dump(summary_dict(report), fh, indent=2, sort_keys=True)
         fh.write("\n")
-    calls = report.calls
-    call_fields = np.asarray(_CALL_FIELDS, dtype=object)[3 * calls.de_call + calls.direction + 1]
-    rows = zip(calls.gene_ids, _repr_column(calls.p_value), _repr_column(calls.q_value),
-               call_fields.tolist())
-    with results_path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("gene_id\tp_value\tq_value\tdirection\tde_call\n")
-        fh.write("\n".join(map("\t".join, rows)) + "\n")
+    results_path.write_bytes(_results_tsv(report.calls))
     return summary_path, results_path

@@ -71,8 +71,11 @@ DE_LABELS = frozenset({LABEL_DE_UP_SP1, LABEL_DE_UP_SP2, LABEL_UNIQUE_SP1, LABEL
 _LOGNORMAL_SIGMA = 1.5  # fallback rate model when no reference table is given
 # An ortholog-table gene's Poisson mean is its share of its species' depth,
 # so with depths up to 2**52 every table count stays below the 2**53 limit.
-# Unmapped genes are scaled by the table genes' total output, not bounded.
+# Unmapped genes are scaled by the table genes' total output, so their
+# means are not bounded this way; they are capped at _MAX_POISSON_MEAN.
 _MAX_DEPTH = 2.0**52
+# numpy's largest Poisson mean (a larger one raises "lam value too large").
+_MAX_POISSON_MEAN = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 # Rates (at most about 1e9 from the lognormal, 1 from a rate table) times
 # the fold, lengths below 2**53 and any gene count stay far inside float64
 # with folds up to 1e100, in both directions of the fold.
@@ -256,8 +259,8 @@ def generate_dataset(config: SimConfig) -> SimulatedDataset:
     unm1_len = rng.integers(config.length_min, config.length_max + 1, size=config.n_unmapped_sp1)
     unm2_mu = _draw_rates(rng, config.n_unmapped_sp2, config.rate_source)
     unm2_len = rng.integers(config.length_min, config.length_max + 1, size=config.n_unmapped_sp2)
-    unmapped_reads_sp1 = int(rng.poisson(unm1_mu * unm1_len * (config.depth_sp1 / s1)).sum())
-    unmapped_reads_sp2 = int(rng.poisson(unm2_mu * unm2_len * (config.depth_sp2 / s2)).sum())
+    unmapped_reads_sp1 = _unmapped_reads(rng, unm1_mu * unm1_len * (config.depth_sp1 / s1))
+    unmapped_reads_sp2 = _unmapped_reads(rng, unm2_mu * unm2_len * (config.depth_sp2 / s2))
 
     ids = [f"g{i:06d}" for i in range(n_table)]
     table = validate_table(ids, length_sp1=len_sp1, length_sp2=len_sp2,
@@ -294,6 +297,16 @@ def generate_dataset(config: SimConfig) -> SimulatedDataset:
         true_c=ScalingFactor(s2 / s1),
         meta=meta,
     )
+
+
+def _unmapped_reads(rng: np.random.Generator, means: np.ndarray) -> int:
+    """The total of one Poisson draw per unmapped gene, as an exact int.
+
+    Each mean is capped at numpy's limit, which leaves every draw that
+    would otherwise succeed unchanged; the sum is taken over Python ints,
+    so it cannot wrap.
+    """
+    return sum(rng.poisson(np.minimum(means, _MAX_POISSON_MEAN)).tolist())
 
 
 def _de_mask(truth: Mapping[str, str], gene_ids) -> np.ndarray:

@@ -436,7 +436,16 @@ def test_count_beyond_2_pow_53_fails_with_line_number(tmp_path):
     ("truth.tsv", "g2\tnull\textra", "line 3: expected 2 tab-separated fields"),
     ("results.tsv", "g2\t1e-09\t2e-09\thigher_sp1\tyes",
      "line 3: de_call must be true or false, got 'yes'"),
-], ids=["short-results-row", "blank-results-row", "three-field-truth-row", "de-call-yes"])
+    ("results.tsv", "g2\tabc\t2e-09\tnone\tfalse",
+     "line 3: p_value must be NA or a number in (0, 1], got 'abc'"),
+    ("results.tsv", "g2\t-3\t2e-09\tnone\tfalse",
+     "line 3: p_value must be NA or a number in (0, 1], got '-3'"),
+    ("results.tsv", "g2\t1.5\t1.0\tnone\tfalse",
+     "line 3: p_value must be NA or a number in (0, 1], got '1.5'"),
+    ("results.tsv", "g2\tnan\tNA\tnone\tfalse",
+     "line 3: p_value must be NA or a number in (0, 1], got 'nan'"),
+], ids=["short-results-row", "blank-results-row", "three-field-truth-row", "de-call-yes",
+        "p-value-text", "p-value-negative", "p-value-above-1", "p-value-nan"])
 def test_evaluate_malformed_row_is_a_one_line_error(tmp_path, name, row, message):
     lines = {
         "results.tsv": ["gene_id\tp_value\tq_value\tdirection\tde_call",

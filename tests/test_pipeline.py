@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossnorm import pipeline
 from crossnorm.core import ConservedSet, InvalidRow, ScalingFactor, validate_table
 from crossnorm.exact_test import binom_twosided_pvalues, null_prob_values
 from crossnorm.normalization import (
@@ -15,6 +16,7 @@ from crossnorm.normalization import (
     scbn_scaling_factor,
 )
 from crossnorm.pipeline import (
+    DEResult,
     Report,
     RunConfig,
     bh_adjust,
@@ -749,7 +751,18 @@ def _report_of(calls):
                   conserved_unknown=0)
 
 
-def test_results_tsv_matches_the_row_by_row_writer(tmp_path):
+def _deresult(ids, p, direction, called):
+    p = np.array(p, dtype=np.float64)
+    return DEResult(tuple(ids), p, bh_adjust(p), np.array(direction, dtype=np.int8),
+                    np.array(called, dtype=bool))
+
+
+def _expected_results_tsv(calls):
+    return ("gene_id\tp_value\tq_value\tdirection\tde_call\n" + "".join(
+        _result_line(r) + "\n" for r in calls.records)).encode("utf-8")
+
+
+def test_results_tsv_of_edge_rows_and_a_simulated_table(tmp_path):
     edge = _check_columns_against_loop(table_of(_EDGE_ROWS), 1.0, 1e-6)
     p, q = edge.p_value, edge.q_value
     assert np.isnan(p[0]) and p[1] == 1.0 and p[2] == p[3] == 5e-324
@@ -764,6 +777,51 @@ def test_results_tsv_matches_the_row_by_row_writer(tmp_path):
 
     for name, calls in (("edge", edge), ("simulated", simulated)):
         _, path = write_report(_report_of(calls), tmp_path / name)
-        expected = "gene_id\tp_value\tq_value\tdirection\tde_call\n" + "".join(
-            _result_line(r) + "\n" for r in calls.records)
-        assert path.read_bytes() == expected.encode("utf-8")
+        assert path.read_bytes() == _expected_results_tsv(calls)
+
+
+# Gene ids of any characters but lone surrogates (which UTF-8 cannot
+# encode), with some non-ASCII ones drawn often.
+_GENE_IDS = st.text(st.one_of(st.sampled_from(["g", "è", "\u2028", "\U0001f9ec", "\t"]),
+                              st.characters(blacklist_categories=("Cs",))),
+                    min_size=1, max_size=8)
+# P-values with the edges drawn often; shared values give tied q-values.
+_P_VALUES = st.one_of(st.sampled_from([math.nan, 1.0, 5e-324, 0.5, 1e-05, 0.03]),
+                      st.floats(min_value=5e-324, max_value=1.0))
+# (direction, de_call): not called, or called in either direction.
+_CALLS = st.sampled_from([(0, False), (1, True), (-1, True)])
+
+
+@given(st.lists(st.tuples(_GENE_IDS, _P_VALUES, _CALLS), min_size=1, max_size=40,
+                unique_by=lambda row: row[0]))
+@settings(max_examples=100, deadline=None)
+def test_results_tsv_matches_the_row_by_row_writer(tmp_path_factory, rows):
+    ids, p, call = zip(*rows)
+    calls = _deresult(ids, p, *zip(*call))
+    _, path = write_report(_report_of(calls), tmp_path_factory.mktemp("report"))
+    assert path.read_bytes() == _expected_results_tsv(calls)
+
+
+def test_results_tsv_is_written_in_blocks_of_lines(tmp_path, monkeypatch):
+    monkeypatch.setattr(pipeline, "_ROWS", 7)
+    ids = [f"gène{i}" + "x" * (i % 7) * 60 for i in range(300)]
+    p = np.linspace(1e-300, 1.0, 300)
+    p[::17] = np.nan
+    calls = _deresult(ids, p, [1, -1, 0] * 100, [True, True, False] * 100)
+    _, path = write_report(_report_of(calls), tmp_path)
+    assert path.read_bytes() == _expected_results_tsv(calls)
+
+
+@pytest.mark.parametrize("column, value", [
+    ("p_value", 1.5), ("p_value", -0.0), ("p_value", 0.0), ("q_value", math.inf),
+    ("q_value", -1e-300),
+])
+def test_write_report_rejects_p_and_q_outside_the_unit_interval(tmp_path, column, value):
+    calls = _deresult(["g1", "g2"], [0.5, math.nan], [0, 0], [False, False])
+    columns = {"p_value": calls.p_value.copy(), "q_value": calls.q_value.copy()}
+    columns[column][0] = value
+    bad = DEResult(calls.gene_ids, columns["p_value"], columns["q_value"], calls.direction,
+                   calls.de_call)
+    with pytest.raises(ValueError) as excinfo:
+        write_report(_report_of(bad), tmp_path)
+    assert str(excinfo.value) == f"{column} must be NaN or lie in (0, 1], got {value!r}"

@@ -193,6 +193,20 @@ def test_sim_config_at_its_limits_generates_without_overflow():
     assert max(table.count_sp1.max(), table.count_sp2.max(), table.length_sp1.max()) < 2**53
 
 
+@pytest.mark.parametrize("seed", range(20))
+def test_long_unmapped_genes_at_the_largest_depth_are_drawn(seed):
+    # One table gene leaves the unmapped genes' Poisson means unbounded; at
+    # seed 15 one passes numpy's limit, and the sum passes int64 at most seeds.
+    config = SimConfig(n_orthologs=1, conserved_size=1, n_unmapped_sp1=1000, length_min=1,
+                       length_max=2**53 - 1, depth_sp1=2.0**52, seed=seed)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        ds = generate_dataset(config)
+    unmapped = ds.meta["unmapped_reads_sp1"]
+    assert type(unmapped) is int and unmapped > 0
+    assert ds.meta["total_reads_sp1"] == ds.table.total_sp1 + unmapped
+
+
 def test_from_mapping_names_unknown_and_missing_fields():
     with pytest.raises(ValueError, match=r"^unknown simulation field\(s\): bogus$"):
         SimConfig.from_mapping({"n_orthologs": 10, "conserved_size": 2, "bogus": 1})
