@@ -7,15 +7,15 @@ configuration sweep, and ``evaluate`` scores calls against truth labels.
 
 Every file a subcommand reads, JSON specs included, is decoded by
 ``pipeline._read_text``: UTF-8 with an optional byte-order mark, where a
-bad byte is an error naming the file and line.
+bad byte is an error naming the file and line.  Text tables are split into
+numbered lines by ``pipeline._read_lines`` alone.  A ValueError or OSError
+from any subcommand ends the run with one ``error:`` line and exit status 1.
 """
 from __future__ import annotations
 
 import dataclasses
-import io
 import json
 import re
-import sys
 from pathlib import Path
 
 import click
@@ -25,6 +25,7 @@ from .normalization import ScbnResult
 from .pipeline import (
     METHODS,
     RunConfig,
+    _read_lines,
     _read_text,
     estimate_factor,
     load_conserved_list,
@@ -50,12 +51,20 @@ _WINDOW_EDGE_WARNING = (
     "warning: the scbn optimum is at the edge of the grid window, so the best "
     "factor may lie outside it; widen --grid-span or move --grid-center"
 )
-_IQR_FALLBACK_WARNING = "warning: IQR filter kept no genes; used all conserved genes"
+_IQR_FALLBACK_WARNING = (
+    "warning: the IQR filter kept no genes, or a kept-set median is 0; "
+    "used all conserved genes"
+)
 
 
-def _fail(message: str) -> None:
-    click.echo(f"error: {message}", err=True)
-    sys.exit(1)
+def _warn_fit(unknown: int, window_edge: bool, iqr_fallback: bool) -> None:
+    """Print the warnings that ``normalize`` and ``test`` share to stderr."""
+    if unknown:
+        click.echo(f"warning: {unknown} conserved id(s) not in the count table", err=True)
+    if window_edge:
+        click.echo(_WINDOW_EDGE_WARNING, err=True)
+    if iqr_fallback:
+        click.echo(_IQR_FALLBACK_WARNING, err=True)
 
 
 def _load_spec(path: str):
@@ -85,7 +94,20 @@ def _run_options(func):
     return func
 
 
-@click.group()
+class _Main(click.Group):
+    """The command group: a ValueError or OSError from a subcommand (a dead
+    study worker's ChildProcessError included) becomes one ``error:`` line
+    on stderr and exit status 1."""
+
+    def invoke(self, ctx: click.Context):
+        try:
+            return super().invoke(ctx)
+        except (ValueError, OSError) as exc:
+            click.echo(f"error: {exc}", err=True)
+            ctx.exit(1)
+
+
+@click.group(cls=_Main)
 @click.version_option(version=__version__, prog_name="crossnorm")
 def main() -> None:
     """Cross-species RNA-seq normalization and exact DE testing."""
@@ -97,36 +119,29 @@ def main() -> None:
               help="Optional JSON file for the estimate.")
 def normalize(output_path, **settings) -> None:
     """Estimate the between-species scaling factor."""
-    try:
-        config = RunConfig(**settings)
-        table = load_counts_tsv(config.counts_path)
-        conserved, unknown = load_conserved_list(config.conserved_path, table)
-        if unknown:
-            click.echo(f"warning: {unknown} conserved id(s) not in the count table", err=True)
-        fit = estimate_factor(table, conserved, config.method, config.grid())
-        payload = {"method": config.method, "conserved_used": conserved.m,
-                   "scaling_factor": float(_fmt6(fit.factor.c))}
-        click.echo(f"scaling_factor\t{_fmt6(fit.factor.c)}")
-        if isinstance(fit, ScbnResult):
-            payload["objective"] = {
-                "deviation": float(_fmt6(fit.objective.deviation)),
-                "rejection_rate": float(_fmt6(fit.objective.rejection_rate)),
-            }
-            click.echo(f"rejection_rate\t{_fmt6(fit.objective.rejection_rate)}")
-            click.echo(f"deviation\t{_fmt6(fit.objective.deviation)}")
-            if fit.window_edge:
-                click.echo(_WINDOW_EDGE_WARNING, err=True)
-        else:
-            payload["iqr_filtered"] = fit.iqr_filtered
-            payload["kept_genes"] = fit.kept_genes
-            if not fit.iqr_filtered:
-                click.echo(_IQR_FALLBACK_WARNING, err=True)
-        if output_path:
-            Path(output_path).write_text(
-                json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-            )
-    except (ValueError, OSError) as exc:
-        _fail(str(exc))
+    config = RunConfig(**settings)
+    table = load_counts_tsv(config.counts_path)
+    conserved, unknown = load_conserved_list(config.conserved_path, table)
+    fit = estimate_factor(table, conserved, config.method, config.grid())
+    scbn = isinstance(fit, ScbnResult)
+    _warn_fit(unknown, scbn and fit.window_edge, not scbn and not fit.iqr_filtered)
+    payload = {"method": config.method, "conserved_used": conserved.m,
+               "scaling_factor": float(_fmt6(fit.factor.c))}
+    click.echo(f"scaling_factor\t{_fmt6(fit.factor.c)}")
+    if scbn:
+        payload["objective"] = {
+            "deviation": float(_fmt6(fit.objective.deviation)),
+            "rejection_rate": float(_fmt6(fit.objective.rejection_rate)),
+        }
+        click.echo(f"rejection_rate\t{_fmt6(fit.objective.rejection_rate)}")
+        click.echo(f"deviation\t{_fmt6(fit.objective.deviation)}")
+    else:
+        payload["iqr_filtered"] = fit.iqr_filtered
+        payload["kept_genes"] = fit.kept_genes
+    if output_path:
+        Path(output_path).write_text(
+            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
+        )
 
 
 @main.command(name="test")
@@ -139,27 +154,16 @@ def normalize(output_path, **settings) -> None:
               help="Directory for summary.json and results.tsv.")
 def test_cmd(output_dir, **settings) -> None:
     """Run the full pipeline: normalize, test every gene, call DE, report."""
-    try:
-        config = RunConfig(**settings)
-        report = run_pipeline(config)
-        if report.conserved_unknown:
-            click.echo(
-                f"warning: {report.conserved_unknown} conserved id(s) not in the count table",
-                err=True,
-            )
-        if report.window_edge:
-            click.echo(_WINDOW_EDGE_WARNING, err=True)
-        if report.iqr_fallback:
-            click.echo(_IQR_FALLBACK_WARNING, err=True)
-        summary_path, results_path = write_report(report, output_dir)
-        click.echo(f"scaling_factor\t{_fmt6(report.scaling_factor)}")
-        click.echo(f"total_de\t{report.total_de}")
-        click.echo(f"higher_sp1\t{report.higher_sp1}")
-        click.echo(f"higher_sp2\t{report.higher_sp2}")
-        click.echo(f"summary\t{summary_path}")
-        click.echo(f"results\t{results_path}")
-    except (ValueError, OSError) as exc:
-        _fail(str(exc))
+    config = RunConfig(**settings)
+    report = run_pipeline(config)
+    _warn_fit(report.conserved_unknown, report.window_edge, report.iqr_fallback)
+    summary_path, results_path = write_report(report, output_dir)
+    click.echo(f"scaling_factor\t{_fmt6(report.scaling_factor)}")
+    click.echo(f"total_de\t{report.total_de}")
+    click.echo(f"higher_sp1\t{report.higher_sp1}")
+    click.echo(f"higher_sp2\t{report.higher_sp2}")
+    click.echo(f"summary\t{summary_path}")
+    click.echo(f"results\t{results_path}")
 
 
 def _grid_text(value) -> str:
@@ -196,33 +200,30 @@ def _load_rate_table(path: str) -> tuple[float, ...]:
 @click.option("--output", "output_dir", required=True, type=click.Path())
 def simulate(spec_path, rate_table, output_dir, **fields) -> None:
     """Write a synthetic dataset: counts.tsv, conserved.txt, truth.tsv, meta.json."""
-    try:
-        if spec_path is not None:
-            config = SimConfig.from_mapping(_load_spec(spec_path))
-        elif fields["n_orthologs"] is None:
-            raise ValueError("either --spec or --n-orthologs is required")
-        else:
-            config = SimConfig(**fields, rate_source=rate_table and _load_rate_table(rate_table))
-        dataset = generate_dataset(config)
-        out = Path(output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        write_counts_tsv(dataset.table, out / "counts.tsv")
-        with (out / "conserved.txt").open("w", encoding="utf-8", newline="\n") as fh:
-            for gid in sorted(dataset.reported_conserved.gene_ids):
-                fh.write(gid + "\n")
-        with (out / "truth.tsv").open("w", encoding="utf-8", newline="\n") as fh:
-            fh.write("gene_id\tlabel\n")
-            for gene_id in dataset.table.gene_ids:
-                fh.write(f"{gene_id}\t{dataset.truth[gene_id]}\n")
-        meta = dict(dataset.meta)
-        meta["true_c"] = float(_fmt6(dataset.true_c.c))
-        with (out / "meta.json").open("w", encoding="utf-8", newline="\n") as fh:
-            json.dump(meta, fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        click.echo(f"true_c\t{_fmt6(dataset.true_c.c)}")
-        click.echo(f"output\t{out}")
-    except (ValueError, OSError) as exc:
-        _fail(str(exc))
+    if spec_path is not None:
+        config = SimConfig.from_mapping(_load_spec(spec_path))
+    elif fields["n_orthologs"] is None:
+        raise ValueError("either --spec or --n-orthologs is required")
+    else:
+        config = SimConfig(**fields, rate_source=rate_table and _load_rate_table(rate_table))
+    dataset = generate_dataset(config)
+    out = Path(output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    write_counts_tsv(dataset.table, out / "counts.tsv")
+    with (out / "conserved.txt").open("w", encoding="utf-8", newline="\n") as fh:
+        for gid in sorted(dataset.reported_conserved.gene_ids):
+            fh.write(gid + "\n")
+    with (out / "truth.tsv").open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write("gene_id\tlabel\n")
+        for gene_id in dataset.table.gene_ids:
+            fh.write(f"{gene_id}\t{dataset.truth[gene_id]}\n")
+    meta = dict(dataset.meta)
+    meta["true_c"] = float(_fmt6(dataset.true_c.c))
+    with (out / "meta.json").open("w", encoding="utf-8", newline="\n") as fh:
+        json.dump(meta, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    click.echo(f"true_c\t{_fmt6(dataset.true_c.c)}")
+    click.echo(f"output\t{out}")
 
 
 _STUDY_SPEC_KEYS = {"seed", "replicates", "methods", "alpha", "cutoff", "base", "sweep"}
@@ -234,48 +235,39 @@ _STUDY_SPEC_KEYS = {"seed", "replicates", "methods", "alpha", "cutoff", "base", 
 @click.option("--output", "output_dir", required=True, type=click.Path())
 def study(spec_path, output_dir) -> None:
     """Run a simulation sweep and write the replicate-averaged result grid."""
-    try:
-        spec = _load_spec(spec_path)
-        if not isinstance(spec, dict):
-            raise ValueError("a study spec must be a JSON object")
-        unknown = set(spec) - _STUDY_SPEC_KEYS
-        if unknown:
-            raise ValueError(f"unknown study spec key(s): {', '.join(sorted(unknown))}")
-        if "base" not in spec:
-            raise ValueError("a study spec needs a base object of simulation fields")
-        sweep = spec.get("sweep", {})
-        cells = run_study(SimConfig.from_mapping(spec["base"]), sweep,
-                          spec.get("methods", list(METHODS)), spec.get("replicates", 100),
-                          spec.get("cutoff", 1e-6), alpha=spec.get("alpha", 0.05),
-                          master_seed=spec.get("seed", 0))
-        out = Path(output_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        columns = [f.name for f in dataclasses.fields(StudyCellResult) if f.name != "params"]
-        grid_path = out / "grid.tsv"
-        with grid_path.open("w", encoding="utf-8", newline="\n") as fh:
-            fh.write("\t".join([*sweep, *columns]) + "\n")
-            for cell in cells:
-                values = [float(cell.params[f]) for f in sweep]
-                values += [getattr(cell, col) for col in columns]
-                fh.write("\t".join(map(_grid_text, values)) + "\n")
-        click.echo(f"cells\t{len(cells)}")
-        click.echo(f"grid\t{grid_path}")
-    except (ValueError, OSError) as exc:
-        _fail(str(exc))
+    spec = _load_spec(spec_path)
+    if not isinstance(spec, dict):
+        raise ValueError("a study spec must be a JSON object")
+    unknown = set(spec) - _STUDY_SPEC_KEYS
+    if unknown:
+        raise ValueError(f"unknown study spec key(s): {', '.join(sorted(unknown))}")
+    if "base" not in spec:
+        raise ValueError("a study spec needs a base object of simulation fields")
+    sweep = spec.get("sweep", {})
+    cells = run_study(SimConfig.from_mapping(spec["base"]), sweep,
+                      spec.get("methods", list(METHODS)), spec.get("replicates", 100),
+                      spec.get("cutoff", 1e-6), alpha=spec.get("alpha", 0.05),
+                      master_seed=spec.get("seed", 0))
+    out = Path(output_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    columns = [f.name for f in dataclasses.fields(StudyCellResult) if f.name != "params"]
+    grid_path = out / "grid.tsv"
+    with grid_path.open("w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\t".join([*sweep, *columns]) + "\n")
+        for cell in cells:
+            values = [float(cell.params[f]) for f in sweep]
+            values += [getattr(cell, col) for col in columns]
+            fh.write("\t".join(map(_grid_text, values)) + "\n")
+    click.echo(f"cells\t{len(cells)}")
+    click.echo(f"grid\t{grid_path}")
 
 
-def _text_lines(path: str) -> io.StringIO:
-    """The file's lines as the count loaders decode them, with universal newlines."""
-    return io.StringIO(_read_text(Path(path)), newline=None)
-
-
-def _tsv_rows(path, fh, width: int):
-    """Split the data lines after a header into ``width`` fields each, and
+def _tsv_rows(path, lines: list[str], width: int):
+    """Split the lines after the header into ``width`` fields each, and
     yield them with their line numbers; blank lines are skipped, and the
     first field (the gene id) must not repeat."""
     seen: set[str] = set()
-    for lineno, line in enumerate(fh, start=2):
-        line = line.rstrip("\n")
+    for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         fields = line.split("\t")
@@ -293,54 +285,50 @@ def _tsv_rows(path, fh, width: int):
 @click.option("--output", "output_path", type=click.Path(), default=None)
 def evaluate(results_path, truth_path, output_path) -> None:
     """Score a results.tsv against simulation truth labels."""
-    try:
-        calls: dict[str, bool] = {}
-        with _text_lines(results_path) as fh:
-            header = fh.readline().rstrip("\n").split("\t")
-            if header[:1] != ["gene_id"] or not {"de_call", "p_value"} <= set(header):
-                raise ValueError(f"{results_path}: not a results table")
-            de_col = header.index("de_call")
-            p_col = header.index("p_value")
-            for lineno, fields in _tsv_rows(results_path, fh, len(header)):
-                if fields[de_col] not in ("true", "false"):
-                    raise ValueError(f"{results_path}: line {lineno}: de_call must be true "
-                                     f"or false, got {fields[de_col]!r}")
-                p_value = fields[p_col]
-                if p_value == "NA":
-                    continue
-                if not (_DECIMAL.fullmatch(p_value) and 0.0 < float(p_value) <= 1.0):
-                    raise ValueError(f"{results_path}: line {lineno}: p_value must be NA or a "
-                                     f"number in (0, 1], got {p_value!r}")
-                calls[fields[0]] = fields[de_col] == "true"
-        truth: dict[str, str] = {}
-        with _text_lines(truth_path) as fh:
-            header = fh.readline().rstrip("\n").split("\t")
-            if header != ["gene_id", "label"]:
-                raise ValueError(f"{truth_path}: expected header 'gene_id\\tlabel'")
-            for lineno, (gid, label) in _tsv_rows(truth_path, fh, 2):
-                if label not in DE_LABELS and label != LABEL_NULL:
-                    raise ValueError(f"{truth_path}: line {lineno}: unknown label {label!r}")
-                truth[gid] = label
-        tested_truth = {gid: truth[gid] for gid in calls if gid in truth}
-        if set(tested_truth) != set(calls):
-            missing = len(set(calls) - set(truth))
-            raise ValueError(f"{missing} tested gene(s) missing from the truth table")
-        metrics = evaluate_run(calls, tested_truth)
-        payload = {
-            "false_discoveries": metrics.false_discoveries,
-            "precision": None if metrics.precision is None else float(_fmt6(metrics.precision)),
-            "sensitivity": None if metrics.sensitivity is None
-                           else float(_fmt6(metrics.sensitivity)),
-            "f_score": float(_fmt6(metrics.f_score)),
-            "tested_genes": len(calls),
-            "untested_genes": len(truth) - len(calls),
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True)
-        click.echo(text)
-        if output_path:
-            Path(output_path).write_text(text + "\n", encoding="utf-8")
-    except (ValueError, OSError) as exc:
-        _fail(str(exc))
+    calls: dict[str, bool] = {}
+    lines = _read_lines(Path(results_path))
+    header = lines[0].split("\t") if lines else []
+    if header[:1] != ["gene_id"] or not {"de_call", "p_value"} <= set(header):
+        raise ValueError(f"{results_path}: not a results table")
+    de_col = header.index("de_call")
+    p_col = header.index("p_value")
+    for lineno, fields in _tsv_rows(results_path, lines, len(header)):
+        if fields[de_col] not in ("true", "false"):
+            raise ValueError(f"{results_path}: line {lineno}: de_call must be true "
+                             f"or false, got {fields[de_col]!r}")
+        p_value = fields[p_col]
+        if p_value == "NA":
+            continue
+        if not (_DECIMAL.fullmatch(p_value) and 0.0 < float(p_value) <= 1.0):
+            raise ValueError(f"{results_path}: line {lineno}: p_value must be NA or a "
+                             f"number in (0, 1], got {p_value!r}")
+        calls[fields[0]] = fields[de_col] == "true"
+    truth: dict[str, str] = {}
+    lines = _read_lines(Path(truth_path))
+    if lines[:1] != ["gene_id\tlabel"]:
+        raise ValueError(f"{truth_path}: expected header 'gene_id\\tlabel'")
+    for lineno, (gid, label) in _tsv_rows(truth_path, lines, 2):
+        if label not in DE_LABELS and label != LABEL_NULL:
+            raise ValueError(f"{truth_path}: line {lineno}: unknown label {label!r}")
+        truth[gid] = label
+    tested_truth = {gid: truth[gid] for gid in calls if gid in truth}
+    if set(tested_truth) != set(calls):
+        missing = len(set(calls) - set(truth))
+        raise ValueError(f"{missing} tested gene(s) missing from the truth table")
+    metrics = evaluate_run(calls, tested_truth)
+    payload = {
+        "false_discoveries": metrics.false_discoveries,
+        "precision": None if metrics.precision is None else float(_fmt6(metrics.precision)),
+        "sensitivity": None if metrics.sensitivity is None
+                       else float(_fmt6(metrics.sensitivity)),
+        "f_score": float(_fmt6(metrics.f_score)),
+        "tested_genes": len(calls),
+        "untested_genes": len(truth) - len(calls),
+    }
+    text = json.dumps(payload, indent=2, sort_keys=True)
+    click.echo(text)
+    if output_path:
+        Path(output_path).write_text(text + "\n", encoding="utf-8")
 
 
 if __name__ == "__main__":

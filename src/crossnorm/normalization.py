@@ -36,6 +36,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import ClassVar
 
 import numpy as np
 
@@ -91,8 +92,9 @@ class GridConfig:
 
     The coarse grid spans [center/span, center*span] with log spacing; each
     refinement round re-grids the same number of points over a window whose
-    log half-width shrinks by ``refine_shrink`` per round, centered on the
-    incumbent.  When ``center`` is unset the median baseline seeds it.
+    log half-width shrinks by the constant ``refine_shrink`` per round,
+    centered on the incumbent.  When ``center`` is unset the median
+    baseline seeds it.
     ``coarse_points`` lies in [10, MAX_COARSE_POINTS].
     """
 
@@ -101,7 +103,7 @@ class GridConfig:
     span: float = 10.0
     coarse_points: int = 1000
     refine_rounds: int = 3
-    refine_shrink: float = 0.1
+    refine_shrink: ClassVar[float] = 0.1
 
     def __post_init__(self) -> None:
         if not (0.0 < self.alpha < 1.0):
@@ -116,8 +118,6 @@ class GridConfig:
             raise ValueError(f"coarse_points must be <= {MAX_COARSE_POINTS}")
         if self.refine_rounds < 0:
             raise ValueError("refine_rounds must be >= 0")
-        if not (0.0 < self.refine_shrink < 1.0):
-            raise ValueError("refine_shrink must lie in (0, 1)")
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,11 @@ non-ASCII digits are errors.
 
 Conserved list: plain text, one gene id per line, ``#`` comments allowed.
 
-Both input formats may start with a UTF-8 byte-order mark, which is ignored.
-A byte that is not valid UTF-8 raises ``<path>: line N: not valid UTF-8``.
+Both, and ``crossnorm evaluate``'s tables, are read by :func:`_read_lines`:
+UTF-8 that may start with a byte-order mark, which is ignored, split into
+lines and numbered by ``str.splitlines``.  A byte that is not valid UTF-8
+raises ``<path>: line N: not valid UTF-8``.  Gene ids hold no tab and no
+such line break, so every table written here reads back.
 
 ``RunConfig.grid_points`` lies in [10, ``normalization.MAX_COARSE_POINTS``]
 (10**6).
@@ -34,7 +37,6 @@ first access, for inspection only.  :func:`testable_calls` slices the
 """
 from __future__ import annotations
 
-import io
 import itertools
 import json
 import re
@@ -220,16 +222,21 @@ def _read_text(path: Path) -> str:
         return data.decode("utf-8-sig")
     except UnicodeDecodeError as exc:
         # exc.object is the data after the byte-order mark; lines are counted
-        # as str.splitlines splits them.
+        # as _read_lines splits them.
         head = exc.object[:exc.start].decode("utf-8")
         lineno = len((head + "x").splitlines())
         raise ValueError(f"{path}: line {lineno}: not valid UTF-8") from None
 
 
+def _read_lines(path: Path) -> list[str]:
+    """The file's lines: every text table is split and numbered this way."""
+    return _read_text(path).splitlines()
+
+
 def load_counts_tsv(path: str | Path) -> OrthologTable:
     """Parse and validate a count table, reporting offending line numbers."""
     path = Path(path)
-    lines = _read_text(path).splitlines()
+    lines = _read_lines(path)
     if not lines:
         raise ValueError(f"{path}: file is empty")
     header = tuple(lines[0].split("\t"))
@@ -326,8 +333,8 @@ def load_conserved_list(path: str | Path, table: OrthologTable) -> tuple[Conserv
     """
     path = Path(path)
     wanted: list[str] = []
-    for raw in io.StringIO(_read_text(path), newline=None):
-        line = raw.strip()
+    for line in _read_lines(path):
+        line = line.strip()
         if not line or line.startswith("#"):
             continue
         wanted.append(line)

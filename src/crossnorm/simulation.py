@@ -542,7 +542,8 @@ def run_study(
     more than one CPU is usable, this process and forked workers share the
     replicates, with results identical to a serial run.  Results are averaged per cell
     and method; replicates with an undefined metric are excluded from that
-    metric's average with the exclusion counted.
+    metric's average with the exclusion counted.  ``grid`` defaults to
+    ``GridConfig(alpha=alpha)``; a given grid must have the same alpha.
     """
     from .normalization import GridConfig
     from .pipeline import METHODS, _check_cutoff
@@ -581,6 +582,8 @@ def run_study(
         raise ValueError("study seed must be >= 0")
     if grid is None:
         grid = GridConfig(alpha=alpha)
+    elif grid.alpha != alpha:
+        raise ValueError(f"grid alpha {grid.alpha!r} differs from the study alpha {alpha!r}")
 
     tasks = [(replace(cell, seed=_child_seed(master_seed, cell_index, rep)), methods, cutoff, grid)
              for cell_index, (_, cell) in enumerate(cells) for rep in range(replicates)]

@@ -549,6 +549,53 @@ def test_evaluate_rejects_a_repeated_gene_id(tmp_path, name):
     assert result.output.strip() == f"error: {tmp_path / name}: line 4: duplicate gene_id 'g1'"
 
 
+# Each input with a form feed inside its second line, which splits that
+# line in two as str.splitlines does.
+_FORM_FEED_LINES = {
+    "counts.tsv": ["gene_id\tlength_sp1\tcount_sp1\tlength_sp2\tcount_sp2",
+                   "g0\t10\t5\t10\t5\x0cg1\t10\t5\t10\t5"],
+    "results.tsv": ["gene_id\tp_value\tq_value\tdirection\tde_call",
+                    "g0\t0.5\t0.5\tnone\tfalse\x0cg1\t1e-09\t2e-09\thigher_sp1\ttrue"],
+    "truth.tsv": ["gene_id\tlabel", "g0\tnull\x0cg1\tde_up_sp1"],
+}
+
+
+def _read_form_feed_inputs(tmp_path, name=None, row=None):
+    """Write the form-feed inputs, ``row`` appended to file ``name``, and
+    run the command that reads that file (``evaluate`` by default)."""
+    for file_name, lines in _FORM_FEED_LINES.items():
+        text = "\n".join(lines + ([row] if file_name == name else [])) + "\n"
+        (tmp_path / file_name).write_bytes(text.encode("utf-8", "surrogateescape"))
+    if name == "counts.tsv":
+        (tmp_path / "cons.txt").write_text("g0\n", encoding="utf-8")
+        return CliRunner().invoke(main, ["normalize", "--counts", str(tmp_path / name),
+                                         "--conserved", str(tmp_path / "cons.txt")])
+    return CliRunner().invoke(main, ["evaluate", "--results", str(tmp_path / "results.tsv"),
+                                     "--truth", str(tmp_path / "truth.tsv")])
+
+
+@pytest.mark.parametrize("name, short_row, message", [
+    ("counts.tsv", "g2\t10\t5\t10", "expected 5 tab-separated fields"),
+    ("results.tsv", "g2\t0.1", "expected 5 tab-separated fields"),
+    ("truth.tsv", "g2\tnull\textra", "expected 2 tab-separated fields"),
+])
+def test_a_bad_byte_and_a_bad_row_after_a_form_feed_name_the_same_line(tmp_path, name,
+                                                                        short_row, message):
+    # The file's third newline-ended line is its fourth line; "\udcff" is
+    # written as the byte 0xff.
+    for row, error in ((short_row, message), ("\udcffg2", "not valid UTF-8")):
+        result = _read_form_feed_inputs(tmp_path, name, row)
+        assert result.exit_code == 1
+        assert result.output == f"error: {tmp_path / name}: line 4: {error}\n"
+
+
+def test_evaluate_reads_two_rows_from_a_line_split_by_a_form_feed(tmp_path):
+    result = _read_form_feed_inputs(tmp_path)
+    assert result.exit_code == 0, result.output
+    scores = json.loads(result.output)
+    assert (scores["tested_genes"], scores["f_score"], scores["false_discoveries"]) == (2, 1.0, 0)
+
+
 def _write_inputs(tmp_path, counts):
     """A count table with length-10 genes g0, g1, ... and a conserved list of them all."""
     table = tmp_path / "counts.tsv"
@@ -561,19 +608,24 @@ def _write_inputs(tmp_path, counts):
 
 
 def test_median_fallback_warns_from_normalize_and_test(tmp_path):
-    # The interquartile memberships of the two species are disjoint, so the
-    # median fit falls back to all conserved genes.
-    inputs = _write_inputs(tmp_path, [(10, 1), (11, 1000), (1, 10), (1000, 11)])
-    warning = "warning: IQR filter kept no genes; used all conserved genes"
-    out = tmp_path / "run"
-    for command in (["normalize"], ["test", "--output", str(out)]):
-        result = CliRunner().invoke(main, command + inputs + ["--method", "median"])
-        assert result.exit_code == 0, result.output
-        assert result.stderr.strip() == warning
-        assert warning not in result.stdout
-    summary = json.loads((out / "summary.json").read_text())
-    assert set(summary) == {"method", "scaling_factor", "objective", "genes", "tallies",
-                            "conserved", "config"}
+    # The median fit falls back to all conserved genes when the interquartile
+    # memberships of the two species are disjoint, and when the filter keeps
+    # four genes whose species-1 median is 0.
+    warning = ("warning: the IQR filter kept no genes, or a kept-set median is 0; "
+               "used all conserved genes")
+    cases = [[(10, 1), (11, 1000), (1, 10), (1000, 11)],
+             list(zip([0, 0, 0, 1, 2, 3, 4, 5], [5, 5, 5, 5, 1, 9, 1, 9]))]
+    for case, counts in enumerate(cases):
+        inputs = _write_inputs(tmp_path, counts)
+        out = tmp_path / f"run{case}"
+        for command in (["normalize"], ["test", "--output", str(out)]):
+            result = CliRunner().invoke(main, command + inputs + ["--method", "median"])
+            assert result.exit_code == 0, result.output
+            assert result.stderr.strip() == warning
+            assert warning not in result.stdout
+        summary = json.loads((out / "summary.json").read_text())
+        assert set(summary) == {"method", "scaling_factor", "objective", "genes", "tallies",
+                                "conserved", "config"}
 
 
 @pytest.mark.parametrize("option, value, message", [

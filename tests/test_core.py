@@ -63,6 +63,15 @@ def test_first_offending_row_is_reported():
     assert "length_sp1" in str(info.value)
 
 
+@pytest.mark.parametrize("gene_id", ["a\tb", "a\nb", "a\r", "\x0cb", "a\x1cb", "a\x85b",
+                                     "a\u2028b", "\u2029"])
+def test_gene_id_with_a_tab_or_line_break_rejected_with_row(gene_id):
+    rows = [("g1", 10, 10, 1, 1), (gene_id, 10, 10, 1, 1), ("g\t3", 10, 10, 1, 1)]
+    with pytest.raises(InvalidRow, match="gene_id must not contain a tab or line break") as info:
+        table_of(rows)
+    assert info.value.row == 1
+
+
 def test_mismatched_column_lengths_rejected():
     with pytest.raises(ValueError, match="same length"):
         validate_table(["g1", "g2"], [1, 1], [1, 1], [1], [1, 1])

@@ -254,8 +254,6 @@ def test_grid_config_validation():
     with pytest.raises(ValueError):
         GridConfig(coarse_points=5)
     with pytest.raises(ValueError):
-        GridConfig(refine_shrink=1.0)
-    with pytest.raises(ValueError):
         GridConfig(center=-2.0)
     for bad in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="span must exceed 1 and be finite"):

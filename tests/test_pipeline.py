@@ -1,12 +1,15 @@
+import json
 import math
 import re
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from crossnorm import pipeline
+from crossnorm.cli import main
 from crossnorm.core import ConservedSet, InvalidRow, ScalingFactor, validate_table
 from crossnorm.exact_test import binom_twosided_pvalues, null_prob_values
 from crossnorm.normalization import (
@@ -287,6 +290,14 @@ def test_conserved_list_ignores_byte_order_mark(tmp_path):
     path.write_text("\ufeffg1\ng2\n", encoding="utf-8")
     conserved, unknown = load_conserved_list(path, table)
     assert conserved.gene_ids == frozenset({"g1", "g2"})
+    assert unknown == 0
+
+
+def test_conserved_list_splits_lines_as_the_count_table_does(tmp_path):
+    path = tmp_path / "cons.txt"
+    path.write_text("g0\x0cg1\u2028g2\r\ng3\n", encoding="utf-8")
+    conserved, unknown = load_conserved_list(path, _small_table())
+    assert conserved.gene_ids == frozenset({"g0", "g1", "g2", "g3"})
     assert unknown == 0
 
 
@@ -810,6 +821,46 @@ def test_results_tsv_is_written_in_blocks_of_lines(tmp_path, monkeypatch):
     calls = _deresult(ids, p, [1, -1, 0] * 100, [True, True, False] * 100)
     _, path = write_report(_report_of(calls), tmp_path)
     assert path.read_bytes() == _expected_results_tsv(calls)
+
+
+# A tab and every character str.splitlines splits at: no gene id holds one.
+_UNREADABLE = frozenset("\t\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029")
+# Gene ids of any characters but lone surrogates, with characters that a
+# reader rule touches drawn often.
+_ANY_IDS = st.text(st.one_of(st.sampled_from(["g", " ", "#", "\ufeff", "è", "\t", "\x0c",
+                                              "\u2028"]),
+                             st.characters(exclude_categories=("Cs",))),
+                   min_size=1, max_size=8)
+_LENGTHS = st.one_of(st.sampled_from([1, 2**53 - 1]), st.integers(1, 2**53 - 1))
+_COUNTS = st.one_of(st.sampled_from([0, 1, 2**53 - 1]), st.integers(0, 2**53 - 1))
+
+
+@given(st.lists(st.tuples(_ANY_IDS, _LENGTHS, _LENGTHS, _COUNTS, _COUNTS), min_size=1,
+                max_size=30, unique_by=lambda row: row[0]))
+@settings(max_examples=50, deadline=None)
+def test_every_table_validate_table_accepts_reads_back(tmp_path_factory, rows):
+    readable = [row for row in rows if not _UNREADABLE & set(row[0])]
+    if len(readable) < len(rows):
+        with pytest.raises(InvalidRow, match="gene_id must not contain a tab or line break"):
+            table_of(rows)
+    if not readable:
+        return
+    gene_id, l1, l2, x1, x2 = readable[0]
+    readable[0] = (gene_id, l1, l2, x1 or 1, x2 or 1)  # both species have reads
+    table = table_of(readable)
+    out = tmp_path_factory.mktemp("roundtrip")
+    write_counts_tsv(table, out / "counts.tsv")
+    assert load_counts_tsv(out / "counts.tsv") == table
+    _, results = write_report(_report_of(call_de(table, ScalingFactor(1.0), 0.5)), out)
+    truth = out / "truth.tsv"
+    truth.write_text("gene_id\tlabel\n" + "".join(f"{g}\tnull\n" for g in table.gene_ids),
+                     encoding="utf-8")
+    result = CliRunner().invoke(main, ["evaluate", "--results", str(results),
+                                       "--truth", str(truth)])
+    assert result.exit_code == 0, result.output
+    scores = json.loads(result.output)
+    assert (scores["tested_genes"], scores["untested_genes"]) == \
+        (int(table.testable.sum()), int((~table.testable).sum()))
 
 
 @pytest.mark.parametrize("column, value", [

@@ -564,6 +564,16 @@ def test_run_study_draws_no_dataset_for_an_invalid_study(monkeypatch, sweep, met
     assert drawn == []
 
 
+def test_run_study_rejects_a_grid_of_another_alpha_before_generating(monkeypatch):
+    drawn = []
+    monkeypatch.setattr(simulation, "generate_dataset", drawn.append)
+    with pytest.raises(ValueError) as excinfo:
+        run_study(_study1_config(), {}, ["scbn"], replicates=2, cutoff=0.01, alpha=0.2,
+                  grid=GridConfig(alpha=0.05))
+    assert str(excinfo.value) == "grid alpha 0.05 differs from the study alpha 0.2"
+    assert drawn == []
+
+
 def test_run_study_overlap_and_scores_match_a_recount_from_call_de(monkeypatch):
     base = _study1_config(n_orthologs=400, conserved_size=80, n_unique_sp1=40,
                           n_unique_sp2=80, n_unmapped_sp1=0, n_unmapped_sp2=0,
