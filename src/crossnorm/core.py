@@ -120,16 +120,25 @@ def _breaks_line(text: str) -> bool:
     return "\t" in text or len((text + ".").splitlines()) > 1
 
 
+def _encodable(text: str) -> bool:
+    """Whether UTF-8 can encode ``text``: it holds no lone surrogate."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def validate_table(gene_ids, length_sp1, length_sp2, count_sp1, count_sp2) -> OrthologTable:
     """Check the columns and build an :class:`OrthologTable`.
 
-    Every id must be a unique non-empty string without a tab or a line
-    break (a character ``str.splitlines`` splits at), so that a written
-    table reads back.  Lengths must be >= 1, counts >= 0, and every length
-    and count < 2**53.  A broken rule raises :class:`InvalidRow` for the
-    first offending gene; a species without any reads raises ValueError.
-    Idempotent: validating a valid table's columns reproduces an equal
-    table.
+    Every id must be a unique non-empty string that UTF-8 can encode,
+    without a tab or a line break (a character ``str.splitlines`` splits
+    at), so that a table can be written and read back.  Lengths must be
+    >= 1, counts >= 0, and every length and count < 2**53.  A broken rule
+    raises :class:`InvalidRow` for the first offending gene; a species
+    without any reads raises ValueError.  Idempotent: validating a valid
+    table's columns reproduces an equal table.
     """
     ids = tuple(gene_ids)
     columns = [_int64_column(values) for values in (length_sp1, length_sp2, count_sp1, count_sp2)]
@@ -150,9 +159,13 @@ def validate_table(gene_ids, length_sp1, length_sp2, count_sp1, count_sp2) -> Or
     ]
     if "" in ids:
         failures.append((ids.index(""), "gene_id must be a non-empty string"))
-    if _breaks_line("".join(ids)):
+    joined = "".join(ids)
+    if _breaks_line(joined):
         row = next(row for row, gene_id in enumerate(ids) if _breaks_line(gene_id))
         failures.append((row, "gene_id must not contain a tab or line break"))
+    if not _encodable(joined):
+        row = next(row for row, gene_id in enumerate(ids) if not _encodable(gene_id))
+        failures.append((row, "gene_id must be encodable as UTF-8"))
     if len(set(ids)) < len(ids):
         seen: set[str] = set()
         for row, gene_id in enumerate(ids):

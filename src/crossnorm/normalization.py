@@ -336,6 +336,8 @@ def _rejection_counts(cs, x1, n, l1n1, l2n2, alpha):
             proven += np.bincount(cell[p < alpha], minlength=points)
 
         gene, left, right = gene[~leaf], left[~leaf], right[~leaf]
+        if not gene.size:
+            break
         verdict = _interval_verdicts(
             x1[gene], n[gene],
             _p0(cs[left], l1n1[gene], l2n2[gene]),
@@ -390,7 +392,11 @@ def scbn_scaling_factor(
     objective is a union of grid intervals; ties break to the (lower) median
     grid point of that set, which is stable under small grid perturbations.
     """
-    rows = _conserved_rows(table, conserved)
+    return _scbn_fit(table, _conserved_rows(table, conserved), grid)
+
+
+def _scbn_fit(table: OrthologTable, rows: np.ndarray, grid: GridConfig) -> ScbnResult:
+    """scbn_scaling_factor over the genes at ``rows`` (see _conserved_rows)."""
     x1, n, l1n1, l2n2 = _conserved_arrays(table, rows)
 
     if grid.center is not None:

@@ -32,8 +32,9 @@ DE results are columnar: :func:`call_de` returns a :class:`DEResult` whose
 untestable genes (zero reads in both species).  :func:`bh_adjust` follows
 the same convention: NaN entries stay NaN and do not count as tests.
 ``DEResult.records`` is a row view of :class:`TestResult` objects, built on
-first access, for inspection only.  :func:`testable_calls` slices the
-``de_call`` and ``direction`` columns to the testable genes for scoring.
+first access, for inspection only.  :func:`testable_calls` gives the
+``de_call`` and ``direction`` columns of the testable genes for scoring,
+without computing q-values.
 """
 from __future__ import annotations
 
@@ -378,12 +379,12 @@ def _check_cutoff(cutoff) -> None:
         raise ValueError("cutoff must lie in (0, 1)")
 
 
-def call_de(table: OrthologTable, c: ScalingFactor, cutoff: float) -> DEResult:
-    """Test every gene at factor c, adjust, and call DE below the cutoff.
+def _test_columns(table: OrthologTable, c: ScalingFactor, cutoff: float):
+    """The p, de_call and direction columns of every gene at factor c.
 
-    Direction is reported only for called genes: the species whose count
-    exceeds its null share.  Untestable genes carry NaN p/q and are left
-    out of the q-value ranking.
+    p is NaN for untestable genes, which are never called.  Direction is
+    reported only for called genes: the species whose count exceeds its
+    null share.
     """
     _check_cutoff(cutoff)
     x1 = table.count_sp1
@@ -393,12 +394,22 @@ def call_de(table: OrthologTable, c: ScalingFactor, cutoff: float) -> DEResult:
     with np.errstate(invalid="ignore"):
         p = binom_twosided_pvalues(x1, n, p0)
     p = np.where(table.testable, p, np.nan)
-    q = bh_adjust(p)
     called = p < cutoff  # False at NaN
     # int64 counts below 2**53 compare exactly with the float64 null mean.
     mu = n * p0
     sign = (x1 > mu).astype(np.int8) - (x1 < mu)
-    direction = np.where(called, sign, np.int8(0))
+    return p, called, np.where(called, sign, np.int8(0))
+
+
+def call_de(table: OrthologTable, c: ScalingFactor, cutoff: float) -> DEResult:
+    """Test every gene at factor c, adjust, and call DE below the cutoff.
+
+    Direction is reported only for called genes: the species whose count
+    exceeds its null share.  Untestable genes carry NaN p/q and are left
+    out of the q-value ranking.
+    """
+    p, called, direction = _test_columns(table, c, cutoff)
+    q = bh_adjust(p)
     return DEResult(table.gene_ids, *map(_read_only, (p, q, direction, called)))
 
 
@@ -419,10 +430,13 @@ def estimate_factor(
 def testable_calls(
     table: OrthologTable, c: ScalingFactor, cutoff: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """The ``de_call`` and ``direction`` columns of one :func:`call_de`, testable genes only."""
-    result = call_de(table, c, cutoff)
+    """The ``de_call`` and ``direction`` columns of :func:`call_de`, testable genes only.
+
+    Calls are made on p-values, so no q-values are computed.
+    """
+    _, called, direction = _test_columns(table, c, cutoff)
     tested = table.testable
-    return result.de_call[tested], result.direction[tested]
+    return called[tested], direction[tested]
 
 
 def run_pipeline(config: RunConfig) -> Report:

@@ -10,7 +10,16 @@ conserved set is contaminated with a configurable fraction of truly-DE
 genes to probe normalization robustness.
 
 One scorer counts DE calls against the truth on aligned bool columns:
-:func:`run_study` feeds it ``call_de`` columns, :func:`evaluate_run` dicts.
+:func:`run_study` feeds it ``testable_calls`` columns, :func:`evaluate_run`
+dicts.
+
+Study replicates run on row columns.  ``_draw`` is the one seeded draw:
+it returns the table, a per-row label code column and the conserved rows,
+and :func:`generate_dataset` adds the id-keyed ``truth`` dict and
+:class:`~crossnorm.core.ConservedSet` to it.  A replicate fits, calls and
+scores on rows, with no per-gene ids, dicts, sets or q-values, and its
+result equals that of the per-gene path.  :func:`run_study` builds the
+gene ids once per distinct table size and passes them with each task.
 
 :class:`SimConfig` owns the config rules: its ``int`` fields take integral
 numbers and its ``float`` fields real ones (numpy scalars pass, bools do
@@ -67,6 +76,9 @@ LABEL_UNIQUE_SP2 = "unique_sp2"
 # Unique genes are expressed in one species only, the strongest possible
 # difference, so calling them is a true positive rather than an error.
 DE_LABELS = frozenset({LABEL_DE_UP_SP1, LABEL_DE_UP_SP2, LABEL_UNIQUE_SP1, LABEL_UNIQUE_SP2})
+# A drawn table's label column holds indices into _LABELS.
+_LABELS = (LABEL_NULL, LABEL_DE_UP_SP1, LABEL_DE_UP_SP2, LABEL_UNIQUE_SP1, LABEL_UNIQUE_SP2)
+_LABEL_IS_DE = np.array([label in DE_LABELS for label in _LABELS])
 
 _LOGNORMAL_SIGMA = 1.5  # fallback rate model when no reference table is given
 # An ortholog-table gene's Poisson mean is its share of its species' depth,
@@ -216,15 +228,29 @@ def _draw_rates(rng: np.random.Generator, size: int, source: tuple[float, ...] |
     return rng.choice(ref / ref.sum(), size=size, replace=True)
 
 
-def generate_dataset(config: SimConfig) -> SimulatedDataset:
-    """Draw one dataset; the same config (including seed) is bit-reproducible."""
+def _gene_ids(size: int) -> tuple[str, ...]:
+    """The generator's gene ids for a table of ``size`` genes."""
+    return tuple(f"g{i:06d}" for i in range(size))
+
+
+def _table_size(config: SimConfig) -> int:
+    return config.n_orthologs + config.n_unique_sp1 + config.n_unique_sp2
+
+
+def _draw(config: SimConfig, gene_ids: tuple[str, ...]):
+    """The one seeded draw of a dataset, on rows.
+
+    ``gene_ids`` are the table's ids (``_gene_ids`` of its size).  Returns
+    the validated table, each row's truth label as an int8 index into
+    ``_LABELS``, the sorted rows of the reported conserved set (testable or
+    not), the true factor, and the two species' unmapped read totals.
+    """
     rng = np.random.default_rng(config.seed)
     n_orth = config.n_orthologs
 
     # Expression rates and DE assignment for the shared orthologs.
     mu1 = _draw_rates(rng, n_orth, config.rate_source)
     n_de, n_keep_null, n_keep_noise = _conserved_split(config)
-    n_null = n_orth - n_de
     order = rng.permutation(n_orth)
     de_idx = order[:n_de]
     n_up2 = int(round(config.up_rate_sp2 * n_de))
@@ -232,16 +258,18 @@ def generate_dataset(config: SimConfig) -> SimulatedDataset:
     mu2[de_idx[:n_up2]] *= config.fold
     mu2[de_idx[n_up2:]] /= config.fold
 
-    labels = np.full(n_orth, LABEL_NULL, dtype=object)
-    labels[de_idx[:n_up2]] = LABEL_DE_UP_SP2
-    labels[de_idx[n_up2:]] = LABEL_DE_UP_SP1
-
     # Unique genes: expressed in one species, zero in the other.
     uniq1 = _draw_rates(rng, config.n_unique_sp1, config.rate_source)
     uniq2 = _draw_rates(rng, config.n_unique_sp2, config.rate_source)
     mu_sp1 = np.concatenate([mu1, uniq1, np.zeros(config.n_unique_sp2)])
     mu_sp2 = np.concatenate([mu2, np.zeros(config.n_unique_sp1), uniq2])
     n_table = mu_sp1.size
+
+    labels = np.full(n_table, _LABELS.index(LABEL_NULL), dtype=np.int8)
+    labels[de_idx[:n_up2]] = _LABELS.index(LABEL_DE_UP_SP2)
+    labels[de_idx[n_up2:]] = _LABELS.index(LABEL_DE_UP_SP1)
+    labels[n_orth:n_orth + config.n_unique_sp1] = _LABELS.index(LABEL_UNIQUE_SP1)
+    labels[n_orth + config.n_unique_sp1:] = _LABELS.index(LABEL_UNIQUE_SP2)
 
     len_sp1 = rng.integers(config.length_min, config.length_max + 1, size=n_table)
     len_sp2 = rng.integers(config.length_min, config.length_max + 1, size=n_table)
@@ -262,39 +290,44 @@ def generate_dataset(config: SimConfig) -> SimulatedDataset:
     unmapped_reads_sp1 = _unmapped_reads(rng, unm1_mu * unm1_len * (config.depth_sp1 / s1))
     unmapped_reads_sp2 = _unmapped_reads(rng, unm2_mu * unm2_len * (config.depth_sp2 / s2))
 
-    ids = [f"g{i:06d}" for i in range(n_table)]
-    table = validate_table(ids, length_sp1=len_sp1, length_sp2=len_sp2,
+    table = validate_table(gene_ids, length_sp1=len_sp1, length_sp2=len_sp2,
                            count_sp1=counts_sp1, count_sp2=counts_sp2)
-
-    truth = dict(zip(ids, labels.tolist() + [LABEL_UNIQUE_SP1] * config.n_unique_sp1
-                     + [LABEL_UNIQUE_SP2] * config.n_unique_sp2))
 
     # Reported conserved set: mostly nulls, contaminated at the noise rate.
     # The contaminant pool is every non-null ortholog (planted fold-change
     # and unique genes); SimConfig has checked both pools are large enough.
-    null_pool = np.flatnonzero(labels == LABEL_NULL)
+    # The two pools are disjoint, so no row is chosen twice.
+    null_pool = np.flatnonzero(labels[:n_orth] == _LABELS.index(LABEL_NULL))
     noise_pool = np.concatenate([de_idx, np.arange(n_orth, n_table)])
-    chosen = list(rng.choice(null_pool, size=n_keep_null, replace=False))
+    chosen = [rng.choice(null_pool, size=n_keep_null, replace=False)]
     if n_keep_noise:
-        chosen.extend(rng.choice(noise_pool, size=n_keep_noise, replace=False))
-    conserved = ConservedSet(frozenset(ids[i] for i in chosen))
+        chosen.append(rng.choice(noise_pool, size=n_keep_noise, replace=False))
+    conserved = np.sort(np.concatenate(chosen))
+    return (table, labels, conserved, ScalingFactor(s2 / s1),
+            (unmapped_reads_sp1, unmapped_reads_sp2))
 
+
+def generate_dataset(config: SimConfig) -> SimulatedDataset:
+    """Draw one dataset; the same config (including seed) is bit-reproducible."""
+    gene_ids = _gene_ids(_table_size(config))
+    table, labels, conserved, true_c, unmapped = _draw(config, gene_ids)
+    n_de = _conserved_split(config)[0]
     meta = {
-        "n_null": int(n_null),
-        "n_de": int(n_de),
+        "n_null": config.n_orthologs - n_de,
+        "n_de": n_de,
         "rate_model": "reference_table" if config.rate_source is not None else
                       f"lognormal(0, {_LOGNORMAL_SIGMA})",
-        "unmapped_reads_sp1": unmapped_reads_sp1,
-        "unmapped_reads_sp2": unmapped_reads_sp2,
-        "total_reads_sp1": table.total_sp1 + unmapped_reads_sp1,
-        "total_reads_sp2": table.total_sp2 + unmapped_reads_sp2,
+        "unmapped_reads_sp1": unmapped[0],
+        "unmapped_reads_sp2": unmapped[1],
+        "total_reads_sp1": table.total_sp1 + unmapped[0],
+        "total_reads_sp2": table.total_sp2 + unmapped[1],
         "seed": config.seed,
     }
     return SimulatedDataset(
         table=table,
-        truth=truth,
-        reported_conserved=conserved,
-        true_c=ScalingFactor(s2 / s1),
+        truth=dict(zip(gene_ids, [_LABELS[k] for k in labels.tolist()])),
+        reported_conserved=ConservedSet(frozenset(gene_ids[i] for i in conserved.tolist())),
+        true_c=true_c,
         meta=meta,
     )
 
@@ -378,32 +411,36 @@ def _child_seed(master_seed: int, cell_index: int, rep: int) -> int:
 
 
 def _replicate(task) -> tuple[float, dict[str, tuple[Metrics, float]], tuple[int, int] | None]:
-    """Draw, fit, call and score one study replicate.
+    """Draw, fit, call and score one study replicate, on row columns.
 
-    ``task`` is the seeded cell config, the methods, the cutoff and the
-    grid.  Returns the true factor, each method's metrics and fitted
-    factor, and the scbn/median overlap (called genes, and those called in
-    the same direction), or None unless both methods ran.
+    ``task`` is the seeded cell config, its table's gene ids, the methods,
+    the cutoff and the grid.  Returns the true factor, each method's
+    metrics and fitted factor, and the scbn/median overlap (called genes,
+    and those called in the same direction), or None unless both methods
+    ran.  The result equals that of the per-gene path: generate_dataset,
+    estimate_factor, call_de and evaluate_run.
     """
-    from .pipeline import estimate_factor, testable_calls
+    from . import normalization, pipeline
 
-    cell, methods, cutoff, grid = task
-    ds = generate_dataset(cell)
-    is_de = _de_mask(ds.truth, ds.table.gene_ids)[ds.table.testable]
-    calls_by_method = {}
-    fits = {}
+    cell, gene_ids, methods, cutoff, grid = task
+    table, labels, conserved, true_c, _ = _draw(cell, gene_ids)
+    rows = conserved[table.testable[conserved]]
+    is_de = _LABEL_IS_DE[labels][table.testable]
+    factors = {}
     fit_grid = grid  # read by scbn only
     if grid.center is None:
         # The median fit is SCBN's default grid center: compute it once.
-        fits["median"] = estimate_factor(ds.table, ds.reported_conserved, "median", grid)
-        fit_grid = replace(grid, center=fits["median"].factor.c)
+        factors["median"] = normalization._median_factor(table, rows).factor
+        fit_grid = replace(grid, center=factors["median"].c)
+    calls_by_method = {}
     outcomes = {}
     for method in methods:
-        if method not in fits:
-            fits[method] = estimate_factor(ds.table, ds.reported_conserved, method, fit_grid)
-        factor = fits[method].factor
-        called, direction = testable_calls(ds.table, factor, cutoff)
-        outcomes[method] = (_score(called, is_de), factor.c)
+        if method not in factors:
+            fit = (normalization._scbn_fit(table, rows, fit_grid) if method == "scbn"
+                   else normalization._median_factor(table, rows))
+            factors[method] = fit.factor
+        called, direction = pipeline.testable_calls(table, factors[method], cutoff)
+        outcomes[method] = (_score(called, is_de), factors[method].c)
         calls_by_method[method] = (called, direction)
     overlap = None
     if "scbn" in calls_by_method and "median" in calls_by_method:
@@ -411,7 +448,7 @@ def _replicate(task) -> tuple[float, dict[str, tuple[Metrics, float]], tuple[int
         called_b, dir_b = calls_by_method["median"]
         both = called_a & called_b
         overlap = (int(both.sum()), int((both & (dir_a == dir_b)).sum()))
-    return ds.true_c.c, outcomes, overlap
+    return true_c.c, outcomes, overlap
 
 
 def _usable_cpus() -> int:
@@ -585,7 +622,10 @@ def run_study(
     elif grid.alpha != alpha:
         raise ValueError(f"grid alpha {grid.alpha!r} differs from the study alpha {alpha!r}")
 
-    tasks = [(replace(cell, seed=_child_seed(master_seed, cell_index, rep)), methods, cutoff, grid)
+    # One id tuple per table size, shared by the tasks of every cell of that size.
+    gene_ids = {size: _gene_ids(size) for size in {_table_size(cell) for _, cell in cells}}
+    tasks = [(replace(cell, seed=_child_seed(master_seed, cell_index, rep)),
+              gene_ids[_table_size(cell)], methods, cutoff, grid)
              for cell_index, (_, cell) in enumerate(cells) for rep in range(replicates)]
     outcomes = _map_replicates(tasks)
 

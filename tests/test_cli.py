@@ -346,14 +346,14 @@ def test_study_replicate_failure_is_a_one_line_error(tmp_path, monkeypatch, cpus
     monkeypatch.setattr(simulation, "_usable_cpus", lambda: cpus)
     if worker_exits:
         caller = os.getpid()
-        original = simulation.generate_dataset
+        original = simulation._draw
 
-        def exit_in_worker(cfg):
+        def exit_in_worker(cfg, gene_ids):
             if os.getpid() != caller:
                 os._exit(3)
-            return original(cfg)
+            return original(cfg, gene_ids)
 
-        monkeypatch.setattr(simulation, "generate_dataset", exit_in_worker)
+        monkeypatch.setattr(simulation, "_draw", exit_in_worker)
     spec = {"base": {"n_orthologs": 100, "conserved_size": conserved_size},
             "methods": ["median"], "replicates": 3}
     path = tmp_path / "study.json"

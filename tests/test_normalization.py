@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from crossnorm import normalization
 from crossnorm.core import ConservedSet, ScalingFactor, validate_table
 from crossnorm.exact_test import _p0, binom_twosided_pvalues, null_prob_values
 from crossnorm.normalization import (
@@ -225,6 +226,29 @@ def test_rejection_counts_on_one_point_grids():
         counts, kept = _rejection_counts(np.array([c]), *arrays, 0.05)
         assert kept.tolist() == [True]
         assert counts.tolist() == _dense_rejection_counts(np.array([c]), *arrays, 0.05).tolist()
+
+
+def test_interval_verdicts_never_receive_zero_intervals(monkeypatch):
+    # A level whose intervals were all leaves ends the loop: the one-point
+    # and four-point grids are all leaves at the first level, and every fit
+    # counts its last leaves at some level.
+    sizes = []
+
+    def recorded(x1, *args):
+        sizes.append(x1.size)
+        return _interval_verdicts(x1, *args)
+
+    monkeypatch.setattr(normalization, "_interval_verdicts", recorded)
+    table, conserved = _null_poisson_table(np.random.default_rng(5), 200, 1.2)
+    arrays = _conserved_arrays(table, _conserved_rows(table, conserved))
+    for points in (1, _LEAF_WIDTH):
+        _rejection_counts(np.linspace(1.0, 1.4, points), *arrays, 0.05)
+    empirical_type1_deviation(table, conserved, ScalingFactor(1.2))
+    assert sizes == []
+    for grid in (GridConfig(), GridConfig(center=1.0, span=1.2, coarse_points=10)):
+        want = _reference_scbn_scaling_factor(table, conserved, grid)
+        assert scbn_scaling_factor(table, conserved, grid) == want
+    assert sizes and min(sizes) > 0
 
 
 @pytest.mark.parametrize("round_idx", range(3))

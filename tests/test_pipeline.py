@@ -736,6 +736,23 @@ def test_call_de_columns_match_a_per_gene_loop(case, c, cutoff):
     _check_columns_against_loop(validate_table(ids, *columns), c, cutoff)
 
 
+@given(_tables_with_permutation(), st.sets(st.integers(min_value=1, max_value=39)),
+       st.floats(min_value=0.2, max_value=5.0), st.sampled_from([1e-6, 0.05, 0.5]))
+@settings(max_examples=60, deadline=None)
+def test_testable_calls_are_call_de_sliced_to_the_testable_genes(case, zeroed, c, cutoff):
+    ids, (l1, l2, x1, x2), _, _ = case
+    # Genes at the drawn rows get no reads in either species: untestable.
+    x1, x2 = ([0 if i in zeroed else v for i, v in enumerate(x)] for x in (x1, x2))
+    table = validate_table(ids, l1, l2, x1, x2)
+    result = call_de(table, ScalingFactor(c), cutoff)
+    called, direction = de_calls_for(table, ScalingFactor(c), cutoff)
+    for got, want in ((called, result.de_call), (direction, result.direction)):
+        assert got.dtype == want.dtype
+        assert got.tolist() == want[table.testable].tolist()
+    with pytest.raises(ValueError, match=r"^cutoff must lie in \(0, 1\)$"):
+        de_calls_for(table, ScalingFactor(c), 1.0)
+
+
 # Equal lengths and equal totals give p0 = 1/2 at c = 1.
 _EDGE_ROWS = [
     ("zero", 100, 100, 0, 0),        # untestable
@@ -861,6 +878,26 @@ def test_every_table_validate_table_accepts_reads_back(tmp_path_factory, rows):
     scores = json.loads(result.output)
     assert (scores["tested_genes"], scores["untested_genes"]) == \
         (int(table.testable.sum()), int((~table.testable).sum()))
+
+
+@pytest.mark.parametrize("gene_id", ["g\udcff", "\ud800", "a\udfffb"])
+def test_an_id_utf8_cannot_encode_is_rejected_before_any_writer(tmp_path, gene_id):
+    # A lone surrogate passed every id rule, and then both writers raised
+    # UnicodeEncodeError; now every table validate_table builds can be written.
+    rows = [("g1", 10, 10, 1, 1), (gene_id, 10, 10, 1, 1), ("g\udcfe", 10, 10, 1, 1)]
+    for write in (lambda table: write_counts_tsv(table, tmp_path / "counts.tsv"),
+                  lambda table: write_report(_report_of(call_de(table, ScalingFactor(1.0), 0.5)),
+                                             tmp_path / "run")):
+        with pytest.raises(InvalidRow) as info:
+            write(table_of(rows))
+        assert info.value.row == 1
+        assert str(info.value) == f"gene {gene_id!r}: gene_id must be encodable as UTF-8"
+    assert not (tmp_path / "counts.tsv").exists() and not (tmp_path / "run").exists()
+    table = table_of(rows[:1])
+    write_counts_tsv(table, tmp_path / "counts.tsv")
+    assert load_counts_tsv(tmp_path / "counts.tsv") == table
+    _, results = write_report(_report_of(call_de(table, ScalingFactor(1.0), 0.5)), tmp_path)
+    assert results.read_bytes().splitlines()[1].startswith(b"g1\t")
 
 
 @pytest.mark.parametrize("column, value", [

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from crossnorm import normalization, pipeline, simulation
@@ -58,6 +58,55 @@ def test_same_seed_is_bit_identical():
     assert a.truth == b.truth
     assert a.reported_conserved == b.reported_conserved
     assert a.true_c.c == b.true_c.c
+
+
+@st.composite
+def _small_configs(draw):
+    # Small tables at low depth, so some conserved genes are untestable.
+    fields = dict(
+        n_orthologs=draw(st.integers(1, 60)),
+        conserved_size=draw(st.integers(1, 20)),
+        de_rate=draw(st.sampled_from([0.0, 0.2, 0.5])),
+        up_rate_sp2=draw(st.sampled_from([0.0, 0.9])),
+        noise_rate=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        n_unique_sp1=draw(st.integers(0, 5)),
+        n_unique_sp2=draw(st.integers(0, 5)),
+        n_unmapped_sp1=draw(st.integers(0, 5)),
+        n_unmapped_sp2=draw(st.integers(0, 5)),
+        depth_sp1=draw(st.sampled_from([30.0, 1e5])),
+        depth_sp2=draw(st.sampled_from([30.0, 1e5])),
+        rate_source=draw(st.none() | st.lists(st.floats(0.1, 10.0), min_size=1, max_size=5)),
+        seed=draw(st.integers(0, 2**32)),
+    )
+    try:
+        return SimConfig(**fields)
+    except ValueError:  # a conserved pool too small for the set
+        assume(False)
+
+
+# Explicit examples: no unique or unmapped genes; noise 1 with a rate table;
+# both at a depth that leaves conserved genes untestable.
+@given(_small_configs())
+@settings(max_examples=100, deadline=None)
+@example(SimConfig(n_orthologs=60, conserved_size=20, depth_sp1=30.0, depth_sp2=30.0, seed=1))
+@example(SimConfig(n_orthologs=60, conserved_size=20, de_rate=0.5, noise_rate=1.0,
+                   depth_sp1=30.0, depth_sp2=30.0, rate_source=(1.0, 2.0), seed=2))
+@example(SimConfig(n_orthologs=30, conserved_size=10, noise_rate=1.0, n_unique_sp1=6,
+                   n_unique_sp2=4, n_unmapped_sp1=3, n_unmapped_sp2=2, seed=3))
+def test_the_row_draw_is_the_drawn_dataset(config):
+    ds = generate_dataset(config)
+    table, labels, conserved, true_c, unmapped = simulation._draw(config, ds.table.gene_ids)
+    assert table == ds.table
+    assert (table.total_sp1, table.total_sp2) == (ds.table.total_sp1, ds.table.total_sp2)
+    assert [simulation._LABELS[k] for k in labels.tolist()] == \
+        [ds.truth[g] for g in table.gene_ids]
+    assert list(ds.truth) == list(table.gene_ids)
+    assert conserved.tolist() == sorted(set(conserved.tolist()))
+    assert {table.gene_ids[r] for r in conserved.tolist()} == ds.reported_conserved.gene_ids
+    assert conserved[table.testable[conserved]].tolist() == \
+        normalization._conserved_rows(ds.table, ds.reported_conserved).tolist()
+    assert true_c == ds.true_c
+    assert unmapped == (ds.meta["unmapped_reads_sp1"], ds.meta["unmapped_reads_sp2"])
 
 
 def test_different_seed_differs():
@@ -384,13 +433,13 @@ def test_run_study_cells_are_identical_serially_and_in_worker_processes(monkeypa
                           n_unique_sp2=80, n_unmapped_sp1=0, n_unmapped_sp2=0,
                           depth_sp1=5e4, depth_sp2=5e4)
     drawn = []
-    original = simulation.generate_dataset
+    original = simulation._draw
 
-    def recorded_generate(cfg):
+    def recorded_draw(cfg, gene_ids):
         drawn.append(cfg.seed)
-        return original(cfg)
+        return original(cfg, gene_ids)
 
-    monkeypatch.setattr(simulation, "generate_dataset", recorded_generate)
+    monkeypatch.setattr(simulation, "_draw", recorded_draw)
     runs = {}
     seeds = {}
     for cpus in (1, 2):
@@ -414,14 +463,14 @@ def test_a_failing_replicate_raises_the_serial_runs_first_error_from_workers(mon
     # Every replicate fails; the three cells fail with three different messages.
     # The slow first cell runs in this process, so the worker's error, from
     # the second cell, arrives first.
-    original = simulation.generate_dataset
+    original = simulation._draw
 
-    def slow_first_cell(cfg):
+    def slow_first_cell(cfg, gene_ids):
         if cfg.conserved_size == 3:
             time.sleep(0.3)
-        return original(cfg)
+        return original(cfg, gene_ids)
 
-    monkeypatch.setattr(simulation, "generate_dataset", slow_first_cell)
+    monkeypatch.setattr(simulation, "_draw", slow_first_cell)
     base = SimConfig(n_orthologs=100, conserved_size=3)
     raised = {}
     for cpus in (1, 2):
@@ -439,15 +488,15 @@ def test_a_worker_that_dies_raises_child_process_error(monkeypatch):
     # 0.4 s: the run ends after this process's first task or two, not after
     # its whole 3.2 s share.
     caller = os.getpid()
-    original = simulation.generate_dataset
+    original = simulation._draw
 
-    def exit_in_worker(cfg):
+    def exit_in_worker(cfg, gene_ids):
         if os.getpid() != caller:
             os._exit(3)
         time.sleep(0.4)
-        return original(cfg)
+        return original(cfg, gene_ids)
 
-    monkeypatch.setattr(simulation, "generate_dataset", exit_in_worker)
+    monkeypatch.setattr(simulation, "_draw", exit_in_worker)
     _use_cpus(monkeypatch, 2)
     start = time.perf_counter()
     with pytest.raises(ChildProcessError, match="ended with exit code 3 before sending"):
@@ -467,14 +516,14 @@ def test_a_worker_that_dies_raises_child_process_error(monkeypatch):
 ], ids=["own-first-task", "worker-earlier-task"])
 def test_a_failure_in_this_processs_share_raises_the_serial_runs_first_error(
         monkeypatch, sizes, slow_size, seconds, message):
-    original = simulation.generate_dataset
+    original = simulation._draw
 
-    def sleep_in_one_cell(cfg):
+    def sleep_in_one_cell(cfg, gene_ids):
         if cfg.conserved_size == slow_size:
             time.sleep(seconds)
-        return original(cfg)
+        return original(cfg, gene_ids)
 
-    monkeypatch.setattr(simulation, "generate_dataset", sleep_in_one_cell)
+    monkeypatch.setattr(simulation, "_draw", sleep_in_one_cell)
     base = SimConfig(n_orthologs=100, conserved_size=20)
     raised = {}
     for cpus in (1, 2):
@@ -497,14 +546,13 @@ def test_run_study_fits_the_median_once_per_replicate(monkeypatch):
 
     # Both the median method and SCBN's default grid center call it.
     calls = []
-    original = normalization.median_scaling_factor
+    original = normalization._median_factor
 
     def counted(*args):
         calls.append(args)
         return original(*args)
 
-    monkeypatch.setattr(normalization, "median_scaling_factor", counted)
-    monkeypatch.setattr(pipeline, "median_scaling_factor", counted)
+    monkeypatch.setattr(normalization, "_median_factor", counted)
     _use_cpus(monkeypatch, 1)  # the calls are counted in this process
 
     def run_counted(methods):
@@ -533,10 +581,10 @@ def test_run_study_rejects_unknown_method():
 ], ids=["empty", "repeated"])
 def test_run_study_rejects_empty_or_repeated_methods_before_generating(
         monkeypatch, methods, message):
-    def no_dataset(cfg):
+    def no_dataset(cfg, gene_ids):
         raise AssertionError("a dataset was generated")
 
-    monkeypatch.setattr(simulation, "generate_dataset", no_dataset)
+    monkeypatch.setattr(simulation, "_draw", no_dataset)
     with pytest.raises(ValueError) as excinfo:
         run_study(_study1_config(), {}, methods, replicates=2, cutoff=0.01)
     assert str(excinfo.value) == message
@@ -557,7 +605,7 @@ def test_run_study_rejects_empty_or_repeated_methods_before_generating(
 def test_run_study_draws_no_dataset_for_an_invalid_study(monkeypatch, sweep, methods, cutoff,
                                                           message):
     drawn = []
-    monkeypatch.setattr(simulation, "generate_dataset", drawn.append)
+    monkeypatch.setattr(simulation, "_draw", lambda *args: drawn.append(args))
     with pytest.raises(ValueError) as excinfo:
         run_study(_study1_config(), sweep, methods, replicates=2, cutoff=cutoff)
     assert str(excinfo.value) == message
@@ -566,7 +614,7 @@ def test_run_study_draws_no_dataset_for_an_invalid_study(monkeypatch, sweep, met
 
 def test_run_study_rejects_a_grid_of_another_alpha_before_generating(monkeypatch):
     drawn = []
-    monkeypatch.setattr(simulation, "generate_dataset", drawn.append)
+    monkeypatch.setattr(simulation, "_draw", lambda *args: drawn.append(args))
     with pytest.raises(ValueError) as excinfo:
         run_study(_study1_config(), {}, ["scbn"], replicates=2, cutoff=0.01, alpha=0.2,
                   grid=GridConfig(alpha=0.05))
@@ -578,42 +626,64 @@ def test_run_study_overlap_and_scores_match_a_recount_from_call_de(monkeypatch):
     base = _study1_config(n_orthologs=400, conserved_size=80, n_unique_sp1=40,
                           n_unique_sp2=80, n_unmapped_sp1=0, n_unmapped_sp2=0,
                           depth_sp1=5e4, depth_sp2=5e4)
-    datasets, results = [], []
-    original_generate, original_call_de = simulation.generate_dataset, pipeline.call_de
+    fitted = []
+    original = pipeline.testable_calls
 
-    def recorded_generate(cfg):
-        datasets.append(original_generate(cfg))
-        return datasets[-1]
+    def recorded_calls(table, c, cutoff):
+        fitted.append(c.c)
+        return original(table, c, cutoff)
 
-    def recorded_call_de(*args):
-        results.append(original_call_de(*args))
-        return results[-1]
-
-    monkeypatch.setattr(simulation, "generate_dataset", recorded_generate)
-    monkeypatch.setattr(pipeline, "call_de", recorded_call_de)
+    monkeypatch.setattr(pipeline, "testable_calls", recorded_calls)
     _use_cpus(monkeypatch, 1)  # the calls are recorded in this process
-    cells = run_study(base, {"noise_rate": [0.0, 0.3]}, ["scbn", "median"], replicates=3,
+    noise_rates = [0.0, 0.3]
+    cells = run_study(base, {"noise_rate": noise_rates}, ["scbn", "median"], replicates=3,
                       cutoff=0.01, master_seed=9)
-    assert len(datasets) == 2 * 3 and len(results) == 2 * len(datasets)
+    assert len(fitted) == 2 * 2 * 3
 
-    # Per replicate: sets of called gene ids, and dicts for evaluate_run.
-    overlaps, f_scores = [], {"scbn": [], "median": []}
-    for ds, pair in zip(datasets, zip(results[0::2], results[1::2])):
-        called = []
-        for method, result in zip(("scbn", "median"), pair):
-            called.append({r.gene_id: r.direction for r in result.records if r.de_call})
-            calls = {r.gene_id: r.de_call for r in result.records if r.p_value is not None}
-            f_scores[method].append(
-                evaluate_run(calls, {g: ds.truth[g] for g in calls}).f_score)
-        both = called[0].keys() & called[1].keys()
-        overlaps.append((len(both), sum(called[0][g] == called[1][g] for g in both)))
+    # The per-gene path: each replicate regenerated by generate_dataset from
+    # its derived seed, fitted by estimate_factor, called by call_de, and
+    # scored by evaluate_run against the id-keyed truth.
+    true_cs, overlaps, refitted = [], [], []
+    metrics, factors = {"scbn": [], "median": []}, {"scbn": [], "median": []}
+    for cell_index, noise_rate in enumerate(noise_rates):
+        for rep in range(3):
+            seed = simulation._child_seed(9, cell_index, rep)
+            ds = generate_dataset(dataclasses.replace(base, noise_rate=noise_rate, seed=seed))
+            true_cs.append(ds.true_c.c)
+            called = []
+            for method in ("scbn", "median"):
+                factor = pipeline.estimate_factor(ds.table, ds.reported_conserved, method,
+                                                  GridConfig()).factor
+                refitted.append(factor.c)
+                factors[method].append(factor.c)
+                result = pipeline.call_de(ds.table, factor, 0.01)
+                called.append({r.gene_id: r.direction for r in result.records if r.de_call})
+                calls = {r.gene_id: r.de_call for r in result.records if r.p_value is not None}
+                metrics[method].append(evaluate_run(calls, {g: ds.truth[g] for g in calls}))
+            both = called[0].keys() & called[1].keys()
+            overlaps.append((len(both), sum(called[0][g] == called[1][g] for g in both)))
+    assert fitted == refitted
     assert any(n > 0 for n, _ in overlaps)
 
     for cell_index, pair in enumerate((cells[0:2], cells[2:4])):
         reps = slice(3 * cell_index, 3 * cell_index + 3)
         for cell in pair:
-            assert cell.mean_overlap_genes == float(np.mean([n for n, _ in overlaps[reps]]))
-            assert cell.mean_overlap_directional == float(
-                np.mean([d for _, d in overlaps[reps]]))
-            assert cell.mean_f_score == float(np.mean(f_scores[cell.method][reps]))
+            scored = metrics[cell.method][reps]
+            precisions = [m.precision for m in scored if m.precision is not None]
+            sensitivities = [m.sensitivity for m in scored if m.sensitivity is not None]
+            assert dataclasses.asdict(cell) == dataclasses.asdict(simulation.StudyCellResult(
+                params={"noise_rate": noise_rates[cell_index]},
+                method=cell.method,
+                replicates=3,
+                mean_false_discoveries=float(np.mean([m.false_discoveries for m in scored])),
+                mean_precision=float(np.mean(precisions)) if precisions else None,
+                precision_undefined=3 - len(precisions),
+                mean_sensitivity=float(np.mean(sensitivities)) if sensitivities else None,
+                sensitivity_undefined=3 - len(sensitivities),
+                mean_f_score=float(np.mean([m.f_score for m in scored])),
+                mean_scaling_factor=float(np.mean(factors[cell.method][reps])),
+                mean_true_c=float(np.mean(true_cs[reps])),
+                mean_overlap_genes=float(np.mean([n for n, _ in overlaps[reps]])),
+                mean_overlap_directional=float(np.mean([d for _, d in overlaps[reps]])),
+            ))
 
