@@ -8,8 +8,12 @@ configuration sweep, and ``evaluate`` scores calls against truth labels.
 Every file a subcommand reads, JSON specs included, is decoded by
 ``pipeline._read_text``: UTF-8 with an optional byte-order mark, where a
 bad byte is an error naming the file and line.  Text tables are split into
-numbered lines by ``pipeline._read_lines`` alone.  A ValueError or OSError
-from any subcommand ends the run with one ``error:`` line and exit status 1.
+numbered lines by ``pipeline._read_lines`` alone.  Every file a subcommand
+writes is written by ``pipeline._write_file`` alone, every JSON report
+(``evaluate``'s stdout included) is rendered by ``pipeline._json_text``,
+and every float but a p- or q-value has 6 significant digits
+(``pipeline._sig6_text``).  A ValueError or OSError from any subcommand
+ends the run with one ``error:`` line and exit status 1.
 """
 from __future__ import annotations
 
@@ -21,25 +25,13 @@ from pathlib import Path
 import click
 
 from . import __version__
-from .normalization import ScbnResult
-from .pipeline import (
-    METHODS,
-    RunConfig,
-    _read_lines,
-    _read_text,
-    estimate_factor,
-    load_conserved_list,
-    load_counts_tsv,
-    run_pipeline,
-    write_counts_tsv,
-    write_report,
-)
+from .normalization import MedianScaleResult, ScbnResult
+from .pipeline import (METHODS, RunConfig, _json_text, _objective_dict, _read_lines, _read_text,
+                       _sig6, _sig6_text, _tsv_text, _write_file, estimate_factor,
+                       load_conserved_list, load_counts_tsv, run_pipeline, write_counts_tsv,
+                       write_report)
 from .simulation import (DE_LABELS, LABEL_NULL, SimConfig, StudyCellResult, evaluate_run,
                          generate_dataset, run_study)
-
-
-def _fmt6(value: float) -> str:
-    return f"{value:.6g}"
 
 
 # A decimal float as results.tsv writes one: digits with an optional point
@@ -57,13 +49,13 @@ _IQR_FALLBACK_WARNING = (
 )
 
 
-def _warn_fit(unknown: int, window_edge: bool, iqr_fallback: bool) -> None:
+def _warn_fit(unknown: int, fit: ScbnResult | MedianScaleResult) -> None:
     """Print the warnings that ``normalize`` and ``test`` share to stderr."""
     if unknown:
         click.echo(f"warning: {unknown} conserved id(s) not in the count table", err=True)
-    if window_edge:
+    if isinstance(fit, ScbnResult) and fit.window_edge:
         click.echo(_WINDOW_EDGE_WARNING, err=True)
-    if iqr_fallback:
+    if isinstance(fit, MedianScaleResult) and not fit.iqr_filtered:
         click.echo(_IQR_FALLBACK_WARNING, err=True)
 
 
@@ -123,25 +115,19 @@ def normalize(output_path, **settings) -> None:
     table = load_counts_tsv(config.counts_path)
     conserved, unknown = load_conserved_list(config.conserved_path, table)
     fit = estimate_factor(table, conserved, config.method, config.grid())
-    scbn = isinstance(fit, ScbnResult)
-    _warn_fit(unknown, scbn and fit.window_edge, not scbn and not fit.iqr_filtered)
+    _warn_fit(unknown, fit)
     payload = {"method": config.method, "conserved_used": conserved.m,
-               "scaling_factor": float(_fmt6(fit.factor.c))}
-    click.echo(f"scaling_factor\t{_fmt6(fit.factor.c)}")
-    if scbn:
-        payload["objective"] = {
-            "deviation": float(_fmt6(fit.objective.deviation)),
-            "rejection_rate": float(_fmt6(fit.objective.rejection_rate)),
-        }
-        click.echo(f"rejection_rate\t{_fmt6(fit.objective.rejection_rate)}")
-        click.echo(f"deviation\t{_fmt6(fit.objective.deviation)}")
+               "scaling_factor": _sig6(fit.factor.c)}
+    click.echo(f"scaling_factor\t{_sig6_text(fit.factor.c)}")
+    if isinstance(fit, ScbnResult):
+        payload["objective"] = _objective_dict(fit.objective)
+        click.echo(f"rejection_rate\t{_sig6_text(fit.objective.rejection_rate)}")
+        click.echo(f"deviation\t{_sig6_text(fit.objective.deviation)}")
     else:
         payload["iqr_filtered"] = fit.iqr_filtered
         payload["kept_genes"] = fit.kept_genes
     if output_path:
-        Path(output_path).write_text(
-            json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-        )
+        _write_file(output_path, _json_text(payload))
 
 
 @main.command(name="test")
@@ -156,9 +142,9 @@ def test_cmd(output_dir, **settings) -> None:
     """Run the full pipeline: normalize, test every gene, call DE, report."""
     config = RunConfig(**settings)
     report = run_pipeline(config)
-    _warn_fit(report.conserved_unknown, report.window_edge, report.iqr_fallback)
+    _warn_fit(report.conserved_unknown, report.fit)
     summary_path, results_path = write_report(report, output_dir)
-    click.echo(f"scaling_factor\t{_fmt6(report.scaling_factor)}")
+    click.echo(f"scaling_factor\t{_sig6_text(report.scaling_factor)}")
     click.echo(f"total_de\t{report.total_de}")
     click.echo(f"higher_sp1\t{report.higher_sp1}")
     click.echo(f"higher_sp2\t{report.higher_sp2}")
@@ -169,7 +155,7 @@ def test_cmd(output_dir, **settings) -> None:
 def _grid_text(value) -> str:
     if value is None:
         return "NA"
-    return _fmt6(value) if isinstance(value, float) else str(value)
+    return _sig6_text(value) if isinstance(value, float) else str(value)
 
 
 def _load_rate_table(path: str) -> tuple[float, ...]:
@@ -210,19 +196,13 @@ def simulate(spec_path, rate_table, output_dir, **fields) -> None:
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_counts_tsv(dataset.table, out / "counts.tsv")
-    with (out / "conserved.txt").open("w", encoding="utf-8", newline="\n") as fh:
-        for gid in sorted(dataset.reported_conserved.gene_ids):
-            fh.write(gid + "\n")
-    with (out / "truth.tsv").open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("gene_id\tlabel\n")
-        for gene_id in dataset.table.gene_ids:
-            fh.write(f"{gene_id}\t{dataset.truth[gene_id]}\n")
-    meta = dict(dataset.meta)
-    meta["true_c"] = float(_fmt6(dataset.true_c.c))
-    with (out / "meta.json").open("w", encoding="utf-8", newline="\n") as fh:
-        json.dump(meta, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    click.echo(f"true_c\t{_fmt6(dataset.true_c.c)}")
+    conserved = sorted(dataset.reported_conserved.gene_ids)
+    _write_file(out / "conserved.txt", _tsv_text([gene_id] for gene_id in conserved))
+    truth = [(gene_id, dataset.truth[gene_id]) for gene_id in dataset.table.gene_ids]
+    _write_file(out / "truth.tsv", _tsv_text([("gene_id", "label"), *truth]))
+    _write_file(out / "meta.json",
+                _json_text({**dataset.meta, "true_c": _sig6(dataset.true_c.c)}))
+    click.echo(f"true_c\t{_sig6_text(dataset.true_c.c)}")
     click.echo(f"output\t{out}")
 
 
@@ -251,13 +231,12 @@ def study(spec_path, output_dir) -> None:
     out = Path(output_dir)
     out.mkdir(parents=True, exist_ok=True)
     columns = [f.name for f in dataclasses.fields(StudyCellResult) if f.name != "params"]
-    grid_path = out / "grid.tsv"
-    with grid_path.open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\t".join([*sweep, *columns]) + "\n")
-        for cell in cells:
-            values = [float(cell.params[f]) for f in sweep]
-            values += [getattr(cell, col) for col in columns]
-            fh.write("\t".join(map(_grid_text, values)) + "\n")
+    rows = [[*sweep, *columns]]
+    for cell in cells:
+        values = [float(cell.params[f]) for f in sweep]
+        values += [getattr(cell, col) for col in columns]
+        rows.append(map(_grid_text, values))
+    grid_path = _write_file(out / "grid.tsv", _tsv_text(rows))
     click.echo(f"cells\t{len(cells)}")
     click.echo(f"grid\t{grid_path}")
 
@@ -318,17 +297,16 @@ def evaluate(results_path, truth_path, output_path) -> None:
     metrics = evaluate_run(calls, tested_truth)
     payload = {
         "false_discoveries": metrics.false_discoveries,
-        "precision": None if metrics.precision is None else float(_fmt6(metrics.precision)),
-        "sensitivity": None if metrics.sensitivity is None
-                       else float(_fmt6(metrics.sensitivity)),
-        "f_score": float(_fmt6(metrics.f_score)),
+        "precision": None if metrics.precision is None else _sig6(metrics.precision),
+        "sensitivity": None if metrics.sensitivity is None else _sig6(metrics.sensitivity),
+        "f_score": _sig6(metrics.f_score),
         "tested_genes": len(calls),
         "untested_genes": len(truth) - len(calls),
     }
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    click.echo(text)
+    text = _json_text(payload)
+    click.echo(text, nl=False)
     if output_path:
-        Path(output_path).write_text(text + "\n", encoding="utf-8")
+        _write_file(output_path, text)
 
 
 if __name__ == "__main__":

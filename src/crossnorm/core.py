@@ -134,7 +134,9 @@ def validate_table(gene_ids, length_sp1, length_sp2, count_sp1, count_sp2) -> Or
 
     Every id must be a unique non-empty string that UTF-8 can encode,
     without a tab or a line break (a character ``str.splitlines`` splits
-    at), so that a table can be written and read back.  Lengths must be
+    at), so that a table can be written and read back, and without
+    whitespace at either end (as ``str.strip`` sees it), so that a
+    conserved list, whose lines are stripped, can name it.  Lengths must be
     >= 1, counts >= 0, and every length and count < 2**53.  A broken rule
     raises :class:`InvalidRow` for the first offending gene; a species
     without any reads raises ValueError.  Idempotent: validating a valid
@@ -163,6 +165,10 @@ def validate_table(gene_ids, length_sp1, length_sp2, count_sp1, count_sp2) -> Or
     if _breaks_line(joined):
         row = next(row for row, gene_id in enumerate(ids) if _breaks_line(gene_id))
         failures.append((row, "gene_id must not contain a tab or line break"))
+    padded = (row for row, gene_id in enumerate(ids) if gene_id != gene_id.strip())
+    # One scan of the joined ids first: the ids are stripped only if one holds whitespace.
+    if joined.split(None, 1) != [joined] and (row := next(padded, None)) is not None:
+        failures.append((row, "gene_id must not begin or end with whitespace"))
     if not _encodable(joined):
         row = next(row for row, gene_id in enumerate(ids) if not _encodable(gene_id))
         failures.append((row, "gene_id must be encodable as UTF-8"))

@@ -28,9 +28,6 @@ _U32 = np.uint64(0xFFFFFFFF)
 _S32 = np.uint64(32)
 _POW10 = np.array([10**k for k in range(20)], dtype=np.uint64)  # all below 2**64
 _DIGITS = 17  # a shortest double has at most 17 significant digits
-# Values are converted this many at a time, which keeps the temporaries
-# small enough to stay in cache.
-_BLOCK = 4096
 
 # Each value's text is picked from a row of WIDTH bytes: "d." (the
 # scientific lead), "0." (the fixed lead), three zeros, the digits
@@ -231,10 +228,8 @@ def pq_text(values: np.ndarray, chars: np.ndarray, keep: np.ndarray) -> np.ndarr
     chars[:] = _TEMPLATE
     rows = chars.view(_ROW)[:, 0]
     inside = np.flatnonzero(values < 1.0)
-    text = np.empty((min(inside.size, _BLOCK), WIDTH), dtype=np.uint8)
-    for start in range(0, inside.size, _BLOCK):
-        block = inside[start:start + _BLOCK]
-        code[block] = _convert(values[block], text[:block.size])
-        rows[block] = text[:block.size].view(_ROW)[:, 0]
+    text = np.empty((inside.size, WIDTH), dtype=np.uint8)
+    code[inside] = _convert(values[inside], text)
+    rows[inside] = text.view(_ROW)[:, 0]
     keep.view(_ROW)[:, 0] = _KEEP.view(_ROW)[:, 0].take(code)
     return _LENGTH.take(code)

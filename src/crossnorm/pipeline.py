@@ -22,10 +22,14 @@ such line break, so every table written here reads back.
 Reports: a JSON summary (method, factor, tallies, config echo) plus a
 per-gene TSV ``gene_id  p_value  q_value  direction  de_call`` where
 untestable genes carry NA in the p/q columns.  Non-p/q floats are printed
-with 6 significant digits.  p and q are written exactly as ``repr`` writes
-them (the shortest round-trip decimal), computed for whole columns at once
-by :func:`crossnorm.floattext.pq_text`; a p or q outside (0, 1] that is not
-NaN raises ValueError.  results.tsv is assembled as one byte buffer.
+with 6 significant digits (:func:`_sig6_text`).  p and q are written
+exactly as ``repr`` writes them (the shortest round-trip decimal), computed
+for whole columns at once by :func:`crossnorm.floattext.pq_text`; a p or q
+outside (0, 1] that is not NaN raises ValueError.  results.tsv is
+assembled as one byte buffer.  Every file the package writes, the CLI's
+included, is written by :func:`_write_file` (UTF-8, ``\n`` line ends), and
+every JSON report is rendered by :func:`_json_text` (2-space indents,
+sorted keys, a final newline).
 
 DE results are columnar: :func:`call_de` returns a :class:`DEResult` whose
 ``p_value`` and ``q_value`` are float64 arrays in table order, with NaN for
@@ -190,11 +194,10 @@ class RunConfig:
 
 @dataclass(frozen=True)
 class Report:
-    """Pipeline output: the factor, per-gene results, and summary tallies."""
+    """Pipeline output: the fit, per-gene results, and summary tallies."""
 
     method: str
-    scaling_factor: float
-    objective: ObjectiveValue | None
+    fit: ScbnResult | MedianScaleResult
     n_genes: int
     n_testable: int
     total_de: int
@@ -206,14 +209,47 @@ class Report:
     conserved_unknown: int
     eval_list_size: int | None = None
     eval_list_de: int | None = None
-    # Fit flags behind the CLI's warnings; not written to the reports.
-    window_edge: bool = False
-    iqr_fallback: bool = False
+
+    @property
+    def scaling_factor(self) -> float:
+        return self.fit.factor.c
+
+    @property
+    def objective(self) -> ObjectiveValue | None:
+        """The scbn fit's objective; None for the median method."""
+        return self.fit.objective if isinstance(self.fit, ScbnResult) else None
 
     @property
     def results(self) -> tuple[TestResult, ...]:
         """The per-gene results as rows (``calls.records``)."""
         return self.calls.records
+
+
+def _write_file(path: str | Path, data: str | bytes) -> Path:
+    """Write one output file, every one the package writes: text as UTF-8,
+    untranslated, so its ``\n`` line ends stay ``\n`` on every platform."""
+    path = Path(path)
+    path.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+    return path
+
+
+def _json_text(value) -> str:
+    """The text of every JSON report: 2-space indents, sorted keys, a final newline."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
+def _tsv_text(rows) -> str:
+    """Rows of text fields as TSV lines, each ending in ``\n``."""
+    return "".join("\t".join(row) + "\n" for row in rows)
+
+
+def _sig6_text(value: float) -> str:
+    """A float other than a p- or q-value, as every report writes it."""
+    return f"{value:.6g}"
+
+
+def _sig6(value: float) -> float:
+    return float(_sig6_text(value))
 
 
 def _read_text(path: Path) -> str:
@@ -320,9 +356,7 @@ def write_counts_tsv(table: OrthologTable, path: str | Path) -> None:
     """Write a count table in the format :func:`load_counts_tsv` reads."""
     columns = (table.gene_ids, table.length_sp1.tolist(), table.count_sp1.tolist(),
                table.length_sp2.tolist(), table.count_sp2.tolist())
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_HEADER_LINE + "\n")
-        fh.writelines("\t".join(map(str, row)) + "\n" for row in zip(*columns))
+    _write_file(path, _tsv_text([COUNTS_HEADER, *(map(str, row) for row in zip(*columns))]))
 
 
 def load_conserved_list(path: str | Path, table: OrthologTable) -> tuple[ConservedSet, int]:
@@ -445,8 +479,6 @@ def run_pipeline(config: RunConfig) -> Report:
     conserved, unknown = load_conserved_list(config.conserved_path, table)
 
     fit = estimate_factor(table, conserved, config.method, config.grid())
-    objective = fit.objective if isinstance(fit, ScbnResult) else None
-
     calls = call_de(table, fit.factor, config.cutoff)
 
     eval_size = eval_de = None
@@ -458,8 +490,7 @@ def run_pipeline(config: RunConfig) -> Report:
 
     return Report(
         method=config.method,
-        scaling_factor=fit.factor.c,
-        objective=objective,
+        fit=fit,
         n_genes=len(table),
         n_testable=int(table.testable.sum()),
         total_de=int(calls.de_call.sum()),
@@ -471,14 +502,12 @@ def run_pipeline(config: RunConfig) -> Report:
         conserved_unknown=unknown,
         eval_list_size=eval_size,
         eval_list_de=eval_de,
-        window_edge=isinstance(fit, ScbnResult) and fit.window_edge,
-        iqr_fallback=isinstance(fit, MedianScaleResult) and not fit.iqr_filtered,
     )
 
 
-def _sig6(value: float) -> float:
-    # Reports print non-p/q floats at 6 significant digits.
-    return float(f"{value:.6g}")
+def _objective_dict(objective: ObjectiveValue) -> dict:
+    return {"deviation": _sig6(objective.deviation),
+            "rejection_rate": _sig6(objective.rejection_rate)}
 
 
 def summary_dict(report: Report) -> dict:
@@ -486,7 +515,7 @@ def summary_dict(report: Report) -> dict:
     summary = {
         "method": report.method,
         "scaling_factor": _sig6(report.scaling_factor),
-        "objective": None,
+        "objective": None if report.objective is None else _objective_dict(report.objective),
         "genes": {
             "total": report.n_genes,
             "testable": report.n_testable,
@@ -511,11 +540,6 @@ def summary_dict(report: Report) -> dict:
             "grid_refine_shrink": _sig6(cfg.grid().refine_shrink),
         },
     }
-    if report.objective is not None:
-        summary["objective"] = {
-            "deviation": _sig6(report.objective.deviation),
-            "rejection_rate": _sig6(report.objective.rejection_rate),
-        }
     if report.eval_list_size is not None:
         summary["eval_list"] = {
             "matched": report.eval_list_size,
@@ -573,10 +597,5 @@ def write_report(report: Report, out_dir: str | Path) -> tuple[Path, Path]:
     """Write summary.json and results.tsv; byte-identical for equal inputs."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    summary_path = out / "summary.json"
-    results_path = out / "results.tsv"
-    with summary_path.open("w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary_dict(report), fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    results_path.write_bytes(_results_tsv(report.calls))
-    return summary_path, results_path
+    return (_write_file(out / "summary.json", _json_text(summary_dict(report))),
+            _write_file(out / "results.tsv", _results_tsv(report.calls)))

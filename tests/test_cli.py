@@ -68,6 +68,68 @@ def test_normalize_both_methods(tmp_path):
         assert payload["scaling_factor"] > 0
 
 
+def _assert_written_as_utf8_lines(path):
+    # UTF-8, every line ended by "\n" alone, and a final newline.
+    text = path.read_bytes().decode("utf-8")
+    assert text.endswith("\n") and text.split("\n")[:-1] == text.splitlines(), path
+
+
+def test_normalize_and_evaluate_outputs_are_pinned(tmp_path):
+    runner = CliRunner()
+    out = tmp_path / "out"
+    assert _simulate(runner, out / "sim").exit_code == 0
+    inputs = ["--counts", str(out / "sim" / "counts.tsv"),
+              "--conserved", str(out / "sim" / "conserved.txt"), "--grid-points", "200"]
+    for method in ("scbn", "median"):
+        estimate = out / f"{method}.json"
+        result = runner.invoke(main, ["normalize", *inputs, "--method", method,
+                                      "--output", str(estimate)])
+        assert result.exit_code == 0, result.output
+        printed = dict(line.split("\t") for line in result.stdout.splitlines())
+        payload = json.loads(estimate.read_text(encoding="utf-8"))
+        run = out / f"run-{method}"
+        result = runner.invoke(main, ["test", *inputs, "--method", method, "--cutoff", "0.01",
+                                      "--output", str(run)])
+        assert result.exit_code == 0, result.output
+        summary = json.loads((run / "summary.json").read_text(encoding="utf-8"))
+        assert payload["scaling_factor"] == float(printed["scaling_factor"]) == \
+            summary["scaling_factor"]
+        assert (payload["method"], payload["conserved_used"]) == \
+            (method, summary["conserved"]["used"])
+        if method == "scbn":
+            assert list(printed) == ["scaling_factor", "rejection_rate", "deviation"]
+            assert set(payload) == {"method", "conserved_used", "scaling_factor", "objective"}
+            assert payload["objective"] == summary["objective"] == {
+                "deviation": float(printed["deviation"]),
+                "rejection_rate": float(printed["rejection_rate"])}
+        else:
+            assert list(printed) == ["scaling_factor"]
+            assert set(payload) == {"method", "conserved_used", "scaling_factor",
+                                    "iqr_filtered", "kept_genes"}
+            assert summary["objective"] is None
+        scores = out / f"scores-{method}.json"
+        result = runner.invoke(main, ["evaluate", "--results", str(run / "results.tsv"),
+                                      "--truth", str(out / "sim" / "truth.tsv"),
+                                      "--output", str(scores)])
+        assert result.exit_code == 0, result.output
+        assert scores.read_text(encoding="utf-8") == result.stdout
+    spec = tmp_path / "study.json"
+    spec.write_text(json.dumps({"replicates": 1, "methods": ["median"], "cutoff": 0.01,
+                                "base": {"n_orthologs": 200, "conserved_size": 40},
+                                "sweep": {"noise_rate": [0.0]}}), encoding="utf-8")
+    result = runner.invoke(main, ["study", "--spec", str(spec), "--output", str(out / "study")])
+    assert result.exit_code == 0, result.output
+    written = sorted(path.relative_to(out).as_posix() for path in out.rglob("*")
+                     if path.is_file())
+    assert written == [
+        "median.json", "run-median/results.tsv", "run-median/summary.json",
+        "run-scbn/results.tsv", "run-scbn/summary.json", "scbn.json", "scores-median.json",
+        "scores-scbn.json", "sim/conserved.txt", "sim/counts.tsv", "sim/meta.json",
+        "sim/truth.tsv", "study/grid.tsv"]
+    for name in written:
+        _assert_written_as_utf8_lines(out / name)
+
+
 def test_full_test_command_and_evaluate(tmp_path):
     runner = CliRunner()
     sim = tmp_path / "sim"

@@ -14,6 +14,7 @@ from crossnorm.core import ConservedSet, InvalidRow, ScalingFactor, validate_tab
 from crossnorm.exact_test import binom_twosided_pvalues, null_prob_values
 from crossnorm.normalization import (
     GridConfig,
+    MedianScaleResult,
     empirical_type1_deviation,
     median_scaling_factor,
     scbn_scaling_factor,
@@ -773,7 +774,8 @@ def _result_line(r):
 
 def _report_of(calls):
     config = RunConfig(counts_path="counts.tsv", conserved_path="conserved.txt")
-    return Report(method="scbn", scaling_factor=1.0, objective=None,
+    fit = MedianScaleResult(ScalingFactor(1.0), iqr_filtered=True, kept_genes=1)
+    return Report(method="median", fit=fit,
                   n_genes=len(calls.gene_ids), n_testable=0, total_de=0, higher_sp1=0,
                   higher_sp2=0, calls=calls, config=config, conserved_size=1,
                   conserved_unknown=0)
@@ -852,13 +854,23 @@ _LENGTHS = st.one_of(st.sampled_from([1, 2**53 - 1]), st.integers(1, 2**53 - 1))
 _COUNTS = st.one_of(st.sampled_from([0, 1, 2**53 - 1]), st.integers(0, 2**53 - 1))
 
 
+def _id_rule_broken(gene_id):
+    """The id rule validate_table names for ``gene_id``, or None."""
+    if _UNREADABLE & set(gene_id):
+        return "gene_id must not contain a tab or line break"
+    if gene_id != gene_id.strip():
+        return "gene_id must not begin or end with whitespace"
+    return None
+
+
 @given(st.lists(st.tuples(_ANY_IDS, _LENGTHS, _LENGTHS, _COUNTS, _COUNTS), min_size=1,
                 max_size=30, unique_by=lambda row: row[0]))
 @settings(max_examples=50, deadline=None)
 def test_every_table_validate_table_accepts_reads_back(tmp_path_factory, rows):
-    readable = [row for row in rows if not _UNREADABLE & set(row[0])]
+    broken = [_id_rule_broken(row[0]) for row in rows]
+    readable = [row for row, rule in zip(rows, broken) if rule is None]
     if len(readable) < len(rows):
-        with pytest.raises(InvalidRow, match="gene_id must not contain a tab or line break"):
+        with pytest.raises(InvalidRow, match=re.escape(next(filter(None, broken)))):
             table_of(rows)
     if not readable:
         return
@@ -878,6 +890,23 @@ def test_every_table_validate_table_accepts_reads_back(tmp_path_factory, rows):
     scores = json.loads(result.output)
     assert (scores["tested_genes"], scores["untested_genes"]) == \
         (int(table.testable.sum()), int((~table.testable).sum()))
+
+
+def test_a_gene_id_padded_with_whitespace_is_rejected(tmp_path):
+    # Padded ids used to load, and then a conserved list, whose lines are
+    # stripped, could not name them.
+    rows = [(" g1", 10, 10, 1, 1), ("g2 ", 10, 10, 1, 1), ("g3", 10, 10, 1, 1)]
+    with pytest.raises(InvalidRow) as info:
+        table_of(rows)
+    assert info.value.row == 0
+    assert str(info.value) == "gene ' g1': gene_id must not begin or end with whitespace"
+    path = _write_counts(tmp_path / "counts.tsv", ["\t".join(map(str, row)) for row in rows])
+    with pytest.raises(ValueError) as info:
+        load_counts_tsv(path)
+    assert str(info.value) == \
+        f"{path}: line 2: gene ' g1': gene_id must not begin or end with whitespace"
+    assert load_counts_tsv(_write_counts(tmp_path / "inner.tsv", ["g 1\t10\t1\t10\t1"])
+                           ).gene_ids == ("g 1",)
 
 
 @pytest.mark.parametrize("gene_id", ["g\udcff", "\ud800", "a\udfffb"])
