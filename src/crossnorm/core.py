@@ -136,7 +136,8 @@ def validate_table(gene_ids, length_sp1, length_sp2, count_sp1, count_sp2) -> Or
     without a tab or a line break (a character ``str.splitlines`` splits
     at), so that a table can be written and read back, and without
     whitespace at either end (as ``str.strip`` sees it), so that a
-    conserved list, whose lines are stripped, can name it.  Lengths must be
+    conserved list, whose lines are stripped, can name it; for the same
+    reason it must not begin with ``#`` or U+FEFF.  Lengths must be
     >= 1, counts >= 0, and every length and count < 2**53.  A broken rule
     raises :class:`InvalidRow` for the first offending gene; a species
     without any reads raises ValueError.  Idempotent: validating a valid
@@ -169,6 +170,11 @@ def validate_table(gene_ids, length_sp1, length_sp2, count_sp1, count_sp2) -> Or
     # One scan of the joined ids first: the ids are stripped only if one holds whitespace.
     if joined.split(None, 1) != [joined] and (row := next(padded, None)) is not None:
         failures.append((row, "gene_id must not begin or end with whitespace"))
+    # A conserved list reads a line that begins with '#' as a comment, and
+    # U+FEFF at the start of its first line as a byte-order mark.
+    marked = (row for row, gene_id in enumerate(ids) if gene_id.startswith(("#", "\ufeff")))
+    if ("#" in joined or "\ufeff" in joined) and (row := next(marked, None)) is not None:
+        failures.append((row, "gene_id must not begin with '#' or U+FEFF"))
     if not _encodable(joined):
         row = next(row for row, gene_id in enumerate(ids) if not _encodable(gene_id))
         failures.append((row, "gene_id must be encodable as UTF-8"))

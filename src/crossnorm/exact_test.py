@@ -72,6 +72,40 @@ def _binom_sf(k, n, p0):
     return np.where(k <= 0, 1.0, special.betainc(a, b, p0))
 
 
+def _inner_tail(k, n, p0, lower):
+    # P(X <= k) where ``lower`` holds, else P(X >= k), for X ~ Binomial(n, p0),
+    # with both kinds in one betainc call, for integral k and n whose tail is
+    # neither empty nor every outcome: k < n for a lower tail, k > 0 for an
+    # upper one.  The arguments are then _binom_cdf's and _binom_sf's, whose
+    # floors at 1 do not bind.
+    d = n - k
+    return special.betainc(np.where(lower, d, k), np.where(lower, k, d) + 1.0,
+                           np.where(lower, 1.0 - p0, p0))
+
+
+def _tail(edge, n, p0, lower):
+    # The kernel's tail at an edge from _tail_edges, integral n: _inner_tail,
+    # but 1 where the tail holds every outcome and 0 where it is empty (an
+    # edge below 0 or above n), the only places the floors bind.
+    k = np.maximum(edge, 0.0)
+    whole = np.where(lower, k >= n, k <= 0.0)
+    tail = np.where(whole, 1.0, _inner_tail(k, n, p0, lower))
+    return np.where(np.where(lower, edge >= 0.0, edge <= n), tail, 0.0)
+
+
+def _plus_far_tail(obs, far_edge, n, lower, p_far, level):
+    # The observed tail ``obs`` (the lower one where ``lower`` holds) plus the
+    # opposite, far tail at far_edge and p_far, summed as the kernel sums
+    # them, on the rows where obs < level; elsewhere obs alone, which is then
+    # >= level.  Since fl(a + b) >= a for b >= 0, the result is below level
+    # exactly where the sum is.  The far tail's betainc runs only on those
+    # rows, and only where the far tail is not empty (an empty one adds 0).
+    rows = np.flatnonzero((obs < level) & np.where(lower, far_edge <= n, far_edge >= 0.0))
+    if rows.size:
+        obs[rows] += _tail(far_edge[rows], n[rows], p_far[rows], ~lower[rows])
+    return obs
+
+
 def _mirror(x1, n, p0):
     # Mirror onto p0 <= 1/2 (and x1 <= n/2 at exactly 1/2) so species-swapped
     # inputs reduce to identical arithmetic.
@@ -110,6 +144,26 @@ def binom_twosided_pvalues(x1, n, p0):
     p = np.where(slack <= 0.0, 1.0, p)  # observed count at/next to the null mean
     p = np.where(n == 0.0, 1.0, p)
     return np.clip(p, _MIN_P, 1.0)
+
+
+def _rejects(x1, n, p0, level):
+    """binom_twosided_pvalues(x1, n, p0) < level, for 1-D arrays of integral
+    counts and 0 < level <= 1, evaluating a far tail only where it can
+    change the answer.
+
+    The kernel's own mirroring, edges and betainc arguments give each cell's
+    observed tail (the one holding x1) first.  The kernel returns 1, or the
+    sum of the two tails clipped to [_MIN_P, 1], and the clip keeps a value
+    >= level at >= level, so _plus_far_tail decides every cell exactly.
+    """
+    x1, n, p0 = (np.asarray(v, dtype=np.float64) for v in (x1, n, p0))
+    x1, p0 = _mirror(x1, n, p0)
+    slack, lo, hi = _tail_edges(x1, n, p0)
+    below = x1 < n * p0
+    with np.errstate(invalid="ignore", divide="ignore"):
+        obs = _tail(np.where(below, lo, hi), n, p0, below)
+        p = _plus_far_tail(obs, np.where(below, hi, lo), n, below, p0, level)
+    return (slack > 0.0) & (n != 0.0) & (np.clip(p, _MIN_P, 1.0) < level)
 
 
 def gene_pvalues(count_sp1, count_sp2, length_sp1, length_sp2, total_sp1, total_sp2, c):

@@ -22,7 +22,11 @@ Two estimators of the between-species scale live here:
   Every other point gets the count a dense sweep gives, so the fit equals
   that of counting every point exactly, and betainc runs mainly on the few
   cells near a gene's decision change at the points that can hold the
-  minimum.
+  minimum.  Run bounds and cell tests alike take the observed tail (the
+  one holding the observed count) first, and the far tail only where the
+  observed one is still below the level and the far tail is not empty:
+  a float sum of non-negative tails is never below its first term, so
+  every decision is still the kernel's own.
 
 * ``median_scaling_factor`` is the conventional baseline: length- and
   depth-normalized expression per gene, an interquartile filter applied in
@@ -46,10 +50,11 @@ from .exact_test import (
     _MIN_P,
     _binom_cdf,
     _binom_sf,
-    _mirror,
+    _inner_tail,
     _p0,
+    _plus_far_tail,
+    _rejects,
     _tail_edges,
-    binom_twosided_pvalues,
 )
 
 __all__ = [
@@ -186,17 +191,15 @@ def _conserved_arrays(table: OrthologTable, rows: np.ndarray):
     return x1, n, l1n1, l2n2
 
 
-def _two_tail_bound(x, n, below, q_obs, q_far):
+def _two_tail_bound(x, n, below, q_obs, q_far, level):
     """Observed tail at q_obs plus the far tail, its edge taken at q_obs and
-    its probability at q_far, in the kernel's mirrored frame."""
+    its probability at q_far, in the kernel's mirrored frame; exact as
+    compared with ``level`` (see exact_test._plus_far_tail).  On a sided
+    interval x <= n*q - 1 below the null mean and x >= n*q + 1 above it, so
+    the observed tail is neither empty nor every outcome (_inner_tail)."""
     _, lo, hi = _tail_edges(x, n, q_obs)
-    bound = np.empty(x.size)
-    b, a = below, ~below
-    bound[b] = _binom_cdf(x[b], n[b], 1.0 - q_obs[b]) + np.where(
-        hi[b] <= n[b], _binom_sf(hi[b], n[b], q_far[b]), 0.0)
-    bound[a] = _binom_sf(x[a], n[a], q_obs[a]) + np.where(
-        lo[a] >= 0.0, _binom_cdf(np.clip(lo[a], 0.0, None), n[a], 1.0 - q_far[a]), 0.0)
-    return bound
+    obs = _inner_tail(x, n, q_obs, below)
+    return _plus_far_tail(obs, np.where(below, hi, lo), n, below, q_far, level)
 
 
 def _interval_verdicts(x1, n, p_lo, p_hi, alpha):
@@ -228,19 +231,24 @@ def _interval_verdicts(x1, n, p_lo, p_hi, alpha):
     #   upper bound: P(X <= x | q1) + P(X >= hi(q1) | q2)
     #   lower bound: P(X <= x | q2) + P(X >= hi(q2) | q1).
     # Above the mean the mirror image holds, with q2 the near end.
-    x, qa = _mirror(x1, n, p_lo)
-    _, qb = _mirror(x1, n, p_hi)
+    # A sided interval never has p0 = 1/2 at an end, so there the kernel's
+    # mirror flips exactly where p_lo > 1/2; the other rows only fail the
+    # side test, whatever their x and q.
+    flip = p_lo > 0.5
+    x = np.where(flip, n - x1, x1)
+    qa, qb = np.where(flip, 1.0 - p_lo, p_lo), np.where(flip, 1.0 - p_hi, p_hi)
     q1, q2 = np.minimum(qa, qb), np.maximum(qa, qb)
     below = n * q1 - x >= 1.0
-    is_sided = ((p_hi < 0.5) | (p_lo > 0.5)) & (below | (x - n * q2 >= 1.0))
+    is_sided = ((p_hi < 0.5) | flip) & (below | (x - n * q2 >= 1.0))
     sided = np.flatnonzero(is_sided)
     x, n_s, below = x[sided], n[sided], below[sided]
     near = np.where(below, q1[sided], q2[sided])
     far = np.where(below, q2[sided], q1[sided])
-    lower = _two_tail_bound(x, n_s, below, far, near)
+    lower = _two_tail_bound(x, n_s, below, far, near, accept_at)
     verdict[sided[lower >= accept_at]] = -1
     open_ = lower < accept_at
-    upper = _two_tail_bound(x[open_], n_s[open_], below[open_], near[open_], far[open_])
+    upper = _two_tail_bound(x[open_], n_s[open_], below[open_], near[open_], far[open_],
+                            reject_at)
     verdict[sided[open_][upper < reject_at]] = 1
 
     # Other intervals can only be proven accepted.  Unless the kernel
@@ -249,10 +257,11 @@ def _interval_verdicts(x1, n, p_lo, p_hi, alpha):
     # betainc in either mirror frame.  P(X <= x1) falls and P(X >= x1)
     # rises with p0, so the smaller of P(X <= x1) at p_hi and P(X >= x1)
     # at p_lo is below every cell's p-value, whichever side x1 is on there.
+    # The second tail is evaluated only where the first one is >= accept_at.
     rest = np.flatnonzero(~is_sided)
-    lower = np.minimum(_binom_cdf(x1[rest], n[rest], 1.0 - p_hi[rest]),
-                       _binom_sf(x1[rest], n[rest], p_lo[rest]))
-    verdict[rest[lower >= accept_at]] = -1
+    rest = rest[_binom_cdf(x1[rest], n[rest], 1.0 - p_hi[rest]) >= accept_at]
+    rest = rest[_binom_sf(x1[rest], n[rest], p_lo[rest]) >= accept_at]
+    verdict[rest] = -1
     return verdict
 
 
@@ -277,8 +286,8 @@ def _rejection_counts(cs, x1, n, l1n1, l2n2, alpha):
     An interval its end-point bounds decide adds its whole run to the
     proven counts; any other interval is split into _SPLIT parts.
     Intervals at most _LEAF_WIDTH wide are counted cell by cell with
-    binom_twosided_pvalues, on the same p0 expression, so a kept cell's
-    count equals a dense sweep's.
+    _rejects, the kernel's p < alpha, on the same p0 expression, so a kept
+    cell's count equals a dense sweep's.
 
     The splitting is a branch-and-bound over cells.  Before each level,
     a cell's count lies in [lo, hi]: lo is its proven count, and every open
@@ -313,8 +322,8 @@ def _rejection_counts(cs, x1, n, l1n1, l2n2, alpha):
             # the proven count plus the open genes' tests is mid's count.
             mid = points // 2
             at = gene[(left <= mid) & (mid <= right)]
-            p = binom_twosided_pvalues(x1[at], n[at], _p0(cs[mid], l1n1[at], l2n2[at]))
-            incumbent = _deviation(proven[mid] + np.count_nonzero(p < alpha), m, alpha)
+            rejects = _rejects(x1[at], n[at], _p0(cs[mid], l1n1[at], l2n2[at]), alpha)
+            incumbent = _deviation(proven[mid] + np.count_nonzero(rejects), m, alpha)
         level += 1
         hi = proven + _coverage(left, right, points)
         d_lo, d_hi = _deviation(proven, m, alpha), _deviation(hi, m, alpha)
@@ -332,8 +341,8 @@ def _rejection_counts(cs, x1, n, l1n1, l2n2, alpha):
             inside[inside] = kept[cell[inside]]
             at = np.broadcast_to(gene[leaf, None], cell.shape)[inside]
             cell = cell[inside]
-            p = binom_twosided_pvalues(x1[at], n[at], _p0(cs[cell], l1n1[at], l2n2[at]))
-            proven += np.bincount(cell[p < alpha], minlength=points)
+            rejects = _rejects(x1[at], n[at], _p0(cs[cell], l1n1[at], l2n2[at]), alpha)
+            proven += np.bincount(cell[rejects], minlength=points)
 
         gene, left, right = gene[~leaf], left[~leaf], right[~leaf]
         if not gene.size:

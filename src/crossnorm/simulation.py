@@ -229,8 +229,10 @@ def _draw_rates(rng: np.random.Generator, size: int, source: tuple[float, ...] |
 
 
 def _gene_ids(size: int) -> tuple[str, ...]:
-    """The generator's gene ids for a table of ``size`` genes."""
-    return tuple(f"g{i:06d}" for i in range(size))
+    """The generator's gene ids for a table of ``size`` genes: ``g`` and the
+    row number, zero-padded to six digits (``g000000``, ..., ``g1000000``)."""
+    # One %-format over all rows and one split: faster than an f-string each.
+    return tuple(("g%06d\n" * size % tuple(range(size))).split())
 
 
 def _table_size(config: SimConfig) -> int:

@@ -4,9 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import gammaln
+from scipy.special import betainc, gammaln
 
-from crossnorm.exact_test import binom_twosided_pvalues, gene_pvalues, null_prob_values
+from crossnorm import exact_test
+from crossnorm.exact_test import (
+    _MAX_P0,
+    _MIN_P,
+    _rejects,
+    binom_twosided_pvalues,
+    gene_pvalues,
+    null_prob_values,
+)
 
 # ---------------------------------------------------------------------------
 # Independent oracle: membership decided on exact integers, mass by log-gamma
@@ -207,3 +215,61 @@ def test_gene_pvalues_vector_matches_gene_pvalue():
             continue
         p0 = float(null_prob_values(c, int(l1[i]), int(l2[i]), 10**6, 2 * 10**6))
         assert vec[i] == _p(int(x1[i]), n, p0)
+
+
+# ---------------------------------------------------------------------------
+# The SCBN count's decision helper: p < level, observed tail first
+# ---------------------------------------------------------------------------
+
+# The clip floor, exactly 1/2, the clip ceiling and their mirror images.
+_EDGE_P0 = [_MIN_P, 1.0 - _MAX_P0, float(np.nextafter(0.5, 0.0)), 0.5,
+            float(np.nextafter(0.5, 1.0)), _MAX_P0]
+_LEVELS = st.one_of(st.sampled_from([1e-6, 0.01, 0.05, 0.5, 0.99]), st.floats(1e-6, 0.99))
+
+
+@st.composite
+def _decision_cells(draw):
+    # Empty and tiny tables, counts next to SCBN's 2**40 bound, and x1 at
+    # both ends, on either side of the null mean and a few sd from it.
+    cells = []
+    for _ in range(draw(st.integers(1, 12))):
+        n = draw(st.one_of(st.sampled_from([0, 1, 2, 2**40 - 1, 2**40, 2**40 + 1]),
+                           st.integers(0, 10**5)))
+        p0 = draw(st.one_of(st.sampled_from(_EDGE_P0), st.floats(_MIN_P, _MAX_P0)))
+        mu = n * p0
+        spread = round(draw(st.floats(-8.0, 8.0)) * math.sqrt(mu * (1.0 - p0)))
+        x1 = draw(st.one_of(
+            st.sampled_from([0, n, math.floor(mu), min(n, math.ceil(mu))]),
+            st.just(min(n, max(0, math.floor(mu) + spread))),
+            st.integers(0, n),
+        ))
+        cells.append((x1, n, p0))
+    return tuple(np.array(column, dtype=np.float64) for column in zip(*cells))
+
+
+@given(_decision_cells(), _LEVELS)
+@settings(max_examples=300, deadline=None)
+def test_rejects_is_the_kernel_p_value_below_the_level(cells, level):
+    x1, n, p0 = cells
+    want = binom_twosided_pvalues(x1, n, p0) < level
+    assert _rejects(x1, n, p0, level).tolist() == want.tolist()
+
+
+def test_rejects_takes_a_far_tail_only_where_the_observed_one_is_below_the_level(monkeypatch):
+    # Every observed tail here is above 0.05, so one betainc element per cell
+    # decides them all; at level 0.5 most cells need their far tail too.
+    evaluated = []
+
+    class Counting:
+        @staticmethod
+        def betainc(a, b, x):
+            evaluated.append(np.size(x))
+            return betainc(a, b, x)
+
+    monkeypatch.setattr(exact_test, "special", Counting())
+    x1, n, p0 = np.arange(43.0, 58.0), np.full(15, 100.0), np.full(15, 0.5)
+    assert not _rejects(x1, n, p0, 0.05).any()
+    assert evaluated == [15]
+    evaluated.clear()
+    assert _rejects(x1, n, p0, 0.5).tolist() == (binom_twosided_pvalues(x1, n, p0) < 0.5).tolist()
+    assert sum(evaluated) > 15

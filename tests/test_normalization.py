@@ -8,10 +8,22 @@ from hypothesis import strategies as st
 
 from crossnorm import normalization
 from crossnorm.core import ConservedSet, ScalingFactor, validate_table
-from crossnorm.exact_test import _p0, binom_twosided_pvalues, null_prob_values
+from crossnorm.exact_test import (
+    _MAX_P0,
+    _MIN_P,
+    _binom_cdf,
+    _binom_sf,
+    _mirror,
+    _p0,
+    _tail_edges,
+    binom_twosided_pvalues,
+    null_prob_values,
+)
 from crossnorm.normalization import (
+    _ALPHA_MARGIN,
     _LEAF_WIDTH,
     _MAX_BOUNDED_N,
+    _P0_WIDEN,
     GridConfig,
     MedianScaleResult,
     ObjectiveValue,
@@ -249,6 +261,66 @@ def test_interval_verdicts_never_receive_zero_intervals(monkeypatch):
         want = _reference_scbn_scaling_factor(table, conserved, grid)
         assert scbn_scaling_factor(table, conserved, grid) == want
     assert sizes and min(sizes) > 0
+
+
+def _reference_two_tail_bound(x, n, below, q_obs, q_far):
+    """Observed tail at q_obs plus the far tail, each side on its own boolean
+    subset with its own _binom_cdf/_binom_sf pair, both tails on every row."""
+    _, lo, hi = _tail_edges(x, n, q_obs)
+    bound = np.empty(x.size)
+    b, a = below, ~below
+    bound[b] = _binom_cdf(x[b], n[b], 1.0 - q_obs[b]) + np.where(
+        hi[b] <= n[b], _binom_sf(hi[b], n[b], q_far[b]), 0.0)
+    bound[a] = _binom_sf(x[a], n[a], q_obs[a]) + np.where(
+        lo[a] >= 0.0, _binom_cdf(np.clip(lo[a], 0.0, None), n[a], 1.0 - q_far[a]), 0.0)
+    return bound
+
+
+def _reference_interval_verdicts(x1, n, p_lo, p_hi, alpha):
+    """Reference: _interval_verdicts evaluating every tail of every bound, with
+    the kernel's _mirror at both ends."""
+    p_lo = np.clip(p_lo * (1.0 - _P0_WIDEN), _MIN_P, _MAX_P0)
+    p_hi = np.clip(p_hi * (1.0 + _P0_WIDEN), _MIN_P, _MAX_P0)
+    accept_at = alpha * (1.0 + _ALPHA_MARGIN)
+    reject_at = alpha * (1.0 - _ALPHA_MARGIN)
+    verdict = np.zeros(x1.size, dtype=np.int8)
+    x, qa = _mirror(x1, n, p_lo)
+    _, qb = _mirror(x1, n, p_hi)
+    q1, q2 = np.minimum(qa, qb), np.maximum(qa, qb)
+    below = n * q1 - x >= 1.0
+    is_sided = ((p_hi < 0.5) | (p_lo > 0.5)) & (below | (x - n * q2 >= 1.0))
+    sided = np.flatnonzero(is_sided)
+    x, n_s, below = x[sided], n[sided], below[sided]
+    near = np.where(below, q1[sided], q2[sided])
+    far = np.where(below, q2[sided], q1[sided])
+    lower = _reference_two_tail_bound(x, n_s, below, far, near)
+    verdict[sided[lower >= accept_at]] = -1
+    open_ = lower < accept_at
+    upper = _reference_two_tail_bound(x[open_], n_s[open_], below[open_], near[open_],
+                                      far[open_])
+    verdict[sided[open_][upper < reject_at]] = 1
+    rest = np.flatnonzero(~is_sided)
+    lower = np.minimum(_binom_cdf(x1[rest], n[rest], 1.0 - p_hi[rest]),
+                       _binom_sf(x1[rest], n[rest], p_lo[rest]))
+    verdict[rest[lower >= accept_at]] = -1
+    return verdict
+
+
+@given(_grid_count_cases(), st.integers(0, 2**32 - 1))
+@settings(max_examples=150, deadline=None)
+def test_interval_verdicts_equal_the_every_tail_reference(case, seed):
+    # Random index intervals of a round-0 grid, from single cells to the
+    # whole window, for every gene; counts reach past _MAX_BOUNDED_N.
+    (x1, n, l1n1, l2n2), center, span, points, alpha = case
+    h = math.log(span)
+    cs = np.exp(np.linspace(math.log(center) - h, math.log(center) + h, points))
+    if center == 1.0 and points % 2:
+        cs[points // 2] = 1.0
+    gene = np.repeat(np.arange(x1.size), 16)
+    left, right = np.sort(np.random.default_rng(seed).integers(0, points, (2, gene.size)), axis=0)
+    args = (x1[gene], n[gene], _p0(cs[left], l1n1[gene], l2n2[gene]),
+            _p0(cs[right], l1n1[gene], l2n2[gene]), alpha)
+    assert _interval_verdicts(*args).tolist() == _reference_interval_verdicts(*args).tolist()
 
 
 @pytest.mark.parametrize("round_idx", range(3))

@@ -860,6 +860,8 @@ def _id_rule_broken(gene_id):
         return "gene_id must not contain a tab or line break"
     if gene_id != gene_id.strip():
         return "gene_id must not begin or end with whitespace"
+    if gene_id.startswith(("#", "\ufeff")):
+        return "gene_id must not begin with '#' or U+FEFF"
     return None
 
 
@@ -880,6 +882,9 @@ def test_every_table_validate_table_accepts_reads_back(tmp_path_factory, rows):
     out = tmp_path_factory.mktemp("roundtrip")
     write_counts_tsv(table, out / "counts.tsv")
     assert load_counts_tsv(out / "counts.tsv") == table
+    listed = out / "conserved.txt"
+    listed.write_text("".join(f"{g}\n" for g in table.gene_ids), encoding="utf-8")
+    assert load_conserved_list(listed, table) == (ConservedSet(frozenset(table.gene_ids)), 0)
     _, results = write_report(_report_of(call_de(table, ScalingFactor(1.0), 0.5)), out)
     truth = out / "truth.tsv"
     truth.write_text("gene_id\tlabel\n" + "".join(f"{g}\tnull\n" for g in table.gene_ids),
@@ -907,6 +912,26 @@ def test_a_gene_id_padded_with_whitespace_is_rejected(tmp_path):
         f"{path}: line 2: gene ' g1': gene_id must not begin or end with whitespace"
     assert load_counts_tsv(_write_counts(tmp_path / "inner.tsv", ["g 1\t10\t1\t10\t1"])
                            ).gene_ids == ("g 1",)
+
+
+def test_an_id_a_conserved_list_cannot_name_is_rejected(tmp_path):
+    # A list line that begins with '#' is a comment, and U+FEFF at the start
+    # of its first line a byte-order mark: "#g2" used to load and then be
+    # dropped from a conserved list silently.
+    for gene_id in ("#g2", "\ufeffg2"):
+        rows = [("g1", 10, 10, 1, 1), (gene_id, 10, 10, 1, 1), ("g3", 10, 10, 1, 1)]
+        with pytest.raises(InvalidRow) as info:
+            table_of(rows)
+        assert info.value.row == 1
+        assert str(info.value) == f"gene {gene_id!r}: gene_id must not begin with '#' or U+FEFF"
+        path = _write_counts(tmp_path / "counts.tsv", ["\t".join(map(str, row)) for row in rows])
+        with pytest.raises(ValueError) as info:
+            load_counts_tsv(path)
+        assert str(info.value) == \
+            f"{path}: line 3: gene {gene_id!r}: gene_id must not begin with '#' or U+FEFF"
+    table = load_counts_tsv(_write_counts(tmp_path / "inner.tsv", ["g#1\t10\t1\t10\t1",
+                                                                  "g\ufeff2\t10\t1\t10\t1"]))
+    assert table.gene_ids == ("g#1", "g\ufeff2")
 
 
 @pytest.mark.parametrize("gene_id", ["g\udcff", "\ud800", "a\udfffb"])

@@ -687,3 +687,12 @@ def test_run_study_overlap_and_scores_match_a_recount_from_call_de(monkeypatch):
                 mean_overlap_directional=float(np.mean([d for _, d in overlaps[reps]])),
             ))
 
+
+
+@pytest.mark.parametrize("size", [0, 1, 8_000, 1_000_001])
+def test_gene_ids_are_the_zero_padded_row_numbers(size):
+    # 1,000,001 rows reach a seven-digit id, past the six-digit padding.
+    ids = simulation._gene_ids(size)
+    assert ids == tuple(f"g{i:06d}" for i in range(size))
+    if size == 1_000_001:
+        assert ids[-1] == "g1000000"
