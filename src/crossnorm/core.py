@@ -4,8 +4,10 @@ An :class:`OrthologTable` is columnar: a tuple of gene ids plus read-only
 int64 columns ``length_sp1``, ``length_sp2``, ``count_sp1`` and
 ``count_sp2``, the exact per-species read totals as Python ints, and a
 ``testable`` mask.  :func:`validate_table` is the one place that builds and
-checks a table.  :class:`GeneRecord` is the row type of the cached, read-only
-``table.records`` view.
+checks a table; its id rules (``_check_ids``) and column rules
+(``_build_table``) can also run apart, so that the simulator checks an id
+tuple once and then builds many tables on it.  :class:`GeneRecord` is the
+row type of the cached, read-only ``table.records`` view.
 
 All types are immutable after construction.
 """
@@ -143,23 +145,21 @@ def validate_table(gene_ids, length_sp1, length_sp2, count_sp1, count_sp2) -> Or
     without any reads raises ValueError.  Idempotent: validating a valid
     table's columns reproduces an equal table.
     """
-    ids = tuple(gene_ids)
-    columns = [_int64_column(values) for values in (length_sp1, length_sp2, count_sp1, count_sp2)]
-    if any(column.shape != (len(ids),) for column in columns):
-        raise ValueError("gene ids and the four columns must have the same length")
-    l1, l2, x1, x2 = columns
+    return _build_table(tuple(gene_ids), length_sp1, length_sp2, count_sp1, count_sp2)
 
-    failures = [
-        (int(mask.argmax()), message)
-        for mask, message in (
-            (l1 < 1, "length_sp1 must be >= 1"),
-            (l2 < 1, "length_sp2 must be >= 1"),
-            ((x1 < 0) | (x2 < 0), "counts must be >= 0"),
-            (np.any([column >= _VALUE_LIMIT for column in columns], axis=0),
-             "lengths and counts must be < 2**53"),
-        )
-        if mask.any()
-    ]
+
+def _check_ids(ids: tuple[str, ...]) -> None:
+    """Raise validate_table's InvalidRow for the first id that breaks an id
+    rule.  Ids checked once may then build any number of tables with
+    ``_build_table(..., check_ids=False)``."""
+    failures = _id_failures(ids)
+    if failures:
+        _raise_first(ids, failures)
+
+
+def _id_failures(ids: tuple[str, ...]) -> list[tuple[int, str]]:
+    """The first row breaking each of validate_table's id rules, with its message."""
+    failures = []
     if "" in ids:
         failures.append((ids.index(""), "gene_id must be a non-empty string"))
     joined = "".join(ids)
@@ -185,9 +185,38 @@ def validate_table(gene_ids, length_sp1, length_sp2, count_sp1, count_sp2) -> Or
                 failures.append((row, "duplicate gene_id"))
                 break
             seen.add(gene_id)
+    return failures
+
+
+def _raise_first(ids: tuple[str, ...], failures: list[tuple[int, str]]):
+    row, message = min(failures, key=lambda failure: failure[0])
+    raise InvalidRow(row, f"gene {ids[row]!r}: {message}")
+
+
+def _build_table(ids: tuple[str, ...], length_sp1, length_sp2, count_sp1, count_sp2,
+                 check_ids: bool = True) -> OrthologTable:
+    """validate_table on a tuple of ids; with ``check_ids`` False, on ids
+    that _check_ids has passed, whose rules are then not checked again."""
+    columns = [_int64_column(values) for values in (length_sp1, length_sp2, count_sp1, count_sp2)]
+    if any(column.shape != (len(ids),) for column in columns):
+        raise ValueError("gene ids and the four columns must have the same length")
+    l1, l2, x1, x2 = columns
+
+    failures = [
+        (int(mask.argmax()), message)
+        for mask, message in (
+            (l1 < 1, "length_sp1 must be >= 1"),
+            (l2 < 1, "length_sp2 must be >= 1"),
+            ((x1 < 0) | (x2 < 0), "counts must be >= 0"),
+            (np.any([column >= _VALUE_LIMIT for column in columns], axis=0),
+             "lengths and counts must be < 2**53"),
+        )
+        if mask.any()
+    ]
+    if check_ids:
+        failures += _id_failures(ids)
     if failures:
-        row, message = min(failures, key=lambda failure: failure[0])
-        raise InvalidRow(row, f"gene {ids[row]!r}: {message}")
+        _raise_first(ids, failures)
 
     total_sp1 = sum(x1.tolist())
     total_sp2 = sum(x2.tolist())

@@ -26,7 +26,13 @@ Two estimators of the between-species scale live here:
   one holding the observed count) first, and the far tail only where the
   observed one is still below the level and the far tail is not empty:
   a float sum of non-negative tails is never below its first term, so
-  every decision is still the kernel's own.
+  every decision is still the kernel's own.  A run's upper bound takes its
+  far tail first instead, which there settles more runs.  Before any of
+  that, a cell or a run whose tails are both bounded below alpha/4 by
+  Bernstein's inequality is counted as rejected with no betainc
+  (``exact_test._tails_below``): the kernel's sum of the two could reach
+  alpha only if betainc were off by a factor of 2, and every decision here
+  already assumes it accurate to _ALPHA_MARGIN.
 
 * ``median_scaling_factor`` is the conventional baseline: length- and
   depth-normalized expression per gene, an interquartile filter applied in
@@ -55,6 +61,7 @@ from .exact_test import (
     _plus_far_tail,
     _rejects,
     _tail_edges,
+    _tails_below,
 )
 
 __all__ = [
@@ -191,15 +198,20 @@ def _conserved_arrays(table: OrthologTable, rows: np.ndarray):
     return x1, n, l1n1, l2n2
 
 
-def _two_tail_bound(x, n, below, q_obs, q_far, level):
-    """Observed tail at q_obs plus the far tail, its edge taken at q_obs and
-    its probability at q_far, in the kernel's mirrored frame; exact as
-    compared with ``level`` (see exact_test._plus_far_tail).  On a sided
-    interval x <= n*q - 1 below the null mean and x >= n*q + 1 above it, so
-    the observed tail is neither empty nor every outcome (_inner_tail)."""
-    _, lo, hi = _tail_edges(x, n, q_obs)
-    obs = _inner_tail(x, n, q_obs, below)
-    return _plus_far_tail(obs, np.where(below, hi, lo), n, below, q_far, level)
+def _deep_rejections(x, n, below, near, far, level):
+    """Where both tails of a sided interval's upper bound, P(X <= x | near)
+    + P(X >= hi(near) | far) below the null mean and its mirror image above
+    it (see _interval_verdicts), are below level/4 by Bernstein's bound.
+
+    The observed tail lies |mu_near - x| from its mean.  The far edge,
+    ceil/floor(mu_near +- slack) with a tie tolerance <= 1/4, lies at least
+    side * (2*mu_near - x - mu_far) - 1/4 beyond the far mean, side = +1
+    below the mean and -1 above it; 1/2 is taken off.
+    """
+    mu_near = n * near
+    side = np.where(below, 1.0, -1.0)
+    return (_tails_below(np.abs(mu_near - x), n, near, level)
+            & _tails_below(side * (2.0 * mu_near - x - n * far) - 0.5, n, far, level))
 
 
 def _interval_verdicts(x1, n, p_lo, p_hi, alpha):
@@ -212,6 +224,10 @@ def _interval_verdicts(x1, n, p_lo, p_hi, alpha):
     monotone function, so the kernel's cells inside the interval order like
     its end points.  The observed-side edge is exactly x1 for
     n < _MAX_BOUNDED_N, which the caller enforces.
+
+    A sided interval whose upper bound's two tails are both below
+    alpha/4 by Bernstein's bound (_deep_rejections) is proven rejected
+    with no betainc; see exact_test for why that decision is betainc's own.
     """
     # The grid's exp() and fl(a / (b + a)) are monotone in c only up to a
     # few ulps; widening the ends covers every inside cell's p0.
@@ -230,7 +246,11 @@ def _interval_verdicts(x1, n, p_lo, p_hi, alpha):
     # and P(X >= k) rises.  Hence with the near end q1 and the far end q2,
     #   upper bound: P(X <= x | q1) + P(X >= hi(q1) | q2)
     #   lower bound: P(X <= x | q2) + P(X >= hi(q2) | q1).
-    # Above the mean the mirror image holds, with q2 the near end.
+    # Above the mean the mirror image holds, with q2 the near end.  A far
+    # tail's edge is taken at the end its observed tail is, and each bound
+    # is exact as compared with its level (see exact_test._plus_far_tail).
+    # x <= n*q - 1 below the null mean and x >= n*q + 1 above it, so the
+    # observed tail is neither empty nor every outcome (_inner_tail).
     # A sided interval never has p0 = 1/2 at an end, so there the kernel's
     # mirror flips exactly where p_lo > 1/2; the other rows only fail the
     # side test, whatever their x and q.
@@ -244,12 +264,35 @@ def _interval_verdicts(x1, n, p_lo, p_hi, alpha):
     x, n_s, below = x[sided], n[sided], below[sided]
     near = np.where(below, q1[sided], q2[sided])
     far = np.where(below, q2[sided], q1[sided])
-    lower = _two_tail_bound(x, n_s, below, far, near, accept_at)
+    # The lower bound's observed tail alone accepts a row where it reaches
+    # accept_at.  The other rows try the reject proof before the lower
+    # bound's far tail: a row with upper < reject_at has lower <= upper <
+    # accept_at, so the verdicts are those of taking the lower bound first.
+    lower = _inner_tail(x, n_s, far, below)
     verdict[sided[lower >= accept_at]] = -1
-    open_ = lower < accept_at
-    upper = _two_tail_bound(x[open_], n_s[open_], below[open_], near[open_], far[open_],
-                            reject_at)
-    verdict[sided[open_][upper < reject_at]] = 1
+    rows = np.flatnonzero(lower < accept_at)
+    sided, x, n_s, below, near, far, lower = (
+        v[rows] for v in (sided, x, n_s, below, near, far, lower))
+    rejected = _deep_rejections(x, n_s, below, near, far, reject_at)
+    # The upper bound takes its far tail first, which here settles more rows
+    # than the observed one: fl(a + b) >= b as well, so a far tail at or
+    # above reject_at leaves the row unproven, and the observed tail is
+    # added only to the others.
+    rows = np.flatnonzero(~rejected)
+    xr, nr, br, qn = x[rows], n_s[rows], below[rows], near[rows]
+    _, lo, hi = _tail_edges(xr, nr, qn)
+    upper = _plus_far_tail(np.zeros(rows.size), np.where(br, hi, lo), nr, br, far[rows],
+                           reject_at)
+    live = np.flatnonzero(upper < reject_at)
+    upper[live] += _inner_tail(xr[live], nr[live], qn[live], br[live])
+    rejected[rows] = upper < reject_at
+    verdict[sided[rejected]] = 1
+    # The lower bound's far tail, on the rows still open.
+    rows = np.flatnonzero(~rejected)
+    nr, br = n_s[rows], below[rows]
+    _, lo, hi = _tail_edges(x[rows], nr, far[rows])
+    lower = _plus_far_tail(lower[rows], np.where(br, hi, lo), nr, br, near[rows], accept_at)
+    verdict[sided[rows[lower >= accept_at]]] = -1
 
     # Other intervals can only be proven accepted.  Unless the kernel
     # returns 1, its p-value includes the observed-side tail: P(X <= x1)

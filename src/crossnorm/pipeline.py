@@ -37,8 +37,9 @@ untestable genes (zero reads in both species).  :func:`bh_adjust` follows
 the same convention: NaN entries stay NaN and do not count as tests.
 ``DEResult.records`` is a row view of :class:`TestResult` objects, built on
 first access, for inspection only.  :func:`testable_calls` gives the
-``de_call`` and ``direction`` columns of the testable genes for scoring,
-without computing q-values.
+``de_call`` and ``direction`` columns of the testable genes for scoring:
+it decides each call with ``exact_test._rejects`` and computes neither
+p-values nor q-values.
 """
 from __future__ import annotations
 
@@ -53,7 +54,7 @@ import numpy as np
 
 from .core import (ConservedSet, InvalidRow, OrthologTable, ScalingFactor, require_number,
                    validate_table)
-from .exact_test import binom_twosided_pvalues, null_prob_values
+from .exact_test import _rejects, binom_twosided_pvalues, null_prob_values
 from .floattext import WIDTH, pq_text
 from .normalization import (
     GridConfig,
@@ -397,7 +398,9 @@ def bh_adjust(pvalues: np.ndarray) -> np.ndarray:
     if bad.any():
         raise ValueError(f"p-values must lie in (0, 1], got {float(pt[bad.argmax()])!r}")
     m = pt.size
-    order = np.argsort(pt, kind="stable")
+    # Tied p-values get equal q in any order: fl(p * (m/rank)) never rises
+    # with the rank, so a run of ties takes the value at its last rank.
+    order = np.argsort(pt)
     # p * (m/rank) keeps the top rank's factor at exactly 1, so a constant
     # vector adjusts to itself.
     scaled = pt[order] * (m / np.arange(1, m + 1))
@@ -413,6 +416,24 @@ def _check_cutoff(cutoff) -> None:
         raise ValueError("cutoff must lie in (0, 1)")
 
 
+def _null_probs(table: OrthologTable, c: ScalingFactor, rows=slice(None)):
+    """The x1, n and p0 columns at factor c of the genes at ``rows``."""
+    x1 = table.count_sp1[rows]
+    n = x1 + table.count_sp2[rows]
+    p0 = null_prob_values(c.c, table.length_sp1[rows], table.length_sp2[rows],
+                          table.total_sp1, table.total_sp2)
+    return x1, n, p0
+
+
+def _directions(x1, n, p0, called) -> np.ndarray:
+    """The direction column: the sign of x1 - n*p0 where a gene is called,
+    else 0.  int64 counts below 2**53 compare exactly with the float64
+    null mean."""
+    mu = n * p0
+    sign = (x1 > mu).astype(np.int8) - (x1 < mu)
+    return np.where(called, sign, np.int8(0))
+
+
 def _test_columns(table: OrthologTable, c: ScalingFactor, cutoff: float):
     """The p, de_call and direction columns of every gene at factor c.
 
@@ -421,18 +442,12 @@ def _test_columns(table: OrthologTable, c: ScalingFactor, cutoff: float):
     null share.
     """
     _check_cutoff(cutoff)
-    x1 = table.count_sp1
-    n = x1 + table.count_sp2
-    p0 = null_prob_values(c.c, table.length_sp1, table.length_sp2,
-                          table.total_sp1, table.total_sp2)
+    x1, n, p0 = _null_probs(table, c)
     with np.errstate(invalid="ignore"):
         p = binom_twosided_pvalues(x1, n, p0)
     p = np.where(table.testable, p, np.nan)
     called = p < cutoff  # False at NaN
-    # int64 counts below 2**53 compare exactly with the float64 null mean.
-    mu = n * p0
-    sign = (x1 > mu).astype(np.int8) - (x1 < mu)
-    return p, called, np.where(called, sign, np.int8(0))
+    return p, called, _directions(x1, n, p0, called)
 
 
 def call_de(table: OrthologTable, c: ScalingFactor, cutoff: float) -> DEResult:
@@ -466,11 +481,13 @@ def testable_calls(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The ``de_call`` and ``direction`` columns of :func:`call_de`, testable genes only.
 
-    Calls are made on p-values, so no q-values are computed.
+    Each call is the decision p < cutoff, made by ``exact_test._rejects``
+    without computing the p-value, and no q-values are computed.
     """
-    _, called, direction = _test_columns(table, c, cutoff)
-    tested = table.testable
-    return called[tested], direction[tested]
+    _check_cutoff(cutoff)
+    x1, n, p0 = _null_probs(table, c, table.testable)
+    called = _rejects(x1, n, p0, cutoff)
+    return called, _directions(x1, n, p0, called)
 
 
 def run_pipeline(config: RunConfig) -> Report:

@@ -47,8 +47,8 @@ from typing import Mapping, Sequence, get_type_hints
 
 import numpy as np
 
-from .core import (_VALUE_LIMIT, ConservedSet, OrthologTable, ScalingFactor, require_integer,
-                   require_number, validate_table)
+from .core import (_VALUE_LIMIT, ConservedSet, OrthologTable, ScalingFactor, _build_table,
+                   _check_ids, require_integer, require_number)
 
 __all__ = [
     "LABEL_NULL",
@@ -242,7 +242,8 @@ def _table_size(config: SimConfig) -> int:
 def _draw(config: SimConfig, gene_ids: tuple[str, ...]):
     """The one seeded draw of a dataset, on rows.
 
-    ``gene_ids`` are the table's ids (``_gene_ids`` of its size).  Returns
+    ``gene_ids`` are the table's ids (``_gene_ids`` of its size), which the
+    caller has checked with ``core._check_ids``.  Returns
     the validated table, each row's truth label as an int8 index into
     ``_LABELS``, the sorted rows of the reported conserved set (testable or
     not), the true factor, and the two species' unmapped read totals.
@@ -292,8 +293,7 @@ def _draw(config: SimConfig, gene_ids: tuple[str, ...]):
     unmapped_reads_sp1 = _unmapped_reads(rng, unm1_mu * unm1_len * (config.depth_sp1 / s1))
     unmapped_reads_sp2 = _unmapped_reads(rng, unm2_mu * unm2_len * (config.depth_sp2 / s2))
 
-    table = validate_table(gene_ids, length_sp1=len_sp1, length_sp2=len_sp2,
-                           count_sp1=counts_sp1, count_sp2=counts_sp2)
+    table = _build_table(gene_ids, len_sp1, len_sp2, counts_sp1, counts_sp2, check_ids=False)
 
     # Reported conserved set: mostly nulls, contaminated at the noise rate.
     # The contaminant pool is every non-null ortholog (planted fold-change
@@ -312,6 +312,7 @@ def _draw(config: SimConfig, gene_ids: tuple[str, ...]):
 def generate_dataset(config: SimConfig) -> SimulatedDataset:
     """Draw one dataset; the same config (including seed) is bit-reproducible."""
     gene_ids = _gene_ids(_table_size(config))
+    _check_ids(gene_ids)
     table, labels, conserved, true_c, unmapped = _draw(config, gene_ids)
     n_de = _conserved_split(config)[0]
     meta = {
@@ -624,8 +625,10 @@ def run_study(
     elif grid.alpha != alpha:
         raise ValueError(f"grid alpha {grid.alpha!r} differs from the study alpha {alpha!r}")
 
-    # One id tuple per table size, shared by the tasks of every cell of that size.
+    # One checked id tuple per table size, shared by the tasks of every cell of that size.
     gene_ids = {size: _gene_ids(size) for size in {_table_size(cell) for _, cell in cells}}
+    for ids in gene_ids.values():
+        _check_ids(ids)
     tasks = [(replace(cell, seed=_child_seed(master_seed, cell_index, rep)),
               gene_ids[_table_size(cell)], methods, cutoff, grid)
              for cell_index, (_, cell) in enumerate(cells) for rep in range(replicates)]

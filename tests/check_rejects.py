@@ -6,8 +6,11 @@ p0) < level`` exactly: it is how the SCBN grid counts rejections.  Checks
 every combination of the edge classes (n = 0, tiny n and n next to 2**40;
 x1 at 0, at n and next to the null mean; p0 at the clip floor, at 1/2 and at
 the clip ceiling) at levels from 1e-6 to 0.99, then ``--count`` seeded random
-cells, each chunk at three levels.  Exits 1 and names the first cell where
-the two disagree.  Run from the repository root:
+cells, each chunk at three levels.  A fifth of the random cells are deep:
+x1 at 0 or n, or 8-40 sd from the null mean, where the Bernstein screen in
+_rejects decides without betainc.  Exits 1 and names the first cell where
+the two disagree, and also exits 1 if the screen decided no cell, since
+then the deep cells checked nothing of it.  Run from the repository root:
 
     PYTHONPATH=src python3 tests/check_rejects.py --count 2000000
 """
@@ -19,7 +22,8 @@ import sys
 
 import numpy as np
 
-from crossnorm.exact_test import _MAX_P0, _MIN_P, _rejects, binom_twosided_pvalues
+from crossnorm.exact_test import (_MAX_P0, _MIN_P, _mirror, _rejects, _tail_edges, _tails_below,
+                                  binom_twosided_pvalues)
 
 CHUNK = 100_000
 LEVELS = (1e-6, 1e-3, 0.01, 0.05, 0.2, 0.5, 0.99)
@@ -27,6 +31,14 @@ EDGE_N = (0, 1, 2, 3, 10, 1000, 2**40 - 1, 2**40, 2**40 + 1)
 EDGE_P0 = (_MIN_P, 1e-300, 1e-9, 0.3, float(np.nextafter(0.5, 0.0)), 0.5,
            float(np.nextafter(0.5, 1.0)), 0.7, 1.0 - 1e-9, _MAX_P0)
 HUGE_SHARE = 0.001  # random cells with n next to 2**40, where betainc is slow
+DEEP_SHARE = 0.2    # random cells far in a tail (see deep_counts)
+
+
+def screened(x1, n, p0, level) -> int:
+    """Number of cells _rejects decides with its screen, with no betainc."""
+    x1, p0 = _mirror(x1, n, p0)
+    slack, _, _ = _tail_edges(x1, n, p0)
+    return int(np.count_nonzero((slack > 0.0) & (n != 0.0) & _tails_below(slack, n, p0, level)))
 
 
 def mismatch(x1, n, p0, levels) -> str | None:
@@ -40,6 +52,16 @@ def mismatch(x1, n, p0, levels) -> str | None:
             return (f"x1={x1[i]!r} n={n[i]!r} p0={p0[i]!r} level={level!r}: p={p[i]!r}, "
                     f"_rejects says {bool(got[i])}")
     return None
+
+
+def deep_counts(rng, n, p0):
+    """x1 at 0 or n, or 8-40 sd from the null mean on either side."""
+    size = n.size
+    mu = n * p0
+    far = mu + rng.choice([-1.0, 1.0], size) * rng.uniform(8.0, 40.0, size) * np.sqrt(
+        mu * (1.0 - p0))
+    return np.where(rng.random(size) < 0.3, np.where(rng.random(size) < 0.5, 0.0, n),
+                    np.round(far))
 
 
 def edge_cells():
@@ -69,6 +91,8 @@ def random_cells(rng, size):
     ends = np.choose(rng.integers(0, 4, size), [np.zeros(size), n, np.floor(mu), np.ceil(mu)])
     kind = rng.random(size)
     x1 = np.where(kind < 0.6, near, np.where(kind < 0.8, anywhere, ends))
+    deep = rng.random(size) < DEEP_SHARE
+    x1[deep] = deep_counts(rng, n[deep], p0[deep])
     return np.clip(x1, 0.0, n), n, p0
 
 
@@ -87,14 +111,19 @@ def main() -> int:
     parser.add_argument("--count", type=int, default=2_000_000)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args()
-    checked = 0
+    checked = decided = 0
     for (x1, n, p0), levels in batches(args.count, args.seed):
         problem = mismatch(x1, n, p0, levels)
         if problem is not None:
             print(f"error: {problem}", file=sys.stderr)
             return 1
         checked += x1.size
-    print(f"_rejects matches the kernel on {checked} cells")
+        decided += sum(screened(x1, n, p0, level) for level in levels)
+    print(f"_rejects matches the kernel on {checked} cells; "
+          f"its screen decided {decided} (cell, level) pairs without betainc")
+    if not decided:
+        print("error: the screen decided no cell", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -10,7 +10,10 @@ from crossnorm import exact_test
 from crossnorm.exact_test import (
     _MAX_P0,
     _MIN_P,
+    _mirror,
     _rejects,
+    _tail_edges,
+    _tails_below,
     binom_twosided_pvalues,
     gene_pvalues,
     null_prob_values,
@@ -255,9 +258,66 @@ def test_rejects_is_the_kernel_p_value_below_the_level(cells, level):
     assert _rejects(x1, n, p0, level).tolist() == want.tolist()
 
 
+@st.composite
+def _deep_cells(draw):
+    # Cells the Bernstein screen can decide: x1 at 0 or n, or 3-40 sd from
+    # the null mean, with n up to next to 2**40 and p0 at its clip edges.
+    cells = []
+    for _ in range(draw(st.integers(1, 12))):
+        n = draw(st.one_of(st.sampled_from([1, 2, 10, 2**40 - 1, 2**40, 2**40 + 1]),
+                           st.integers(1, 10**6)))
+        p0 = draw(st.one_of(st.sampled_from(_EDGE_P0), st.floats(_MIN_P, _MAX_P0)))
+        mu = n * p0
+        spread = draw(st.floats(3.0, 40.0)) * math.sqrt(mu * (1.0 - p0))
+        x1 = draw(st.sampled_from([0, n, min(n, math.floor(mu + spread)),
+                                   max(0, math.ceil(mu - spread))]))
+        cells.append((x1, n, p0))
+    return tuple(np.array(column, dtype=np.float64) for column in zip(*cells))
+
+
+def _screened(x1, n, p0, level):
+    # The cells _rejects decides with no betainc.
+    x1, p0 = _mirror(x1, n, p0)
+    slack, _, _ = _tail_edges(x1, n, p0)
+    return (slack > 0.0) & (n != 0.0) & _tails_below(slack, n, p0, level)
+
+
+@given(_deep_cells(), _LEVELS)
+@settings(max_examples=300, deadline=None)
+def test_the_screen_decides_only_cells_with_p_below_half_the_level(cells, level):
+    x1, n, p0 = cells
+    screened = _screened(x1, n, p0, level)
+    assert (binom_twosided_pvalues(x1, n, p0)[screened] < level / 2).all()
+    assert _rejects(x1, n, p0, level).tolist() == (binom_twosided_pvalues(x1, n, p0)
+                                                   < level).tolist()
+
+
+def test_the_screen_spares_betainc_on_deep_cells(monkeypatch):
+    # 40 sd from the mean on either side, and x1 at 0 or n far from it:
+    # every cell is rejected, and only the one at 2.6 sd takes betainc.
+    evaluated = []
+
+    class Counting:
+        @staticmethod
+        def betainc(a, b, x):
+            evaluated.append(np.size(x))
+            return betainc(a, b, x)
+
+    x1 = np.array([100.0, 1900.0, 0.0, 4000.0, 930.0])
+    n = np.array([4000.0, 4000.0, 4000.0, 4000.0, 4000.0])
+    p0 = np.full(5, 0.25)
+    assert _screened(x1, n, p0, 0.05).tolist() == [True, True, True, True, False]
+    monkeypatch.setattr(exact_test, "special", Counting())
+    assert _rejects(x1, n, p0, 0.05).tolist() == [True] * 5
+    assert sum(evaluated) <= 2
+    # Below _MIN_SCREEN_LEVEL nothing is screened.
+    assert not _screened(x1, n, p0, 1e-310).any()
+
+
 def test_rejects_takes_a_far_tail_only_where_the_observed_one_is_below_the_level(monkeypatch):
     # Every observed tail here is above 0.05, so one betainc element per cell
-    # decides them all; at level 0.5 most cells need their far tail too.
+    # decides them all, but for x1 = 50 at the null mean, whose p = 1 takes
+    # none; at level 0.5 most cells need their far tail too.
     evaluated = []
 
     class Counting:
@@ -269,7 +329,7 @@ def test_rejects_takes_a_far_tail_only_where_the_observed_one_is_below_the_level
     monkeypatch.setattr(exact_test, "special", Counting())
     x1, n, p0 = np.arange(43.0, 58.0), np.full(15, 100.0), np.full(15, 0.5)
     assert not _rejects(x1, n, p0, 0.05).any()
-    assert evaluated == [15]
+    assert evaluated == [14]
     evaluated.clear()
     assert _rejects(x1, n, p0, 0.5).tolist() == (binom_twosided_pvalues(x1, n, p0) < 0.5).tolist()
     assert sum(evaluated) > 15

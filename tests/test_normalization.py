@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import betainc
 
-from crossnorm import normalization
+from crossnorm import exact_test, normalization
 from crossnorm.core import ConservedSet, ScalingFactor, validate_table
 from crossnorm.exact_test import (
     _MAX_P0,
@@ -31,6 +32,7 @@ from crossnorm.normalization import (
     _check_window,
     _conserved_arrays,
     _conserved_rows,
+    _deep_rejections,
     _interval_verdicts,
     _rejection_counts,
     empirical_type1_deviation,
@@ -180,10 +182,11 @@ def _dense_rejection_counts(cs, x1, n, l1n1, l2n2, alpha):
 
 
 @st.composite
-def _grid_count_cases(draw):
+def _grid_count_cases(draw, deep=False):
     # Each gene's null mean sits near x1 at the grid center, so decisions
     # change inside the window.  A tie case has equal L*N in both species and
-    # its grid hits c = 1 exactly, where p0 is exactly 1/2.
+    # its grid hits c = 1 exactly, where p0 is exactly 1/2.  Deep cases put
+    # x1 up to 40 sd from the center's null mean, or at 0 or n.
     tie = draw(st.booleans())
     center = 1.0 if tie else draw(st.floats(0.1, 10.0))
     max_n = draw(st.sampled_from([5, 10**7, 2**42]))
@@ -191,8 +194,10 @@ def _grid_count_cases(draw):
     for _ in range(draw(st.integers(1, 10))):
         n = draw(st.integers(1, max_n))
         f = 0.5 if tie else draw(st.floats(0.02, 0.98))
-        z = draw(st.floats(-8.0, 8.0))
+        z = draw(st.floats(-40.0, 40.0) if deep else st.floats(-8.0, 8.0))
         x1 = min(n, max(0, round(n * f + z * math.sqrt(n * f * (1 - f)))))
+        if deep and draw(st.booleans()):
+            x1 = draw(st.sampled_from([0, n]))
         l1n1 = float(draw(st.integers(1, 10**10)))
         rows.append((x1, n, l1n1, l1n1 * (center * (1 - f) / f)))
     columns = tuple(np.asarray(col, dtype=np.float64) for col in zip(*rows))
@@ -306,8 +311,8 @@ def _reference_interval_verdicts(x1, n, p_lo, p_hi, alpha):
     return verdict
 
 
-@given(_grid_count_cases(), st.integers(0, 2**32 - 1))
-@settings(max_examples=150, deadline=None)
+@given(st.one_of(_grid_count_cases(), _grid_count_cases(deep=True)), st.integers(0, 2**32 - 1))
+@settings(max_examples=200, deadline=None)
 def test_interval_verdicts_equal_the_every_tail_reference(case, seed):
     # Random index intervals of a round-0 grid, from single cells to the
     # whole window, for every gene; counts reach past _MAX_BOUNDED_N.
@@ -321,6 +326,61 @@ def test_interval_verdicts_equal_the_every_tail_reference(case, seed):
     args = (x1[gene], n[gene], _p0(cs[left], l1n1[gene], l2n2[gene]),
             _p0(cs[right], l1n1[gene], l2n2[gene]), alpha)
     assert _interval_verdicts(*args).tolist() == _reference_interval_verdicts(*args).tolist()
+
+
+@st.composite
+def _sided_intervals(draw):
+    # Mirrored sided intervals [q1, q2] on the p0 <= 1/2 side, from a hair
+    # wide to q2/q1 = 10**4, with x 1-40 sd beyond the near end's null mean
+    # on either side, or at 0 or n.
+    rows = []
+    for _ in range(draw(st.integers(1, 12))):
+        n = draw(st.one_of(st.sampled_from([2, 10, 2**40 - 1]), st.integers(2, 10**6)))
+        q1 = draw(st.floats(1e-9, 0.49))
+        q2 = min(0.5 - 1e-9, q1 * 10.0 ** draw(st.floats(0.0, 4.0)))
+        below = draw(st.booleans())
+        near = q1 if below else q2
+        sd = math.sqrt(n * near * (1 - near))
+        step = draw(st.floats(1.0, 40.0)) * sd
+        x = draw(st.sampled_from([math.floor(n * near - max(1.0, step)), 0] if below
+                                 else [math.ceil(n * near + max(1.0, step)), n]))
+        if 0 <= x <= n and (n * q1 - x >= 1.0 if below else x - n * q2 >= 1.0):
+            rows.append((x, n, below, q1, q2))
+    if not rows:
+        rows.append((0, 10, True, 0.3, 0.31))
+    x, n, below, q1, q2 = (np.array(column) for column in zip(*rows))
+    return x.astype(np.float64), n.astype(np.float64), below, q1, q2
+
+
+@given(_sided_intervals(), st.sampled_from([1e-6, 1e-3, 0.05, 0.5]))
+@settings(max_examples=300, deadline=None)
+def test_deep_rejections_only_where_the_upper_bound_is_below_half_the_level(rows, level):
+    x, n, below, q1, q2 = rows
+    near, far = np.where(below, q1, q2), np.where(below, q2, q1)
+    deep = _deep_rejections(x, n, below, near, far, level)
+    upper = _reference_two_tail_bound(x, n, below, near, far)
+    assert (upper[deep] < level / 2).all()
+
+
+def test_interval_verdicts_prove_deep_intervals_rejected_without_their_upper_bound(
+        monkeypatch):
+    # Sided intervals 10-40 sd from the null mean on either side: the lower
+    # bound's observed tail, one betainc element per row, is all they take.
+    evaluated = []
+
+    class Counting:
+        @staticmethod
+        def betainc(a, b, x):
+            evaluated.append(np.size(x))
+            return betainc(a, b, x)
+
+    n = np.full(6, 5000.0)
+    x1 = np.array([900.0, 1000.0, 1100.0, 2200.0, 2600.0, 3000.0])
+    p_lo, p_hi = np.full(6, 0.30), np.full(6, 0.31)
+    assert _reference_interval_verdicts(x1, n, p_lo, p_hi, 0.05).tolist() == [1] * 6
+    monkeypatch.setattr(exact_test, "special", Counting())
+    assert _interval_verdicts(x1, n, p_lo, p_hi, 0.05).tolist() == [1] * 6
+    assert sum(evaluated) == 6
 
 
 @pytest.mark.parametrize("round_idx", range(3))

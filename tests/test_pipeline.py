@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossnorm import pipeline
+from crossnorm import exact_test, pipeline
 from crossnorm.cli import main
 from crossnorm.core import ConservedSet, InvalidRow, ScalingFactor, validate_table
 from crossnorm.exact_test import binom_twosided_pvalues, null_prob_values
@@ -369,6 +369,30 @@ def test_bh_matches_bruteforce_oracle():
         got = bh_adjust(np.array(p))
         expected = bh_oracle(p)
         assert got.tolist() == pytest.approx(expected, abs=1e-12)
+
+
+def _stable_sort_bh(p):
+    """Reference: bh_adjust with every tested p-value ranked by a stable sort."""
+    tested = np.flatnonzero(~np.isnan(p))
+    pt = p[tested]
+    m = pt.size
+    order = np.argsort(pt, kind="stable")
+    scaled = pt[order] * (m / np.arange(1, m + 1))
+    q = np.full(p.shape, np.nan)
+    q[tested[order]] = np.minimum(np.minimum.accumulate(scaled[::-1])[::-1], 1.0)
+    return q
+
+
+def test_bh_ties_adjust_as_under_a_stable_sort():
+    # Heavy ties, in runs long enough for the unstable sort to reorder them,
+    # with NaN entries among them.
+    rng = np.random.default_rng(3)
+    for _ in range(200):
+        m = int(rng.integers(1, 3000))
+        p = rng.choice(rng.uniform(1e-12, 1.0, int(rng.integers(1, 12))), m)
+        p[rng.random(m) < 0.2] = 1.0
+        p[rng.random(m) < 0.05] = np.nan
+        assert bh_adjust(p).tobytes() == _stable_sort_bh(p).tobytes()
 
 
 @given(st.lists(st.floats(min_value=1e-9, max_value=1.0), min_size=1, max_size=80))
@@ -752,6 +776,26 @@ def test_testable_calls_are_call_de_sliced_to_the_testable_genes(case, zeroed, c
         assert got.tolist() == want[table.testable].tolist()
     with pytest.raises(ValueError, match=r"^cutoff must lie in \(0, 1\)$"):
         de_calls_for(table, ScalingFactor(c), 1.0)
+
+
+def test_testable_calls_decide_without_p_values(monkeypatch):
+    # A simulated table with deep fold-change genes: every call is made by
+    # exact_test._rejects, and no p-value is computed.
+    table = generate_dataset(SimConfig(n_orthologs=3000, conserved_size=300, fold=4.0,
+                                       seed=8)).table
+    factor = ScalingFactor(1.1)
+    want = {cutoff: call_de(table, factor, cutoff) for cutoff in (1e-6, 0.01, 0.5)}
+
+    def no_p_values(*args):
+        raise AssertionError("testable_calls computed p-values")
+
+    monkeypatch.setattr(pipeline, "binom_twosided_pvalues", no_p_values)
+    monkeypatch.setattr(exact_test, "binom_twosided_pvalues", no_p_values)
+    for cutoff, result in want.items():
+        called, direction = de_calls_for(table, factor, cutoff)
+        assert called.any() and not called.all()
+        assert called.tolist() == result.de_call[table.testable].tolist()
+        assert direction.tolist() == result.direction[table.testable].tolist()
 
 
 # Equal lengths and equal totals give p0 = 1/2 at c = 1.
