@@ -26,13 +26,12 @@ Two estimators of the between-species scale live here:
   one holding the observed count) first, and the far tail only where the
   observed one is still below the level and the far tail is not empty:
   a float sum of non-negative tails is never below its first term, so
-  every decision is still the kernel's own.  A run's upper bound takes its
-  far tail first instead, which there settles more runs.  Before any of
-  that, a cell or a run whose tails are both bounded below alpha/4 by
-  Bernstein's inequality is counted as rejected with no betainc
-  (``exact_test._tails_below``): the kernel's sum of the two could reach
-  alpha only if betainc were off by a factor of 2, and every decision here
-  already assumes it accurate to _ALPHA_MARGIN.
+  every decision is still the kernel's own.  Before any of that, a cell
+  whose tails are both bounded below alpha/4 by Bernstein's inequality is
+  counted as rejected with no betainc (``exact_test._rejects``): the
+  kernel's sum of the two could reach alpha only if betainc were off by a
+  factor of 2, and every decision here already assumes it accurate to
+  _ALPHA_MARGIN.
 
 * ``median_scaling_factor`` is the conventional baseline: length- and
   depth-normalized expression per gene, an interquartile filter applied in
@@ -61,7 +60,6 @@ from .exact_test import (
     _plus_far_tail,
     _rejects,
     _tail_edges,
-    _tails_below,
 )
 
 __all__ = [
@@ -198,22 +196,6 @@ def _conserved_arrays(table: OrthologTable, rows: np.ndarray):
     return x1, n, l1n1, l2n2
 
 
-def _deep_rejections(x, n, below, near, far, level):
-    """Where both tails of a sided interval's upper bound, P(X <= x | near)
-    + P(X >= hi(near) | far) below the null mean and its mirror image above
-    it (see _interval_verdicts), are below level/4 by Bernstein's bound.
-
-    The observed tail lies |mu_near - x| from its mean.  The far edge,
-    ceil/floor(mu_near +- slack) with a tie tolerance <= 1/4, lies at least
-    side * (2*mu_near - x - mu_far) - 1/4 beyond the far mean, side = +1
-    below the mean and -1 above it; 1/2 is taken off.
-    """
-    mu_near = n * near
-    side = np.where(below, 1.0, -1.0)
-    return (_tails_below(np.abs(mu_near - x), n, near, level)
-            & _tails_below(side * (2.0 * mu_near - x - n * far) - 0.5, n, far, level))
-
-
 def _interval_verdicts(x1, n, p_lo, p_hi, alpha):
     """+1 where the p-value is below alpha at every p0 in [p_lo, p_hi], -1
     where it is below alpha at none, 0 where the end-point bounds cannot tell.
@@ -224,10 +206,6 @@ def _interval_verdicts(x1, n, p_lo, p_hi, alpha):
     monotone function, so the kernel's cells inside the interval order like
     its end points.  The observed-side edge is exactly x1 for
     n < _MAX_BOUNDED_N, which the caller enforces.
-
-    A sided interval whose upper bound's two tails are both below
-    alpha/4 by Bernstein's bound (_deep_rejections) is proven rejected
-    with no betainc; see exact_test for why that decision is betainc's own.
     """
     # The grid's exp() and fl(a / (b + a)) are monotone in c only up to a
     # few ulps; widening the ends covers every inside cell's p0.
@@ -273,19 +251,10 @@ def _interval_verdicts(x1, n, p_lo, p_hi, alpha):
     rows = np.flatnonzero(lower < accept_at)
     sided, x, n_s, below, near, far, lower = (
         v[rows] for v in (sided, x, n_s, below, near, far, lower))
-    rejected = _deep_rejections(x, n_s, below, near, far, reject_at)
-    # The upper bound takes its far tail first, which here settles more rows
-    # than the observed one: fl(a + b) >= b as well, so a far tail at or
-    # above reject_at leaves the row unproven, and the observed tail is
-    # added only to the others.
-    rows = np.flatnonzero(~rejected)
-    xr, nr, br, qn = x[rows], n_s[rows], below[rows], near[rows]
-    _, lo, hi = _tail_edges(xr, nr, qn)
-    upper = _plus_far_tail(np.zeros(rows.size), np.where(br, hi, lo), nr, br, far[rows],
-                           reject_at)
-    live = np.flatnonzero(upper < reject_at)
-    upper[live] += _inner_tail(xr[live], nr[live], qn[live], br[live])
-    rejected[rows] = upper < reject_at
+    _, lo, hi = _tail_edges(x, n_s, near)
+    upper = _plus_far_tail(_inner_tail(x, n_s, near, below), np.where(below, hi, lo), n_s,
+                           below, far, reject_at)
+    rejected = upper < reject_at
     verdict[sided[rejected]] = 1
     # The lower bound's far tail, on the rows still open.
     rows = np.flatnonzero(~rejected)

@@ -92,6 +92,9 @@ _MAX_POISSON_MEAN = np.iinfo("l").max - np.sqrt(np.iinfo("l").max) * 10
 # the fold, lengths below 2**53 and any gene count stay far inside float64
 # with folds up to 1e100, in both directions of the fold.
 _MAX_FOLD = 1e100
+# At most this many (cell, replicate) tasks per study: a task holds about 400
+# bytes and a two-method result about 1,100, so a study stays near 150 MB.
+MAX_STUDY_TASKS = 10**5
 
 
 @dataclass(frozen=True)
@@ -600,6 +603,12 @@ def run_study(
             raise ValueError(f"sweep {name} must be a list of values, got {values!r}")
         if len(values) == 0:
             raise ValueError(f"sweep {name} must list at least one value")
+    require_integer("replicates", replicates)
+    if replicates < 1:
+        raise ValueError("replicates must be >= 1")
+    n_tasks = replicates * math.prod(map(len, sweep.values()))
+    if n_tasks > MAX_STUDY_TASKS:
+        raise ValueError(f"cells x replicates must be <= {MAX_STUDY_TASKS}, got {n_tasks}")
     cells = [dict(zip(sweep, combo)) for combo in itertools.product(*sweep.values())]
     cells = [(overrides, replace(base, **overrides)) for overrides in cells]
     if isinstance(methods, str) or not (
@@ -612,9 +621,6 @@ def run_study(
             raise ValueError(f"unknown method {method!r}")
     if len(set(methods)) != len(methods):
         raise ValueError(f"methods must not repeat, got {list(methods)!r}")
-    require_integer("replicates", replicates)
-    if replicates < 1:
-        raise ValueError("replicates must be >= 1")
     _check_cutoff(cutoff)
     require_number("alpha", alpha)
     require_integer("study seed", master_seed)

@@ -374,6 +374,8 @@ _STUDY_BASE = {"n_orthologs": 100, "conserved_size": 20}
      "error: unknown study spec key(s): replicate"),
     ({"base": dict(_STUDY_BASE, de_rate=0.5), "sweep": {"fold": [2.0, 1e308]}},
      "error: fold must exceed 1 and be at most 1e+100"),
+    ({"base": _STUDY_BASE, "replicates": 1000000000},
+     "error: cells x replicates must be <= 100000, got 1000000000"),
     # Bytes are written as they are; <spec> stands for the spec's path.
     (b'{"base": ', "error: <spec>: line 1 column 10: Expecting value"),
     (b'{"base": {"n_orthologs": 100,\n "conserved_size": 20}, "seed": 1\xff}',
@@ -381,8 +383,8 @@ _STUDY_BASE = {"n_orthologs": 100, "conserved_size": 20}
 ], ids=["sweep-value-not-a-list", "sweep-entry-not-a-number", "spec-not-an-object",
         "base-field-not-a-number", "methods-not-a-list", "methods-empty", "methods-repeated",
         "sweep-rate-source-list", "sweep-rate-source-null", "sweep-empty", "sweep-seed",
-        "base-field-missing", "spec-key-unknown", "sweep-fold-overflows", "spec-truncated",
-        "spec-non-utf8"])
+        "base-field-missing", "spec-key-unknown", "sweep-fold-overflows", "study-oversized",
+        "spec-truncated", "spec-non-utf8"])
 def test_study_spec_of_the_wrong_shape_is_a_one_line_error(tmp_path, spec, message):
     runner = CliRunner()
     path = tmp_path / "study.json"

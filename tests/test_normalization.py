@@ -3,11 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from scipy.special import betainc
 
-from crossnorm import exact_test, normalization
+from crossnorm import normalization
 from crossnorm.core import ConservedSet, ScalingFactor, validate_table
 from crossnorm.exact_test import (
     _MAX_P0,
@@ -32,7 +31,6 @@ from crossnorm.normalization import (
     _check_window,
     _conserved_arrays,
     _conserved_rows,
-    _deep_rejections,
     _interval_verdicts,
     _rejection_counts,
     empirical_type1_deviation,
@@ -311,28 +309,28 @@ def _reference_interval_verdicts(x1, n, p_lo, p_hi, alpha):
     return verdict
 
 
-@given(st.one_of(_grid_count_cases(), _grid_count_cases(deep=True)), st.integers(0, 2**32 - 1))
-@settings(max_examples=200, deadline=None)
-def test_interval_verdicts_equal_the_every_tail_reference(case, seed):
+@st.composite
+def _round0_intervals(draw, deep=False):
     # Random index intervals of a round-0 grid, from single cells to the
     # whole window, for every gene; counts reach past _MAX_BOUNDED_N.
-    (x1, n, l1n1, l2n2), center, span, points, alpha = case
+    (x1, n, l1n1, l2n2), center, span, points, alpha = draw(_grid_count_cases(deep))
     h = math.log(span)
     cs = np.exp(np.linspace(math.log(center) - h, math.log(center) + h, points))
     if center == 1.0 and points % 2:
         cs[points // 2] = 1.0
     gene = np.repeat(np.arange(x1.size), 16)
-    left, right = np.sort(np.random.default_rng(seed).integers(0, points, (2, gene.size)), axis=0)
-    args = (x1[gene], n[gene], _p0(cs[left], l1n1[gene], l2n2[gene]),
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    left, right = np.sort(rng.integers(0, points, (2, gene.size)), axis=0)
+    return (x1[gene], n[gene], _p0(cs[left], l1n1[gene], l2n2[gene]),
             _p0(cs[right], l1n1[gene], l2n2[gene]), alpha)
-    assert _interval_verdicts(*args).tolist() == _reference_interval_verdicts(*args).tolist()
 
 
 @st.composite
 def _sided_intervals(draw):
-    # Mirrored sided intervals [q1, q2] on the p0 <= 1/2 side, from a hair
-    # wide to q2/q1 = 10**4, with x 1-40 sd beyond the near end's null mean
-    # on either side, or at 0 or n.
+    # Sided intervals from a hair wide to q2/q1 = 10**4 in the mirrored
+    # frame [q1, q2] on the p0 <= 1/2 side, with x 1-40 sd beyond the near
+    # end's null mean on either side, or at 0 or n; each row is given in
+    # that frame or in its mirror image (x1 = n - x, p0 = 1 - q).
     rows = []
     for _ in range(draw(st.integers(1, 12))):
         n = draw(st.one_of(st.sampled_from([2, 10, 2**40 - 1]), st.integers(2, 10**6)))
@@ -345,42 +343,20 @@ def _sided_intervals(draw):
         x = draw(st.sampled_from([math.floor(n * near - max(1.0, step)), 0] if below
                                  else [math.ceil(n * near + max(1.0, step)), n]))
         if 0 <= x <= n and (n * q1 - x >= 1.0 if below else x - n * q2 >= 1.0):
-            rows.append((x, n, below, q1, q2))
+            rows.append((n - x, n, 1.0 - q2, 1.0 - q1) if draw(st.booleans())
+                        else (x, n, q1, q2))
     if not rows:
-        rows.append((0, 10, True, 0.3, 0.31))
-    x, n, below, q1, q2 = (np.array(column) for column in zip(*rows))
-    return x.astype(np.float64), n.astype(np.float64), below, q1, q2
+        rows.append((0, 10, 0.3, 0.31))
+    x1, n, p_lo, p_hi = (np.array(column, dtype=np.float64) for column in zip(*rows))
+    return x1, n, p_lo, p_hi, draw(st.sampled_from([1e-6, 1e-3, 0.05, 0.5]))
 
 
-@given(_sided_intervals(), st.sampled_from([1e-6, 1e-3, 0.05, 0.5]))
-@settings(max_examples=300, deadline=None)
-def test_deep_rejections_only_where_the_upper_bound_is_below_half_the_level(rows, level):
-    x, n, below, q1, q2 = rows
-    near, far = np.where(below, q1, q2), np.where(below, q2, q1)
-    deep = _deep_rejections(x, n, below, near, far, level)
-    upper = _reference_two_tail_bound(x, n, below, near, far)
-    assert (upper[deep] < level / 2).all()
-
-
-def test_interval_verdicts_prove_deep_intervals_rejected_without_their_upper_bound(
-        monkeypatch):
-    # Sided intervals 10-40 sd from the null mean on either side: the lower
-    # bound's observed tail, one betainc element per row, is all they take.
-    evaluated = []
-
-    class Counting:
-        @staticmethod
-        def betainc(a, b, x):
-            evaluated.append(np.size(x))
-            return betainc(a, b, x)
-
-    n = np.full(6, 5000.0)
-    x1 = np.array([900.0, 1000.0, 1100.0, 2200.0, 2600.0, 3000.0])
-    p_lo, p_hi = np.full(6, 0.30), np.full(6, 0.31)
-    assert _reference_interval_verdicts(x1, n, p_lo, p_hi, 0.05).tolist() == [1] * 6
-    monkeypatch.setattr(exact_test, "special", Counting())
-    assert _interval_verdicts(x1, n, p_lo, p_hi, 0.05).tolist() == [1] * 6
-    assert sum(evaluated) == 6
+@given(st.one_of(_round0_intervals(), _round0_intervals(deep=True), _sided_intervals()))
+@example((np.array([900.0, 1000.0, 1100.0, 2200.0, 2600.0, 3000.0]), np.full(6, 5000.0),
+          np.full(6, 0.30), np.full(6, 0.31), 0.05))  # 10-40 sd deep on either side
+@settings(max_examples=400, deadline=None)
+def test_interval_verdicts_equal_the_every_tail_reference(args):
+    assert _interval_verdicts(*args).tolist() == _reference_interval_verdicts(*args).tolist()
 
 
 @pytest.mark.parametrize("round_idx", range(3))

@@ -18,6 +18,7 @@ from crossnorm.simulation import (
     LABEL_NULL,
     LABEL_UNIQUE_SP1,
     LABEL_UNIQUE_SP2,
+    MAX_STUDY_TASKS,
     Metrics,
     SimConfig,
     evaluate_run,
@@ -620,6 +621,35 @@ def test_run_study_rejects_a_grid_of_another_alpha_before_generating(monkeypatch
                   grid=GridConfig(alpha=0.05))
     assert str(excinfo.value) == "grid alpha 0.05 differs from the study alpha 0.2"
     assert drawn == []
+
+
+def _no_cell(*args, **kwargs):
+    raise AssertionError("a cell was built")
+
+
+_SEVEN_SWEPT = ("de_rate", "fold", "up_rate_sp2", "n_unique_sp1", "n_unique_sp2",
+                "noise_rate", "length_min")
+
+
+@pytest.mark.parametrize("sweep, replicates", [
+    ({}, MAX_STUDY_TASKS + 1),
+    ({}, 10**9),
+    ({"noise_rate": [0.0, 0.1]}, MAX_STUDY_TASKS // 2 + 1),
+    ({name: list(range(100)) for name in _SEVEN_SWEPT}, 1),
+], ids=["one-over", "a-billion-replicates", "two-cells", "seven-fields-of-100"])
+def test_run_study_rejects_an_oversized_study_before_building_a_cell(monkeypatch, sweep,
+                                                                     replicates):
+    monkeypatch.setattr(simulation, "replace", _no_cell)
+    with pytest.raises(ValueError) as excinfo:
+        run_study(_study1_config(), sweep, ["median"], replicates=replicates, cutoff=0.01)
+    tasks = replicates * math.prod(map(len, sweep.values()))
+    assert str(excinfo.value) == f"cells x replicates must be <= {MAX_STUDY_TASKS}, got {tasks}"
+
+
+def test_run_study_at_the_task_cap_goes_on_to_build_its_cells(monkeypatch):
+    monkeypatch.setattr(simulation, "replace", _no_cell)
+    with pytest.raises(AssertionError, match="a cell was built"):
+        run_study(_study1_config(), {}, ["median"], replicates=MAX_STUDY_TASKS, cutoff=0.01)
 
 
 def test_run_study_overlap_and_scores_match_a_recount_from_call_de(monkeypatch):
