@@ -76,7 +76,8 @@ class OrthologTable:
 
     Build it with :func:`validate_table`.  Totals are exact integer sums
     over all genes; all-zero genes stay in the table (so totals match the
-    input file) but are flagged untestable in ``testable``.
+    input file) but are flagged untestable in ``testable``, as are genes
+    whose two counts sum to 2**53 or more.
     """
 
     gene_ids: tuple[str, ...]
@@ -222,7 +223,10 @@ def _build_table(ids: tuple[str, ...], length_sp1, length_sp2, count_sp1, count_
     total_sp2 = sum(x2.tolist())
     if total_sp1 <= 0 or total_sp2 <= 0:
         raise ValueError("each species needs at least one mapped read")
-    testable = (x1 + x2) > 0
+    # The exact test conditions on n = x1 + x2, which float64 (and so betainc)
+    # holds exactly only below 2**53; beyond it betainc can return NaN.
+    n = x1 + x2
+    testable = (n > 0) & (n < _VALUE_LIMIT)
     testable.flags.writeable = False
     return OrthologTable(ids, l1, l2, x1, x2, total_sp1, total_sp2, testable)
 
@@ -249,6 +253,7 @@ class ScalingFactor:
     c: float
 
     def __post_init__(self) -> None:
+        require_number("scaling factor", self.c)
         if not (self.c > 0.0) or self.c != self.c or self.c == float("inf"):
             raise ValueError(f"scaling factor must be positive and finite, got {self.c!r}")
 

@@ -14,11 +14,13 @@ from the null mean ``n * p0`` as the observed count:
 Every function takes arrays (or scalars) and broadcasts, so a table's
 columns go in directly: ``gene_pvalues(table.count_sp1, table.count_sp2,
 table.length_sp1, table.length_sp2, table.total_sp1, table.total_sp2, c)``.
-Tail masses are evaluated through the regularized incomplete beta function,
-which is numerically stable for the deep-coverage genes (n up to ~1e5)
-where per-term factorials overflow, and lets thousands of genes be tested
-in one call.  Inputs are mirrored onto the p0 <= 1/2 side first so that
-swapping the two species takes a bit-identical code path.
+Every tail mass (the kernel's, the cell decisions' and the run bounds')
+is one :func:`_tail` call, both kinds through the regularized incomplete
+beta function in one betainc call.  That is numerically stable for
+deep-coverage genes, where per-term factorials overflow (each count, and
+a testable gene's n, is below 2**53), and lets thousands of genes be
+tested in one call.  Inputs are mirrored onto the p0 <= 1/2 side first so
+that swapping the two species takes a bit-identical code path.
 
 Callers that only need ``p < level`` (the SCBN count and DE calls) decide
 it with :func:`_rejects`, and most deep cells need no betainc there.
@@ -27,8 +29,18 @@ the mean by exp(-t^2 / (2 (var + t/3))) (:func:`_tails_below`), and a cell
 whose two tails are both bounded below level/4 is decided "reject" at
 once: betainc would have to be off by a factor of 2 to make the kernel's
 sum of the two reach the level.  Every decision already assumes betainc
-accurate to far better than that (``normalization._ALPHA_MARGIN`` takes
-1e-9), so the screened answer is the kernel's own.
+accurate to far better than that (``_ALPHA_MARGIN`` takes 1e-9), so the
+screened answer is the kernel's own.
+
+The SCBN grid asks the same question of a run of p0 values
+(:func:`_interval_verdicts`): p0 rises with the scaling factor and the
+exact tails are monotone in p0, so tails at a run's two ends bound the
+p-value everywhere in it.  Runs are bounded only for n below
+``_MAX_BOUNDED_N`` = 2**40, and a bound decides only where it clears the
+level by ``_ALPHA_MARGIN``, which absorbs betainc's rounding error
+(``tests/check_betainc.py`` checks it against 50-digit sums).  Run bounds
+and cell decisions alike take the observed tail first and the far tail
+only where it can change the answer (:func:`_plus_far_tail`).
 """
 from __future__ import annotations
 
@@ -50,6 +62,16 @@ _TIE_CAP = 0.25
 
 _MIN_P = 5e-324                          # smallest positive float
 _MAX_P0 = float(np.nextafter(1.0, 0.0))  # keep p0 strictly inside (0, 1)
+
+# Relative widening of a run's end-point p0 (see _interval_verdicts).
+_P0_WIDEN = 1e-12
+# A run bound decides only when it clears the level by this relative margin,
+# which absorbs betainc's own rounding error.
+_ALPHA_MARGIN = 1e-9
+# Below this n the kernel's observed-side tail edge is exactly x1: the
+# rounding error in mu - slack stays far below the tie slack.  Larger genes
+# are always tested cell by cell.
+_MAX_BOUNDED_N = 2.0**40
 
 # _tails_below's allowance, relative to n, for the rounding between the exact
 # mean n*p0 and the one a tail is taken at: fl(n*p0), the edges' float
@@ -76,39 +98,16 @@ def null_prob_values(c, length_sp1, length_sp2, total_sp1, total_sp2):
     return _p0(c, l1 * float(total_sp1), l2 * float(total_sp2))
 
 
-def _binom_cdf(k, n, q0):
-    # P(X <= k) for X ~ Binomial(n, p0) via the incomplete beta; 0 <= k <= n.
-    a = np.maximum(n - k, 1.0)
-    b = k + 1.0
-    return np.where(k >= n, 1.0, special.betainc(a, b, q0))
-
-
-def _binom_sf(k, n, p0):
-    # P(X >= k) for X ~ Binomial(n, p0); 0 <= k <= n.
-    a = np.maximum(k, 1.0)
-    b = np.maximum(n - k + 1.0, 1.0)
-    return np.where(k <= 0, 1.0, special.betainc(a, b, p0))
-
-
-def _inner_tail(k, n, p0, lower):
-    # P(X <= k) where ``lower`` holds, else P(X >= k), for X ~ Binomial(n, p0),
-    # with both kinds in one betainc call, for integral k and n whose tail is
-    # neither empty nor every outcome: k < n for a lower tail, k > 0 for an
-    # upper one.  The arguments are then _binom_cdf's and _binom_sf's, whose
-    # floors at 1 do not bind.
-    d = n - k
-    return special.betainc(np.where(lower, d, k), np.where(lower, k, d) + 1.0,
-                           np.where(lower, 1.0 - p0, p0))
-
-
 def _tail(edge, n, p0, lower):
-    # The kernel's tail at an edge from _tail_edges, integral n: _inner_tail,
-    # but 1 where the tail holds every outcome and 0 where it is empty (an
-    # edge below 0 or above n), the only places the floors bind.
-    k = np.maximum(edge, 0.0)
-    whole = np.where(lower, k >= n, k <= 0.0)
-    tail = np.where(whole, 1.0, _inner_tail(k, n, p0, lower))
-    return np.where(np.where(lower, edge >= 0.0, edge <= n), tail, 0.0)
+    # P(X <= edge) where ``lower`` holds, else P(X >= edge), for X ~
+    # Binomial(n, p0), integral edge and n, with both kinds in one betainc
+    # call: 1 where the tail holds every outcome and 0 where it is empty (an
+    # edge below 0 or above n).  P(X >= edge) is P(n - X <= n - edge), and
+    # n - (n - edge) is exactly edge below 2**53, so j is the lower edge of
+    # either kind.
+    j = np.where(lower, edge, n - edge)
+    tail = special.betainc(n - j, j + 1.0, np.where(lower, 1.0 - p0, p0))
+    return np.where(j >= n, 1.0, np.where(j >= 0.0, tail, 0.0))
 
 
 def _plus_far_tail(obs, far_edge, n, lower, p_far, level):
@@ -167,12 +166,9 @@ def binom_twosided_pvalues(x1, n, p0):
         np.asarray(p0, dtype=np.float64),
     )
     x1, p0 = _mirror(x1, n, p0)
-    q0 = 1.0 - p0
     slack, lo, hi = _tail_edges(x1, n, p0)
     with np.errstate(invalid="ignore", divide="ignore"):
-        lower = np.where(lo >= 0.0, _binom_cdf(np.clip(lo, 0.0, None), n, q0), 0.0)
-        upper = np.where(hi <= n, _binom_sf(np.clip(hi, 0.0, None), n, p0), 0.0)
-    p = lower + upper
+        p = _tail(lo, n, p0, True) + _tail(hi, n, p0, False)
     p = np.where(slack <= 0.0, 1.0, p)  # observed count at/next to the null mean
     p = np.where(n == 0.0, 1.0, p)
     return np.clip(p, _MIN_P, 1.0)
@@ -208,6 +204,85 @@ def _rejects(x1, n, p0, level):
             p = _plus_far_tail(obs, np.where(below, hi, lo), n, below, p0, level)
         rejects[rows] = np.clip(p, _MIN_P, 1.0) < level
     return rejects
+
+
+def _interval_verdicts(x1, n, p_lo, p_hi, alpha):
+    """+1 where the p-value is below alpha at every p0 in [p_lo, p_hi], -1
+    where it is below alpha at none, 0 where the end-point bounds cannot tell.
+
+    The bounds hold for binom_twosided_pvalues itself, not only in exact
+    arithmetic: each step from p0 to a tail edge or a betainc argument
+    (mirroring, n * p0, the slack, floor/ceil, 1 - p0) is a rounded
+    monotone function, so the kernel's cells inside the interval order like
+    its end points.  The observed-side edge is exactly x1 for
+    n < _MAX_BOUNDED_N, which the caller enforces.
+    """
+    # The grid's exp() and fl(a / (b + a)) are monotone in c only up to a
+    # few ulps; widening the ends covers every inside cell's p0.
+    p_lo = np.clip(p_lo * (1.0 - _P0_WIDEN), _MIN_P, _MAX_P0)
+    p_hi = np.clip(p_hi * (1.0 + _P0_WIDEN), _MIN_P, _MAX_P0)
+    accept_at = alpha * (1.0 + _ALPHA_MARGIN)
+    reject_at = alpha * (1.0 - _ALPHA_MARGIN)
+    verdict = np.zeros(x1.size, dtype=np.int8)
+
+    # Sided intervals.  p0 stays on one side of 1/2, so every cell has the
+    # kernel's mirror frame; let q1 <= q2 be the mirrored ends.  The null
+    # mean stays at least 1 from x and on one side of it, so every cell
+    # takes the kernel's slack > 0 branch: the observed tail plus the far
+    # tail.  Below the mean that is P(X <= x) + P(X >= hi), where
+    # P(X <= x) falls as q rises, hi = ceil(2*mu - x - tol) never falls,
+    # and P(X >= k) rises.  Hence with the near end q1 and the far end q2,
+    #   upper bound: P(X <= x | q1) + P(X >= hi(q1) | q2)
+    #   lower bound: P(X <= x | q2) + P(X >= hi(q2) | q1).
+    # Above the mean the mirror image holds, with q2 the near end.  A far
+    # tail's edge is taken at the end its observed tail is, and each bound
+    # is exact as compared with its level (see _plus_far_tail).
+    # A sided interval never has p0 = 1/2 at an end, so there the kernel's
+    # mirror flips exactly where p_lo > 1/2; the other rows only fail the
+    # side test, whatever their x and q.
+    flip = p_lo > 0.5
+    x = np.where(flip, n - x1, x1)
+    qa, qb = np.where(flip, 1.0 - p_lo, p_lo), np.where(flip, 1.0 - p_hi, p_hi)
+    q1, q2 = np.minimum(qa, qb), np.maximum(qa, qb)
+    below = n * q1 - x >= 1.0
+    is_sided = ((p_hi < 0.5) | flip) & (below | (x - n * q2 >= 1.0))
+    sided = np.flatnonzero(is_sided)
+    x, n_s, below = x[sided], n[sided], below[sided]
+    near = np.where(below, q1[sided], q2[sided])
+    far = np.where(below, q2[sided], q1[sided])
+    # The lower bound's observed tail alone accepts a row where it reaches
+    # accept_at.  The other rows try the reject proof before the lower
+    # bound's far tail: a row with upper < reject_at has lower <= upper <
+    # accept_at, so the verdicts are those of taking the lower bound first.
+    lower = _tail(x, n_s, far, below)
+    verdict[sided[lower >= accept_at]] = -1
+    rows = np.flatnonzero(lower < accept_at)
+    sided, x, n_s, below, near, far, lower = (
+        v[rows] for v in (sided, x, n_s, below, near, far, lower))
+    _, lo, hi = _tail_edges(x, n_s, near)
+    upper = _plus_far_tail(_tail(x, n_s, near, below), np.where(below, hi, lo), n_s,
+                           below, far, reject_at)
+    rejected = upper < reject_at
+    verdict[sided[rejected]] = 1
+    # The lower bound's far tail, on the rows still open.
+    rows = np.flatnonzero(~rejected)
+    nr, br = n_s[rows], below[rows]
+    _, lo, hi = _tail_edges(x[rows], nr, far[rows])
+    lower = _plus_far_tail(lower[rows], np.where(br, hi, lo), nr, br, near[rows], accept_at)
+    verdict[sided[rows[lower >= accept_at]]] = -1
+
+    # Other intervals can only be proven accepted.  Unless the kernel
+    # returns 1, its p-value includes the observed-side tail: P(X <= x1)
+    # with x1 below the null mean, P(X >= x1) above it, each the same
+    # betainc in either mirror frame.  P(X <= x1) falls and P(X >= x1)
+    # rises with p0, so the smaller of P(X <= x1) at p_hi and P(X >= x1)
+    # at p_lo is below every cell's p-value, whichever side x1 is on there.
+    # The second tail is evaluated only where the first one is >= accept_at.
+    rest = np.flatnonzero(~is_sided)
+    rest = rest[_tail(x1[rest], n[rest], p_hi[rest], True) >= accept_at]
+    rest = rest[_tail(x1[rest], n[rest], p_lo[rest], False) >= accept_at]
+    verdict[rest] = -1
+    return verdict
 
 
 def gene_pvalues(count_sp1, count_sp2, length_sp1, length_sp2, total_sp1, total_sp2, c):

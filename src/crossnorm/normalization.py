@@ -7,31 +7,21 @@ Two estimators of the between-species scale live here:
   is a piecewise-constant step function of the factor, so the search is a
   log-spaced grid with shrinking refinement windows rather than anything
   derivative-based.  Each round counts rejections without testing every
-  (gene, factor) cell: for one gene, p0 rises with the factor and the
-  exact tails are monotone in p0, so tails taken at the two ends of a run
-  of grid points bound the p-value everywhere in it.  A run whose bounds
-  both fall on one side of alpha adds its whole count at once; any other
-  run is split in four, and runs of at most four points are tested cell by
-  cell with the same kernel.  The splitting is a branch-and-bound: the
-  proven and still-open genes bound every grid point's count, and the
-  deviation |count/m - alpha| is V-shaped in the count, so a point whose
-  deviation is bound to exceed some other point's, or the exact deviation
-  of the one point counted early next to the window's center, by more
-  than the fit's tie slack can never be picked, and its open runs are
-  dropped.
-  Every other point gets the count a dense sweep gives, so the fit equals
-  that of counting every point exactly, and betainc runs mainly on the few
-  cells near a gene's decision change at the points that can hold the
-  minimum.  Run bounds and cell tests alike take the observed tail (the
-  one holding the observed count) first, and the far tail only where the
-  observed one is still below the level and the far tail is not empty:
-  a float sum of non-negative tails is never below its first term, so
-  every decision is still the kernel's own.  Before any of that, a cell
-  whose tails are both bounded below alpha/4 by Bernstein's inequality is
-  counted as rejected with no betainc (``exact_test._rejects``): the
-  kernel's sum of the two could reach alpha only if betainc were off by a
-  factor of 2, and every decision here already assumes it accurate to
-  _ALPHA_MARGIN.
+  (gene, factor) cell: a run of grid points whose end-point bounds
+  (``exact_test._interval_verdicts``) both fall on one side of alpha adds
+  its whole count at once; any other run is split in four, and runs of at
+  most four points are tested cell by cell (``exact_test._rejects``).  The
+  splitting is a branch-and-bound: the proven and still-open genes bound
+  every grid point's count, and the deviation |count/m - alpha| is
+  V-shaped in the count, so a point whose deviation is bound to exceed
+  some other point's, or the exact deviation of the one point counted
+  early next to the window's center, by more than the fit's tie slack can
+  never be picked, and its open runs are dropped.  Every other point gets
+  the count a dense sweep gives, so the fit equals that of counting every
+  point exactly, and betainc runs mainly on the few cells near a gene's
+  decision change at the points that can hold the minimum.  How the tails
+  are evaluated, and why each run bound and cell decision is the kernel's
+  own, is set out in ``exact_test``.
 
 * ``median_scaling_factor`` is the conventional baseline: length- and
   depth-normalized expression per gene, an interquartile filter applied in
@@ -49,18 +39,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import ConservedSet, OrthologTable, ScalingFactor
-from .exact_test import (
-    _MAX_P0,
-    _MIN_P,
-    _binom_cdf,
-    _binom_sf,
-    _inner_tail,
-    _p0,
-    _plus_far_tail,
-    _rejects,
-    _tail_edges,
-)
+from .core import ConservedSet, OrthologTable, ScalingFactor, require_integer, require_number
+from .exact_test import _MAX_BOUNDED_N, _MAX_P0, _interval_verdicts, _p0, _rejects
 
 __all__ = [
     "GridConfig",
@@ -77,15 +57,6 @@ __all__ = [
 _LEAF_WIDTH = 4
 # An undecided interval is split into this many parts (at most _LEAF_WIDTH).
 _SPLIT = 4
-# Relative widening of an interval's end-point p0 (see _interval_verdicts).
-_P0_WIDEN = 1e-12
-# A bound decides an interval only when it clears alpha by this relative
-# margin, which absorbs betainc's own rounding error.
-_ALPHA_MARGIN = 1e-9
-# Below this n the kernel's observed-side tail edge is exactly x1: the
-# rounding error in mu - slack stays far below the tie slack.  Larger genes
-# are always tested cell by cell.
-_MAX_BOUNDED_N = 2.0**40
 # The fit's minimizing set is every grid point within this deviation of the
 # minimum.  Distinct rejection counts give deviations at least 1/m apart, so
 # the slack merges only rounding-split exact ties (e.g. counts equidistant
@@ -105,7 +76,10 @@ class GridConfig:
     log half-width shrinks by the constant ``refine_shrink`` per round,
     centered on the incumbent.  When ``center`` is unset the median
     baseline seeds it.
-    ``coarse_points`` lies in [10, MAX_COARSE_POINTS].
+    Types are checked before ranges: ``coarse_points`` and
+    ``refine_rounds`` take integral numbers, the other fields real ones
+    (numpy scalars pass, bools do not).  ``coarse_points`` lies in [10,
+    MAX_COARSE_POINTS].
     """
 
     alpha: float = 0.05
@@ -116,6 +90,12 @@ class GridConfig:
     refine_shrink: ClassVar[float] = 0.1
 
     def __post_init__(self) -> None:
+        require_number("alpha", self.alpha)
+        if self.center is not None:
+            require_number("grid center", self.center)
+        require_number("span", self.span)
+        require_integer("coarse_points", self.coarse_points)
+        require_integer("refine_rounds", self.refine_rounds)
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie in (0, 1)")
         if self.center is not None and not (0.0 < self.center < np.inf):
@@ -194,87 +174,6 @@ def _conserved_arrays(table: OrthologTable, rows: np.ndarray):
     l1n1 = table.length_sp1[rows] * float(table.total_sp1)
     l2n2 = table.length_sp2[rows] * float(table.total_sp2)
     return x1, n, l1n1, l2n2
-
-
-def _interval_verdicts(x1, n, p_lo, p_hi, alpha):
-    """+1 where the p-value is below alpha at every p0 in [p_lo, p_hi], -1
-    where it is below alpha at none, 0 where the end-point bounds cannot tell.
-
-    The bounds hold for binom_twosided_pvalues itself, not only in exact
-    arithmetic: each step from p0 to a tail edge or a betainc argument
-    (mirroring, n * p0, the slack, floor/ceil, 1 - p0) is a rounded
-    monotone function, so the kernel's cells inside the interval order like
-    its end points.  The observed-side edge is exactly x1 for
-    n < _MAX_BOUNDED_N, which the caller enforces.
-    """
-    # The grid's exp() and fl(a / (b + a)) are monotone in c only up to a
-    # few ulps; widening the ends covers every inside cell's p0.
-    p_lo = np.clip(p_lo * (1.0 - _P0_WIDEN), _MIN_P, _MAX_P0)
-    p_hi = np.clip(p_hi * (1.0 + _P0_WIDEN), _MIN_P, _MAX_P0)
-    accept_at = alpha * (1.0 + _ALPHA_MARGIN)
-    reject_at = alpha * (1.0 - _ALPHA_MARGIN)
-    verdict = np.zeros(x1.size, dtype=np.int8)
-
-    # Sided intervals.  p0 stays on one side of 1/2, so every cell has the
-    # kernel's mirror frame; let q1 <= q2 be the mirrored ends.  The null
-    # mean stays at least 1 from x and on one side of it, so every cell
-    # takes the kernel's slack > 0 branch: the observed tail plus the far
-    # tail.  Below the mean that is P(X <= x) + P(X >= hi), where
-    # P(X <= x) falls as q rises, hi = ceil(2*mu - x - tol) never falls,
-    # and P(X >= k) rises.  Hence with the near end q1 and the far end q2,
-    #   upper bound: P(X <= x | q1) + P(X >= hi(q1) | q2)
-    #   lower bound: P(X <= x | q2) + P(X >= hi(q2) | q1).
-    # Above the mean the mirror image holds, with q2 the near end.  A far
-    # tail's edge is taken at the end its observed tail is, and each bound
-    # is exact as compared with its level (see exact_test._plus_far_tail).
-    # x <= n*q - 1 below the null mean and x >= n*q + 1 above it, so the
-    # observed tail is neither empty nor every outcome (_inner_tail).
-    # A sided interval never has p0 = 1/2 at an end, so there the kernel's
-    # mirror flips exactly where p_lo > 1/2; the other rows only fail the
-    # side test, whatever their x and q.
-    flip = p_lo > 0.5
-    x = np.where(flip, n - x1, x1)
-    qa, qb = np.where(flip, 1.0 - p_lo, p_lo), np.where(flip, 1.0 - p_hi, p_hi)
-    q1, q2 = np.minimum(qa, qb), np.maximum(qa, qb)
-    below = n * q1 - x >= 1.0
-    is_sided = ((p_hi < 0.5) | flip) & (below | (x - n * q2 >= 1.0))
-    sided = np.flatnonzero(is_sided)
-    x, n_s, below = x[sided], n[sided], below[sided]
-    near = np.where(below, q1[sided], q2[sided])
-    far = np.where(below, q2[sided], q1[sided])
-    # The lower bound's observed tail alone accepts a row where it reaches
-    # accept_at.  The other rows try the reject proof before the lower
-    # bound's far tail: a row with upper < reject_at has lower <= upper <
-    # accept_at, so the verdicts are those of taking the lower bound first.
-    lower = _inner_tail(x, n_s, far, below)
-    verdict[sided[lower >= accept_at]] = -1
-    rows = np.flatnonzero(lower < accept_at)
-    sided, x, n_s, below, near, far, lower = (
-        v[rows] for v in (sided, x, n_s, below, near, far, lower))
-    _, lo, hi = _tail_edges(x, n_s, near)
-    upper = _plus_far_tail(_inner_tail(x, n_s, near, below), np.where(below, hi, lo), n_s,
-                           below, far, reject_at)
-    rejected = upper < reject_at
-    verdict[sided[rejected]] = 1
-    # The lower bound's far tail, on the rows still open.
-    rows = np.flatnonzero(~rejected)
-    nr, br = n_s[rows], below[rows]
-    _, lo, hi = _tail_edges(x[rows], nr, far[rows])
-    lower = _plus_far_tail(lower[rows], np.where(br, hi, lo), nr, br, near[rows], accept_at)
-    verdict[sided[rows[lower >= accept_at]]] = -1
-
-    # Other intervals can only be proven accepted.  Unless the kernel
-    # returns 1, its p-value includes the observed-side tail: P(X <= x1)
-    # with x1 below the null mean, P(X >= x1) above it, each the same
-    # betainc in either mirror frame.  P(X <= x1) falls and P(X >= x1)
-    # rises with p0, so the smaller of P(X <= x1) at p_hi and P(X >= x1)
-    # at p_lo is below every cell's p-value, whichever side x1 is on there.
-    # The second tail is evaluated only where the first one is >= accept_at.
-    rest = np.flatnonzero(~is_sided)
-    rest = rest[_binom_cdf(x1[rest], n[rest], 1.0 - p_hi[rest]) >= accept_at]
-    rest = rest[_binom_sf(x1[rest], n[rest], p_lo[rest]) >= accept_at]
-    verdict[rest] = -1
-    return verdict
 
 
 def _deviation(counts, m, alpha):

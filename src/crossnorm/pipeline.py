@@ -33,7 +33,7 @@ sorted keys, a final newline).
 
 DE results are columnar: :func:`call_de` returns a :class:`DEResult` whose
 ``p_value`` and ``q_value`` are float64 arrays in table order, with NaN for
-untestable genes (zero reads in both species).  :func:`bh_adjust` follows
+untestable genes (see ``OrthologTable.testable``).  :func:`bh_adjust` follows
 the same convention: NaN entries stay NaN and do not count as tests.
 ``DEResult.records`` is a row view of :class:`TestResult` objects, built on
 first access, for inspection only.  :func:`testable_calls` gives the

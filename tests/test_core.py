@@ -46,6 +46,13 @@ def test_totals_are_exact_python_ints_beyond_int64():
     assert table.total_sp2 == n * (big - 1)
 
 
+def test_genes_whose_counts_sum_to_2_pow_53_are_untestable():
+    # The exact test's n = x1 + x2 must be exact in float64.
+    table = validate_table(["g1", "g2", "g3", "g4"], [1] * 4, [1] * 4,
+                           [2**53 - 1, 2**53 - 2, 2**53 - 1, 0], [1, 1, 2**53 - 1, 0])
+    assert table.testable.tolist() == [False, True, False, False]
+
+
 @pytest.mark.parametrize("column", range(4))
 @pytest.mark.parametrize("value", [2**53, 2**63, 2**64])
 def test_values_at_or_above_2_pow_53_rejected_with_row(column, value):
@@ -139,6 +146,12 @@ def test_conserved_set_requires_known_ids(tmp_path):
 @pytest.mark.parametrize("value", [0.0, -1.0, float("inf"), float("nan")])
 def test_scaling_factor_must_be_positive_finite(value):
     with pytest.raises(ValueError):
+        ScalingFactor(value)
+
+
+@pytest.mark.parametrize("value", [True, "1.5", None])
+def test_scaling_factor_must_be_a_number(value):
+    with pytest.raises(ValueError, match="^scaling factor must be a number, got "):
         ScalingFactor(value)
 
 

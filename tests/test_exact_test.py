@@ -1,4 +1,6 @@
+import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,12 +14,14 @@ from crossnorm.exact_test import (
     _MIN_P,
     _mirror,
     _rejects,
+    _tail,
     _tail_edges,
     _tails_below,
     binom_twosided_pvalues,
     gene_pvalues,
     null_prob_values,
 )
+from reference_tails import twosided_pvalues
 
 # ---------------------------------------------------------------------------
 # Independent oracle: membership decided on exact integers, mass by log-gamma
@@ -221,6 +225,39 @@ def test_gene_pvalues_vector_matches_gene_pvalue():
 
 
 # ---------------------------------------------------------------------------
+# The one tail function against exact sums
+# ---------------------------------------------------------------------------
+
+# Every tail of these p0 for n <= 60 is a normal float, so betainc's error
+# stays relative.
+_EXACT_P0 = (1e-3, 0.1, 0.25, 1.0 / 3.0, 0.5, 0.7, 0.9, 1.0 - 1e-3)
+
+
+@pytest.mark.parametrize("p0", _EXACT_P0)
+def test_tail_matches_exact_binomial_sums(p0):
+    # Every edge from -1 to n + 1 of both kinds in one call, n up to 60,
+    # against math.comb sums at the float p0 itself: an empty tail is
+    # exactly 0, a whole one exactly 1, any other within 1e-12 relative.
+    num, den = Fraction(p0).as_integer_ratio()
+    for n in range(61):
+        total = den**n
+        # cdf[k] = P(X <= k) * total, exactly.
+        cdf = list(itertools.accumulate(math.comb(n, j) * num**j * (den - num)**(n - j)
+                                        for j in range(n + 1)))
+        edges = list(range(-1, n + 2))
+        lower = np.repeat([True, False], len(edges))
+        got = _tail(np.tile(np.array(edges, dtype=np.float64), 2), float(n), p0, lower)
+        want = ([0 if k < 0 else cdf[min(k, n)] for k in edges]
+                + [0 if k > n else total - (cdf[k - 1] if k > 0 else 0) for k in edges])
+        for k, kind, value, exact in zip(edges * 2, lower.tolist(), got.tolist(), want):
+            where = f"n={n} edge={k} lower={kind}"
+            if exact in (0, total):
+                assert value == exact / total, where
+            else:
+                assert abs(Fraction(value) * total - exact) <= Fraction(exact, 10**12), where
+
+
+# ---------------------------------------------------------------------------
 # The SCBN count's decision helper: p < level, observed tail first
 # ---------------------------------------------------------------------------
 
@@ -231,13 +268,13 @@ _LEVELS = st.one_of(st.sampled_from([1e-6, 0.01, 0.05, 0.5, 0.99]), st.floats(1e
 
 
 @st.composite
-def _decision_cells(draw):
-    # Empty and tiny tables, counts next to SCBN's 2**40 bound, and x1 at
-    # both ends, on either side of the null mean and a few sd from it.
+def _decision_cells(draw, big=(2**40 - 1, 2**40, 2**40 + 1)):
+    # Empty and tiny tables, counts next to SCBN's 2**40 bound (or other
+    # ``big`` counts), and x1 at both ends, on either side of the null mean
+    # and a few sd from it.
     cells = []
     for _ in range(draw(st.integers(1, 12))):
-        n = draw(st.one_of(st.sampled_from([0, 1, 2, 2**40 - 1, 2**40, 2**40 + 1]),
-                           st.integers(0, 10**5)))
+        n = draw(st.one_of(st.sampled_from([0, 1, 2, *big]), st.integers(0, 10**5)))
         p0 = draw(st.one_of(st.sampled_from(_EDGE_P0), st.floats(_MIN_P, _MAX_P0)))
         mu = n * p0
         spread = round(draw(st.floats(-8.0, 8.0)) * math.sqrt(mu * (1.0 - p0)))
@@ -256,6 +293,14 @@ def test_rejects_is_the_kernel_p_value_below_the_level(cells, level):
     x1, n, p0 = cells
     want = binom_twosided_pvalues(x1, n, p0) < level
     assert _rejects(x1, n, p0, level).tolist() == want.tolist()
+
+
+@given(st.one_of(_decision_cells(), _decision_cells(big=(2**52 + 1, 2**53 - 1))))
+@settings(max_examples=300, deadline=None)
+def test_kernel_is_bit_identical_to_the_two_function_tails(cells):
+    # Each tail of binom_twosided_pvalues through _tail equals the tests'
+    # own _binom_cdf/_binom_sf formulation bit for bit, counts up to 2**53.
+    assert binom_twosided_pvalues(*cells).tobytes() == twosided_pvalues(*cells).tobytes()
 
 
 @st.composite

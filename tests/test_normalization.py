@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 from crossnorm import normalization
 from crossnorm.core import ConservedSet, ScalingFactor, validate_table
 from crossnorm.exact_test import (
+    _ALPHA_MARGIN,
+    _MAX_BOUNDED_N,
     _MAX_P0,
     _MIN_P,
-    _binom_cdf,
-    _binom_sf,
+    _P0_WIDEN,
+    _interval_verdicts,
     _mirror,
     _p0,
     _tail_edges,
@@ -20,10 +22,7 @@ from crossnorm.exact_test import (
     null_prob_values,
 )
 from crossnorm.normalization import (
-    _ALPHA_MARGIN,
     _LEAF_WIDTH,
-    _MAX_BOUNDED_N,
-    _P0_WIDEN,
     GridConfig,
     MedianScaleResult,
     ObjectiveValue,
@@ -31,13 +30,13 @@ from crossnorm.normalization import (
     _check_window,
     _conserved_arrays,
     _conserved_rows,
-    _interval_verdicts,
     _rejection_counts,
     empirical_type1_deviation,
     final_grid_log_step,
     median_scaling_factor,
     scbn_scaling_factor,
 )
+from reference_tails import _binom_cdf, _binom_sf
 from rowtable import table_of
 
 # ---------------------------------------------------------------------------
@@ -394,6 +393,27 @@ def test_grid_config_validation():
             GridConfig(center=bad)
 
 
+@pytest.mark.parametrize("field, value", [
+    ("coarse_points", 100.5), ("coarse_points", 100.0), ("coarse_points", True),
+    ("coarse_points", "100"), ("refine_rounds", 1.5), ("refine_rounds", False),
+    ("alpha", True), ("alpha", "0.05"), ("span", None), ("center", True), ("center", "1.0"),
+])
+def test_grid_config_checks_types_before_ranges(field, value):
+    # A float point count or round count used to construct and then crash
+    # the fit with a TypeError.
+    with pytest.raises(ValueError, match=f"^{field.replace('center', 'grid center')} must be "
+                                         "(an integer|a number), got "):
+        GridConfig(**{field: value})
+
+
+def test_grid_config_takes_numpy_scalars():
+    grid = GridConfig(alpha=np.float64(0.05), center=np.float64(1.5), span=np.int64(3),
+                      coarse_points=np.int64(10), refine_rounds=np.int32(1))
+    table, conserved = _null_poisson_table(np.random.default_rng(2), 60, 1.5)
+    assert scbn_scaling_factor(table, conserved, grid) == scbn_scaling_factor(
+        table, conserved, GridConfig(center=1.5, span=3.0, coarse_points=10, refine_rounds=1))
+
+
 def test_scbn_recovers_known_scale():
     # 1000 conserved null genes at c_true = 1.4, equal lengths, totals ~1e6:
     # the median estimate over 20 replicates lands within +-5 percent.
@@ -654,9 +674,10 @@ def test_median_length_equivariance_is_exact():
 
 
 def test_median_stays_exact_when_length_times_total_exceeds_int64():
-    # Totals near 2**64: an int64 sum or length * total product would wrap.
-    n = 2000
-    counts = [2**53 - 1 - i for i in range(n)]
+    # Totals past 2**63: an int64 sum or length * total product would wrap.
+    # Each gene's two counts sum below 2**53, so every gene is testable.
+    n = 2100
+    counts = [2**52 - 1 - i for i in range(n)]
     table = validate_table([f"g{i}" for i in range(n)], [3] * n, [5] * n, counts, counts)
     conserved = ConservedSet(frozenset(table.gene_ids))
     result = median_scaling_factor(table, conserved)

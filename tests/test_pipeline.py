@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from crossnorm import exact_test, pipeline
@@ -911,6 +911,8 @@ def _id_rule_broken(gene_id):
 
 @given(st.lists(st.tuples(_ANY_IDS, _LENGTHS, _LENGTHS, _COUNTS, _COUNTS), min_size=1,
                 max_size=30, unique_by=lambda row: row[0]))
+# Counts summing past 2**53, where betainc returned NaN for a testable gene.
+@example(rows=[("g", 1, 1, 2**53 - 1, 4_503_599_627_370_491)])
 @settings(max_examples=50, deadline=None)
 def test_every_table_validate_table_accepts_reads_back(tmp_path_factory, rows):
     broken = [_id_rule_broken(row[0]) for row in rows]
