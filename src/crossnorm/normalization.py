@@ -21,7 +21,9 @@ Two estimators of the between-species scale live here:
   point exactly, and betainc runs mainly on the few cells near a gene's
   decision change at the points that can hold the minimum.  How the tails
   are evaluated, and why each run bound and cell decision is the kernel's
-  own, is set out in ``exact_test``.
+  own, is set out in ``exact_test``.  The objective the fit reports at its
+  pick, and ``empirical_type1_deviation`` at any one factor, are both
+  ``_objective`` of an exact count.
 
 * ``median_scaling_factor`` is the conventional baseline: length- and
   depth-normalized expression per gene, an interquartile filter applied in
@@ -108,6 +110,12 @@ class GridConfig:
             raise ValueError(f"coarse_points must be <= {MAX_COARSE_POINTS}")
         if self.refine_rounds < 0:
             raise ValueError("refine_rounds must be >= 0")
+        # Python numbers from here on: a numpy float32 center would run the
+        # fit's logs at float32, a numpy int round count shrink**k in numpy.
+        for name, kind in (("alpha", float), ("center", float), ("span", float),
+                           ("coarse_points", int), ("refine_rounds", int)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, kind(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -136,10 +144,15 @@ class MedianScaleResult:
     kept_genes: int
 
 
+def _half_widths(grid: GridConfig) -> list[float]:
+    """The natural-log half-width of each round's grid, coarse round first."""
+    h = np.log(grid.span)
+    return [h * grid.refine_shrink**k for k in range(grid.refine_rounds + 1)]
+
+
 def final_grid_log_step(grid: GridConfig) -> float:
     """Natural-log spacing of the last refinement grid (tolerance unit)."""
-    half_width = np.log(grid.span) * grid.refine_shrink**grid.refine_rounds
-    return 2.0 * half_width / (grid.coarse_points - 1)
+    return 2.0 * _half_widths(grid)[-1] / (grid.coarse_points - 1)
 
 
 def _check_window(log_center: float, grid: GridConfig, l1n1, l2n2) -> None:
@@ -182,6 +195,11 @@ def _deviation(counts, m, alpha):
     return np.abs(counts / m - alpha)
 
 
+def _objective(count, m, alpha) -> ObjectiveValue:
+    """The objective at a factor where ``count`` of ``m`` conserved genes reject."""
+    return ObjectiveValue(float(_deviation(count, m, alpha)), float(count / m))
+
+
 def _coverage(left, right, points):
     """Number of the index intervals [left, right] that cover each cell."""
     ends = np.bincount(left, minlength=points + 1) - np.bincount(right + 1, minlength=points + 1)
@@ -218,7 +236,8 @@ def _rejection_counts(cs, x1, n, l1n1, l2n2, alpha):
     cell stays dropped, and every kept cell ends with its exact count.  A
     grid of at most _LEAF_WIDTH points, the one-point grid of
     empirical_type1_deviation among them, is counted cell by cell at the
-    first level, with no pruning and no incumbent.
+    first level, with no pruning and no incumbent, so every cell is kept
+    and its count exact.
     """
     points, m = cs.size, x1.size
     proven = np.zeros(points, dtype=np.int64)
@@ -276,14 +295,6 @@ def _rejection_counts(cs, x1, n, l1n1, l2n2, alpha):
     return proven, kept
 
 
-def _deviation_curve(cs, x1, n, l1n1, l2n2, alpha):
-    """Rejection rate and |rate - alpha| at every factor of the ascending
-    ``cs``: NaN and inf at the cells that cannot hold the minimum."""
-    m = x1.size
-    counts, kept = _rejection_counts(np.asarray(cs, dtype=np.float64), x1, n, l1n1, l2n2, alpha)
-    return np.where(kept, counts / m, np.nan), np.where(kept, _deviation(counts, m, alpha), np.inf)
-
-
 def empirical_type1_deviation(
     table: OrthologTable,
     conserved: ConservedSet,
@@ -297,8 +308,8 @@ def empirical_type1_deviation(
     """
     GridConfig(alpha=alpha)  # the one check of alpha
     x1, n, l1n1, l2n2 = _conserved_arrays(table, _conserved_rows(table, conserved))
-    rate, dev = _deviation_curve(np.asarray([c.c]), x1, n, l1n1, l2n2, alpha)
-    return ObjectiveValue(deviation=float(dev[0]), rejection_rate=float(rate[0]))
+    counts, _ = _rejection_counts(np.array([float(c.c)]), x1, n, l1n1, l2n2, alpha)
+    return _objective(counts[0], x1.size, alpha)
 
 
 def scbn_scaling_factor(
@@ -319,34 +330,21 @@ def _scbn_fit(table: OrthologTable, rows: np.ndarray, grid: GridConfig) -> ScbnR
     """scbn_scaling_factor over the genes at ``rows`` (see _conserved_rows)."""
     x1, n, l1n1, l2n2 = _conserved_arrays(table, rows)
 
-    if grid.center is not None:
-        center = grid.center
-    else:
-        center = _median_factor(table, rows).factor.c
-
+    center = grid.center if grid.center is not None else _median_factor(table, rows).factor.c
     log_center = np.log(center)
     _check_window(log_center, grid, l1n1, l2n2)
-    half_width = np.log(grid.span)
-    best_rate = 0.0
-    best_dev = np.inf
-    window_edge = False
-    for round_idx in range(grid.refine_rounds + 1):
-        h = half_width * grid.refine_shrink**round_idx
+    minima = []  # each round's minimizing set
+    for h in _half_widths(grid):
         cs = np.exp(np.linspace(log_center - h, log_center + h, grid.coarse_points))
-        rate, dev = _deviation_curve(cs, x1, n, l1n1, l2n2, grid.alpha)
-        minima = np.flatnonzero(dev <= dev.min() + _MERGE_SLACK)
-        pick = minima[(minima.size - 1) // 2]
-        if round_idx == 0:
-            window_edge = bool(minima[0] == 0 or minima[-1] == cs.size - 1)
+        counts, kept = _rejection_counts(cs, x1, n, l1n1, l2n2, grid.alpha)
+        dev = np.where(kept, _deviation(counts, x1.size, grid.alpha), np.inf)
+        minima.append(np.flatnonzero(dev <= dev.min() + _MERGE_SLACK))
+        pick = minima[-1][(minima[-1].size - 1) // 2]
         log_center = np.log(cs[pick])
-        best_rate = float(rate[pick])
-        best_dev = float(dev[pick])
-
-    factor = ScalingFactor(float(np.exp(log_center)))
     return ScbnResult(
-        factor=factor,
-        objective=ObjectiveValue(deviation=best_dev, rejection_rate=best_rate),
-        window_edge=window_edge,
+        factor=ScalingFactor(float(np.exp(log_center))),
+        objective=_objective(counts[pick], x1.size, grid.alpha),
+        window_edge=bool(minima[0][0] == 0 or minima[0][-1] == grid.coarse_points - 1),
     )
 
 

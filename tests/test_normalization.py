@@ -414,6 +414,17 @@ def test_grid_config_takes_numpy_scalars():
         table, conserved, GridConfig(center=1.5, span=3.0, coarse_points=10, refine_rounds=1))
 
 
+def test_grid_config_runs_numpy_scalars_at_float64():
+    # A float32 center used to run the fit's logs at float32.
+    grid = GridConfig(center=np.float32(1.5), span=np.float32(3), coarse_points=10,
+                      refine_rounds=np.int32(1))
+    assert [type(getattr(grid, name)) for name in ("alpha", "center", "span", "coarse_points",
+                                                    "refine_rounds")] == [float] * 3 + [int] * 2
+    table, conserved = _null_poisson_table(np.random.default_rng(2), 60, 1.5)
+    assert scbn_scaling_factor(table, conserved, grid) == scbn_scaling_factor(
+        table, conserved, GridConfig(center=1.5, span=3.0, coarse_points=10, refine_rounds=1))
+
+
 def test_scbn_recovers_known_scale():
     # 1000 conserved null genes at c_true = 1.4, equal lengths, totals ~1e6:
     # the median estimate over 20 replicates lands within +-5 percent.
@@ -600,7 +611,7 @@ def test_scbn_fit_equals_the_full_count_reference_at_the_edges(build):
     assert scbn_scaling_factor(table, conserved, grid) == want
 
 
-def test_scbn_fit_merges_a_rounding_split_tie_like_the_reference():
+def _rounding_split_tie_case():
     # 15 genes at alpha 0.2: 1 always rejected, 10 never, and 4 identical
     # genes rejected from some c on.  Counts 1 and 5 are equidistant from
     # alpha*m = 3, and more than one count from it, but their float
@@ -611,7 +622,11 @@ def test_scbn_fit_merges_a_rounding_split_tie_like_the_reference():
     records += [(f"s{i}", 500, 500, 10, 20) for i in range(4)]
     records.append(("filler", 500, 500, 1, 1))
     table, conserved = _table_with_conserved(records, [r[0] for r in records[:-1]])
-    grid = GridConfig(alpha=0.2, center=1.0, span=2.0)
+    return table, conserved, GridConfig(alpha=0.2, center=1.0, span=2.0)
+
+
+def test_scbn_fit_merges_a_rounding_split_tie_like_the_reference():
+    table, conserved, grid = _rounding_split_tie_case()
     cs = np.exp(np.linspace(-math.log(2.0), math.log(2.0), grid.coarse_points))
     arrays = _conserved_arrays(table, _conserved_rows(table, conserved))
     counts = _full_rejection_counts(cs, *arrays, grid.alpha)
@@ -619,6 +634,61 @@ def test_scbn_fit_merges_a_rounding_split_tie_like_the_reference():
     assert abs(1 / 15 - 0.2) != abs(5 / 15 - 0.2)
     assert scbn_scaling_factor(table, conserved, grid) == _reference_scbn_scaling_factor(
         table, conserved, grid)
+
+
+def _null_case(seed):
+    table, conserved = _null_poisson_table(np.random.default_rng(seed), 200, 1.3)
+    return table, conserved, GridConfig()
+
+
+@pytest.mark.parametrize("build", [
+    pytest.param(_flat_objective_case, id="flat-objective"),
+    pytest.param(_window_edge_case, id="window-edge"),
+    pytest.param(_rounding_split_tie_case, id="rounding-split-tie"),
+    *(pytest.param(lambda seed=seed: _null_case(seed), id=f"null-seed{seed}")
+      for seed in range(20)),
+])
+def test_scbn_objective_is_the_objective_at_the_returned_factor(build):
+    # The fit reports the objective at its last round's pick, and
+    # empirical_type1_deviation at exp(log(pick)): the same value unless
+    # that round trip moves the factor across some gene's decision change.
+    table, conserved, grid = build()
+    fit = scbn_scaling_factor(table, conserved, grid)
+    assert fit.objective == empirical_type1_deviation(table, conserved, fit.factor, grid.alpha)
+
+
+@pytest.mark.parametrize("grid", [
+    GridConfig(center=1.3, span=10.0, coarse_points=10, refine_rounds=0),
+    GridConfig(center=1.0, span=2.0, coarse_points=11, refine_rounds=1),
+    GridConfig(center=0.7, span=5.0, coarse_points=100, refine_rounds=3),
+    GridConfig(span=10.0, coarse_points=1000, refine_rounds=3),
+], ids=["rounds-0", "rounds-1", "rounds-3", "median-center"])
+def test_scbn_rounds_follow_one_schedule(monkeypatch, grid):
+    # Every round re-grids around the previous round's pick, and the last
+    # grid's spacing is final_grid_log_step.
+    table, conserved = _null_poisson_table(np.random.default_rng(8), 100, 1.3)
+    rounds = []
+
+    def recorded(cs, x1, *args):
+        counts, kept = _rejection_counts(cs, x1, *args)
+        dev = np.where(kept, np.abs(counts / x1.size - grid.alpha), np.inf)
+        minima = np.flatnonzero(dev <= dev.min() + 1e-12)
+        rounds.append((cs, cs[minima[(minima.size - 1) // 2]]))
+        return counts, kept
+
+    monkeypatch.setattr(normalization, "_rejection_counts", recorded)
+    fit = scbn_scaling_factor(table, conserved, grid)
+    assert len(rounds) == grid.refine_rounds + 1
+    assert fit.factor.c == float(np.exp(np.log(rounds[-1][1])))
+    for (_, pick), (cs, _) in zip(rounds, rounds[1:]):
+        assert cs.size == grid.coarse_points
+        assert math.isclose(math.log(cs[0]) + math.log(cs[-1]), 2.0 * math.log(pick),
+                            rel_tol=0.0, abs_tol=1e-12)
+    # Each end's log is off from its linspace value by one rounding of exp
+    # and one of log, and each end of the linspace by one of its own.
+    ends = np.log(rounds[-1][0][[0, -1]])
+    width = (grid.coarse_points - 1) * final_grid_log_step(grid)
+    assert abs((ends[1] - ends[0]) - width) <= 4 * np.spacing(max(1.0, *np.abs(ends)))
 
 
 # ---------------------------------------------------------------------------
