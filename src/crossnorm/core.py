@@ -44,9 +44,14 @@ def require_integer(name: str, value) -> None:
 
 
 def require_number(name: str, value) -> None:
-    """Raise ValueError unless ``value`` is a real number (numpy's too), not a bool."""
+    """Raise ValueError unless ``value`` is a real number (numpy's too), not a
+    bool, that a float can hold."""
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a number, got {value!r}")
+    try:
+        float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be a number, got one too large for a float") from None
 
 
 @dataclass(frozen=True)

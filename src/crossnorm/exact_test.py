@@ -23,14 +23,7 @@ tested in one call.  Inputs are mirrored onto the p0 <= 1/2 side first so
 that swapping the two species takes a bit-identical code path.
 
 Callers that only need ``p < level`` (the SCBN count and DE calls) decide
-it with :func:`_rejects`, and most deep cells need no betainc there.
-Bernstein's inequality bounds each binomial tail beyond a distance t from
-the mean by exp(-t^2 / (2 (var + t/3))) (:func:`_tails_below`), and a cell
-whose two tails are both bounded below level/4 is decided "reject" at
-once: betainc would have to be off by a factor of 2 to make the kernel's
-sum of the two reach the level.  Every decision already assumes betainc
-accurate to far better than that (``_ALPHA_MARGIN`` takes 1e-9), so the
-screened answer is the kernel's own.
+it with :func:`_rejects`, on the kernel's own body (:func:`_two_sided`).
 
 The SCBN grid asks the same question of a run of p0 values
 (:func:`_interval_verdicts`): p0 rises with the scaling factor and the
@@ -72,14 +65,6 @@ _ALPHA_MARGIN = 1e-9
 # rounding error in mu - slack stays far below the tie slack.  Larger genes
 # are always tested cell by cell.
 _MAX_BOUNDED_N = 2.0**40
-
-# _tails_below's allowance, relative to n, for the rounding between the exact
-# mean n*p0 and the one a tail is taken at: fl(n*p0), the edges' float
-# arithmetic, and the 1 - p0 of a lower tail, each off by at most n * 2**-53.
-_MEAN_ERR = 2.0**-50
-# _tails_below decides only at levels whose quarter is a normal float, where
-# a tail's betainc error is relative, never a subnormal float's absolute one.
-_MIN_SCREEN_LEVEL = 4.0 * np.finfo(np.float64).tiny
 
 
 def _p0(c, l1n1, l2n2):
@@ -139,18 +124,31 @@ def _tail_edges(x1, n, p0):
     return slack, np.floor(mu - slack), np.ceil(mu + slack)
 
 
-def _tails_below(t, n, p0, level):
-    """Whether Bernstein's bound on P(X <= n*p0 - t) and on P(X >= n*p0 + t),
-    X ~ Binomial(n, p0), is below level/4: exp(-t^2 / (2 (var + t/3))) with
-    var = n*p0*(1 - p0), compared through its logarithm.  t is first cut,
-    and var raised, by n * _MEAN_ERR, so the bound also holds for the
-    rounded means the kernel's tails are taken at.  False wherever t is at
-    or below 0, and everywhere at levels below _MIN_SCREEN_LEVEL."""
-    if level < _MIN_SCREEN_LEVEL:
-        return np.zeros(np.shape(t), dtype=bool)
-    err = n * _MEAN_ERR
-    t = np.maximum(t - err, 0.0)
-    return t * t > 2.0 * np.log(4.0 / level) * (n * p0 * (1.0 - p0) + err + t / 3.0)
+def _two_sided(x1, n, p0, level):
+    """The kernel's p-value on 1-D arrays, exact wherever it is below
+    ``level``; elsewhere a value at or above ``level``.
+
+    A cell whose observed distance from the null mean, less the tie slack,
+    is not positive, or with n = 0, gets p = 1.  Every other cell takes its
+    observed tail (the one holding x1) and the far tail only where the
+    observed one is below ``level`` (:func:`_plus_far_tail`), and the sum is
+    clipped to [_MIN_P, 1], which keeps a value at or above a level <= 1 at
+    or above it.  Float addition commutes, so the sum is the same whichever
+    of the two tails is the observed one.
+    """
+    x1, p0 = _mirror(x1, n, p0)
+    slack, lo, hi = _tail_edges(x1, n, p0)
+    p = np.ones(x1.shape)
+    live = ~((slack <= 0.0) | (n == 0.0))
+    below = x1 < n * p0
+    # Cells below the mean first: np.where on a mask in two runs is several
+    # times faster than on a shuffled one.
+    rows = np.concatenate((np.flatnonzero(live & below), np.flatnonzero(live & ~below)))
+    n, p0, lo, hi, below = n[rows], p0[rows], lo[rows], hi[rows], below[rows]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        obs = _tail(np.where(below, lo, hi), n, p0, below)
+        p[rows] = _plus_far_tail(obs, np.where(below, hi, lo), n, below, p0, level)
+    return np.clip(p, _MIN_P, 1.0)
 
 
 def binom_twosided_pvalues(x1, n, p0):
@@ -165,45 +163,16 @@ def binom_twosided_pvalues(x1, n, p0):
         np.asarray(n, dtype=np.float64),
         np.asarray(p0, dtype=np.float64),
     )
-    x1, p0 = _mirror(x1, n, p0)
-    slack, lo, hi = _tail_edges(x1, n, p0)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        p = _tail(lo, n, p0, True) + _tail(hi, n, p0, False)
-    p = np.where(slack <= 0.0, 1.0, p)  # observed count at/next to the null mean
-    p = np.where(n == 0.0, 1.0, p)
-    return np.clip(p, _MIN_P, 1.0)
+    # [()] turns a 0-d result into a scalar and leaves arrays as they are.
+    return _two_sided(x1.ravel(), n.ravel(), p0.ravel(), np.inf).reshape(x1.shape)[()]
 
 
 def _rejects(x1, n, p0, level):
     """binom_twosided_pvalues(x1, n, p0) < level, for 1-D arrays of integral
-    counts and 0 < level <= 1, evaluating betainc only where a bound cannot
-    decide.
-
-    A cell whose observed distance from the null mean, less the tie slack,
-    is not positive, or with n = 0, gets p = 1 from the kernel and is not
-    rejected.  Both of a live cell's tail edges lie at least its slack from
-    the mean (_tail_edges), so where _tails_below holds at the slack the
-    cell is rejected with no betainc (see the module docstring).  The
-    kernel's own mirroring, edges and betainc arguments give every other
-    live cell's observed tail (the one holding x1) first.
-    The kernel returns the sum of the two tails clipped to [_MIN_P, 1], and
-    the clip keeps a value >= level at >= level, so _plus_far_tail decides
-    those cells exactly.
-    """
+    counts and 0 < level <= 1: a far tail is taken only where it can change
+    the answer."""
     x1, n, p0 = (np.asarray(v, dtype=np.float64) for v in (x1, n, p0))
-    x1, p0 = _mirror(x1, n, p0)
-    slack, lo, hi = _tail_edges(x1, n, p0)
-    live = (slack > 0.0) & (n != 0.0)
-    rejects = live & _tails_below(slack, n, p0, level)
-    rows = np.flatnonzero(live & ~rejects)
-    if rows.size:
-        x1, n, p0, lo, hi = x1[rows], n[rows], p0[rows], lo[rows], hi[rows]
-        below = x1 < n * p0
-        with np.errstate(invalid="ignore", divide="ignore"):
-            obs = _tail(np.where(below, lo, hi), n, p0, below)
-            p = _plus_far_tail(obs, np.where(below, hi, lo), n, below, p0, level)
-        rejects[rows] = np.clip(p, _MIN_P, 1.0) < level
-    return rejects
+    return _two_sided(x1, n, p0, level) < level
 
 
 def _interval_verdicts(x1, n, p_lo, p_hi, alpha):

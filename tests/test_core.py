@@ -149,7 +149,8 @@ def test_scaling_factor_must_be_positive_finite(value):
         ScalingFactor(value)
 
 
-@pytest.mark.parametrize("value", [True, "1.5", None])
+@pytest.mark.parametrize("value", [True, "1.5", None,
+                                   pytest.param(10**400, id="10**400")])
 def test_scaling_factor_must_be_a_number(value):
     with pytest.raises(ValueError, match="^scaling factor must be a number, got "):
         ScalingFactor(value)

@@ -12,11 +12,8 @@ from crossnorm import exact_test
 from crossnorm.exact_test import (
     _MAX_P0,
     _MIN_P,
-    _mirror,
     _rejects,
     _tail,
-    _tail_edges,
-    _tails_below,
     binom_twosided_pvalues,
     gene_pvalues,
     null_prob_values,
@@ -205,6 +202,22 @@ def test_vectorized_matches_scalar_bitwise():
         assert vec[i] == _p(int(x1[i]), int(n[i]), float(p0[i]))
 
 
+def test_broadcast_grid_matches_row_by_row_bitwise():
+    # A factors x genes p0 grid against gene columns, as the benchmark's
+    # kernel batch is called, equals one 1-D call per factor byte for byte.
+    rng = np.random.default_rng(4)
+    n = rng.integers(0, 10**5, size=200).astype(np.float64)
+    n[:4] = [0.0, 1.0, 2.0, 2.0**40]
+    x1 = np.floor(rng.random(200) * (n + 1))
+    x1[4:8] = [0.0, 0.0, n[6], n[7]]
+    p0 = null_prob_values(np.geomspace(0.2, 5.0, 9)[:, None], rng.integers(200, 5000, 200),
+                          rng.integers(200, 5000, 200), 10**6, 2 * 10**6)
+    grid = binom_twosided_pvalues(x1, n, p0)
+    assert grid.shape == p0.shape
+    for row, row_p0 in zip(grid, p0):
+        assert row.tobytes() == binom_twosided_pvalues(x1, n, row_p0).tobytes()
+
+
 def test_gene_pvalues_vector_matches_gene_pvalue():
     rng = np.random.default_rng(5)
     m = 40
@@ -287,26 +300,10 @@ def _decision_cells(draw, big=(2**40 - 1, 2**40, 2**40 + 1)):
     return tuple(np.array(column, dtype=np.float64) for column in zip(*cells))
 
 
-@given(_decision_cells(), _LEVELS)
-@settings(max_examples=300, deadline=None)
-def test_rejects_is_the_kernel_p_value_below_the_level(cells, level):
-    x1, n, p0 = cells
-    want = binom_twosided_pvalues(x1, n, p0) < level
-    assert _rejects(x1, n, p0, level).tolist() == want.tolist()
-
-
-@given(st.one_of(_decision_cells(), _decision_cells(big=(2**52 + 1, 2**53 - 1))))
-@settings(max_examples=300, deadline=None)
-def test_kernel_is_bit_identical_to_the_two_function_tails(cells):
-    # Each tail of binom_twosided_pvalues through _tail equals the tests'
-    # own _binom_cdf/_binom_sf formulation bit for bit, counts up to 2**53.
-    assert binom_twosided_pvalues(*cells).tobytes() == twosided_pvalues(*cells).tobytes()
-
-
 @st.composite
 def _deep_cells(draw):
-    # Cells the Bernstein screen can decide: x1 at 0 or n, or 3-40 sd from
-    # the null mean, with n up to next to 2**40 and p0 at its clip edges.
+    # Deep cells: x1 at 0 or n, or 3-40 sd from the null mean, with n up to
+    # next to 2**40 and p0 at its clip edges.
     cells = []
     for _ in range(draw(st.integers(1, 12))):
         n = draw(st.one_of(st.sampled_from([1, 2, 10, 2**40 - 1, 2**40, 2**40 + 1]),
@@ -320,43 +317,20 @@ def _deep_cells(draw):
     return tuple(np.array(column, dtype=np.float64) for column in zip(*cells))
 
 
-def _screened(x1, n, p0, level):
-    # The cells _rejects decides with no betainc.
-    x1, p0 = _mirror(x1, n, p0)
-    slack, _, _ = _tail_edges(x1, n, p0)
-    return (slack > 0.0) & (n != 0.0) & _tails_below(slack, n, p0, level)
-
-
-@given(_deep_cells(), _LEVELS)
+@given(st.one_of(_decision_cells(), _deep_cells()), _LEVELS)
 @settings(max_examples=300, deadline=None)
-def test_the_screen_decides_only_cells_with_p_below_half_the_level(cells, level):
+def test_rejects_is_the_kernel_p_value_below_the_level(cells, level):
     x1, n, p0 = cells
-    screened = _screened(x1, n, p0, level)
-    assert (binom_twosided_pvalues(x1, n, p0)[screened] < level / 2).all()
-    assert _rejects(x1, n, p0, level).tolist() == (binom_twosided_pvalues(x1, n, p0)
-                                                   < level).tolist()
+    want = binom_twosided_pvalues(x1, n, p0) < level
+    assert _rejects(x1, n, p0, level).tolist() == want.tolist()
 
 
-def test_the_screen_spares_betainc_on_deep_cells(monkeypatch):
-    # 40 sd from the mean on either side, and x1 at 0 or n far from it:
-    # every cell is rejected, and only the one at 2.6 sd takes betainc.
-    evaluated = []
-
-    class Counting:
-        @staticmethod
-        def betainc(a, b, x):
-            evaluated.append(np.size(x))
-            return betainc(a, b, x)
-
-    x1 = np.array([100.0, 1900.0, 0.0, 4000.0, 930.0])
-    n = np.array([4000.0, 4000.0, 4000.0, 4000.0, 4000.0])
-    p0 = np.full(5, 0.25)
-    assert _screened(x1, n, p0, 0.05).tolist() == [True, True, True, True, False]
-    monkeypatch.setattr(exact_test, "special", Counting())
-    assert _rejects(x1, n, p0, 0.05).tolist() == [True] * 5
-    assert sum(evaluated) <= 2
-    # Below _MIN_SCREEN_LEVEL nothing is screened.
-    assert not _screened(x1, n, p0, 1e-310).any()
+@given(st.one_of(_decision_cells(), _decision_cells(big=(2**52 + 1, 2**53 - 1))))
+@settings(max_examples=300, deadline=None)
+def test_kernel_is_bit_identical_to_the_two_function_tails(cells):
+    # Each tail of binom_twosided_pvalues through _tail equals the tests'
+    # own _binom_cdf/_binom_sf formulation bit for bit, counts up to 2**53.
+    assert binom_twosided_pvalues(*cells).tobytes() == twosided_pvalues(*cells).tobytes()
 
 
 def test_rejects_takes_a_far_tail_only_where_the_observed_one_is_below_the_level(monkeypatch):

@@ -397,10 +397,13 @@ def test_grid_config_validation():
     ("coarse_points", 100.5), ("coarse_points", 100.0), ("coarse_points", True),
     ("coarse_points", "100"), ("refine_rounds", 1.5), ("refine_rounds", False),
     ("alpha", True), ("alpha", "0.05"), ("span", None), ("center", True), ("center", "1.0"),
+    pytest.param("span", 10**400, id="span-10**400"),
+    pytest.param("center", 10**400, id="center-10**400"),
 ])
 def test_grid_config_checks_types_before_ranges(field, value):
     # A float point count or round count used to construct and then crash
-    # the fit with a TypeError.
+    # the fit with a TypeError; an int span or center beyond float range
+    # raised OverflowError.
     with pytest.raises(ValueError, match=f"^{field.replace('center', 'grid center')} must be "
                                          "(an integer|a number), got "):
         GridConfig(**{field: value})

@@ -213,7 +213,8 @@ def test_sim_config_takes_numpy_scalars_and_stores_rates_as_floats():
     ([1.0, True], "a rate_source entry must be a number, got True"),
     ([], "rate_source must contain positive values with a finite sum"),
     ([1.0, 0.0], "rate_source must contain positive values with a finite sum"),
-], ids=["string", "bool-entry", "empty", "zero-entry"])
+    ([1.0, 10**400], "a rate_source entry must be a number, got one too large for a float"),
+], ids=["string", "bool-entry", "empty", "zero-entry", "int-beyond-float"])
 def test_sim_config_rejects_a_bad_rate_source(rate_source, message):
     with pytest.raises(ValueError) as excinfo:
         SimConfig(n_orthologs=100, conserved_size=10, rate_source=rate_source)
