@@ -323,14 +323,30 @@ def scbn_scaling_factor(
     objective is a union of grid intervals; ties break to the (lower) median
     grid point of that set, which is stable under small grid perturbations.
     """
-    return _scbn_fit(table, _conserved_rows(table, conserved), grid)
+    return _fits(table, _conserved_rows(table, conserved), ("scbn",), grid)["scbn"]
 
 
-def _scbn_fit(table: OrthologTable, rows: np.ndarray, grid: GridConfig) -> ScbnResult:
-    """scbn_scaling_factor over the genes at ``rows`` (see _conserved_rows)."""
+def _fits(table: OrthologTable, rows: np.ndarray, methods, grid: GridConfig) -> dict:
+    """Each of ``methods``' fit over the genes at ``rows`` (see _conserved_rows),
+    by name.  If ``grid`` sets no center, SCBN's is the median fit, which then
+    runs first, and once, and is returned under "median" too."""
+    fits = {}
+    center = grid.center
+    if center is None and "scbn" in methods:
+        fits["median"] = _median_factor(table, rows)
+        center = fits["median"].factor.c
+    for method in methods:
+        if method not in fits:
+            fits[method] = (_scbn_fit(table, rows, grid, center) if method == "scbn"
+                            else _median_factor(table, rows))
+    return fits
+
+
+def _scbn_fit(table: OrthologTable, rows: np.ndarray, grid: GridConfig,
+              center: float) -> ScbnResult:
+    """scbn_scaling_factor over the genes at ``rows``, its grid centered on
+    ``center`` whatever ``grid.center`` says."""
     x1, n, l1n1, l2n2 = _conserved_arrays(table, rows)
-
-    center = grid.center if grid.center is not None else _median_factor(table, rows).factor.c
     log_center = np.log(center)
     _check_window(log_center, grid, l1n1, l2n2)
     minima = []  # each round's minimizing set

@@ -31,11 +31,15 @@ usable CPUs (``os.sched_getaffinity``, up to one per task) the calling
 process runs every W-th replicate and W-1 ``fork``-started worker
 processes run the rest, so workers inherit the loaded modules instead of
 importing them again; with one usable CPU, or on a platform that cannot
-say, every replicate runs serially in the calling process.  Averaging
+say, every replicate runs serially in the calling process.  A worker
+sends each replicate's outcome, its result or its exception, as soon as
+the replicate ends, and stops after its first failure.  Averaging
 happens in the caller in task order, so the result grid is bit-identical
-either way.  A worker that dies without sending its results raises
-ChildProcessError (one ``error:`` line in the CLI), and no worker outlives
-:func:`run_study`, whether it returns or raises.
+either way.  A failure, on either side, ends the run once every replicate
+before it has reported, and the error raised is the one a serial run hits
+first.  A worker that dies before reporting a replicate fails at that
+replicate with ChildProcessError (one ``error:`` line in the CLI), and no
+worker outlives :func:`run_study`, whether it returns or raises.
 """
 from __future__ import annotations
 
@@ -47,6 +51,7 @@ from typing import Mapping, Sequence, get_type_hints
 
 import numpy as np
 
+from . import normalization, pipeline
 from .core import (_VALUE_LIMIT, ConservedSet, OrthologTable, ScalingFactor, _build_table,
                    _check_ids, require_integer, require_number)
 
@@ -426,27 +431,17 @@ def _replicate(task) -> tuple[float, dict[str, tuple[Metrics, float]], tuple[int
     ran.  The result equals that of the per-gene path: generate_dataset,
     estimate_factor, call_de and evaluate_run.
     """
-    from . import normalization, pipeline
-
     cell, gene_ids, methods, cutoff, grid = task
     table, labels, conserved, true_c, _ = _draw(cell, gene_ids)
     rows = conserved[table.testable[conserved]]
     is_de = _LABEL_IS_DE[labels][table.testable]
-    factors = {}
-    fit_grid = grid  # read by scbn only
-    if grid.center is None:
-        # The median fit is SCBN's default grid center: compute it once.
-        factors["median"] = normalization._median_factor(table, rows).factor
-        fit_grid = replace(grid, center=factors["median"].c)
+    fits = normalization._fits(table, rows, methods, grid)
     calls_by_method = {}
     outcomes = {}
     for method in methods:
-        if method not in factors:
-            fit = (normalization._scbn_fit(table, rows, fit_grid) if method == "scbn"
-                   else normalization._median_factor(table, rows))
-            factors[method] = fit.factor
-        called, direction = pipeline.testable_calls(table, factors[method], cutoff)
-        outcomes[method] = (_score(called, is_de), factors[method].c)
+        factor = fits[method].factor
+        called, direction = pipeline.testable_calls(table, factor, cutoff)
+        outcomes[method] = (_score(called, is_de), factor.c)
         calls_by_method[method] = (called, direction)
     overlap = None
     if "scbn" in calls_by_method and "median" in calls_by_method:
@@ -464,39 +459,23 @@ def _usable_cpus() -> int:
     return len(os.sched_getaffinity(0))
 
 
-def _run_share(tasks, proceed=None) -> tuple[list, Exception | None]:
-    """:func:`_replicate` over ``tasks`` in order, up to the first that raises.
-
-    Returns the results before that task and its exception, or every result
-    and None.  Before the i-th task, ``proceed(i)``, if given, may stop the
-    share early: the results so far are returned, with no exception.
-    """
-    results = []
-    for i, task in enumerate(tasks):
-        if proceed is not None and not proceed(i):
-            break
-        try:
-            results.append(_replicate(task))
-        except Exception as exc:  # reported to the caller in task order
-            return results, exc
-    return results, None
-
-
-def _send_share(tasks, sender) -> None:
-    """Body of a worker process: run its share and send it to the caller."""
-    with sender:
-        sender.send(_run_share(tasks))
-
-
-def _receive_share(child, receiver) -> tuple[list, Exception | None]:
-    """A worker's :func:`_run_share` result, or no results and a
-    ChildProcessError if it ended without sending one."""
+def _outcome(task) -> tuple:
+    """``(_replicate(task), None)``, or ``(None, exc)`` if it raises ``exc``."""
     try:
-        return receiver.recv()
-    except EOFError:
-        child.join()
-        return [], ChildProcessError(f"a study worker process ended with exit code "
-                                     f"{child.exitcode} before sending its results")
+        return _replicate(task), None
+    except Exception as exc:  # reported to the caller in task order
+        return None, exc
+
+
+def _send_outcomes(tasks, sender) -> None:
+    """Body of a worker process: send each task's :func:`_outcome` as soon as
+    it ends, and stop after the first failure."""
+    with sender:
+        for task in tasks:
+            outcome = _outcome(task)
+            sender.send(outcome)
+            if outcome[1] is not None:
+                return
 
 
 def _map_replicates(tasks: list) -> list:
@@ -506,14 +485,14 @@ def _map_replicates(tasks: list) -> list:
     run serially in this process.  Otherwise this process runs every W-th
     task (``tasks[0::W]``) and W-1 forked processes, which inherit the loaded
     modules instead of importing them again, run ``tasks[w::W]`` each and
-    send their results back over a pipe.  Each share stops at its first
-    failing task, and the failure with the lowest task index is raised, the
-    exception a serial run raises first.  A worker that ends without sending
-    its share fails at its first task with ChildProcessError.  Between its
-    own tasks this process reads every share already sent, and stops its
-    own once a known failure precedes its next task.  Every worker is
-    joined, and terminated first if it is still running, before this
-    returns or raises.
+    send each task's outcome over a pipe as soon as it ends.  Every process
+    stops at its first failing task, and the failure with the lowest task
+    index is raised, the exception a serial run raises first.  A worker that
+    ends before reporting a task fails at that task with ChildProcessError.
+    Between its own tasks this process reads every outcome already sent,
+    and the run ends as soon as every task below the lowest known failure
+    has reported.  Every worker is joined, and terminated first if it is
+    still running, before this returns or raises.
     """
     workers = min(_usable_cpus(), len(tasks))
     if workers <= 1:
@@ -522,49 +501,51 @@ def _map_replicates(tasks: list) -> list:
     from multiprocessing.connection import wait
 
     context = multiprocessing.get_context("fork")
-    children = []  # (process, receiving end) running tasks[w::workers], w = 1, 2, ...
+    children = {}  # receiving end: (process, w) running tasks[w::workers], w = 1, 2, ...
     try:
         for w in range(1, workers):
             receiver, sender = context.Pipe(duplex=False)
             with sender:  # once started, the child holds the only open copy
-                child = context.Process(target=_send_share, args=(tasks[w::workers], sender))
+                child = context.Process(target=_send_outcomes, args=(tasks[w::workers], sender))
                 child.start()
-            children.append((child, receiver))
-        shares = [None] * workers
+            children[receiver] = child, w
+        results = [None] * len(tasks)
+        upcoming = list(range(workers))  # the next task index each process reports
         first, error = len(tasks), None  # the lowest failing task index and its exception
-        unread = {receiver: w for w, (_, receiver) in enumerate(children, start=1)}
 
-        def settle(w, share):
+        def report(w, outcome):
             nonlocal first, error
-            results, failure = shares[w] = share
-            if failure is not None and w + workers * len(results) < first:
-                first, error = w + workers * len(results), failure
+            i = upcoming[w]
+            results[i], failure = outcome
+            upcoming[w] += workers
+            if failure is not None and i < first:
+                first, error = i, failure
 
-        def read(receivers):
-            for receiver in receivers:
-                w = unread.pop(receiver)
-                settle(w, _receive_share(children[w - 1][0], receiver))
-
-        def proceed(i):
-            read(wait(list(unread), timeout=0))
-            return workers * i < first
-
-        settle(0, _run_share(tasks[::workers], proceed))
-        # A share that starts after a known failure is not waited for.
-        read(receiver for receiver, w in list(unread.items()) if w < first)
+        while min(upcoming) < first:
+            own = upcoming[0] < first
+            pending = [receiver for receiver, (_, w) in children.items() if upcoming[w] < first]
+            for receiver in wait(pending, timeout=0 if own else None):
+                child, w = children[receiver]
+                while upcoming[w] < first and receiver.poll():
+                    try:
+                        report(w, receiver.recv())
+                    except EOFError:
+                        child.join()
+                        report(w, (None, ChildProcessError(
+                            f"a study worker process ended with exit code {child.exitcode} "
+                            "before sending its results")))
+            if own and upcoming[0] < first:
+                report(0, _outcome(tasks[upcoming[0]]))
         if error is not None:
             raise error
     finally:
-        for child, receiver in children:
+        for receiver, (child, _) in children.items():
             receiver.close()
             if child.is_alive():
                 child.terminate()
             child.join()
             child.close()
-    outcomes = [None] * len(tasks)
-    for w, (results, _) in enumerate(shares):
-        outcomes[w::workers] = results
-    return outcomes
+    return results
 
 
 def run_study(
@@ -588,9 +569,6 @@ def run_study(
     metric's average with the exclusion counted.  ``grid`` defaults to
     ``GridConfig(alpha=alpha)``; a given grid must have the same alpha.
     """
-    from .normalization import GridConfig
-    from .pipeline import METHODS, _check_cutoff
-
     if not isinstance(sweep, Mapping):
         raise ValueError("sweep must map simulation fields to lists of values")
     _check_field_names(sweep)
@@ -617,17 +595,17 @@ def run_study(
     if not methods:
         raise ValueError("methods must name at least one method")
     for method in methods:
-        if method not in METHODS:
+        if method not in pipeline.METHODS:
             raise ValueError(f"unknown method {method!r}")
     if len(set(methods)) != len(methods):
         raise ValueError(f"methods must not repeat, got {list(methods)!r}")
-    _check_cutoff(cutoff)
+    pipeline._check_cutoff(cutoff)
     require_number("alpha", alpha)
     require_integer("study seed", master_seed)
     if master_seed < 0:
         raise ValueError("study seed must be >= 0")
     if grid is None:
-        grid = GridConfig(alpha=alpha)
+        grid = normalization.GridConfig(alpha=alpha)
     elif grid.alpha != alpha:
         raise ValueError(f"grid alpha {grid.alpha!r} differs from the study alpha {alpha!r}")
 

@@ -764,6 +764,17 @@ def test_median_needs_four_testable_genes():
         median_scaling_factor(table, conserved)
 
 
+def test_scbn_without_testable_conserved_genes_names_the_rule_it_breaks():
+    # A gene with no reads is untestable.  The default grid center is the
+    # median fit, which needs four testable genes; a set center needs one.
+    table, conserved = _table_with_conserved([("g0", 100, 100, 0, 0), _balanced("g1", 5)],
+                                             ["g0"])
+    with pytest.raises(ValueError, match="needs >= 4 testable conserved genes, got 0"):
+        scbn_scaling_factor(table, conserved)
+    with pytest.raises(ValueError, match="^no testable conserved genes$"):
+        scbn_scaling_factor(table, conserved, GridConfig(center=1.0))
+
+
 def test_median_zero_expression_is_an_error():
     # species-2 counts all zero among conserved genes; a filler gene keeps
     # the table total positive

@@ -515,7 +515,10 @@ def test_a_worker_that_dies_raises_child_process_error(monkeypatch):
     # Task 2 fails here at once; the worker's task 1 fails later but first
     # in task order, so its error is the one raised.
     ([20, 2, 3], 2, 0.3, "got 2"),
-], ids=["own-first-task", "worker-earlier-task"])
+    # Task 2 fails here while the worker has 16 tasks of 0.4 s each: only
+    # its task 1 precedes the failure, so the rest of its share is not run.
+    ([20, 20, 3] + [20] * 30, 20, 0.4, "got 3"),
+], ids=["own-first-task", "worker-earlier-task", "own-later-task"])
 def test_a_failure_in_this_processs_share_raises_the_serial_runs_first_error(
         monkeypatch, sizes, slow_size, seconds, message):
     original = simulation._draw
@@ -536,6 +539,31 @@ def test_a_failure_in_this_processs_share_raises_the_serial_runs_first_error(
         raised[cpus] = str(info.value)
         assert time.perf_counter() - start < 5.0
     assert raised[1] == f"median baseline needs >= 4 testable conserved genes, {message}"
+    assert raised[2] == raised[1]
+    _assert_no_child_process_left()
+
+
+def test_a_worker_that_dies_after_the_first_failure_does_not_mask_it(monkeypatch):
+    # The worker reports task 1, then dies in task 3 (size 21), while this
+    # process's task 2 fails: the serial run's error, from task 2, is raised.
+    caller = os.getpid()
+    original = simulation._draw
+
+    def exit_in_worker_task_3(cfg, gene_ids):
+        if cfg.conserved_size == 21 and os.getpid() != caller:
+            os._exit(3)
+        return original(cfg, gene_ids)
+
+    monkeypatch.setattr(simulation, "_draw", exit_in_worker_task_3)
+    base = SimConfig(n_orthologs=100, conserved_size=20)
+    raised = {}
+    for cpus in (1, 2):
+        _use_cpus(monkeypatch, cpus)
+        with pytest.raises(ValueError) as info:
+            run_study(base, {"conserved_size": [20, 20, 3, 21]}, ["median"], replicates=1,
+                      cutoff=0.01)
+        raised[cpus] = str(info.value)
+    assert raised[1] == "median baseline needs >= 4 testable conserved genes, got 3"
     assert raised[2] == raised[1]
     _assert_no_child_process_left()
 
