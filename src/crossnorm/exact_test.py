@@ -31,14 +31,17 @@ exact tails are monotone in p0, so tails at a run's two ends bound the
 p-value everywhere in it.  Runs are bounded only for n below
 ``_MAX_BOUNDED_N`` = 2**40, and a bound decides only where it clears the
 level by ``_ALPHA_MARGIN``, which absorbs betainc's rounding error
-(``tests/check_betainc.py`` checks it against 50-digit sums).  Run bounds
-and cell decisions alike take the observed tail first and the far tail
-only where it can change the answer (:func:`_plus_far_tail`).
+(``tests/check_betainc.py`` checks it against 50-digit sums).  The kernel,
+the cell decisions and both run bounds sum their tails in :func:`_tail_sum`,
+observed tail first, far tail only where it can change the answer; a run's
+upper bound comes first, its lower bound only on the rows left open.
 """
 from __future__ import annotations
 
 import numpy as np
 from scipy import special
+
+from .core import _VALUE_LIMIT
 
 __all__ = [
     "null_prob_values",
@@ -95,17 +98,19 @@ def _tail(edge, n, p0, lower):
     return np.where(j >= n, 1.0, np.where(j >= 0.0, tail, 0.0))
 
 
-def _plus_far_tail(obs, far_edge, n, lower, p_far, level):
-    # The observed tail ``obs`` (the lower one where ``lower`` holds) plus the
-    # opposite, far tail at far_edge and p_far, summed as the kernel sums
-    # them, on the rows where obs < level; elsewhere obs alone, which is then
+def _tail_sum(obs_edge, far_edge, n, lower, p_obs, p_far, level):
+    # The two-tail sum: the observed tail at obs_edge and p_obs (the lower
+    # one where ``lower`` holds) plus the opposite, far tail at far_edge and
+    # p_far, summed as the kernel sums them, on the rows where the observed
+    # tail is below level; elsewhere the observed tail alone, which is then
     # >= level.  Since fl(a + b) >= a for b >= 0, the result is below level
     # exactly where the sum is.  The far tail's betainc runs only on those
     # rows, and only where the far tail is not empty (an empty one adds 0).
-    rows = np.flatnonzero((obs < level) & np.where(lower, far_edge <= n, far_edge >= 0.0))
+    total = _tail(obs_edge, n, p_obs, lower)
+    rows = np.flatnonzero((total < level) & np.where(lower, far_edge <= n, far_edge >= 0.0))
     if rows.size:
-        obs[rows] += _tail(far_edge[rows], n[rows], p_far[rows], ~lower[rows])
-    return obs
+        total[rows] += _tail(far_edge[rows], n[rows], p_far[rows], ~lower[rows])
+    return total
 
 
 def _mirror(x1, n, p0):
@@ -131,7 +136,7 @@ def _two_sided(x1, n, p0, level):
     A cell whose observed distance from the null mean, less the tie slack,
     is not positive, or with n = 0, gets p = 1.  Every other cell takes its
     observed tail (the one holding x1) and the far tail only where the
-    observed one is below ``level`` (:func:`_plus_far_tail`), and the sum is
+    observed one is below ``level`` (:func:`_tail_sum`), and the sum is
     clipped to [_MIN_P, 1], which keeps a value at or above a level <= 1 at
     or above it.  Float addition commutes, so the sum is the same whichever
     of the two tails is the observed one.
@@ -146,8 +151,8 @@ def _two_sided(x1, n, p0, level):
     rows = np.concatenate((np.flatnonzero(live & below), np.flatnonzero(live & ~below)))
     n, p0, lo, hi, below = n[rows], p0[rows], lo[rows], hi[rows], below[rows]
     with np.errstate(invalid="ignore", divide="ignore"):
-        obs = _tail(np.where(below, lo, hi), n, p0, below)
-        p[rows] = _plus_far_tail(obs, np.where(below, hi, lo), n, below, p0, level)
+        p[rows] = _tail_sum(np.where(below, lo, hi), np.where(below, hi, lo), n, below,
+                            p0, p0, level)
     return np.clip(p, _MIN_P, 1.0)
 
 
@@ -203,9 +208,11 @@ def _interval_verdicts(x1, n, p_lo, p_hi, alpha):
     # and P(X >= k) rises.  Hence with the near end q1 and the far end q2,
     #   upper bound: P(X <= x | q1) + P(X >= hi(q1) | q2)
     #   lower bound: P(X <= x | q2) + P(X >= hi(q2) | q1).
-    # Above the mean the mirror image holds, with q2 the near end.  A far
-    # tail's edge is taken at the end its observed tail is, and each bound
-    # is exact as compared with its level (see _plus_far_tail).
+    # Above the mean the mirror image holds, with q2 the near end.  Each
+    # bound is one _tail_sum with x as its observed edge and the far edge
+    # taken at its observed tail's end, exact as compared with its level.
+    # Where upper < reject_at, lower <= upper < accept_at, so trying the
+    # upper bound first changes which tails are evaluated, not a verdict.
     # A sided interval never has p0 = 1/2 at an end, so there the kernel's
     # mirror flips exactly where p_lo > 1/2; the other rows only fail the
     # side test, whatever their x and q.
@@ -219,26 +226,14 @@ def _interval_verdicts(x1, n, p_lo, p_hi, alpha):
     x, n_s, below = x[sided], n[sided], below[sided]
     near = np.where(below, q1[sided], q2[sided])
     far = np.where(below, q2[sided], q1[sided])
-    # The lower bound's observed tail alone accepts a row where it reaches
-    # accept_at.  The other rows try the reject proof before the lower
-    # bound's far tail: a row with upper < reject_at has lower <= upper <
-    # accept_at, so the verdicts are those of taking the lower bound first.
-    lower = _tail(x, n_s, far, below)
-    verdict[sided[lower >= accept_at]] = -1
-    rows = np.flatnonzero(lower < accept_at)
-    sided, x, n_s, below, near, far, lower = (
-        v[rows] for v in (sided, x, n_s, below, near, far, lower))
     _, lo, hi = _tail_edges(x, n_s, near)
-    upper = _plus_far_tail(_tail(x, n_s, near, below), np.where(below, hi, lo), n_s,
-                           below, far, reject_at)
-    rejected = upper < reject_at
+    rejected = _tail_sum(x, np.where(below, hi, lo), n_s, below, near, far, reject_at) < reject_at
     verdict[sided[rejected]] = 1
-    # The lower bound's far tail, on the rows still open.
-    rows = np.flatnonzero(~rejected)
-    nr, br = n_s[rows], below[rows]
-    _, lo, hi = _tail_edges(x[rows], nr, far[rows])
-    lower = _plus_far_tail(lower[rows], np.where(br, hi, lo), nr, br, near[rows], accept_at)
-    verdict[sided[rows[lower >= accept_at]]] = -1
+    open_ = np.flatnonzero(~rejected)
+    sided, x, n_s, below, near, far = (v[open_] for v in (sided, x, n_s, below, near, far))
+    _, lo, hi = _tail_edges(x, n_s, far)
+    accepted = _tail_sum(x, np.where(below, hi, lo), n_s, below, far, near, accept_at) >= accept_at
+    verdict[sided[accepted]] = -1
 
     # Other intervals can only be proven accepted.  Unless the kernel
     # returns 1, its p-value includes the observed-side tail: P(X <= x1)
@@ -255,10 +250,11 @@ def _interval_verdicts(x1, n, p_lo, p_hi, alpha):
 
 
 def gene_pvalues(count_sp1, count_sp2, length_sp1, length_sp2, total_sp1, total_sp2, c):
-    """P-values for arrays of genes at one scaling factor; NaN where untestable."""
+    """P-values for arrays of genes at one scaling factor; NaN where untestable
+    (n = 0 or n >= 2**53, the rule of ``OrthologTable.testable``)."""
     x1 = np.asarray(count_sp1, dtype=np.float64)
     x2 = np.asarray(count_sp2, dtype=np.float64)
     n = x1 + x2
     p0 = null_prob_values(c, length_sp1, length_sp2, total_sp1, total_sp2)
     p = binom_twosided_pvalues(x1, n, p0)
-    return np.where(n > 0.0, p, np.nan)
+    return np.where((n > 0.0) & (n < _VALUE_LIMIT), p, np.nan)

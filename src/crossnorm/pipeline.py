@@ -434,12 +434,12 @@ def _directions(x1, n, p0, called) -> np.ndarray:
     return np.where(called, sign, np.int8(0))
 
 
-def _test_columns(table: OrthologTable, c: ScalingFactor, cutoff: float):
-    """The p, de_call and direction columns of every gene at factor c.
+def call_de(table: OrthologTable, c: ScalingFactor, cutoff: float) -> DEResult:
+    """Test every gene at factor c, adjust, and call DE below the cutoff.
 
-    p is NaN for untestable genes, which are never called.  Direction is
-    reported only for called genes: the species whose count exceeds its
-    null share.
+    Direction is reported only for called genes: the species whose count
+    exceeds its null share.  Untestable genes carry NaN p/q, are never
+    called, and are left out of the q-value ranking.
     """
     _check_cutoff(cutoff)
     x1, n, p0 = _null_probs(table, c)
@@ -447,17 +447,7 @@ def _test_columns(table: OrthologTable, c: ScalingFactor, cutoff: float):
         p = binom_twosided_pvalues(x1, n, p0)
     p = np.where(table.testable, p, np.nan)
     called = p < cutoff  # False at NaN
-    return p, called, _directions(x1, n, p0, called)
-
-
-def call_de(table: OrthologTable, c: ScalingFactor, cutoff: float) -> DEResult:
-    """Test every gene at factor c, adjust, and call DE below the cutoff.
-
-    Direction is reported only for called genes: the species whose count
-    exceeds its null share.  Untestable genes carry NaN p/q and are left
-    out of the q-value ranking.
-    """
-    p, called, direction = _test_columns(table, c, cutoff)
+    direction = _directions(x1, n, p0, called)
     q = bh_adjust(p)
     return DEResult(table.gene_ids, *map(_read_only, (p, q, direction, called)))
 

@@ -12,6 +12,7 @@ from crossnorm import exact_test
 from crossnorm.exact_test import (
     _MAX_P0,
     _MIN_P,
+    _interval_verdicts,
     _rejects,
     _tail,
     binom_twosided_pvalues,
@@ -95,6 +96,8 @@ def test_gene_pvalue_examples():
     assert p[0] == 1.0
     assert p[1] == pytest.approx(0.5, abs=1e-15)
     assert math.isnan(p[2])
+    # n >= 2**53 is untestable too, as validate_table flags it.
+    assert math.isnan(gene_pvalues([2**53 - 1], [5], [1], [1], 10**16, 10**16, 1.0)[0])
 
 
 def test_gene_pvalue_matches_composition():
@@ -333,10 +336,8 @@ def test_kernel_is_bit_identical_to_the_two_function_tails(cells):
     assert binom_twosided_pvalues(*cells).tobytes() == twosided_pvalues(*cells).tobytes()
 
 
-def test_rejects_takes_a_far_tail_only_where_the_observed_one_is_below_the_level(monkeypatch):
-    # Every observed tail here is above 0.05, so one betainc element per cell
-    # decides them all, but for x1 = 50 at the null mean, whose p = 1 takes
-    # none; at level 0.5 most cells need their far tail too.
+def _count_betainc(monkeypatch):
+    """A list that gets the size of each of exact_test's betainc calls."""
     evaluated = []
 
     class Counting:
@@ -346,9 +347,28 @@ def test_rejects_takes_a_far_tail_only_where_the_observed_one_is_below_the_level
             return betainc(a, b, x)
 
     monkeypatch.setattr(exact_test, "special", Counting())
+    return evaluated
+
+
+def test_rejects_takes_a_far_tail_only_where_the_observed_one_is_below_the_level(monkeypatch):
+    # Every observed tail here is above 0.05, so one betainc element per cell
+    # decides them all, but for x1 = 50 at the null mean, whose p = 1 takes
+    # none; at level 0.5 most cells need their far tail too.
+    evaluated = _count_betainc(monkeypatch)
     x1, n, p0 = np.arange(43.0, 58.0), np.full(15, 100.0), np.full(15, 0.5)
     assert not _rejects(x1, n, p0, 0.05).any()
     assert evaluated == [14]
     evaluated.clear()
     assert _rejects(x1, n, p0, 0.5).tolist() == (binom_twosided_pvalues(x1, n, p0) < 0.5).tolist()
     assert sum(evaluated) > 15
+
+
+def test_interval_verdicts_take_the_upper_bound_first(monkeypatch):
+    # Five sided runs 11-14 sd deep, below the mean and (mirrored) above it:
+    # the upper bound rejects them all from their observed and far tails,
+    # two betainc elements a row, and no lower bound is evaluated.
+    evaluated = _count_betainc(monkeypatch)
+    x1, n = np.array([100.0, 120.0, 140.0, 900.0, 880.0]), np.full(5, 1000.0)
+    p_lo, p_hi = np.array([0.3] * 3 + [0.69] * 2), np.array([0.31] * 3 + [0.7] * 2)
+    assert _interval_verdicts(x1, n, p_lo, p_hi, 0.05).tolist() == [1] * 5
+    assert sum(evaluated) == 10

@@ -9,15 +9,9 @@ from hypothesis import strategies as st
 from crossnorm import normalization
 from crossnorm.core import ConservedSet, ScalingFactor, validate_table
 from crossnorm.exact_test import (
-    _ALPHA_MARGIN,
     _MAX_BOUNDED_N,
-    _MAX_P0,
-    _MIN_P,
-    _P0_WIDEN,
     _interval_verdicts,
-    _mirror,
     _p0,
-    _tail_edges,
     binom_twosided_pvalues,
     null_prob_values,
 )
@@ -36,7 +30,7 @@ from crossnorm.normalization import (
     median_scaling_factor,
     scbn_scaling_factor,
 )
-from reference_tails import _binom_cdf, _binom_sf
+from reference_tails import _reference_interval_verdicts
 from rowtable import table_of
 
 # ---------------------------------------------------------------------------
@@ -265,49 +259,6 @@ def test_interval_verdicts_never_receive_zero_intervals(monkeypatch):
     assert sizes and min(sizes) > 0
 
 
-def _reference_two_tail_bound(x, n, below, q_obs, q_far):
-    """Observed tail at q_obs plus the far tail, each side on its own boolean
-    subset with its own _binom_cdf/_binom_sf pair, both tails on every row."""
-    _, lo, hi = _tail_edges(x, n, q_obs)
-    bound = np.empty(x.size)
-    b, a = below, ~below
-    bound[b] = _binom_cdf(x[b], n[b], 1.0 - q_obs[b]) + np.where(
-        hi[b] <= n[b], _binom_sf(hi[b], n[b], q_far[b]), 0.0)
-    bound[a] = _binom_sf(x[a], n[a], q_obs[a]) + np.where(
-        lo[a] >= 0.0, _binom_cdf(np.clip(lo[a], 0.0, None), n[a], 1.0 - q_far[a]), 0.0)
-    return bound
-
-
-def _reference_interval_verdicts(x1, n, p_lo, p_hi, alpha):
-    """Reference: _interval_verdicts evaluating every tail of every bound, with
-    the kernel's _mirror at both ends."""
-    p_lo = np.clip(p_lo * (1.0 - _P0_WIDEN), _MIN_P, _MAX_P0)
-    p_hi = np.clip(p_hi * (1.0 + _P0_WIDEN), _MIN_P, _MAX_P0)
-    accept_at = alpha * (1.0 + _ALPHA_MARGIN)
-    reject_at = alpha * (1.0 - _ALPHA_MARGIN)
-    verdict = np.zeros(x1.size, dtype=np.int8)
-    x, qa = _mirror(x1, n, p_lo)
-    _, qb = _mirror(x1, n, p_hi)
-    q1, q2 = np.minimum(qa, qb), np.maximum(qa, qb)
-    below = n * q1 - x >= 1.0
-    is_sided = ((p_hi < 0.5) | (p_lo > 0.5)) & (below | (x - n * q2 >= 1.0))
-    sided = np.flatnonzero(is_sided)
-    x, n_s, below = x[sided], n[sided], below[sided]
-    near = np.where(below, q1[sided], q2[sided])
-    far = np.where(below, q2[sided], q1[sided])
-    lower = _reference_two_tail_bound(x, n_s, below, far, near)
-    verdict[sided[lower >= accept_at]] = -1
-    open_ = lower < accept_at
-    upper = _reference_two_tail_bound(x[open_], n_s[open_], below[open_], near[open_],
-                                      far[open_])
-    verdict[sided[open_][upper < reject_at]] = 1
-    rest = np.flatnonzero(~is_sided)
-    lower = np.minimum(_binom_cdf(x1[rest], n[rest], 1.0 - p_hi[rest]),
-                       _binom_sf(x1[rest], n[rest], p_lo[rest]))
-    verdict[rest[lower >= accept_at]] = -1
-    return verdict
-
-
 @st.composite
 def _round0_intervals(draw, deep=False):
     # Random index intervals of a round-0 grid, from single cells to the
@@ -353,6 +304,8 @@ def _sided_intervals(draw):
 @given(st.one_of(_round0_intervals(), _round0_intervals(deep=True), _sided_intervals()))
 @example((np.array([900.0, 1000.0, 1100.0, 2200.0, 2600.0, 3000.0]), np.full(6, 5000.0),
           np.full(6, 0.30), np.full(6, 0.31), 0.05))  # 10-40 sd deep on either side
+@example((np.array([100.0, 120.0, 140.0, 900.0, 880.0]), np.full(5, 1000.0),
+          np.array([0.3] * 3 + [0.69] * 2), np.array([0.31] * 3 + [0.7] * 2), 0.05))
 @settings(max_examples=400, deadline=None)
 def test_interval_verdicts_equal_the_every_tail_reference(args):
     assert _interval_verdicts(*args).tolist() == _reference_interval_verdicts(*args).tolist()
