@@ -224,8 +224,9 @@ def _build_table(ids: tuple[str, ...], length_sp1, length_sp2, count_sp1, count_
     if failures:
         _raise_first(ids, failures)
 
-    total_sp1 = sum(x1.tolist())
-    total_sp2 = sum(x2.tolist())
+    # Exact totals: an int64 sum where max * rows cannot overflow, else Python ints.
+    total_sp1, total_sp2 = (int(x.sum()) if int(x.max(initial=0)) * x.size <= _INT64.max
+                            else sum(x.tolist()) for x in (x1, x2))
     if total_sp1 <= 0 or total_sp2 <= 0:
         raise ValueError("each species needs at least one mapped read")
     # The exact test conditions on n = x1 + x2, which float64 (and so betainc)

@@ -24,6 +24,10 @@ that swapping the two species takes a bit-identical code path.
 
 Callers that only need ``p < level`` (the SCBN count and DE calls) decide
 it with :func:`_rejects`, on the kernel's own body (:func:`_two_sided`).
+:func:`binom_twosided_pvalues` runs that body on blocks of ``_ROWS`` (4096)
+cells.  The kernel is elementwise, so every value is the one a whole-array
+call gives; blocks only keep the temporaries small enough for the allocator
+to reuse, where whole-table ones go back to the OS and fault in again.
 
 The SCBN grid asks the same question of a run of p0 values
 (:func:`_interval_verdicts`): p0 rises with the scaling factor and the
@@ -68,6 +72,7 @@ _ALPHA_MARGIN = 1e-9
 # rounding error in mu - slack stays far below the tie slack.  Larger genes
 # are always tested cell by cell.
 _MAX_BOUNDED_N = 2.0**40
+_ROWS = 4096  # cells per block of binom_twosided_pvalues (see the module docstring)
 
 
 def _p0(c, l1n1, l2n2):
@@ -163,13 +168,15 @@ def binom_twosided_pvalues(x1, n, p0):
     as integers below 2**53.  Returns values in (0, 1]; n = 0 maps to 1
     (empty rejection region).
     """
-    x1, n, p0 = np.broadcast_arrays(
-        np.asarray(x1, dtype=np.float64),
-        np.asarray(n, dtype=np.float64),
-        np.asarray(p0, dtype=np.float64),
-    )
+    x1, n, p0 = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (x1, n, p0)))
+    shape = x1.shape
+    x1, n, p0 = x1.ravel(), n.ravel(), p0.ravel()
+    p = np.empty(x1.shape)
+    for start in range(0, p.size, _ROWS):
+        rows = slice(start, start + _ROWS)
+        p[rows] = _two_sided(x1[rows], n[rows], p0[rows], np.inf)
     # [()] turns a 0-d result into a scalar and leaves arrays as they are.
-    return _two_sided(x1.ravel(), n.ravel(), p0.ravel(), np.inf).reshape(x1.shape)[()]
+    return p.reshape(shape)[()]
 
 
 def _rejects(x1, n, p0, level):

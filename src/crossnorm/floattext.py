@@ -62,7 +62,6 @@ def _layouts() -> np.ndarray:
 
 
 _KEEP = _layouts()
-_LENGTH = _KEEP.sum(axis=1)
 # One text row as a single value, for whole-row gathers and scatters.
 _ROW = np.dtype((np.void, WIDTH))
 _ONE, _NA = 6 * _DIGITS, 7 * _DIGITS  # 1.0 and NaN keep _TEMPLATE's "1.0" and "NA"
@@ -213,23 +212,21 @@ def _convert(values: np.ndarray, chars: np.ndarray) -> np.ndarray:
     return kind * _DIGITS + ndigits - 1
 
 
-def pq_text(values: np.ndarray, chars: np.ndarray, keep: np.ndarray) -> np.ndarray:
-    """Write the text of each float64 in (0, 1] or NaN into chars and keep;
-    return the texts' lengths.
+def pq_text(values: np.ndarray, chars: np.ndarray, keep: np.ndarray) -> None:
+    """Write the text of each float64 in (0, 1] or NaN into chars and keep.
 
-    ``chars`` (uint8) and ``keep`` (bool) are (n, WIDTH) matrices, or views
-    of them whose rows are contiguous: ``chars[r][keep[r]]`` becomes the
-    ASCII text of ``repr(values[r])``, or ``NA`` for NaN.  Other values
-    give meaningless text.
+    ``chars`` (uint8) and ``keep`` (bool) have the shape of ``values`` plus
+    a last axis of WIDTH, which must be contiguous: ``chars[r][keep[r]]``
+    becomes the ASCII text of ``repr(values[r])``, or ``NA`` for NaN, at
+    every index r.  Other values give meaningless text.
     """
     values = np.asarray(values, dtype=np.float64)
     # 1.0 (common among q-values) and NaN (untestable genes) have fixed texts.
     code = np.where(np.isnan(values), _NA, _ONE)
-    chars[:] = _TEMPLATE
-    rows = chars.view(_ROW)[:, 0]
-    inside = np.flatnonzero(values < 1.0)
-    text = np.empty((inside.size, WIDTH), dtype=np.uint8)
+    chars[...] = _TEMPLATE
+    rows = chars.view(_ROW)[..., 0]
+    inside = np.nonzero(values < 1.0)
+    text = np.empty((inside[0].size, WIDTH), dtype=np.uint8)
     code[inside] = _convert(values[inside], text)
     rows[inside] = text.view(_ROW)[:, 0]
-    keep.view(_ROW)[:, 0] = _KEEP.view(_ROW)[:, 0].take(code)
-    return _LENGTH.take(code)
+    keep.view(_ROW)[..., 0] = _KEEP.view(_ROW)[:, 0].take(code)

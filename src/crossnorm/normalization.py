@@ -173,7 +173,7 @@ def _check_window(log_center: float, grid: GridConfig, l1n1, l2n2) -> None:
 def _conserved_rows(table: OrthologTable, conserved: ConservedSet) -> np.ndarray:
     """Positions of the testable conserved genes, in table order."""
     wanted = conserved.gene_ids
-    in_set = np.fromiter((g in wanted for g in table.gene_ids), dtype=bool, count=len(table))
+    in_set = np.fromiter(map(wanted.__contains__, table.gene_ids), dtype=bool, count=len(table))
     return np.flatnonzero(in_set & table.testable)
 
 

@@ -24,9 +24,12 @@ per-gene TSV ``gene_id  p_value  q_value  direction  de_call`` where
 untestable genes carry NA in the p/q columns.  Non-p/q floats are printed
 with 6 significant digits (:func:`_sig6_text`).  p and q are written
 exactly as ``repr`` writes them (the shortest round-trip decimal), computed
-for whole columns at once by :func:`crossnorm.floattext.pq_text`; a p or q
-outside (0, 1] that is not NaN raises ValueError.  results.tsv is
-assembled as one byte buffer.  Every file the package writes, the CLI's
+by :func:`crossnorm.floattext.pq_text`; a p or q outside (0, 1] that is not
+NaN raises ValueError.  results.tsv is assembled as one byte buffer.
+:func:`load_counts_tsv` parses the body, and results.tsv is built, in
+blocks of ``_ROWS`` (4096) lines.  That is for page faults, not arithmetic:
+whole-table temporaries go back to the OS when freed, and each pass would
+fault their pages in again.  Every file the package writes, the CLI's
 included, is written by :func:`_write_file` (UTF-8, ``\n`` line ends), and
 every JSON report is rendered by :func:`_json_text` (2-space indents,
 sorted keys, a final newline).
@@ -109,10 +112,12 @@ _CALL_FIELDS = [f"\t{name}\t{flag}\n".encode() for flag in ("false", "true")
                 for name in _DIRECTION_NAMES]
 _CALL_CHARS = np.array(_CALL_FIELDS, dtype="S18").view(np.uint8).reshape(6, 18)
 _CALL_KEEP = _CALL_CHARS != 0
-_CALL_LENGTH = _CALL_KEEP.sum(axis=1)
-# results.tsv is built this many lines at a time, which keeps the
-# temporaries small enough to stay in cache.
-_ROWS = 4096
+_ROWS = 4096  # lines per block of a count table or results.tsv (see the module docstring)
+# results.tsv's fixed columns after the id: a tab and a text, twice, and
+# the call fields.  A block's rows hold at most _BLOCK_BYTES, so that a
+# long id shortens its block instead of widening _ROWS rows.
+_TAIL = 2 * (WIDTH + 1) + _CALL_CHARS.shape[1]
+_BLOCK_BYTES = 128 * _ROWS
 
 
 @dataclass(frozen=True)
@@ -283,11 +288,13 @@ def load_counts_tsv(path: str | Path) -> OrthologTable:
             f"{path}: line 1: expected header {_HEADER_LINE!r}, got {lines[0]!r}"
         )
     body = list(filter(None, lines[1:]))  # blank lines are skipped
-    columns = _numeric_columns(body)
-    if columns is None:
+    # At least one block: a header-only file parses to (4, 0) columns.
+    blocks = [_numeric_columns(body[start:start + _ROWS])
+              for start in range(0, max(len(body), 1), _ROWS)]
+    if any(block is None for block in blocks):
         raise _first_bad_line(path, lines)
     gene_ids = [line.partition("\t")[0] for line in body]
-    l1, x1, l2, x2 = columns
+    l1, x1, l2, x2 = np.concatenate(blocks, axis=1)
     try:
         return validate_table(gene_ids, length_sp1=l1, length_sp2=l2,
                               count_sp1=x1, count_sp2=x2)
@@ -556,7 +563,7 @@ def summary_dict(report: Report) -> dict:
 
 
 def _results_tsv(calls: DEResult) -> bytes:
-    """results.tsv, built from the columns up to _ROWS lines at a time."""
+    """results.tsv, built from the columns in blocks of up to _ROWS lines."""
     for name, values in (("p_value", calls.p_value), ("q_value", calls.q_value)):
         bad = ~((values > 0.0) & (values <= 1.0) | np.isnan(values))
         if bad.any():
@@ -572,31 +579,33 @@ def _results_tsv(calls: DEResult) -> bytes:
     id_length = np.diff(id_ends, prepend=0)
     call_code = 3 * calls.de_call + calls.direction + 1
 
-    # A line is the id's bytes, then its tail: the kept bytes of a row of
-    # fixed columns holding a tab, the p text, a tab, the q text and the
-    # call fields.
-    q_at = 1 + WIDTH + 1
-    call_at = q_at + WIDTH
-    chars = np.zeros((min(len(ids), _ROWS), call_at + _CALL_CHARS.shape[1]), dtype=np.uint8)
-    keep = np.zeros(chars.shape, dtype=bool)
-    chars[:, [0, q_at - 1]] = ord("\t")
-    keep[:, [0, q_at - 1]] = True
+    # A line is the kept bytes of a row of fixed columns: the id's bytes,
+    # then two slots, each a tab and a text (p, then q), then the call fields.
     lines = [_RESULTS_HEADER]
-    for start in range(0, len(ids), _ROWS):
-        rows = slice(start, start + _ROWS)
-        code = call_code[rows]
-        line_chars, line_keep = chars[:code.size], keep[:code.size]
-        p_length = pq_text(calls.p_value[rows], line_chars[:, 1:q_at - 1],
-                           line_keep[:, 1:q_at - 1])
-        q_length = pq_text(calls.q_value[rows], line_chars[:, q_at:call_at],
-                           line_keep[:, q_at:call_at])
-        line_chars[:, call_at:] = _CALL_CHARS.take(code, axis=0)
-        line_keep[:, call_at:] = _CALL_KEEP.take(code, axis=0)
-        tail_length = p_length + q_length + 2 + _CALL_LENGTH.take(code)
-        tail_starts = np.cumsum(tail_length) - tail_length
-        lines.append(np.insert(line_chars[line_keep], np.repeat(tail_starts, id_length[rows]),
-                               id_bytes[id_ends[start] - id_length[start]:id_ends[rows][-1]])
-                     .tobytes())
+    start = 0
+    while start < len(ids):
+        # The most lines whose rows, as wide as their longest id's, fit _BLOCK_BYTES.
+        width = np.maximum.accumulate(id_length[start:start + _ROWS]) + _TAIL
+        rows = slice(start, start + max(1, np.count_nonzero(
+            width * np.arange(1, width.size + 1) <= _BLOCK_BYTES)))
+        code, length = call_code[rows], id_length[rows]
+        at = int(length.max())
+        call_at = at + 2 * (WIDTH + 1)
+        chars = np.empty((code.size, at + _TAIL), dtype=np.uint8)
+        keep = np.empty(chars.shape, dtype=bool)
+        column = np.arange(at)
+        chars[:, :at] = id_bytes.take((id_ends[rows] - length)[:, None] + column, mode="clip")
+        keep[:, :at] = column < length[:, None]
+        slots = chars[:, at:call_at].reshape(-1, 2, WIDTH + 1)
+        slot_keep = keep[:, at:call_at].reshape(slots.shape)
+        slots[..., 0] = ord("\t")
+        slot_keep[..., 0] = True
+        pq_text(np.stack((calls.p_value[rows], calls.q_value[rows]), axis=1), slots[..., 1:],
+                slot_keep[..., 1:])
+        chars[:, call_at:] = _CALL_CHARS.take(code, axis=0)
+        keep[:, call_at:] = _CALL_KEEP.take(code, axis=0)
+        lines.append(chars[keep])
+        start = rows.stop
     return b"".join(lines)
 
 

@@ -46,6 +46,22 @@ def test_totals_are_exact_python_ints_beyond_int64():
     assert table.total_sp2 == n * (big - 1)
 
 
+@pytest.mark.parametrize("extra", [0, 1], ids=["int64-sum", "python-sum"])
+def test_totals_are_exact_at_the_int64_edge(extra):
+    # 2**63 - 1 = 3577 * top.  With every species-1 count at top, max * rows
+    # is exactly 2**63 - 1 and the int64 sum is the int64 maximum; one more
+    # read per gene would wrap an int64 sum, so that total is Python's.
+    rows = 3577
+    top = (2**63 - 1) // rows
+    assert top * rows == 2**63 - 1 and top < 2**53
+    counts = [top + extra] * rows
+    table = validate_table([f"g{i}" for i in range(rows)], [1] * rows, [1] * rows, counts,
+                           list(range(rows)))
+    assert type(table.total_sp1) is int and type(table.total_sp2) is int
+    assert table.total_sp1 == sum(counts) == 2**63 - 1 + extra * rows
+    assert table.total_sp2 == sum(range(rows))
+
+
 def test_genes_whose_counts_sum_to_2_pow_53_are_untestable():
     # The exact test's n = x1 + x2 must be exact in float64.
     table = validate_table(["g1", "g2", "g3", "g4"], [1] * 4, [1] * 4,

@@ -320,6 +320,44 @@ def _deep_cells(draw):
     return tuple(np.array(column, dtype=np.float64) for column in zip(*cells))
 
 
+# Cells for the kernel's blocks: n = 0, tiny and large n, x1 anywhere in
+# [0, n], p0 at 1/2 and its clip edges, and p0 in both mirror frames.
+_BLOCK_CELLS = st.lists(st.builds(
+    lambda n, share, p0, mirror: (math.floor(share * n), n,
+                                  min(1.0 - p0, _MAX_P0) if mirror else p0),
+    st.one_of(st.sampled_from([0, 1, 2, 2**40, 2**52]), st.integers(0, 10**6)),
+    st.floats(0.0, 1.0),
+    st.one_of(st.sampled_from([0.5, *_EDGE_P0]), st.floats(_MIN_P, 0.5)),
+    st.booleans(),
+), max_size=40)
+
+
+@given(_BLOCK_CELLS)
+@settings(max_examples=200, deadline=None)
+def test_pvalue_blocks_equal_one_whole_array_call(cells):
+    x1, n, p0 = np.array(cells, dtype=np.float64).reshape(-1, 3).T
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exact_test, "_ROWS", 7)
+        blocked = binom_twosided_pvalues(x1, n, p0)
+    assert blocked.tobytes() == exact_test._two_sided(x1, n, p0, np.inf).tobytes()
+
+
+def test_pvalue_blocks_keep_scalar_and_broadcast_shapes(monkeypatch):
+    monkeypatch.setattr(exact_test, "_ROWS", 7)
+    one = exact_test._two_sided(np.array([3.0]), np.array([10.0]), np.array([0.25]), np.inf)
+    scalar = binom_twosided_pvalues(3, 10, 0.25)
+    assert type(scalar) is np.float64 and scalar == one[0]
+    assert binom_twosided_pvalues([3], 10, 0.25).shape == (1,)
+    # A (9, 1) p0 column against 20 genes: 180 cells in 26 blocks.
+    n = np.arange(1.0, 21.0)
+    x1 = np.floor(n / 3.0)
+    p0 = np.linspace(0.05, 0.95, 9)[:, None]
+    grid = binom_twosided_pvalues(x1, n, p0)
+    whole = exact_test._two_sided(*(np.broadcast_to(v, (9, 20)).ravel() for v in (x1, n, p0)),
+                                  np.inf)
+    assert grid.shape == (9, 20) and grid.tobytes() == whole.tobytes()
+
+
 @given(st.one_of(_decision_cells(), _deep_cells()), _LEVELS)
 @settings(max_examples=300, deadline=None)
 def test_rejects_is_the_kernel_p_value_below_the_level(cells, level):

@@ -73,6 +73,20 @@ def test_nan_is_na_and_rows_may_be_views():
     assert texts == ["NA", "0.5", "1.0", "NA", "5e-324"]
 
 
+def test_values_of_any_shape_fill_the_rows_of_a_strided_view():
+    # A (3, 2) array of values into (3, 2, WIDTH) text rows one byte apart,
+    # as results.tsv's p and q slots are laid out.
+    values = np.array([[0.5, math.nan], [1.0, 5e-324], [0.1 + 0.2, 1e-05]])
+    chars = np.zeros((3, 2 * (WIDTH + 1)), dtype=np.uint8)
+    keep = np.zeros(chars.shape, dtype=bool)
+    slots, slot_keep = chars.reshape(3, 2, WIDTH + 1), keep.reshape(3, 2, WIDTH + 1)
+    pq_text(values, slots[..., 1:], slot_keep[..., 1:])
+    assert not slot_keep[..., 0].any()
+    texts = [row[kept].tobytes().decode() for row, kept in zip(slots.reshape(6, -1),
+                                                               slot_keep.reshape(6, -1))]
+    assert texts == ["0.5", "NA", "1.0", "5e-324", "0.30000000000000004", "1e-05"]
+
+
 def test_exponent_table_keeps_the_products_in_range():
     # The limb arithmetic takes p with exactly 125 bits and j in [118, 121],
     # so that p / 2**j lies in [8, 128) and vp - vm in [23, 513].

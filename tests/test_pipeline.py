@@ -12,6 +12,7 @@ from crossnorm import exact_test, pipeline
 from crossnorm.cli import main
 from crossnorm.core import ConservedSet, InvalidRow, ScalingFactor, validate_table
 from crossnorm.exact_test import binom_twosided_pvalues, null_prob_values
+from crossnorm.floattext import pq_text
 from crossnorm.normalization import (
     GridConfig,
     MedianScaleResult,
@@ -228,6 +229,19 @@ _LINES = st.one_of(
 @settings(max_examples=300, deadline=None)
 @given(lines=st.lists(_LINES, max_size=8))
 def test_load_counts_matches_a_line_by_line_reference(tmp_path_factory, lines):
+    _check_against_the_reference_loader(tmp_path_factory, lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_LINES, max_size=8))
+def test_load_counts_in_blocks_of_3_lines_matches_a_line_by_line_reference(tmp_path_factory,
+                                                                           lines):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(pipeline, "_ROWS", 3)
+        _check_against_the_reference_loader(tmp_path_factory, lines)
+
+
+def _check_against_the_reference_loader(tmp_path_factory, lines):
     path = tmp_path_factory.getbasetemp() / "reference-load.tsv"
     path.write_text("\n".join(["gene_id\tlength_sp1\tcount_sp1\tlength_sp2\tcount_sp2", *lines]),
                     encoding="utf-8")
@@ -241,6 +255,44 @@ def test_load_counts_matches_a_line_by_line_reference(tmp_path_factory, lines):
         got = load_counts_tsv(path)
         assert got == want
         assert (got.total_sp1, got.total_sp2) == (want.total_sp1, want.total_sp2)
+
+
+_BLOCK_ROWS = [f"g{i}\t{i + 1}\t{i}\t{i + 2}\t{2 * i}" for i in range(1, 11)]
+
+
+@pytest.mark.parametrize("rows", [3, pipeline._ROWS])
+def test_load_counts_of_a_header_only_file_needs_a_mapped_read(tmp_path, monkeypatch, rows):
+    monkeypatch.setattr(pipeline, "_ROWS", rows)
+    path = _write_counts(tmp_path / "c.tsv", [])
+    with pytest.raises(ValueError, match=rf"^{path}: each species needs at least one mapped read$"):
+        load_counts_tsv(path)
+
+
+@pytest.mark.parametrize("rows, message", [
+    # Body lines 7-9 are the third block of 3; blank lines are not body lines.
+    ([*_BLOCK_ROWS[:6], "g7\t1\tx\t1\t1"], "line 8: lengths and counts must be integers"),
+    ([*_BLOCK_ROWS[:3], "", "", *_BLOCK_ROWS[3:7], "g9\t1\t1\t1"],
+     "line 11: expected 5 tab-separated fields"),
+    ([*_BLOCK_ROWS[:3], "", "", *_BLOCK_ROWS[3:6], "g9\t1\t1\t0\t1"],
+     "line 10: gene 'g9': length_sp2 must be >= 1"),
+    ([*_BLOCK_ROWS[:6], "", f"g7\t1\t{10**30}\t1\t1"],
+     "line 9: gene 'g7': lengths and counts must be < 2\\*\\*53"),
+], ids=["third-block", "blank-lines-then-fields", "blank-lines-then-length", "long-field"])
+def test_load_counts_in_blocks_names_the_bad_line(tmp_path, monkeypatch, rows, message):
+    monkeypatch.setattr(pipeline, "_ROWS", 3)
+    path = _write_counts(tmp_path / "c.tsv", rows)
+    with pytest.raises(ValueError, match=rf"^{path}: {message}$"):
+        load_counts_tsv(path)
+
+
+def test_load_counts_in_blocks_reads_blank_lines_and_long_fields_across_block_edges(
+        tmp_path, monkeypatch):
+    rows = [*_BLOCK_ROWS[:2], "", "", *_BLOCK_ROWS[2:6], "", "g7\t1\t" + "0" * 24 + "5\t1\t1"]
+    want = load_counts_tsv(_write_counts(tmp_path / "whole.tsv", rows))
+    monkeypatch.setattr(pipeline, "_ROWS", 3)
+    got = load_counts_tsv(_write_counts(tmp_path / "blocks.tsv", rows))
+    assert got == want and got.count_sp1.tolist()[-1] == 5
+    assert (got.total_sp1, got.total_sp2) == (want.total_sp1, want.total_sp2)
 
 
 def test_load_counts_ignores_byte_order_mark(tmp_path):
@@ -884,6 +936,34 @@ def test_results_tsv_is_written_in_blocks_of_lines(tmp_path, monkeypatch):
     calls = _deresult(ids, p, [1, -1, 0] * 100, [True, True, False] * 100)
     _, path = write_report(_report_of(calls), tmp_path)
     assert path.read_bytes() == _expected_results_tsv(calls)
+
+
+def test_results_tsv_blocks_hold_at_most_the_block_bytes(tmp_path, monkeypatch):
+    # A long id shortens its block, to one line where that line alone is over
+    # the bound, instead of widening every row of a _ROWS-line block.
+    monkeypatch.setattr(pipeline, "_BLOCK_BYTES", 4000)
+    blocks = []
+
+    def recording_pq_text(values, chars, keep):
+        blocks.append(chars.base.shape)  # the block's rows: lines, bytes per row
+        pq_text(values, chars, keep)
+
+    monkeypatch.setattr(pipeline, "pq_text", recording_pq_text)
+    ids = [f"g{i}" if i % 50 != 7 else "é" * (100 * i) for i in range(300)]
+    p = np.geomspace(1e-300, 1.0, 300)
+    calls = _deresult(ids, p, [1, -1, 0] * 100, [True, True, False] * 100)
+    _, path = write_report(_report_of(calls), tmp_path)
+    assert path.read_bytes() == _expected_results_tsv(calls)
+    # Each block is as wide as its longest id, and as long as the bound allows.
+    id_bytes = [len(gene_id.encode()) for gene_id in ids]
+    start = 0
+    for lines, width in blocks:
+        end = start + lines
+        assert width == max(id_bytes[start:end]) + pipeline._TAIL
+        assert lines * width <= 4000 or lines == 1
+        assert end == 300 or (lines + 1) * max(width, id_bytes[end] + pipeline._TAIL) > 4000
+        start = end
+    assert start == 300 and 1 in {lines for lines, _ in blocks}
 
 
 # A tab and every character str.splitlines splits at: no gene id holds one.
