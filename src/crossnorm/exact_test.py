@@ -39,11 +39,15 @@ level by ``_ALPHA_MARGIN``, which absorbs betainc's rounding error
 the cell decisions and both run bounds sum their tails in :func:`_tail_sum`,
 observed tail first, far tail only where it can change the answer; a run's
 upper bound comes first, its lower bound only on the rows left open.
+
+``scipy.special`` is imported at the first tail, not with this module: its
+import takes about 0.3 s, which commands that test no gene never pay.
+:func:`_tail` looks up ``special.betainc`` on every call, so a counting
+stand-in set on ``special`` sees every betainc call.
 """
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 from .core import _VALUE_LIMIT
 
@@ -73,6 +77,20 @@ _ALPHA_MARGIN = 1e-9
 # are always tested cell by cell.
 _MAX_BOUNDED_N = 2.0**40
 _ROWS = 4096  # cells per block of binom_twosided_pvalues (see the module docstring)
+
+
+class _Special:
+    # scipy.special, imported at the first attribute lookup.  Each attribute
+    # is cached on the instance, so later lookups skip __getattr__.
+    def __getattr__(self, name):
+        from scipy import special as module
+
+        value = getattr(module, name)
+        setattr(self, name, value)
+        return value
+
+
+special = _Special()  # _tail calls special.betainc; tests may replace the attribute
 
 
 def _p0(c, l1n1, l2n2):

@@ -500,6 +500,8 @@ def _map_replicates(tasks: list) -> list:
     import multiprocessing
     from multiprocessing.connection import wait
 
+    import scipy.special  # noqa: F401 - once here, not again in each forked worker (about 0.3 s)
+
     context = multiprocessing.get_context("fork")
     children = {}  # receiving end: (process, w) running tasks[w::workers], w = 1, 2, ...
     try:

@@ -1,9 +1,14 @@
+import ast
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import crossnorm
 from crossnorm import simulation
 from crossnorm.cli import main
 
@@ -705,3 +710,58 @@ def test_grid_settings_are_checked_before_the_inputs_are_read(tmp_path, option, 
         result = CliRunner().invoke(main, command + inputs + [option, value])
         assert result.exit_code == 1
         assert result.output.strip() == f"error: {message}"
+
+
+# Imports crossnorm in a fresh interpreter and, given arguments, runs them as a
+# crossnorm command; then prints its exit code (None with no command) and
+# whether scipy.special was loaded.
+_FRESH = """
+import sys
+import crossnorm
+code = None
+if len(sys.argv) > 1:
+    from crossnorm.cli import main
+    try:
+        main()
+    except SystemExit as stop:
+        code = stop.code
+print((code, "scipy.special._ufuncs" in sys.modules))
+"""
+
+
+def _fresh_run(*args):
+    """``(exit code, scipy loaded, stderr)`` of a crossnorm command in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=str(Path(crossnorm.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", _FRESH, *args], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    return (*ast.literal_eval(done.stdout.splitlines()[-1]), done.stderr)
+
+
+def test_only_commands_that_test_genes_load_scipy(tmp_path):
+    # scipy.special is imported at the first binomial tail, so importing
+    # crossnorm, --version, simulate, evaluate and a test run stopped by an
+    # input error never load it.  A valid test run does, and writes what the
+    # same run writes in this process.
+    runner = CliRunner()
+    sim = tmp_path / "sim"
+    assert _simulate(runner, sim).exit_code == 0
+    inputs = ["--counts", str(sim / "counts.tsv"), "--conserved", str(sim / "conserved.txt")]
+    assert runner.invoke(main, ["test", *inputs, "--output", str(tmp_path / "here")]).exit_code == 0
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("gene_id\tlength_sp1\tcount_sp1\tlength_sp2\tcount_sp2\ng1\t10\t+5\t10\t5\n")
+
+    assert _fresh_run() == (None, False, "")
+    for args in (["--version"],
+                 ["simulate", "--n-orthologs", "300", "--conserved-size", "60",
+                  "--output", str(tmp_path / "sim2")],
+                 ["evaluate", "--results", str(tmp_path / "here" / "results.tsv"),
+                  "--truth", str(sim / "truth.tsv")]):
+        assert _fresh_run(*args) == (0, False, ""), args
+    code, loaded, stderr = _fresh_run("test", "--counts", str(bad), "--conserved",
+                                      str(sim / "conserved.txt"), "--output", str(tmp_path / "bad"))
+    assert (code, loaded, stderr.count("\n")) == (1, False, 1)
+    assert stderr.startswith(f"error: {bad}: line 2: ")
+    assert _fresh_run("test", *inputs, "--output", str(tmp_path / "fresh")) == (0, True, "")
+    for name in ("summary.json", "results.tsv"):
+        assert (tmp_path / "fresh" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()

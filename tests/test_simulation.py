@@ -1,14 +1,19 @@
+import ast
 import dataclasses
 import math
 import os
+import subprocess
+import sys
 import time
 import warnings
 
 import numpy as np
 import pytest
+import scipy.special  # noqa: F401 - imported here, not inside the timed study runs below
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import crossnorm
 from crossnorm import normalization, pipeline, simulation
 from crossnorm.normalization import GridConfig, empirical_type1_deviation
 from crossnorm.simulation import (
@@ -459,6 +464,51 @@ def test_run_study_cells_are_identical_serially_and_in_worker_processes(monkeypa
     assert len(runs[1]) == 3 * 2
     assert runs[1] == runs[2]
     _assert_no_child_process_left()
+
+
+# In a fresh interpreter: a 4-task study on two CPUs, whose worker prints
+# whether scipy.special was loaded when it started, then the same study run
+# serially; prints whether scipy was loaded before the study and whether the
+# two grids are equal.
+_POOL = """
+import dataclasses
+import sys
+from crossnorm import simulation
+from crossnorm.simulation import SimConfig, run_study
+
+
+def scipy_loaded():
+    return "scipy.special._ufuncs" in sys.modules
+
+
+def send_outcomes(tasks, sender):
+    print(("worker", scipy_loaded()), flush=True)
+    original(tasks, sender)
+
+
+original, simulation._send_outcomes = simulation._send_outcomes, send_outcomes
+print(("start", scipy_loaded()), flush=True)
+base = SimConfig(n_orthologs=300, conserved_size=60, de_rate=0.1, fold=2.0,
+                 depth_sp1=5e4, depth_sp2=5e4)
+grids = []
+for cpus in (2, 1):
+    simulation._usable_cpus = lambda: cpus
+    cells = run_study(base, {"noise_rate": [0.0, 0.3]}, ["scbn", "median"], replicates=2,
+                      cutoff=0.01)
+    grids.append([dataclasses.asdict(cell) for cell in cells])
+print(("serial", grids[0] == grids[1]), flush=True)
+"""
+
+
+def test_the_study_pool_loads_scipy_once_before_forking():
+    # The worker inherits scipy.special from this process instead of importing
+    # it again, and the grid is the serial run's.
+    env = dict(os.environ, PYTHONPATH=str(os.path.dirname(os.path.dirname(crossnorm.__file__))))
+    done = subprocess.run([sys.executable, "-c", _POOL], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    lines = [ast.literal_eval(line) for line in done.stdout.splitlines()]
+    assert lines == [("start", False), ("worker", True), ("serial", True)]
 
 
 def test_a_failing_replicate_raises_the_serial_runs_first_error_from_workers(monkeypatch):
