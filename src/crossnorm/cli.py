@@ -14,6 +14,11 @@ writes is written by ``pipeline._write_file`` alone, every JSON report
 and every float but a p- or q-value has 6 significant digits
 (``pipeline._sig6_text``).  A ValueError or OSError from any subcommand
 ends the run with one ``error:`` line and exit status 1.
+
+At import this module loads only click, the standard library and the
+package's ``__version__`` and ``METHODS``; each command and helper imports
+what it calls when it runs.  So ``--version``, ``--help`` and click's usage
+errors load no numpy.
 """
 from __future__ import annotations
 
@@ -21,17 +26,14 @@ import dataclasses
 import json
 import re
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import click
 
-from . import __version__
-from .normalization import MedianScaleResult, ScbnResult
-from .pipeline import (METHODS, RunConfig, _json_text, _objective_dict, _read_lines, _read_text,
-                       _sig6, _sig6_text, _tsv_text, _write_file, estimate_factor,
-                       load_conserved_list, load_counts_tsv, run_pipeline, write_counts_tsv,
-                       write_report)
-from .simulation import (DE_LABELS, LABEL_NULL, SimConfig, StudyCellResult, evaluate_run,
-                         generate_dataset, run_study)
+from . import METHODS, __version__
+
+if TYPE_CHECKING:
+    from .normalization import MedianScaleResult, ScbnResult
 
 
 # A decimal float as results.tsv writes one: digits with an optional point
@@ -51,6 +53,7 @@ _IQR_FALLBACK_WARNING = (
 
 def _warn_fit(unknown: int, fit: ScbnResult | MedianScaleResult) -> None:
     """Print the warnings that ``normalize`` and ``test`` share to stderr."""
+    from .normalization import MedianScaleResult, ScbnResult
     if unknown:
         click.echo(f"warning: {unknown} conserved id(s) not in the count table", err=True)
     if isinstance(fit, ScbnResult) and fit.window_edge:
@@ -61,6 +64,7 @@ def _warn_fit(unknown: int, fit: ScbnResult | MedianScaleResult) -> None:
 
 def _load_spec(path: str):
     """The JSON value in a spec file; a decode error names the file and position."""
+    from .pipeline import _read_text
     try:
         return json.loads(_read_text(Path(path)))
     except json.JSONDecodeError as exc:
@@ -111,6 +115,9 @@ def main() -> None:
               help="Optional JSON file for the estimate.")
 def normalize(output_path, **settings) -> None:
     """Estimate the between-species scaling factor."""
+    from .normalization import ScbnResult
+    from .pipeline import (RunConfig, _json_text, _objective_dict, _sig6, _sig6_text,
+                           _write_file, estimate_factor, load_conserved_list, load_counts_tsv)
     config = RunConfig(**settings)
     table = load_counts_tsv(config.counts_path)
     conserved, unknown = load_conserved_list(config.conserved_path, table)
@@ -140,6 +147,7 @@ def normalize(output_path, **settings) -> None:
               help="Directory for summary.json and results.tsv.")
 def test_cmd(output_dir, **settings) -> None:
     """Run the full pipeline: normalize, test every gene, call DE, report."""
+    from .pipeline import RunConfig, _sig6_text, run_pipeline, write_report
     config = RunConfig(**settings)
     report = run_pipeline(config)
     _warn_fit(report.conserved_unknown, report.fit)
@@ -153,12 +161,14 @@ def test_cmd(output_dir, **settings) -> None:
 
 
 def _grid_text(value) -> str:
+    from .pipeline import _sig6_text
     if value is None:
         return "NA"
     return _sig6_text(value) if isinstance(value, float) else str(value)
 
 
 def _load_rate_table(path: str) -> tuple[float, ...]:
+    from .pipeline import load_counts_tsv
     table = load_counts_tsv(path)
     reads = table.count_sp1 + table.count_sp2
     # A loaded table always has reads, so some gene is expressed.
@@ -186,6 +196,8 @@ def _load_rate_table(path: str) -> tuple[float, ...]:
 @click.option("--output", "output_dir", required=True, type=click.Path())
 def simulate(spec_path, rate_table, output_dir, **fields) -> None:
     """Write a synthetic dataset: counts.tsv, conserved.txt, truth.tsv, meta.json."""
+    from .pipeline import _json_text, _sig6, _sig6_text, _tsv_text, _write_file, write_counts_tsv
+    from .simulation import SimConfig, generate_dataset
     if spec_path is not None:
         config = SimConfig.from_mapping(_load_spec(spec_path))
     elif fields["n_orthologs"] is None:
@@ -215,6 +227,8 @@ _STUDY_SPEC_KEYS = {"seed", "replicates", "methods", "alpha", "cutoff", "base", 
 @click.option("--output", "output_dir", required=True, type=click.Path())
 def study(spec_path, output_dir) -> None:
     """Run a simulation sweep and write the replicate-averaged result grid."""
+    from .pipeline import _tsv_text, _write_file
+    from .simulation import SimConfig, StudyCellResult, run_study
     spec = _load_spec(spec_path)
     if not isinstance(spec, dict):
         raise ValueError("a study spec must be a JSON object")
@@ -264,6 +278,8 @@ def _tsv_rows(path, lines: list[str], width: int):
 @click.option("--output", "output_path", type=click.Path(), default=None)
 def evaluate(results_path, truth_path, output_path) -> None:
     """Score a results.tsv against simulation truth labels."""
+    from .pipeline import _json_text, _read_lines, _sig6, _write_file
+    from .simulation import DE_LABELS, LABEL_NULL, evaluate_run
     calls: dict[str, bool] = {}
     lines = _read_lines(Path(results_path))
     header = lines[0].split("\t") if lines else []

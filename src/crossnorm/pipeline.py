@@ -55,6 +55,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import METHODS
 from .core import (ConservedSet, InvalidRow, OrthologTable, ScalingFactor, require_number,
                    validate_table)
 from .exact_test import _rejects, binom_twosided_pvalues, null_prob_values
@@ -96,9 +97,6 @@ _ROW_SEPARATORS = np.frombuffer(b"\t\t\t\t\n", dtype=np.uint8)
 # longer ones go through int().
 _FAST_DIGITS = 18
 _INT64_MAX = np.iinfo(np.int64).max
-
-# Normalization methods, in the order the CLI lists them.
-METHODS = ("scbn", "median")
 
 DIRECTION_SP1 = "higher_sp1"
 DIRECTION_SP2 = "higher_sp2"

@@ -713,8 +713,8 @@ def test_grid_settings_are_checked_before_the_inputs_are_read(tmp_path, option, 
 
 
 # Imports crossnorm in a fresh interpreter and, given arguments, runs them as a
-# crossnorm command; then prints its exit code (None with no command) and
-# whether scipy.special was loaded.
+# crossnorm command; then prints its exit code (None with no command), whether
+# scipy.special was loaded and whether any numpy module was.
 _FRESH = """
 import sys
 import crossnorm
@@ -725,24 +725,55 @@ if len(sys.argv) > 1:
         main()
     except SystemExit as stop:
         code = stop.code
-print((code, "scipy.special._ufuncs" in sys.modules))
+print((code, "scipy.special._ufuncs" in sys.modules,
+       any(name.partition(".")[0] == "numpy" for name in sys.modules)))
 """
 
 
+def _fresh_env():
+    return dict(os.environ, PYTHONPATH=str(Path(crossnorm.__file__).parents[1]))
+
+
 def _fresh_run(*args):
-    """``(exit code, scipy loaded, stderr)`` of a crossnorm command in a fresh interpreter."""
-    env = dict(os.environ, PYTHONPATH=str(Path(crossnorm.__file__).parents[1]))
+    """``(exit code, scipy loaded, numpy loaded, stderr)`` of a crossnorm
+    command in a fresh interpreter."""
     done = subprocess.run([sys.executable, "-c", _FRESH, *args], capture_output=True,
-                          text=True, env=env, timeout=120)
+                          text=True, env=_fresh_env(), timeout=120)
     assert done.returncode == 0, done.stderr
     return (*ast.literal_eval(done.stdout.splitlines()[-1]), done.stderr)
 
 
+def test_importing_the_cli_loads_no_numpy_or_scipy():
+    # The package resolves its exports at first lookup and each command
+    # imports what it calls when it runs.
+    probe = ("import sys, crossnorm.cli; print(sorted(name for name in sys.modules"
+             " if name.partition('.')[0] in ('crossnorm', 'numpy', 'scipy')))")
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env=_fresh_env(), timeout=120)
+    assert (done.returncode, done.stderr) == (0, "")
+    assert ast.literal_eval(done.stdout) == ["crossnorm", "crossnorm.cli"]
+
+
+def test_version_help_and_usage_errors_load_no_numpy(tmp_path):
+    assert _fresh_run() == (None, False, False, "")
+    for args in (["--version"], ["--help"],
+                 *([command, "--help"] for command in main.commands)):
+        assert _fresh_run(*args) == (0, False, False, ""), args
+    assert sorted(main.commands) == ["evaluate", "normalize", "simulate", "study", "test"]
+    cons = tmp_path / "cons.txt"
+    cons.write_text("g1\n")
+    code, scipy_loaded, numpy_loaded, stderr = _fresh_run(
+        "test", "--conserved", str(cons), "--output", str(tmp_path / "run"))
+    assert (code, scipy_loaded, numpy_loaded) == (2, False, False)
+    assert "Missing option '--counts'" in stderr
+
+
 def test_only_commands_that_test_genes_load_scipy(tmp_path):
-    # scipy.special is imported at the first binomial tail, so importing
-    # crossnorm, --version, simulate, evaluate and a test run stopped by an
-    # input error never load it.  A valid test run does, and writes what the
-    # same run writes in this process.
+    # scipy.special is imported at the first binomial tail, so simulate,
+    # evaluate and a test run stopped by an input error never load it; they
+    # load numpy, the last one because pipeline finds the error.  A valid
+    # test run loads both, and writes what the same run writes in this
+    # process.
     runner = CliRunner()
     sim = tmp_path / "sim"
     assert _simulate(runner, sim).exit_code == 0
@@ -751,17 +782,16 @@ def test_only_commands_that_test_genes_load_scipy(tmp_path):
     bad = tmp_path / "bad.tsv"
     bad.write_text("gene_id\tlength_sp1\tcount_sp1\tlength_sp2\tcount_sp2\ng1\t10\t+5\t10\t5\n")
 
-    assert _fresh_run() == (None, False, "")
-    for args in (["--version"],
-                 ["simulate", "--n-orthologs", "300", "--conserved-size", "60",
+    for args in (["simulate", "--n-orthologs", "300", "--conserved-size", "60",
                   "--output", str(tmp_path / "sim2")],
                  ["evaluate", "--results", str(tmp_path / "here" / "results.tsv"),
                   "--truth", str(sim / "truth.tsv")]):
-        assert _fresh_run(*args) == (0, False, ""), args
-    code, loaded, stderr = _fresh_run("test", "--counts", str(bad), "--conserved",
-                                      str(sim / "conserved.txt"), "--output", str(tmp_path / "bad"))
-    assert (code, loaded, stderr.count("\n")) == (1, False, 1)
+        assert _fresh_run(*args) == (0, False, True, ""), args
+    code, scipy_loaded, numpy_loaded, stderr = _fresh_run(
+        "test", "--counts", str(bad), "--conserved", str(sim / "conserved.txt"),
+        "--output", str(tmp_path / "bad"))
+    assert (code, scipy_loaded, numpy_loaded, stderr.count("\n")) == (1, False, True, 1)
     assert stderr.startswith(f"error: {bad}: line 2: ")
-    assert _fresh_run("test", *inputs, "--output", str(tmp_path / "fresh")) == (0, True, "")
+    assert _fresh_run("test", *inputs, "--output", str(tmp_path / "fresh")) == (0, True, True, "")
     for name in ("summary.json", "results.tsv"):
         assert (tmp_path / "fresh" / name).read_bytes() == (tmp_path / "here" / name).read_bytes()
