@@ -3,11 +3,11 @@
 An :class:`OrthologTable` is columnar: a tuple of gene ids plus read-only
 int64 columns ``length_sp1``, ``length_sp2``, ``count_sp1`` and
 ``count_sp2``, the exact per-species read totals as Python ints, and a
-``testable`` mask.  :func:`validate_table` is the one place that builds and
-checks a table; its id rules (``_check_ids``) and column rules
-(``_build_table``) can also run apart, so that the simulator checks an id
-tuple once and then builds many tables on it.  :class:`GeneRecord` is the
-row type of the cached, read-only ``table.records`` view.
+``testable`` mask (the ``_testable`` rule, which the exact test shares).
+:func:`validate_table` is the one place that builds and checks a table; the
+simulator skips the id rules (``_build_table(..., check_ids=False)``), which
+its generated ids cannot break.  :class:`GeneRecord` is the row type of the
+cached, read-only ``table.records`` view.
 
 All types are immutable after construction.
 """
@@ -137,6 +137,12 @@ def _encodable(text: str) -> bool:
     return True
 
 
+def _testable(n):
+    """n > 0 and n < 2**53: the exact test conditions on the count sum n, which float64
+    (and so betainc) holds exactly only below 2**53; beyond it betainc can return NaN."""
+    return (n > 0) & (n < _VALUE_LIMIT)
+
+
 def validate_table(gene_ids, length_sp1, length_sp2, count_sp1, count_sp2) -> OrthologTable:
     """Check the columns and build an :class:`OrthologTable`.
 
@@ -152,15 +158,6 @@ def validate_table(gene_ids, length_sp1, length_sp2, count_sp1, count_sp2) -> Or
     table's columns reproduces an equal table.
     """
     return _build_table(tuple(gene_ids), length_sp1, length_sp2, count_sp1, count_sp2)
-
-
-def _check_ids(ids: tuple[str, ...]) -> None:
-    """Raise validate_table's InvalidRow for the first id that breaks an id
-    rule.  Ids checked once may then build any number of tables with
-    ``_build_table(..., check_ids=False)``."""
-    failures = _id_failures(ids)
-    if failures:
-        _raise_first(ids, failures)
 
 
 def _id_failures(ids: tuple[str, ...]) -> list[tuple[int, str]]:
@@ -194,15 +191,10 @@ def _id_failures(ids: tuple[str, ...]) -> list[tuple[int, str]]:
     return failures
 
 
-def _raise_first(ids: tuple[str, ...], failures: list[tuple[int, str]]):
-    row, message = min(failures, key=lambda failure: failure[0])
-    raise InvalidRow(row, f"gene {ids[row]!r}: {message}")
-
-
 def _build_table(ids: tuple[str, ...], length_sp1, length_sp2, count_sp1, count_sp2,
                  check_ids: bool = True) -> OrthologTable:
-    """validate_table on a tuple of ids; with ``check_ids`` False, on ids
-    that _check_ids has passed, whose rules are then not checked again."""
+    """validate_table on a tuple of ids; with ``check_ids`` False, the id
+    rules are not checked, for ids known to pass them."""
     columns = [_int64_column(values) for values in (length_sp1, length_sp2, count_sp1, count_sp2)]
     if any(column.shape != (len(ids),) for column in columns):
         raise ValueError("gene ids and the four columns must have the same length")
@@ -222,17 +214,15 @@ def _build_table(ids: tuple[str, ...], length_sp1, length_sp2, count_sp1, count_
     if check_ids:
         failures += _id_failures(ids)
     if failures:
-        _raise_first(ids, failures)
+        row, message = min(failures, key=lambda failure: failure[0])
+        raise InvalidRow(row, f"gene {ids[row]!r}: {message}")
 
     # Exact totals: an int64 sum where max * rows cannot overflow, else Python ints.
     total_sp1, total_sp2 = (int(x.sum()) if int(x.max(initial=0)) * x.size <= _INT64.max
                             else sum(x.tolist()) for x in (x1, x2))
     if total_sp1 <= 0 or total_sp2 <= 0:
         raise ValueError("each species needs at least one mapped read")
-    # The exact test conditions on n = x1 + x2, which float64 (and so betainc)
-    # holds exactly only below 2**53; beyond it betainc can return NaN.
-    n = x1 + x2
-    testable = (n > 0) & (n < _VALUE_LIMIT)
+    testable = _testable(x1 + x2)
     testable.flags.writeable = False
     return OrthologTable(ids, l1, l2, x1, x2, total_sp1, total_sp2, testable)
 

@@ -49,7 +49,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .core import _VALUE_LIMIT
+from .core import _testable
 
 __all__ = [
     "null_prob_values",
@@ -282,4 +282,4 @@ def gene_pvalues(count_sp1, count_sp2, length_sp1, length_sp2, total_sp1, total_
     n = x1 + x2
     p0 = null_prob_values(c, length_sp1, length_sp2, total_sp1, total_sp2)
     p = binom_twosided_pvalues(x1, n, p0)
-    return np.where((n > 0.0) & (n < _VALUE_LIMIT), p, np.nan)
+    return np.where(_testable(n), p, np.nan)

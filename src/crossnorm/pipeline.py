@@ -182,8 +182,7 @@ class RunConfig:
     grid_points: int = 1000
 
     def __post_init__(self) -> None:
-        if self.method not in METHODS:
-            raise ValueError(f"method must be one of {', '.join(METHODS)}, got {self.method!r}")
+        _check_method(self.method)
         _check_cutoff(self.cutoff)
         self.grid()  # GridConfig checks alpha and the grid settings
 
@@ -414,6 +413,12 @@ def bh_adjust(pvalues: np.ndarray) -> np.ndarray:
     return q
 
 
+def _check_method(method) -> None:
+    """The normalization method rule: one of :data:`METHODS`."""
+    if method not in METHODS:
+        raise ValueError(f"method must be one of {', '.join(METHODS)}, got {method!r}")
+
+
 def _check_cutoff(cutoff) -> None:
     """The DE-calling threshold rule: a number strictly inside (0, 1)."""
     require_number("cutoff", cutoff)
@@ -464,11 +469,10 @@ def estimate_factor(
     grid: GridConfig,
 ) -> ScbnResult | MedianScaleResult:
     """Run the requested normalization method; ``grid`` is used by scbn only."""
+    _check_method(method)
     if method == "scbn":
         return scbn_scaling_factor(table, conserved, grid)
-    if method == "median":
-        return median_scaling_factor(table, conserved)
-    raise ValueError(f"unknown method {method!r}")
+    return median_scaling_factor(table, conserved)
 
 
 def testable_calls(

@@ -53,7 +53,7 @@ import numpy as np
 
 from . import normalization, pipeline
 from .core import (_VALUE_LIMIT, ConservedSet, OrthologTable, ScalingFactor, _build_table,
-                   _check_ids, require_integer, require_number)
+                   require_integer, require_number)
 
 __all__ = [
     "LABEL_NULL",
@@ -108,8 +108,9 @@ class SimConfig:
 
     Types are checked before ranges: an ``int`` field takes an integral
     number and a ``float`` field a real one (numpy scalars pass, bools do
-    not); ``rate_source`` is None or a sequence of positive numbers, stored
-    as a tuple of floats.  A config that constructs can be generated.
+    not), and each is stored as a Python ``int`` or ``float``; ``rate_source``
+    is None or a sequence of positive numbers, stored as a tuple of floats.
+    A config that constructs can be generated.
     """
 
     n_orthologs: int
@@ -141,14 +142,18 @@ class SimConfig:
         return cls(**spec)
 
     def __post_init__(self) -> None:
+        # Python numbers, as GridConfig stores them: _MAX_FOLD (1e100) overflows float32.
         for name, kind in _FIELD_TYPES.items():
             value = getattr(self, name)
             if kind is int:
                 require_integer(name, value)
+                value = int(value)
             elif kind is float:
                 require_number(name, value)
+                value = float(value)
             elif value is not None:
-                object.__setattr__(self, name, _rates(value))
+                value = _rates(value)
+            object.__setattr__(self, name, value)
         if self.n_orthologs <= 0:
             raise ValueError("n_orthologs must be positive")
         for name in ("de_rate", "up_rate_sp2", "noise_rate"):
@@ -250,8 +255,8 @@ def _table_size(config: SimConfig) -> int:
 def _draw(config: SimConfig, gene_ids: tuple[str, ...]):
     """The one seeded draw of a dataset, on rows.
 
-    ``gene_ids`` are the table's ids (``_gene_ids`` of its size), which the
-    caller has checked with ``core._check_ids``.  Returns
+    ``gene_ids`` are the table's ids (``_gene_ids`` of its size), which
+    break no id rule, so the table is built without checking them.  Returns
     the validated table, each row's truth label as an int8 index into
     ``_LABELS``, the sorted rows of the reported conserved set (testable or
     not), the true factor, and the two species' unmapped read totals.
@@ -320,7 +325,6 @@ def _draw(config: SimConfig, gene_ids: tuple[str, ...]):
 def generate_dataset(config: SimConfig) -> SimulatedDataset:
     """Draw one dataset; the same config (including seed) is bit-reproducible."""
     gene_ids = _gene_ids(_table_size(config))
-    _check_ids(gene_ids)
     table, labels, conserved, true_c, unmapped = _draw(config, gene_ids)
     n_de = _conserved_split(config)[0]
     meta = {
@@ -421,35 +425,31 @@ def _child_seed(master_seed: int, cell_index: int, rep: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
-def _replicate(task) -> tuple[float, dict[str, tuple[Metrics, float]], tuple[int, int] | None]:
+def _replicate(task) -> tuple[float, dict[str, tuple[Metrics, float]], tuple]:
     """Draw, fit, call and score one study replicate, on row columns.
 
     ``task`` is the seeded cell config, its table's gene ids, the methods,
     the cutoff and the grid.  Returns the true factor, each method's
     metrics and fitted factor, and the scbn/median overlap (called genes,
-    and those called in the same direction), or None unless both methods
-    ran.  The result equals that of the per-gene path: generate_dataset,
-    estimate_factor, call_de and evaluate_run.
+    and those called in the same direction), or (None, None) unless both
+    methods ran.  The result equals that of the per-gene path:
+    generate_dataset, estimate_factor, call_de and evaluate_run.
     """
     cell, gene_ids, methods, cutoff, grid = task
     table, labels, conserved, true_c, _ = _draw(cell, gene_ids)
     rows = conserved[table.testable[conserved]]
     is_de = _LABEL_IS_DE[labels][table.testable]
     fits = normalization._fits(table, rows, methods, grid)
-    calls_by_method = {}
-    outcomes = {}
-    for method in methods:
-        factor = fits[method].factor
-        called, direction = pipeline.testable_calls(table, factor, cutoff)
-        outcomes[method] = (_score(called, is_de), factor.c)
-        calls_by_method[method] = (called, direction)
-    overlap = None
-    if "scbn" in calls_by_method and "median" in calls_by_method:
-        called_a, dir_a = calls_by_method["scbn"]
-        called_b, dir_b = calls_by_method["median"]
+    # Each method's (de_call, direction) columns over the testable genes.
+    calls = {method: pipeline.testable_calls(table, fits[method].factor, cutoff)
+             for method in methods}
+    overlap = (None, None)
+    if "scbn" in calls and "median" in calls:
+        (called_a, dir_a), (called_b, dir_b) = calls["scbn"], calls["median"]
         both = called_a & called_b
         overlap = (int(both.sum()), int((both & (dir_a == dir_b)).sum()))
-    return true_c.c, outcomes, overlap
+    return true_c.c, {method: (_score(called, is_de), fits[method].factor.c)
+                      for method, (called, _) in calls.items()}, overlap
 
 
 def _usable_cpus() -> int:
@@ -597,8 +597,7 @@ def run_study(
     if not methods:
         raise ValueError("methods must name at least one method")
     for method in methods:
-        if method not in pipeline.METHODS:
-            raise ValueError(f"unknown method {method!r}")
+        pipeline._check_method(method)
     if len(set(methods)) != len(methods):
         raise ValueError(f"methods must not repeat, got {list(methods)!r}")
     pipeline._check_cutoff(cutoff)
@@ -611,10 +610,8 @@ def run_study(
     elif grid.alpha != alpha:
         raise ValueError(f"grid alpha {grid.alpha!r} differs from the study alpha {alpha!r}")
 
-    # One checked id tuple per table size, shared by the tasks of every cell of that size.
+    # One id tuple per table size, shared by the tasks of every cell of that size.
     gene_ids = {size: _gene_ids(size) for size in {_table_size(cell) for _, cell in cells}}
-    for ids in gene_ids.values():
-        _check_ids(ids)
     tasks = [(replace(cell, seed=_child_seed(master_seed, cell_index, rep)),
               gene_ids[_table_size(cell)], methods, cutoff, grid)
              for cell_index, (_, cell) in enumerate(cells) for rep in range(replicates)]
@@ -623,32 +620,32 @@ def run_study(
     results: list[StudyCellResult] = []
     for cell_index, (overrides, _) in enumerate(cells):
         reps = outcomes[cell_index * replicates:(cell_index + 1) * replicates]
-        true_cs = [true_c for true_c, _, _ in reps]
-        overlaps = [overlap for _, _, overlap in reps if overlap is not None]
-        overlap_any = [n for n, _ in overlaps]
-        overlap_dir = [d for _, d in overlaps]
+        mean_true_c = _mean_defined([true_c for true_c, _, _ in reps])[0]
+        overlap_genes, overlap_directional = (
+            _mean_defined(column)[0] for column in zip(*(overlap for _, _, overlap in reps)))
         for method in methods:
-            metrics = [fits[method][0] for _, fits, _ in reps]
-            factors = [fits[method][1] for _, fits, _ in reps]
-            precisions = [m.precision for m in metrics if m.precision is not None]
-            sensitivities = [m.sensitivity for m in metrics if m.sensitivity is not None]
-            results.append(
-                StudyCellResult(
-                    params=dict(overrides),
-                    method=method,
-                    replicates=replicates,
-                    mean_false_discoveries=float(
-                        np.mean([m.false_discoveries for m in metrics])
-                    ),
-                    mean_precision=float(np.mean(precisions)) if precisions else None,
-                    precision_undefined=len(metrics) - len(precisions),
-                    mean_sensitivity=float(np.mean(sensitivities)) if sensitivities else None,
-                    sensitivity_undefined=len(metrics) - len(sensitivities),
-                    mean_f_score=float(np.mean([m.f_score for m in metrics])),
-                    mean_scaling_factor=float(np.mean(factors)),
-                    mean_true_c=float(np.mean(true_cs)),
-                    mean_overlap_genes=float(np.mean(overlap_any)) if overlap_any else None,
-                    mean_overlap_directional=float(np.mean(overlap_dir)) if overlap_dir else None,
-                )
-            )
+            metrics = [scored[method][0] for _, scored, _ in reps]
+            precision, precision_undefined = _mean_defined([m.precision for m in metrics])
+            sensitivity, sensitivity_undefined = _mean_defined([m.sensitivity for m in metrics])
+            results.append(StudyCellResult(
+                params=dict(overrides),
+                method=method,
+                replicates=replicates,
+                mean_false_discoveries=_mean_defined([m.false_discoveries for m in metrics])[0],
+                mean_precision=precision,
+                precision_undefined=precision_undefined,
+                mean_sensitivity=sensitivity,
+                sensitivity_undefined=sensitivity_undefined,
+                mean_f_score=_mean_defined([m.f_score for m in metrics])[0],
+                mean_scaling_factor=_mean_defined([scored[method][1] for _, scored, _ in reps])[0],
+                mean_true_c=mean_true_c,
+                mean_overlap_genes=overlap_genes,
+                mean_overlap_directional=overlap_directional,
+            ))
     return results
+
+
+def _mean_defined(values: Sequence) -> tuple[float | None, int]:
+    """The mean of the values that are not None (None if all are), and how many are None."""
+    defined = [value for value in values if value is not None]
+    return (float(np.mean(defined)) if defined else None), len(values) - len(defined)

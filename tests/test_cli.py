@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import crossnorm
-from crossnorm import simulation
+from crossnorm import pipeline, simulation
 from crossnorm.cli import main
 
 
@@ -278,6 +278,24 @@ def test_simulate_requires_config(tmp_path):
     assert result.exit_code == 1
 
 
+def test_simulate_draws_rates_from_a_rate_table(tmp_path):
+    # The rates are the reads of each expressed gene of the table.
+    runner = CliRunner()
+    assert _simulate(runner, tmp_path / "ref").exit_code == 0
+    rate_table = tmp_path / "ref" / "counts.tsv"
+    out = tmp_path / "sim"
+    result = runner.invoke(main, ["simulate", "--n-orthologs", "300", "--conserved-size", "30",
+                                  "--rate-table", str(rate_table), "--seed", "4",
+                                  "--output", str(out)])
+    assert result.exit_code == 0, result.output
+    assert json.loads((out / "meta.json").read_text())["rate_model"] == "reference_table"
+    reference = pipeline.load_counts_tsv(rate_table)
+    reads = reference.count_sp1 + reference.count_sp2
+    expected = simulation.generate_dataset(simulation.SimConfig(
+        n_orthologs=300, conserved_size=30, de_rate=0.1, rate_source=reads[reads > 0], seed=4))
+    assert pipeline.load_counts_tsv(out / "counts.tsv") == expected.table
+
+
 @pytest.mark.parametrize("options, message", [
     (["--fold", "1e308", "--de-rate", "0.5"], "fold must exceed 1 and be at most 1e+100"),
     (["--depth-sp1", "1e300"], "depth_sp1 must be positive and at most 2**52"),
@@ -375,6 +393,8 @@ _STUDY_BASE = {"n_orthologs": 100, "conserved_size": 20}
      "error: sweep seed: each replicate's seed derives from the study seed"),
     ({"base": {"n_orthologs": 100}},
      "error: missing simulation field(s): conserved_size"),
+    ({"replicates": 1},
+     "error: a study spec needs a base object of simulation fields"),
     ({"base": _STUDY_BASE, "replicate": 2},
      "error: unknown study spec key(s): replicate"),
     ({"base": dict(_STUDY_BASE, de_rate=0.5), "sweep": {"fold": [2.0, 1e308]}},
@@ -388,8 +408,8 @@ _STUDY_BASE = {"n_orthologs": 100, "conserved_size": 20}
 ], ids=["sweep-value-not-a-list", "sweep-entry-not-a-number", "spec-not-an-object",
         "base-field-not-a-number", "methods-not-a-list", "methods-empty", "methods-repeated",
         "sweep-rate-source-list", "sweep-rate-source-null", "sweep-empty", "sweep-seed",
-        "base-field-missing", "spec-key-unknown", "sweep-fold-overflows", "study-oversized",
-        "spec-truncated", "spec-non-utf8"])
+        "base-field-missing", "base-missing", "spec-key-unknown", "sweep-fold-overflows",
+        "study-oversized", "spec-truncated", "spec-non-utf8"])
 def test_study_spec_of_the_wrong_shape_is_a_one_line_error(tmp_path, spec, message):
     runner = CliRunner()
     path = tmp_path / "study.json"
@@ -595,6 +615,24 @@ def test_evaluate_rejects_an_unknown_truth_label(tmp_path):
     assert result.output.strip() == f"error: {truth}: line 3: unknown label 'de'"
 
 
+@pytest.mark.parametrize("truth, message", [
+    ("gene\tlabel\ng1\tnull\ng2\tnull\n", "<truth>: expected header 'gene_id\\tlabel'"),
+    ("gene_id\tlabel\ng1\tnull\n", "1 tested gene(s) missing from the truth table"),
+], ids=["bad-header", "tested-gene-missing"])
+def test_evaluate_rejects_a_truth_table_that_cannot_score_the_results(tmp_path, truth, message):
+    results = tmp_path / "results.tsv"
+    results.write_text("gene_id\tp_value\tq_value\tdirection\tde_call\n"
+                       "g1\t0.5\t0.5\tnone\tfalse\n"
+                       "g2\t1e-09\t2e-09\thigher_sp1\ttrue\n", encoding="utf-8")
+    truth_path = tmp_path / "truth.tsv"
+    truth_path.write_text(truth, encoding="utf-8")
+    result = CliRunner().invoke(main, ["evaluate", "--results", str(results),
+                                       "--truth", str(truth_path)])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output.strip() == f"error: {message.replace('<truth>', str(truth_path))}"
+
+
 @pytest.mark.parametrize("name", ["results.tsv", "truth.tsv"])
 def test_evaluate_rejects_a_repeated_gene_id(tmp_path, name):
     lines = {
@@ -695,6 +733,17 @@ def test_median_fallback_warns_from_normalize_and_test(tmp_path):
         summary = json.loads((out / "summary.json").read_text())
         assert set(summary) == {"method", "scaling_factor", "objective", "genes", "tallies",
                                 "conserved", "config"}
+
+
+def test_conserved_ids_missing_from_the_table_warn_from_normalize_and_test(tmp_path):
+    inputs = _write_inputs(tmp_path, [(10, 12), (20, 18), (30, 33), (40, 41), (15, 14)])
+    with open(inputs[-1], "a", encoding="utf-8") as conserved:
+        conserved.write("absent1\nabsent2\nabsent1\n")
+    out = tmp_path / "run"
+    for command in (["normalize"], ["test", "--output", str(out)]):
+        result = CliRunner().invoke(main, command + inputs + ["--method", "median"])
+        assert result.exit_code == 0, result.output
+        assert result.stderr == "warning: 2 conserved id(s) not in the count table\n"
 
 
 @pytest.mark.parametrize("option, value, message", [

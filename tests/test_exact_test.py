@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from scipy.special import betainc, gammaln
 
 from crossnorm import exact_test
+from crossnorm.core import validate_table
 from crossnorm.exact_test import (
     _MAX_P0,
     _MIN_P,
@@ -98,6 +99,17 @@ def test_gene_pvalue_examples():
     assert math.isnan(p[2])
     # n >= 2**53 is untestable too, as validate_table flags it.
     assert math.isnan(gene_pvalues([2**53 - 1], [5], [1], [1], 10**16, 10**16, 1.0)[0])
+
+
+@pytest.mark.parametrize("x2", [0, 1], ids=["n-2**53-1", "n-2**53"])
+def test_gene_pvalues_and_validate_table_share_the_testable_rule(x2):
+    # A gene with n = 2**53 - 1 is the last testable one; a silent gene is untestable too.
+    table = validate_table(["big", "small", "silent"], [1, 1, 1], [1, 1, 1],
+                           [2**53 - 1, 1, 0], [x2, 1, 0])
+    p = gene_pvalues(table.count_sp1, table.count_sp2, table.length_sp1, table.length_sp2,
+                     table.total_sp1, table.total_sp2, 1.0)
+    assert table.testable.tolist() == [x2 == 0, True, False]
+    assert np.isnan(p).tolist() == (~table.testable).tolist()
 
 
 def test_gene_pvalue_matches_composition():

@@ -339,6 +339,8 @@ def test_grid_config_validation():
         GridConfig(coarse_points=5)
     with pytest.raises(ValueError):
         GridConfig(center=-2.0)
+    with pytest.raises(ValueError, match="^refine_rounds must be >= 0$"):
+        GridConfig(refine_rounds=-1)
     for bad in (float("inf"), float("nan")):
         with pytest.raises(ValueError, match="span must exceed 1 and be finite"):
             GridConfig(span=bad)

@@ -34,7 +34,7 @@ from crossnorm.pipeline import (
     write_report,
 )
 from crossnorm.pipeline import testable_calls as de_calls_for
-from crossnorm.simulation import SimConfig, evaluate_run, generate_dataset
+from crossnorm.simulation import SimConfig, evaluate_run, generate_dataset, run_study
 from rowtable import table_of
 
 # ---------------------------------------------------------------------------
@@ -554,6 +554,19 @@ def test_call_de_direction_antisymmetric_under_species_swap():
 # ---------------------------------------------------------------------------
 # End-to-end pipeline
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("entry_point", [
+    lambda: RunConfig("counts.tsv", "conserved.txt", method="tmm"),
+    lambda: pipeline.estimate_factor(table_of([("g1", 1, 1, 5, 5)]),
+                                     ConservedSet(frozenset({"g1"})), "tmm", GridConfig()),
+    lambda: run_study(SimConfig(n_orthologs=100, conserved_size=10), {}, ["tmm"], replicates=1,
+                      cutoff=0.01),
+], ids=["RunConfig", "estimate_factor", "run_study"])
+def test_every_entry_point_rejects_an_unknown_method_with_one_message(entry_point):
+    with pytest.raises(ValueError) as excinfo:
+        entry_point()
+    assert str(excinfo.value) == "method must be one of scbn, median, got 'tmm'"
 
 
 def test_19k_gene_scbn_end_to_end_smoke_run(tmp_path):

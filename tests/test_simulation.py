@@ -14,7 +14,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import crossnorm
-from crossnorm import normalization, pipeline, simulation
+from crossnorm import core, normalization, pipeline, simulation
 from crossnorm.normalization import GridConfig, empirical_type1_deviation
 from crossnorm.simulation import (
     DE_LABELS,
@@ -184,6 +184,12 @@ def test_degenerate_configs_error():
         generate_dataset(
             SimConfig(n_orthologs=100, conserved_size=50, de_rate=0.1, noise_rate=0.5, seed=1)
         )
+    with pytest.raises(ValueError, match=r"^n_unique_sp1 must be >= 0$"):
+        SimConfig(n_orthologs=100, conserved_size=10, n_unique_sp1=-1)
+    with pytest.raises(ValueError, match=r"^conserved_size must be >= 1$"):
+        SimConfig(n_orthologs=100, conserved_size=0)
+    with pytest.raises(ValueError, match=r"^need 1 <= length_min <= length_max$"):
+        SimConfig(n_orthologs=100, conserved_size=10, length_min=500, length_max=400)
 
 
 _INTEGER_FIELDS = ["n_orthologs", "conserved_size", "n_unique_sp1", "n_unique_sp2",
@@ -211,6 +217,20 @@ def test_sim_config_takes_numpy_scalars_and_stores_rates_as_floats():
     assert config.rate_source == tuple(float(v) for v in range(1, 50))
     assert all(type(v) is float for v in config.rate_source)
     generate_dataset(config)
+
+
+def test_sim_config_stores_numpy_scalars_as_python_numbers():
+    # A float32 fold used to meet the 1e100 bound at float32, where it overflows.
+    numbers = dict(n_orthologs=200, conserved_size=20, de_rate=0.25, fold=1.5, seed=2**63)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        config = SimConfig(n_orthologs=np.int32(200), conserved_size=20,
+                           de_rate=np.float32(0.25), fold=np.float32(1.5), seed=np.uint64(2**63))
+        table = generate_dataset(config).table
+    assert {name: type(getattr(config, name)) for name in numbers} == {
+        name: int if name in _INTEGER_FIELDS else float for name in numbers}
+    assert config == SimConfig(**numbers)
+    assert table == generate_dataset(SimConfig(**numbers)).table
 
 
 @pytest.mark.parametrize("rate_source, message", [
@@ -268,6 +288,9 @@ def test_from_mapping_names_unknown_and_missing_fields():
         SimConfig.from_mapping({"n_orthologs": 10, "conserved_size": 2, "bogus": 1})
     with pytest.raises(ValueError, match=r"^missing simulation field\(s\): conserved_size$"):
         SimConfig.from_mapping({"n_orthologs": 10})
+    with pytest.raises(ValueError, match=r"^a simulation spec must be a JSON object of SimConfig "
+                                         r"fields$"):
+        SimConfig.from_mapping([])
     assert SimConfig.from_mapping({"n_orthologs": 10, "conserved_size": 2, "rate_source": [1, 2]}) \
         == SimConfig(n_orthologs=10, conserved_size=2, rate_source=(1.0, 2.0))
 
@@ -680,8 +703,10 @@ def test_run_study_rejects_empty_or_repeated_methods_before_generating(
     ({"conserved_size": [200, 1200]}, ["median"], 0.01,
      "conserved_size needs 1200 null orthologs, only 1080 available"),
     ({"fold": [2.0, 1e308]}, ["median"], 0.01, "fold must exceed 1 and be at most 1e+100"),
+    ([("noise_rate", [0.0])], ["median"], 0.01,
+     "sweep must map simulation fields to lists of values"),
 ], ids=["second-value-out-of-range", "last-cell-not-a-number", "empty-list", "cutoff-2",
-        "methods-a-string", "conserved-set-too-large", "fold-overflows"])
+        "methods-a-string", "conserved-set-too-large", "fold-overflows", "sweep-not-a-mapping"])
 def test_run_study_draws_no_dataset_for_an_invalid_study(monkeypatch, sweep, methods, cutoff,
                                                           message):
     drawn = []
@@ -699,6 +724,20 @@ def test_run_study_rejects_a_grid_of_another_alpha_before_generating(monkeypatch
         run_study(_study1_config(), {}, ["scbn"], replicates=2, cutoff=0.01, alpha=0.2,
                   grid=GridConfig(alpha=0.05))
     assert str(excinfo.value) == "grid alpha 0.05 differs from the study alpha 0.2"
+    assert drawn == []
+
+
+@pytest.mark.parametrize("settings, message", [
+    (dict(replicates=0), "replicates must be >= 1"),
+    (dict(master_seed=-1), "study seed must be >= 0"),
+], ids=["no-replicates", "negative-seed"])
+def test_run_study_rejects_a_bad_replicate_count_or_seed_before_generating(monkeypatch, settings,
+                                                                         message):
+    drawn = []
+    monkeypatch.setattr(simulation, "_draw", lambda *args: drawn.append(args))
+    with pytest.raises(ValueError) as excinfo:
+        run_study(_study1_config(), {}, ["median"], cutoff=0.01, **{"replicates": 2, **settings})
+    assert str(excinfo.value) == message
     assert drawn == []
 
 
@@ -798,10 +837,12 @@ def test_run_study_overlap_and_scores_match_a_recount_from_call_de(monkeypatch):
 
 
 
-@pytest.mark.parametrize("size", [0, 1, 8_000, 1_000_001])
+@pytest.mark.parametrize("size", [0, 1, 10, 8_000, 12_345, 1_000_001])
 def test_gene_ids_are_the_zero_padded_row_numbers(size):
     # 1,000,001 rows reach a seven-digit id, past the six-digit padding.
+    # The ids break no id rule, so tables are built on them unchecked.
     ids = simulation._gene_ids(size)
     assert ids == tuple(f"g{i:06d}" for i in range(size))
+    assert core._id_failures(ids) == []
     if size == 1_000_001:
         assert ids[-1] == "g1000000"
