@@ -228,7 +228,7 @@ _STUDY_SPEC_KEYS = {"seed", "replicates", "methods", "alpha", "cutoff", "base", 
 def study(spec_path, output_dir) -> None:
     """Run a simulation sweep and write the replicate-averaged result grid."""
     from .pipeline import _tsv_text, _write_file
-    from .simulation import SimConfig, StudyCellResult, run_study
+    from .simulation import _FIELD_TYPES, SimConfig, StudyCellResult, run_study
     spec = _load_spec(spec_path)
     if not isinstance(spec, dict):
         raise ValueError("a study spec must be a JSON object")
@@ -247,7 +247,7 @@ def study(spec_path, output_dir) -> None:
     columns = [f.name for f in dataclasses.fields(StudyCellResult) if f.name != "params"]
     rows = [[*sweep, *columns]]
     for cell in cells:
-        values = [float(cell.params[f]) for f in sweep]
+        values = [_FIELD_TYPES[f](cell.params[f]) for f in sweep]  # an int field prints exactly
         values += [getattr(cell, col) for col in columns]
         rows.append(map(_grid_text, values))
     grid_path = _write_file(out / "grid.tsv", _tsv_text(rows))

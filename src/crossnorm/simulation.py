@@ -31,18 +31,19 @@ usable CPUs (``os.sched_getaffinity``, up to one per task) the calling
 process runs every W-th replicate and W-1 ``fork``-started worker
 processes run the rest, so workers inherit the loaded modules instead of
 importing them again; with one usable CPU, or on a platform that cannot
-say, every replicate runs serially in the calling process.  A worker
-sends each replicate's outcome, its result or its exception, as soon as
-the replicate ends, and stops after its first failure.  Averaging
-happens in the caller in task order, so the result grid is bit-identical
-either way.  A failure, on either side, ends the run once every replicate
-before it has reported, and the error raised is the one a serial run hits
+say, every replicate runs in the calling process.  A worker sends each
+replicate's outcome, its result or its exception, as soon as the
+replicate ends, and stops after its first failure.  The caller runs its
+own replicates and reads the workers' in one loop in task order, and
+averages in that order, so the result grid is bit-identical either way,
+and the first failure met, on either side, is the one a serial run hits
 first.  A worker that dies before reporting a replicate fails at that
 replicate with ChildProcessError (one ``error:`` line in the CLI), and no
 worker outlives :func:`run_study`, whether it returns or raises.
 """
 from __future__ import annotations
 
+import copy
 import itertools
 import math
 import os
@@ -425,6 +426,14 @@ def _child_seed(master_seed: int, cell_index: int, rep: int) -> int:
     return int(seq.generate_state(1, np.uint64)[0])
 
 
+def _with_seed(config: SimConfig, seed: int) -> SimConfig:
+    """The checked ``config`` with ``seed`` set, not checked again as ``replace``
+    would (all of ``rate_source`` too): a :func:`_child_seed` is a valid seed."""
+    seeded = copy.copy(config)
+    object.__setattr__(seeded, "seed", seed)
+    return seeded
+
+
 def _replicate(task) -> tuple[float, dict[str, tuple[Metrics, float]], tuple]:
     """Draw, fit, call and score one study replicate, on row columns.
 
@@ -481,73 +490,58 @@ def _send_outcomes(tasks, sender) -> None:
 def _map_replicates(tasks: list) -> list:
     """:func:`_replicate` over ``tasks``, in order.
 
-    W = one worker per usable CPU, up to one per task.  With W = 1 the tasks
-    run serially in this process.  Otherwise this process runs every W-th
-    task (``tasks[0::W]``) and W-1 forked processes, which inherit the loaded
-    modules instead of importing them again, run ``tasks[w::W]`` each and
-    send each task's outcome over a pipe as soon as it ends.  Every process
-    stops at its first failing task, and the failure with the lowest task
-    index is raised, the exception a serial run raises first.  A worker that
-    ends before reporting a task fails at that task with ChildProcessError.
-    Between its own tasks this process reads every outcome already sent,
-    and the run ends as soon as every task below the lowest known failure
-    has reported.  Every worker is joined, and terminated first if it is
-    still running, before this returns or raises.
+    W = one worker per usable CPU, up to one per task.  This process runs
+    every W-th task (``tasks[0::W]``), and W-1 forked processes, which
+    inherit the loaded modules instead of importing them again, run
+    ``tasks[w::W]`` each and send each task's outcome over a pipe as soon
+    as it ends; with W = 1 there are none, and every task runs here.  The
+    outcomes are read in task order: task ``i`` runs here if ``i % W == 0``
+    and is received from worker ``i % W`` otherwise.  So the first failure
+    met is the one a serial run raises, and it is raised as soon as every
+    task before it has reported.  Every process stops at its first failing
+    task, and a worker that ends before reporting a task fails at that task
+    with ChildProcessError.  Every worker is joined, and terminated first
+    if it is still running, before this returns or raises.
     """
     workers = min(_usable_cpus(), len(tasks))
-    if workers <= 1:
-        return list(map(_replicate, tasks))
-    import multiprocessing
-    from multiprocessing.connection import wait
-
-    import scipy.special  # noqa: F401 - once here, not again in each forked worker (about 0.3 s)
-
-    context = multiprocessing.get_context("fork")
-    children = {}  # receiving end: (process, w) running tasks[w::workers], w = 1, 2, ...
+    children = []  # (receiving end, process) running tasks[w::workers], w = 1, 2, ...
     try:
-        for w in range(1, workers):
-            receiver, sender = context.Pipe(duplex=False)
-            with sender:  # once started, the child holds the only open copy
-                child = context.Process(target=_send_outcomes, args=(tasks[w::workers], sender))
-                child.start()
-            children[receiver] = child, w
-        results = [None] * len(tasks)
-        upcoming = list(range(workers))  # the next task index each process reports
-        first, error = len(tasks), None  # the lowest failing task index and its exception
+        if workers > 1:
+            import multiprocessing
 
-        def report(w, outcome):
-            nonlocal first, error
-            i = upcoming[w]
-            results[i], failure = outcome
-            upcoming[w] += workers
-            if failure is not None and i < first:
-                first, error = i, failure
+            import scipy.special  # noqa: F401 - once here, not again in each forked worker (about 0.3 s)
 
-        while min(upcoming) < first:
-            own = upcoming[0] < first
-            pending = [receiver for receiver, (_, w) in children.items() if upcoming[w] < first]
-            for receiver in wait(pending, timeout=0 if own else None):
-                child, w = children[receiver]
-                while upcoming[w] < first and receiver.poll():
-                    try:
-                        report(w, receiver.recv())
-                    except EOFError:
-                        child.join()
-                        report(w, (None, ChildProcessError(
-                            f"a study worker process ended with exit code {child.exitcode} "
-                            "before sending its results")))
-            if own and upcoming[0] < first:
-                report(0, _outcome(tasks[upcoming[0]]))
-        if error is not None:
-            raise error
+            context = multiprocessing.get_context("fork")
+            for w in range(1, workers):
+                receiver, sender = context.Pipe(duplex=False)
+                with sender:  # once started, the child holds the only open copy
+                    child = context.Process(target=_send_outcomes, args=(tasks[w::workers], sender))
+                    child.start()
+                children.append((receiver, child))
+        results = []
+        for i, task in enumerate(tasks):
+            if i % workers == 0:
+                result, error = _outcome(task)
+            else:
+                receiver, child = children[i % workers - 1]
+                try:
+                    result, error = receiver.recv()
+                except EOFError:
+                    child.join()
+                    result, error = None, ChildProcessError(
+                        f"a study worker process ended with exit code {child.exitcode} "
+                        "before sending its results")
+            if error is not None:
+                raise error
+            results.append(result)
+        return results
     finally:
-        for receiver, (child, _) in children.items():
+        for receiver, child in children:
             receiver.close()
             if child.is_alive():
                 child.terminate()
             child.join()
             child.close()
-    return results
 
 
 def run_study(
@@ -612,7 +606,7 @@ def run_study(
 
     # One id tuple per table size, shared by the tasks of every cell of that size.
     gene_ids = {size: _gene_ids(size) for size in {_table_size(cell) for _, cell in cells}}
-    tasks = [(replace(cell, seed=_child_seed(master_seed, cell_index, rep)),
+    tasks = [(_with_seed(cell, _child_seed(master_seed, cell_index, rep)),
               gene_ids[_table_size(cell)], methods, cutoff, grid)
              for cell_index, (_, cell) in enumerate(cells) for rep in range(replicates)]
     outcomes = _map_replicates(tasks)

@@ -219,6 +219,21 @@ def test_study_command(tmp_path):
         "mean_f_score", "mean_scaling_factor", "mean_true_c",
         "mean_overlap_genes", "mean_overlap_directional",
     ]
+    assert [line.split("\t")[0] for line in lines[1:]] == ["0", "0", "0.3", "0.3"]
+
+
+def test_study_grid_prints_swept_integers_exactly(tmp_path):
+    # Six significant digits would print both lengths as 1e+06.
+    spec = {"replicates": 1, "methods": ["median"], "cutoff": 0.01,
+            "base": {"n_orthologs": 200, "conserved_size": 40},
+            "sweep": {"length_max": [1000000, 1000001], "fold": [2.0]}}
+    spec_path = tmp_path / "study.json"
+    spec_path.write_text(json.dumps(spec), encoding="utf-8")
+    out = tmp_path / "study"
+    result = CliRunner().invoke(main, ["study", "--spec", str(spec_path), "--output", str(out)])
+    assert result.exit_code == 0, result.output
+    rows = [line.split("\t")[:2] for line in (out / "grid.tsv").read_text().splitlines()]
+    assert rows == [["length_max", "fold"], ["1000000", "2"], ["1000001", "2"]]
 
 
 def test_missing_input_fails_nonzero(tmp_path):

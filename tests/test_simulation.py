@@ -472,7 +472,7 @@ def test_run_study_cells_are_identical_serially_and_in_worker_processes(monkeypa
     monkeypatch.setattr(simulation, "_draw", recorded_draw)
     runs = {}
     seeds = {}
-    for cpus in (1, 2):
+    for cpus in (1, 2, 3):
         _use_cpus(monkeypatch, cpus)
         drawn.clear()
         cells = run_study(base, {"noise_rate": [0.0, 0.15, 0.3]}, ["scbn", "median"],
@@ -480,12 +480,14 @@ def test_run_study_cells_are_identical_serially_and_in_worker_processes(monkeypa
                           grid=GridConfig(center=center, coarse_points=200))
         runs[cpus] = [dataclasses.asdict(cell) for cell in cells]
         seeds[cpus] = list(drawn)  # the replicates drawn in this process
-    # Serially every task's replicate is drawn here, in task order; with two
-    # CPUs this process draws tasks 0, 2, 4, 6 and 8, and one worker the rest.
+    # Serially every task's replicate is drawn here, in task order; with W
+    # CPUs this process draws every W-th task from task 0 (0, 2, 4, 6 and 8
+    # with two, 0, 3 and 6 with three), and W-1 workers the rest.
     assert len(seeds[1]) == 9
-    assert seeds[2] == seeds[1][0::2]
+    for w in (2, 3):
+        assert seeds[w] == seeds[1][0::w]
     assert len(runs[1]) == 3 * 2
-    assert runs[1] == runs[2]
+    assert runs[1] == runs[2] == runs[3]
     _assert_no_child_process_left()
 
 
@@ -536,8 +538,8 @@ def test_the_study_pool_loads_scipy_once_before_forking():
 
 def test_a_failing_replicate_raises_the_serial_runs_first_error_from_workers(monkeypatch):
     # Every replicate fails; the three cells fail with three different messages.
-    # The slow first cell runs in this process, so the worker's error, from
-    # the second cell, arrives first.
+    # The slow first cell runs in this process, so the workers' errors, from
+    # the later cells, are sent first.
     original = simulation._draw
 
     def slow_first_cell(cfg, gene_ids):
@@ -548,14 +550,14 @@ def test_a_failing_replicate_raises_the_serial_runs_first_error_from_workers(mon
     monkeypatch.setattr(simulation, "_draw", slow_first_cell)
     base = SimConfig(n_orthologs=100, conserved_size=3)
     raised = {}
-    for cpus in (1, 2):
+    for cpus in (1, 2, 3):
         _use_cpus(monkeypatch, cpus)
         with pytest.raises(ValueError) as info:
             run_study(base, {"conserved_size": [3, 2, 1]}, ["median"], replicates=1,
                       cutoff=0.01)
         raised[cpus] = (type(info.value), str(info.value))
     assert raised[1] == (ValueError, "median baseline needs >= 4 testable conserved genes, got 3")
-    assert raised[2] == raised[1]
+    assert raised[2] == raised[3] == raised[1]
 
 
 def test_a_worker_that_dies_raises_child_process_error(monkeypatch):
@@ -670,6 +672,31 @@ def test_run_study_fits_the_median_once_per_replicate(monkeypatch):
         alone = next(c for c in separate[cell.method] if c.params == cell.params)
         assert cell.mean_scaling_factor == alone.mean_scaling_factor
         assert cell.mean_f_score == alone.mean_f_score
+
+
+def test_run_study_checks_a_rate_source_once_per_cell(monkeypatch):
+    # Each replicate's config is its cell's with a derived seed, not checked
+    # again: a rate table is read once per cell, and the grid is the one that
+    # configs rebuilt (and checked) per replicate give.
+    base = SimConfig(n_orthologs=200, conserved_size=40, de_rate=0.1, fold=2.0,
+                     depth_sp1=5e4, depth_sp2=5e4, rate_source=np.arange(1.0, 301.0))
+    kwargs = dict(sweep={"noise_rate": [0.0, 0.3]}, methods=["scbn", "median"], replicates=3,
+                  cutoff=0.01, master_seed=6)
+    calls = []
+    original = simulation._rates
+
+    def counted(value):
+        calls.append(len(value))
+        return original(value)
+
+    monkeypatch.setattr(simulation, "_rates", counted)
+    _use_cpus(monkeypatch, 1)  # the calls are counted in this process
+    cells = run_study(base, **kwargs)
+    assert calls == [300] * 2  # one per cell, none per replicate
+    monkeypatch.setattr(simulation, "_with_seed",
+                        lambda config, seed: dataclasses.replace(config, seed=seed))
+    assert cells == run_study(base, **kwargs)
+    assert len(calls) == 2 + 2 * (1 + 3)  # each cell, then each cell and replicate
 
 
 def test_run_study_rejects_unknown_method():
