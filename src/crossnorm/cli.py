@@ -29,6 +29,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 import click
+from click.core import ParameterSource
 
 from . import METHODS, __version__
 
@@ -177,7 +178,7 @@ def _load_rate_table(path: str) -> tuple[float, ...]:
 
 @main.command()
 @click.option("--spec", "spec_path", type=click.Path(exists=True), default=None,
-              help="JSON file with SimConfig fields (flags are ignored if given).")
+              help="JSON file with SimConfig fields (no other simulation flag may be given).")
 @click.option("--n-orthologs", type=int, default=None)
 @click.option("--conserved-size", type=int, default=1000, show_default=True)
 @click.option("--de-rate", type=float, default=0.1, show_default=True)
@@ -194,11 +195,17 @@ def _load_rate_table(path: str) -> tuple[float, ...]:
               help="Count table supplying the empirical rate distribution.")
 @click.option("--seed", type=int, default=0, show_default=True)
 @click.option("--output", "output_dir", required=True, type=click.Path())
-def simulate(spec_path, rate_table, output_dir, **fields) -> None:
+@click.pass_context
+def simulate(ctx, spec_path, rate_table, output_dir, **fields) -> None:
     """Write a synthetic dataset: counts.tsv, conserved.txt, truth.tsv, meta.json."""
     from .pipeline import _json_text, _sig6, _sig6_text, _tsv_text, _write_file, write_counts_tsv
     from .simulation import SimConfig, generate_dataset
     if spec_path is not None:
+        flags = [param.opts[0] for param in ctx.command.params
+                 if param.name not in ("spec_path", "output_dir")
+                 and ctx.get_parameter_source(param.name) is ParameterSource.COMMANDLINE]
+        if flags:
+            raise ValueError(f"--spec holds every simulation field; drop {', '.join(flags)}")
         config = SimConfig.from_mapping(_load_spec(spec_path))
     elif fields["n_orthologs"] is None:
         raise ValueError("either --spec or --n-orthologs is required")

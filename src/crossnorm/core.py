@@ -6,8 +6,10 @@ int64 columns ``length_sp1``, ``length_sp2``, ``count_sp1`` and
 ``testable`` mask (the ``_testable`` rule, which the exact test shares).
 :func:`validate_table` is the one place that builds and checks a table; the
 simulator skips the id rules (``_build_table(..., check_ids=False)``), which
-its generated ids cannot break.  :class:`GeneRecord` is the row type of the
-cached, read-only ``table.records`` view.
+its generated ids cannot break.  A table keeps its ids as a set too
+(``table._id_set``): the set the uniqueness rule builds, or, for a table
+built without the id rules, one built on first use.  :class:`GeneRecord` is
+the row type of the cached, read-only ``table.records`` view.
 
 All types are immutable after construction.
 """
@@ -105,6 +107,11 @@ class OrthologTable:
         )
 
     @cached_property
+    def _id_set(self) -> frozenset[str]:
+        """The gene ids as a set, for membership tests."""
+        return frozenset(self.gene_ids)
+
+    @cached_property
     def records(self) -> tuple[GeneRecord, ...]:
         """The table as rows, built on first access."""
         columns = (getattr(self, name).tolist() for name in _COLUMNS)
@@ -160,10 +167,11 @@ def validate_table(gene_ids, length_sp1, length_sp2, count_sp1, count_sp2) -> Or
     return _build_table(tuple(gene_ids), length_sp1, length_sp2, count_sp1, count_sp2)
 
 
-def _id_failures(ids: tuple[str, ...]) -> list[tuple[int, str]]:
-    """The first row breaking each of validate_table's id rules, with its message."""
+def _id_failures(ids: tuple[str, ...], id_set: frozenset[str]) -> list[tuple[int, str]]:
+    """The first row breaking each of validate_table's id rules, with its
+    message; ``id_set`` is ``frozenset(ids)``."""
     failures = []
-    if "" in ids:
+    if "" in id_set:
         failures.append((ids.index(""), "gene_id must be a non-empty string"))
     joined = "".join(ids)
     if _breaks_line(joined):
@@ -181,7 +189,7 @@ def _id_failures(ids: tuple[str, ...]) -> list[tuple[int, str]]:
     if not _encodable(joined):
         row = next(row for row, gene_id in enumerate(ids) if not _encodable(gene_id))
         failures.append((row, "gene_id must be encodable as UTF-8"))
-    if len(set(ids)) < len(ids):
+    if len(id_set) < len(ids):
         seen: set[str] = set()
         for row, gene_id in enumerate(ids):
             if gene_id in seen:
@@ -212,7 +220,8 @@ def _build_table(ids: tuple[str, ...], length_sp1, length_sp2, count_sp1, count_
         if mask.any()
     ]
     if check_ids:
-        failures += _id_failures(ids)
+        id_set = frozenset(ids)
+        failures += _id_failures(ids, id_set)
     if failures:
         row, message = min(failures, key=lambda failure: failure[0])
         raise InvalidRow(row, f"gene {ids[row]!r}: {message}")
@@ -224,7 +233,10 @@ def _build_table(ids: tuple[str, ...], length_sp1, length_sp2, count_sp1, count_
         raise ValueError("each species needs at least one mapped read")
     testable = _testable(x1 + x2)
     testable.flags.writeable = False
-    return OrthologTable(ids, l1, l2, x1, x2, total_sp1, total_sp2, testable)
+    table = OrthologTable(ids, l1, l2, x1, x2, total_sp1, total_sp2, testable)
+    if check_ids:
+        vars(table)["_id_set"] = id_set  # the cached property's value, already built
+    return table
 
 
 @dataclass(frozen=True)

@@ -25,14 +25,17 @@ untestable genes carry NA in the p/q columns.  Non-p/q floats are printed
 with 6 significant digits (:func:`_sig6_text`).  p and q are written
 exactly as ``repr`` writes them (the shortest round-trip decimal), computed
 by :func:`crossnorm.floattext.pq_text`; a p or q outside (0, 1] that is not
-NaN raises ValueError.  results.tsv is assembled as one byte buffer.
-:func:`load_counts_tsv` parses the body, and results.tsv is built, in
-blocks of ``_ROWS`` (4096) lines.  That is for page faults, not arithmetic:
-whole-table temporaries go back to the OS when freed, and each pass would
-fault their pages in again.  Every file the package writes, the CLI's
-included, is written by :func:`_write_file` (UTF-8, ``\n`` line ends), and
-every JSON report is rendered by :func:`_json_text` (2-space indents,
-sorted keys, a final newline).
+NaN raises ValueError, and so does a gene id holding ``\n`` (which
+``validate_table`` never accepts): the writer finds each id's end at the
+``\n`` after it in the ids joined by ``\n``.  results.tsv is a list of byte
+blocks that :func:`_write_file` writes one after another, never joined
+into one buffer.  :func:`load_counts_tsv` parses the body, and results.tsv
+is built, in blocks of ``_ROWS`` (4096) lines.  That is for page faults,
+not arithmetic: whole-table temporaries go back to the OS when freed, and
+each pass would fault their pages in again.  Every file the package
+writes, the CLI's included, is written by :func:`_write_file` (UTF-8,
+``\n`` line ends), and every JSON report is rendered by :func:`_json_text`
+(2-space indents, sorted keys, a final newline).
 
 DE results are columnar: :func:`call_de` returns a :class:`DEResult` whose
 ``p_value`` and ``q_value`` are float64 arrays in table order, with NaN for
@@ -185,6 +188,12 @@ class RunConfig:
         _check_method(self.method)
         _check_cutoff(self.cutoff)
         self.grid()  # GridConfig checks alpha and the grid settings
+        # Python numbers from here on, as GridConfig stores them: summary.json
+        # echoes these fields, and JSON holds no numpy scalar.
+        for name, kind in (("alpha", float), ("cutoff", float), ("grid_center", float),
+                           ("grid_span", float), ("grid_points", int)):
+            if getattr(self, name) is not None:
+                object.__setattr__(self, name, kind(getattr(self, name)))
 
     def grid(self) -> GridConfig:
         return GridConfig(
@@ -228,11 +237,13 @@ class Report:
         return self.calls.records
 
 
-def _write_file(path: str | Path, data: str | bytes) -> Path:
+def _write_file(path: str | Path, data: str | list[bytes | np.ndarray]) -> Path:
     """Write one output file, every one the package writes: text as UTF-8,
-    untranslated, so its ``\n`` line ends stay ``\n`` on every platform."""
+    untranslated, so its ``\n`` line ends stay ``\n`` on every platform, or
+    a list of byte blocks (results.tsv's), one after another."""
     path = Path(path)
-    path.write_bytes(data.encode("utf-8") if isinstance(data, str) else data)
+    with path.open("wb") as out:
+        out.writelines([data.encode("utf-8")] if isinstance(data, str) else data)
     return path
 
 
@@ -380,12 +391,11 @@ def load_conserved_list(path: str | Path, table: OrthologTable) -> tuple[Conserv
         wanted.append(line)
     if not wanted:
         raise ValueError(f"{path}: no gene ids in file")
-    known = set(table.gene_ids)
-    present = [g for g in wanted if g in known]
-    unknown = len(set(wanted)) - len(set(present))
+    listed = set(wanted)
+    present = table._id_set & listed
     if not present:
         raise ValueError(f"{path}: none of the {len(wanted)} listed ids occur in the table")
-    return ConservedSet(frozenset(present)), unknown
+    return ConservedSet(present), len(listed) - len(present)
 
 
 def bh_adjust(pvalues: np.ndarray) -> np.ndarray:
@@ -564,26 +574,27 @@ def summary_dict(report: Report) -> dict:
     return summary
 
 
-def _results_tsv(calls: DEResult) -> bytes:
-    """results.tsv, built from the columns in blocks of up to _ROWS lines."""
+def _results_tsv(calls: DEResult) -> list[bytes | np.ndarray]:
+    """results.tsv as byte blocks, the header and then up to _ROWS lines each."""
     for name, values in (("p_value", calls.p_value), ("q_value", calls.q_value)):
         bad = ~((values > 0.0) & (values <= 1.0) | np.isnan(values))
         if bad.any():
             raise ValueError(f"{name} must be NaN or lie in (0, 1], "
                              f"got {float(values[bad][0])!r}")
     ids = calls.gene_ids
-    id_bytes = np.frombuffer("".join(ids).encode("utf-8"), dtype=np.uint8)
-    id_ends = np.cumsum(np.fromiter(map(len, ids), np.intp, len(ids)))
-    if id_bytes.size != id_ends[-1:].sum():
-        # Some id is not ASCII: it ends where the character after its last
-        # one starts (a byte not of the form 0b10xxxxxx).
-        id_ends = np.append(np.flatnonzero((id_bytes & 0xC0) != 0x80), id_bytes.size)[id_ends]
-    id_length = np.diff(id_ends, prepend=0)
+    # Each id's bytes end at its "\n" in the joined UTF-8: a byte 10 is that
+    # character and no part of another.
+    id_bytes = np.frombuffer("\n".join([*ids, ""]).encode("utf-8"), dtype=np.uint8)
+    id_ends = np.flatnonzero(id_bytes == ord("\n"))
+    if id_ends.size != len(ids):
+        gene_id = next(gene_id for gene_id in ids if "\n" in gene_id)
+        raise ValueError(f"gene_id must not contain '\\n', got {gene_id!r}")
+    id_length = np.diff(id_ends, prepend=-1) - 1
     call_code = 3 * calls.de_call + calls.direction + 1
 
     # A line is the kept bytes of a row of fixed columns: the id's bytes,
     # then two slots, each a tab and a text (p, then q), then the call fields.
-    lines = [_RESULTS_HEADER]
+    blocks = [_RESULTS_HEADER]
     start = 0
     while start < len(ids):
         # The most lines whose rows, as wide as their longest id's, fit _BLOCK_BYTES.
@@ -606,9 +617,9 @@ def _results_tsv(calls: DEResult) -> bytes:
                 slot_keep[..., 1:])
         chars[:, call_at:] = _CALL_CHARS.take(code, axis=0)
         keep[:, call_at:] = _CALL_KEEP.take(code, axis=0)
-        lines.append(chars[keep])
+        blocks.append(chars[keep])
         start = rows.stop
-    return b"".join(lines)
+    return blocks
 
 
 def write_report(report: Report, out_dir: str | Path) -> tuple[Path, Path]:

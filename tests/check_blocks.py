@@ -75,11 +75,11 @@ def seeded_calls(seed: int) -> pipeline.DEResult:
 
 def results_mismatch(seed: int) -> str | None:
     calls = seeded_calls(seed)
-    blocked = pipeline._results_tsv(calls)
+    blocked = b"".join(pipeline._results_tsv(calls))
     saved = pipeline._ROWS, pipeline._BLOCK_BYTES
     pipeline._ROWS, pipeline._BLOCK_BYTES = GENES, 2**62
     try:
-        whole = pipeline._results_tsv(calls)
+        whole = b"".join(pipeline._results_tsv(calls))
     finally:
         pipeline._ROWS, pipeline._BLOCK_BYTES = saved
     if blocked == whole:

@@ -337,6 +337,23 @@ def test_simulate_spec_file(tmp_path):
     assert (out / "counts.tsv").exists()
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--seed", "5", "--n-orthologs", "300"], "--n-orthologs, --seed"),
+    (["--conserved-size", "1000"], "--conserved-size"),  # the default, given explicitly
+    (["--rate-table", "<spec>"], "--rate-table"),
+], ids=["seed-and-size", "default-value", "rate-table"])
+def test_simulate_spec_with_another_simulation_flag_is_a_one_line_error(tmp_path, flags, named):
+    # The flags used to be ignored: the spec's dataset was written, exit 0.
+    path = tmp_path / "sim.json"
+    path.write_text(json.dumps({"n_orthologs": 100, "conserved_size": 20, "seed": 1}))
+    flags = [str(path) if flag == "<spec>" else flag for flag in flags]
+    result = CliRunner().invoke(main, ["simulate", "--spec", str(path), *flags,
+                                       "--output", str(tmp_path / "x")])
+    assert result.exit_code == 1
+    assert result.output == f"error: --spec holds every simulation field; drop {named}\n"
+    assert not (tmp_path / "x").exists()
+
+
 @pytest.mark.parametrize("data, message", [
     (b'{"n_orthologs": 200, ', "<spec>: line 1 column 22: Expecting property name enclosed in "
                                "double quotes"),

@@ -3,7 +3,8 @@ import dataclasses
 import numpy as np
 import pytest
 
-from crossnorm.core import ConservedSet, InvalidRow, ScalingFactor, validate_table
+from crossnorm.core import (ConservedSet, InvalidRow, ScalingFactor, _build_table,
+                            validate_table)
 from crossnorm.pipeline import load_conserved_list
 from rowtable import table_of
 
@@ -93,6 +94,21 @@ def test_gene_id_with_a_tab_or_line_break_rejected_with_row(gene_id):
     with pytest.raises(InvalidRow, match="gene_id must not contain a tab or line break") as info:
         table_of(rows)
     assert info.value.row == 1
+
+
+def test_a_table_keeps_the_id_set_its_id_rules_built(tmp_path):
+    # load_conserved_list tests membership against it instead of hashing the ids again.
+    ids = ("g1", "g2", "g3")
+    columns = ([10] * 3, [10] * 3, [1, 0, 2], [1, 1, 0])
+    checked = validate_table(ids, *columns)
+    assert vars(checked)["_id_set"] == frozenset(ids)
+    unchecked = _build_table(ids, *columns, check_ids=False)
+    assert "_id_set" not in vars(unchecked)  # built on first use
+    path = tmp_path / "conserved.txt"
+    path.write_text("g3\ngX\ng1\ng3\n", encoding="utf-8")
+    for table in (checked, unchecked):
+        assert load_conserved_list(path, table) == (ConservedSet(frozenset({"g1", "g3"})), 1)
+    assert unchecked._id_set == frozenset(ids)
 
 
 def test_mismatched_column_lengths_rejected():

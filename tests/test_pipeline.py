@@ -8,7 +8,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crossnorm import exact_test, pipeline
+from crossnorm import core, exact_test, pipeline
 from crossnorm.cli import main
 from crossnorm.core import ConservedSet, InvalidRow, ScalingFactor, validate_table
 from crossnorm.exact_test import binom_twosided_pvalues, null_prob_values
@@ -674,6 +674,28 @@ def test_summary_echoes_the_grid_refinement_defaults(tmp_path):
         (grid.refine_rounds, grid.refine_shrink) == (3, 0.1)
 
 
+@pytest.mark.parametrize("name, value", [
+    ("alpha", np.float32(0.05)), ("cutoff", np.float32(1e-6)),
+    ("grid_center", np.float32(1.2)), ("grid_span", np.float32(10.0)),
+    ("grid_points", np.int64(1000)),
+])
+def test_a_numpy_scalar_config_writes_the_summary_of_its_python_twin(tmp_path, name, value):
+    # A numpy scalar used to run the whole pipeline, and then summary.json's
+    # echo of the config raised TypeError: JSON holds no numpy scalar.
+    ds = generate_dataset(SimConfig(n_orthologs=200, conserved_size=40, seed=3,
+                                    depth_sp1=5e4, depth_sp2=5e4))
+    counts, conserved = _write_dataset(tmp_path, ds)
+    twin = value.item()
+    summaries = []
+    for setting in (value, twin):
+        config = RunConfig(counts_path=str(counts), conserved_path=str(conserved),
+                           **{name: setting})
+        assert type(getattr(config, name)) is type(twin)
+        summary, _ = write_report(run_pipeline(config), tmp_path / type(setting).__name__)
+        summaries.append(summary.read_bytes())
+    assert summaries[0] == summaries[1]
+
+
 def test_median_beats_nothing_but_scbn_beats_median_under_noise(tmp_path):
     # At 40 percent conserved-set contamination the scale-search method
     # should make fewer false discoveries than the median baseline on
@@ -920,9 +942,11 @@ def test_results_tsv_of_edge_rows_and_a_simulated_table(tmp_path):
 
 
 # Gene ids of any characters but lone surrogates (which UTF-8 cannot
-# encode), with some non-ASCII ones drawn often.
+# encode) and "\n" (which ends an id in the writer), with some non-ASCII
+# ones drawn often.  validate_table accepts neither.
 _GENE_IDS = st.text(st.one_of(st.sampled_from(["g", "è", "\u2028", "\U0001f9ec", "\t"]),
-                              st.characters(blacklist_categories=("Cs",))),
+                              st.characters(blacklist_categories=("Cs",),
+                                            blacklist_characters="\n")),
                     min_size=1, max_size=8)
 # P-values with the edges drawn often; shared values give tied q-values.
 _P_VALUES = st.one_of(st.sampled_from([math.nan, 1.0, 5e-324, 0.5, 1e-05, 0.03]),
@@ -939,6 +963,15 @@ def test_results_tsv_matches_the_row_by_row_writer(tmp_path_factory, rows):
     calls = _deresult(ids, p, *zip(*call))
     _, path = write_report(_report_of(calls), tmp_path_factory.mktemp("report"))
     assert path.read_bytes() == _expected_results_tsv(calls)
+
+
+def test_write_report_rejects_an_id_holding_a_line_feed(tmp_path):
+    # validate_table accepts no such id, and the writer ends each id at its "\n".
+    calls = _deresult(["g1", "a\nb", "c\n"], [0.5, 0.5, math.nan], [0, 0, 0], [False] * 3)
+    with pytest.raises(ValueError) as excinfo:
+        write_report(_report_of(calls), tmp_path)
+    assert str(excinfo.value) == "gene_id must not contain '\\n', got 'a\\nb'"
+    assert not (tmp_path / "results.tsv").exists()
 
 
 def test_results_tsv_is_written_in_blocks_of_lines(tmp_path, monkeypatch):
@@ -1051,6 +1084,26 @@ def test_a_gene_id_padded_with_whitespace_is_rejected(tmp_path):
         f"{path}: line 2: gene ' g1': gene_id must not begin or end with whitespace"
     assert load_counts_tsv(_write_counts(tmp_path / "inner.tsv", ["g 1\t10\t1\t10\t1"])
                            ).gene_ids == ("g 1",)
+
+
+def test_an_empty_gene_id_is_rejected_at_its_row(tmp_path):
+    # A count line that starts with a tab holds an empty id.  The rule is
+    # tested on the id set the table keeps, and names the first empty id.
+    rows = [("g1", 10, 10, 1, 1), ("", 10, 10, 1, 1), ("g3", 10, 10, 1, 1), ("", 10, 10, 1, 1)]
+    with pytest.raises(InvalidRow) as info:
+        table_of(rows)
+    assert info.value.row == 1
+    assert str(info.value) == "gene '': gene_id must be a non-empty string"
+    path = _write_counts(tmp_path / "counts.tsv", ["\t".join(map(str, row)) for row in rows])
+    with pytest.raises(ValueError) as info:
+        load_counts_tsv(path)
+    assert str(info.value) == f"{path}: line 3: gene '': gene_id must be a non-empty string"
+    # A table built without the id rules builds its set on first use: the
+    # rules on that set give the same row.
+    ids, *columns = zip(*rows)
+    unchecked = core._build_table(ids, *columns, check_ids=False)
+    assert min(core._id_failures(unchecked.gene_ids, unchecked._id_set)) == \
+        (1, "gene_id must be a non-empty string")
 
 
 def test_an_id_a_conserved_list_cannot_name_is_rejected(tmp_path):

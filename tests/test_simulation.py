@@ -870,6 +870,6 @@ def test_gene_ids_are_the_zero_padded_row_numbers(size):
     # The ids break no id rule, so tables are built on them unchecked.
     ids = simulation._gene_ids(size)
     assert ids == tuple(f"g{i:06d}" for i in range(size))
-    assert core._id_failures(ids) == []
+    assert core._id_failures(ids, frozenset(ids)) == []
     if size == 1_000_001:
         assert ids[-1] == "g1000000"
