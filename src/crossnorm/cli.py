@@ -17,13 +17,11 @@ ends the run with one ``error:`` line and exit status 1.
 
 At import this module loads only click, the standard library and the
 package's ``__version__`` and ``METHODS``; each command and helper imports
-what it calls when it runs.  So ``--version``, ``--help`` and click's usage
-errors load no numpy.
+what it calls when it runs, ``json`` and ``dataclasses`` too.  So
+``--version``, ``--help`` and click's usage errors load no numpy.
 """
 from __future__ import annotations
 
-import dataclasses
-import json
 import re
 from pathlib import Path
 from typing import TYPE_CHECKING
@@ -65,6 +63,8 @@ def _warn_fit(unknown: int, fit: ScbnResult | MedianScaleResult) -> None:
 
 def _load_spec(path: str):
     """The JSON value in a spec file; a decode error names the file and position."""
+    import json
+
     from .pipeline import _read_text
     try:
         return json.loads(_read_text(Path(path)))
@@ -234,6 +234,8 @@ _STUDY_SPEC_KEYS = {"seed", "replicates", "methods", "alpha", "cutoff", "base", 
 @click.option("--output", "output_dir", required=True, type=click.Path())
 def study(spec_path, output_dir) -> None:
     """Run a simulation sweep and write the replicate-averaged result grid."""
+    import dataclasses
+
     from .pipeline import _tsv_text, _write_file
     from .simulation import _FIELD_TYPES, SimConfig, StudyCellResult, run_study
     spec = _load_spec(spec_path)

@@ -16,8 +16,9 @@ All types are immutable after construction.
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, fields
+from functools import cache, cached_property
+from typing import get_type_hints
 
 import numpy as np
 
@@ -54,6 +55,25 @@ def require_number(name: str, value) -> None:
         float(value)
     except OverflowError:
         raise ValueError(f"{name} must be a number, got one too large for a float") from None
+
+
+@cache
+def _field_types(cls) -> dict:
+    """Each field of the dataclass ``cls`` and its annotation, resolved once per class."""
+    hints = get_type_hints(cls)
+    return {f.name: hints[f.name] for f in fields(cls)}
+
+
+def _store_numbers(config, **labels: str) -> None:
+    """Every config's number rule: check each ``int``, ``float`` or non-None ``float | None``
+    field of ``config`` in order, under its label (else its name); store a Python number."""
+    for name, kind in _field_types(type(config)).items():
+        value = getattr(config, name)
+        if kind == float | None and value is not None:
+            kind = float
+        if kind in (int, float):
+            (require_integer if kind is int else require_number)(labels.get(name, name), value)
+            object.__setattr__(config, name, kind(value))
 
 
 @dataclass(frozen=True)
@@ -256,13 +276,13 @@ class ConservedSet:
 
 @dataclass(frozen=True)
 class ScalingFactor:
-    """The dimensionless between-species scale c (total output sp2 / sp1)."""
+    """The between-species scale c (total output sp2 / sp1), a positive finite float."""
 
     c: float
 
     def __post_init__(self) -> None:
-        require_number("scaling factor", self.c)
-        if not (self.c > 0.0) or self.c != self.c or self.c == float("inf"):
+        _store_numbers(self, c="scaling factor")
+        if not (0.0 < self.c < np.inf):
             raise ValueError(f"scaling factor must be positive and finite, got {self.c!r}")
 
     def __float__(self) -> float:

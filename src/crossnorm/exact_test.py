@@ -99,6 +99,16 @@ def _p0(c, l1n1, l2n2):
     return np.clip(a / (l2n2 + a), _MIN_P, _MAX_P0)
 
 
+def _gene_inputs(table, rows=slice(None)):
+    """The float64 x1, n, L1*N1 and L2*N2 of the table's genes at ``rows``, the inputs of
+    the kernel and _p0: counts convert exactly, and each sum or product is rounded once."""
+    x1 = table.count_sp1[rows].astype(np.float64)
+    n = x1 + table.count_sp2[rows]
+    l1n1 = table.length_sp1[rows] * float(table.total_sp1)
+    l2n2 = table.length_sp2[rows] * float(table.total_sp2)
+    return x1, n, l1n1, l2n2
+
+
 def null_prob_values(c, length_sp1, length_sp2, total_sp1, total_sp2):
     """Null success probabilities for arrays of lengths at scaling factor c.
 

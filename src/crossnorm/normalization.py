@@ -41,8 +41,8 @@ from typing import ClassVar
 
 import numpy as np
 
-from .core import ConservedSet, OrthologTable, ScalingFactor, require_integer, require_number
-from .exact_test import _MAX_BOUNDED_N, _MAX_P0, _interval_verdicts, _p0, _rejects
+from .core import ConservedSet, OrthologTable, ScalingFactor, _store_numbers
+from .exact_test import _MAX_BOUNDED_N, _MAX_P0, _gene_inputs, _interval_verdicts, _p0, _rejects
 
 __all__ = [
     "GridConfig",
@@ -78,10 +78,10 @@ class GridConfig:
     log half-width shrinks by the constant ``refine_shrink`` per round,
     centered on the incumbent.  When ``center`` is unset the median
     baseline seeds it.
-    Types are checked before ranges: ``coarse_points`` and
-    ``refine_rounds`` take integral numbers, the other fields real ones
-    (numpy scalars pass, bools do not).  ``coarse_points`` lies in [10,
-    MAX_COARSE_POINTS].
+    Types are checked before ranges (``core._store_numbers``):
+    ``coarse_points`` and ``refine_rounds`` take integral numbers, the other
+    fields real ones (numpy scalars pass, bools do not), stored as Python
+    numbers.  ``coarse_points`` lies in [10, MAX_COARSE_POINTS].
     """
 
     alpha: float = 0.05
@@ -92,12 +92,7 @@ class GridConfig:
     refine_shrink: ClassVar[float] = 0.1
 
     def __post_init__(self) -> None:
-        require_number("alpha", self.alpha)
-        if self.center is not None:
-            require_number("grid center", self.center)
-        require_number("span", self.span)
-        require_integer("coarse_points", self.coarse_points)
-        require_integer("refine_rounds", self.refine_rounds)
+        _store_numbers(self, center="grid center")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie in (0, 1)")
         if self.center is not None and not (0.0 < self.center < np.inf):
@@ -110,12 +105,6 @@ class GridConfig:
             raise ValueError(f"coarse_points must be <= {MAX_COARSE_POINTS}")
         if self.refine_rounds < 0:
             raise ValueError("refine_rounds must be >= 0")
-        # Python numbers from here on: a numpy float32 center would run the
-        # fit's logs at float32, a numpy int round count shrink**k in numpy.
-        for name, kind in (("alpha", float), ("center", float), ("span", float),
-                           ("coarse_points", int), ("refine_rounds", int)):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, kind(getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -178,15 +167,10 @@ def _conserved_rows(table: OrthologTable, conserved: ConservedSet) -> np.ndarray
 
 
 def _conserved_arrays(table: OrthologTable, rows: np.ndarray):
-    """The x1, n, L1*N1 and L2*N2 of the genes at ``rows`` (see _conserved_rows)
-    as float64 arrays."""
+    """``exact_test._gene_inputs`` at ``rows`` (see _conserved_rows), not empty."""
     if rows.size == 0:
         raise ValueError("no testable conserved genes")
-    x1 = table.count_sp1[rows].astype(np.float64)
-    n = x1 + table.count_sp2[rows]
-    l1n1 = table.length_sp1[rows] * float(table.total_sp1)
-    l2n2 = table.length_sp2[rows] * float(table.total_sp2)
-    return x1, n, l1n1, l2n2
+    return _gene_inputs(table, rows)
 
 
 def _deviation(counts, m, alpha):
@@ -308,7 +292,7 @@ def empirical_type1_deviation(
     """
     GridConfig(alpha=alpha)  # the one check of alpha
     x1, n, l1n1, l2n2 = _conserved_arrays(table, _conserved_rows(table, conserved))
-    counts, _ = _rejection_counts(np.array([float(c.c)]), x1, n, l1n1, l2n2, alpha)
+    counts, _ = _rejection_counts(np.array([c.c]), x1, n, l1n1, l2n2, alpha)
     return _objective(counts[0], x1.size, alpha)
 
 
@@ -358,7 +342,7 @@ def _scbn_fit(table: OrthologTable, rows: np.ndarray, grid: GridConfig,
         pick = minima[-1][(minima[-1].size - 1) // 2]
         log_center = np.log(cs[pick])
     return ScbnResult(
-        factor=ScalingFactor(float(np.exp(log_center))),
+        factor=ScalingFactor(np.exp(log_center)),
         objective=_objective(counts[pick], x1.size, grid.alpha),
         window_edge=bool(minima[0][0] == 0 or minima[0][-1] == grid.coarse_points - 1),
     )
@@ -455,7 +439,7 @@ def _median_factor(table: OrthologTable, rows: np.ndarray) -> MedianScaleResult:
     if med1 == 0 or med2 == 0:
         raise ValueError("median conserved expression is zero in one species")
     return MedianScaleResult(
-        factor=ScalingFactor(float((med1 / table.total_sp1) / (med2 / table.total_sp2))),
+        factor=ScalingFactor((med1 / table.total_sp1) / (med2 / table.total_sp2)),
         iqr_filtered=iqr_filtered,
         kept_genes=kept_genes,
     )

@@ -16,9 +16,6 @@ lines and numbered by ``str.splitlines``.  A byte that is not valid UTF-8
 raises ``<path>: line N: not valid UTF-8``.  Gene ids hold no tab and no
 such line break, so every table written here reads back.
 
-``RunConfig.grid_points`` lies in [10, ``normalization.MAX_COARSE_POINTS``]
-(10**6).
-
 Reports: a JSON summary (method, factor, tallies, config echo) plus a
 per-gene TSV ``gene_id  p_value  q_value  direction  de_call`` where
 untestable genes carry NA in the p/q columns.  Non-p/q floats are printed
@@ -59,9 +56,9 @@ from pathlib import Path
 import numpy as np
 
 from . import METHODS
-from .core import (ConservedSet, InvalidRow, OrthologTable, ScalingFactor, require_number,
-                   validate_table)
-from .exact_test import _rejects, binom_twosided_pvalues, null_prob_values
+from .core import (ConservedSet, InvalidRow, OrthologTable, ScalingFactor, _store_numbers,
+                   require_number, validate_table)
+from .exact_test import _gene_inputs, _p0, _rejects, binom_twosided_pvalues
 from .floattext import WIDTH, pq_text
 from .normalization import (
     GridConfig,
@@ -172,7 +169,9 @@ class DEResult:
 
 @dataclass(frozen=True)
 class RunConfig:
-    """End-to-end pipeline settings."""
+    """End-to-end pipeline settings: ``method`` and ``cutoff`` are checked
+    first, then the rest by the :class:`GridConfig` that ``grid()`` returns,
+    and each number is stored as a Python int or float for summary.json."""
 
     counts_path: str
     conserved_path: str
@@ -187,21 +186,13 @@ class RunConfig:
     def __post_init__(self) -> None:
         _check_method(self.method)
         _check_cutoff(self.cutoff)
-        self.grid()  # GridConfig checks alpha and the grid settings
-        # Python numbers from here on, as GridConfig stores them: summary.json
-        # echoes these fields, and JSON holds no numpy scalar.
-        for name, kind in (("alpha", float), ("cutoff", float), ("grid_center", float),
-                           ("grid_span", float), ("grid_points", int)):
-            if getattr(self, name) is not None:
-                object.__setattr__(self, name, kind(getattr(self, name)))
+        object.__setattr__(self, "_grid", GridConfig(
+            alpha=self.alpha, center=self.grid_center, span=self.grid_span,
+            coarse_points=self.grid_points))
+        _store_numbers(self)
 
     def grid(self) -> GridConfig:
-        return GridConfig(
-            alpha=self.alpha,
-            center=self.grid_center,
-            span=self.grid_span,
-            coarse_points=self.grid_points,
-        )
+        return self._grid
 
 
 @dataclass(frozen=True)
@@ -436,19 +427,10 @@ def _check_cutoff(cutoff) -> None:
         raise ValueError("cutoff must lie in (0, 1)")
 
 
-def _null_probs(table: OrthologTable, c: ScalingFactor, rows=slice(None)):
-    """The x1, n and p0 columns at factor c of the genes at ``rows``."""
-    x1 = table.count_sp1[rows]
-    n = x1 + table.count_sp2[rows]
-    p0 = null_prob_values(c.c, table.length_sp1[rows], table.length_sp2[rows],
-                          table.total_sp1, table.total_sp2)
-    return x1, n, p0
-
-
 def _directions(x1, n, p0, called) -> np.ndarray:
     """The direction column: the sign of x1 - n*p0 where a gene is called,
-    else 0.  int64 counts below 2**53 compare exactly with the float64
-    null mean."""
+    else 0.  Counts below 2**53 are exact in float64, so each compares
+    exactly with the null mean."""
     mu = n * p0
     sign = (x1 > mu).astype(np.int8) - (x1 < mu)
     return np.where(called, sign, np.int8(0))
@@ -462,7 +444,8 @@ def call_de(table: OrthologTable, c: ScalingFactor, cutoff: float) -> DEResult:
     called, and are left out of the q-value ranking.
     """
     _check_cutoff(cutoff)
-    x1, n, p0 = _null_probs(table, c)
+    x1, n, *products = _gene_inputs(table)
+    p0 = _p0(c.c, *products)
     with np.errstate(invalid="ignore"):
         p = binom_twosided_pvalues(x1, n, p0)
     p = np.where(table.testable, p, np.nan)
@@ -494,7 +477,8 @@ def testable_calls(
     without computing the p-value, and no q-values are computed.
     """
     _check_cutoff(cutoff)
-    x1, n, p0 = _null_probs(table, c, table.testable)
+    x1, n, *products = _gene_inputs(table, table.testable)
+    p0 = _p0(c.c, *products)
     called = _rejects(x1, n, p0, cutoff)
     return called, _directions(x1, n, p0, called)
 

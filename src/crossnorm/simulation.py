@@ -21,9 +21,8 @@ scores on rows, with no per-gene ids, dicts, sets or q-values, and its
 result equals that of the per-gene path.  :func:`run_study` builds the
 gene ids once per distinct table size and passes them with each task.
 
-:class:`SimConfig` owns the config rules: its ``int`` fields take integral
-numbers and its ``float`` fields real ones (numpy scalars pass, bools do
-not).  :func:`run_study` checks every argument and cell before drawing.
+:func:`run_study` checks every argument, and every cell's :class:`SimConfig`,
+before drawing.
 
 :func:`run_study` runs each (cell, replicate) through one function,
 ``_replicate``, whose result depends only on its seeded task.  With W
@@ -48,13 +47,13 @@ import itertools
 import math
 import os
 from dataclasses import MISSING, dataclass, field, fields, replace
-from typing import Mapping, Sequence, get_type_hints
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from . import normalization, pipeline
 from .core import (_VALUE_LIMIT, ConservedSet, OrthologTable, ScalingFactor, _build_table,
-                   require_integer, require_number)
+                   _field_types, _store_numbers, require_integer, require_number)
 
 __all__ = [
     "LABEL_NULL",
@@ -101,17 +100,20 @@ _MAX_FOLD = 1e100
 # At most this many (cell, replicate) tasks per study: a task holds about 400
 # bytes and a two-method result about 1,100, so a study stays near 150 MB.
 MAX_STUDY_TASKS = 10**5
+# At most this many table, conserved and per-species unmapped genes: per 10**5 table
+# genes ``crossnorm simulate`` peaks 48 MB higher (19 MB in the draw), per 10**5 unmapped 7 MB.
+MAX_SIM_GENES = 10**6
 
 
 @dataclass(frozen=True)
 class SimConfig:
     """Generator settings for one synthetic dataset.
 
-    Types are checked before ranges: an ``int`` field takes an integral
-    number and a ``float`` field a real one (numpy scalars pass, bools do
-    not), and each is stored as a Python ``int`` or ``float``; ``rate_source``
-    is None or a sequence of positive numbers, stored as a tuple of floats.
-    A config that constructs can be generated.
+    Types are checked before ranges (``core._store_numbers``): ``int`` fields take
+    integral numbers, ``float`` fields real ones (numpy scalars pass, bools do not),
+    stored as Python numbers; ``rate_source`` takes None or positive numbers, stored
+    as a tuple of floats.  The table, the conserved set and each species' unmapped
+    genes hold at most ``MAX_SIM_GENES``.  A config that constructs can be generated.
     """
 
     n_orthologs: int
@@ -143,29 +145,25 @@ class SimConfig:
         return cls(**spec)
 
     def __post_init__(self) -> None:
-        # Python numbers, as GridConfig stores them: _MAX_FOLD (1e100) overflows float32.
-        for name, kind in _FIELD_TYPES.items():
-            value = getattr(self, name)
-            if kind is int:
-                require_integer(name, value)
-                value = int(value)
-            elif kind is float:
-                require_number(name, value)
-                value = float(value)
-            elif value is not None:
-                value = _rates(value)
-            object.__setattr__(self, name, value)
+        _store_numbers(self)
+        if self.rate_source is not None:
+            object.__setattr__(self, "rate_source", _rates(self.rate_source))
         if self.n_orthologs <= 0:
             raise ValueError("n_orthologs must be positive")
         for name in ("de_rate", "up_rate_sp2", "noise_rate"):
-            value = getattr(self, name)
-            if not (0.0 <= value <= 1.0):
+            if not (0.0 <= getattr(self, name) <= 1.0):
                 raise ValueError(f"{name} must lie in [0, 1]")
         if not (1.0 < self.fold <= _MAX_FOLD):
             raise ValueError(f"fold must exceed 1 and be at most {_MAX_FOLD:g}")
         for name in ("n_unique_sp1", "n_unique_sp2", "n_unmapped_sp1", "n_unmapped_sp2", "seed"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
+        for name, genes in (("n_orthologs + n_unique_sp1 + n_unique_sp2", _table_size(self)),
+                            ("n_unmapped_sp1", self.n_unmapped_sp1),
+                            ("n_unmapped_sp2", self.n_unmapped_sp2),
+                            ("conserved_size", self.conserved_size)):
+            if genes > MAX_SIM_GENES:
+                raise ValueError(f"{name} must be <= {MAX_SIM_GENES}, got {genes}")
         if self.conserved_size < 1:
             raise ValueError("conserved_size must be >= 1")
         for name in ("depth_sp1", "depth_sp2"):
@@ -184,8 +182,8 @@ class SimConfig:
                              f"{n_de + self.n_unique_sp1 + self.n_unique_sp2} available")
 
 
-# Each field's annotation (int, float, or rate_source's) is its type rule.
-_FIELD_TYPES = get_type_hints(SimConfig)
+# Each field's annotation: int, float, or rate_source's.
+_FIELD_TYPES = _field_types(SimConfig)
 
 
 def _check_field_names(names) -> None:

@@ -9,7 +9,7 @@ import pytest
 from click.testing import CliRunner
 
 import crossnorm
-from crossnorm import pipeline, simulation
+from crossnorm import normalization, pipeline, simulation
 from crossnorm.cli import main
 
 
@@ -169,6 +169,27 @@ def test_full_test_command_and_evaluate(tmp_path):
     assert metrics["precision"] is None or 0.0 <= metrics["precision"] <= 1.0
 
 
+def test_a_test_run_builds_and_checks_its_grid_once(tmp_path, monkeypatch):
+    # RunConfig builds its GridConfig in __post_init__ and grid() returns it;
+    # a test run used to build and check it four times.
+    runner = CliRunner()
+    sim = tmp_path / "sim"
+    assert _simulate(runner, sim).exit_code == 0
+    built = []
+    check = normalization.GridConfig.__post_init__
+
+    def counted(grid):
+        built.append(grid)
+        check(grid)
+
+    monkeypatch.setattr(normalization.GridConfig, "__post_init__", counted)
+    result = runner.invoke(main, ["test", "--counts", str(sim / "counts.tsv"),
+                                  "--conserved", str(sim / "conserved.txt"),
+                                  "--grid-points", "200", "--output", str(tmp_path / "run")])
+    assert result.exit_code == 0, result.output
+    assert [grid.coarse_points for grid in built] == [200]
+
+
 def test_test_command_rerun_is_byte_identical(tmp_path):
     runner = CliRunner()
     sim = tmp_path / "sim"
@@ -325,6 +346,17 @@ def test_simulate_input_that_would_overflow_is_a_one_line_error(tmp_path, option
     assert not (tmp_path / "x").exists()
 
 
+def test_an_oversized_simulation_is_a_one_line_error(tmp_path):
+    # It used to end in a MemoryError traceback from the id draw.
+    result = CliRunner().invoke(main, ["simulate", "--n-orthologs", "100000000000",
+                                       "--conserved-size", "10", "--output", str(tmp_path / "x")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == ("error: n_orthologs + n_unique_sp1 + n_unique_sp2 must be <= "
+                             f"{simulation.MAX_SIM_GENES}, got 100000000000\n")
+    assert not (tmp_path / "x").exists()
+
+
 def test_simulate_spec_file(tmp_path):
     runner = CliRunner()
     spec = {"n_orthologs": 200, "conserved_size": 40, "seed": 2,
@@ -450,6 +482,20 @@ def test_study_spec_of_the_wrong_shape_is_a_one_line_error(tmp_path, spec, messa
     assert result.exit_code == 1
     assert isinstance(result.exception, SystemExit)
     assert result.output.strip() == message.replace("<spec>", str(path))
+
+
+def test_a_study_sweeping_an_oversized_table_is_a_one_line_error(tmp_path):
+    spec = {"replicates": 1, "methods": ["median"], "base": _STUDY_BASE,
+            "sweep": {"n_orthologs": [100, 100000000000]}}
+    path = tmp_path / "study.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    result = CliRunner().invoke(main, ["study", "--spec", str(path),
+                                       "--output", str(tmp_path / "x")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert result.output == ("error: n_orthologs + n_unique_sp1 + n_unique_sp2 must be <= "
+                             f"{simulation.MAX_SIM_GENES}, got 100000000000\n")
+    assert not (tmp_path / "x").exists()
 
 
 _TOO_FEW_CONSERVED = "error: median baseline needs >= 4 testable conserved genes, got 3"
@@ -826,9 +872,10 @@ def _fresh_run(*args):
 
 def test_importing_the_cli_loads_no_numpy_or_scipy():
     # The package resolves its exports at first lookup and each command
-    # imports what it calls when it runs.
+    # imports what it calls when it runs, json and dataclasses too.
     probe = ("import sys, crossnorm.cli; print(sorted(name for name in sys.modules"
-             " if name.partition('.')[0] in ('crossnorm', 'numpy', 'scipy')))")
+             " if name.partition('.')[0] in ('crossnorm', 'numpy', 'scipy', 'json',"
+             " 'dataclasses')))")
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                           env=_fresh_env(), timeout=120)
     assert (done.returncode, done.stderr) == (0, "")

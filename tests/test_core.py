@@ -1,11 +1,16 @@
 import dataclasses
+import numbers
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from crossnorm.core import (ConservedSet, InvalidRow, ScalingFactor, _build_table,
                             validate_table)
-from crossnorm.pipeline import load_conserved_list
+from crossnorm.normalization import GridConfig
+from crossnorm.pipeline import RunConfig, load_conserved_list
+from crossnorm.simulation import SimConfig
 from rowtable import table_of
 
 
@@ -190,3 +195,99 @@ def test_scaling_factor_must_be_a_number(value):
 
 def test_scaling_factor_float_conversion():
     assert float(ScalingFactor(1.5)) == 1.5
+
+
+# Every number field of the four checked types: (type, field, the label its
+# messages use, its kind).  The other fields take the values below.
+_NUMBER_FIELDS = [
+    *((GridConfig, name, label, kind) for name, label, kind in [
+        ("alpha", "alpha", float), ("center", "grid center", float), ("span", "span", float),
+        ("coarse_points", "coarse_points", int), ("refine_rounds", "refine_rounds", int)]),
+    *((RunConfig, name, label, kind) for name, label, kind in [
+        ("alpha", "alpha", float), ("cutoff", "cutoff", float),
+        ("grid_center", "grid center", float), ("grid_span", "span", float),
+        ("grid_points", "coarse_points", int)]),
+    *((SimConfig, name, name, int) for name in [
+        "n_orthologs", "conserved_size", "n_unique_sp1", "n_unique_sp2", "n_unmapped_sp1",
+        "n_unmapped_sp2", "length_min", "length_max", "seed"]),
+    *((SimConfig, name, name, float) for name in [
+        "de_rate", "fold", "up_rate_sp2", "noise_rate", "depth_sp1", "depth_sp2"]),
+    (ScalingFactor, "c", "scaling factor", float),
+]
+_OTHER_FIELDS = {RunConfig: {"counts_path": "counts.tsv", "conserved_path": "conserved.txt"},
+                 SimConfig: {"n_orthologs": 200, "conserved_size": 20}}
+_OPTIONAL = {(GridConfig, "center"), (RunConfig, "grid_center")}
+
+
+def test_the_number_fields_listed_are_every_number_field():
+    classes = (GridConfig, RunConfig, SimConfig, ScalingFactor)
+    annotated = {(cls, f.name): f.type for cls in classes for f in dataclasses.fields(cls)}
+    kinds = {"int": int, "float": float, "float | None": float}
+    assert {(cls, name, kind) for cls, name, _, kind in _NUMBER_FIELDS} == {
+        (*key, kinds[kind]) for key, kind in annotated.items() if kind in kinds}
+    assert _OPTIONAL == {key for key, kind in annotated.items() if kind == "float | None"}
+
+
+def _numbers(value):
+    """``value`` as a Python number and as each numpy scalar type whose range holds it."""
+    kinds = [type(value), np.float64]
+    if not abs(value) > 1e38:
+        kinds.append(np.float32)
+    if isinstance(value, int):
+        kinds += [np.int32] * (-(2**31) <= value < 2**31) + [np.uint64] * (0 <= value < 2**64)
+    return st.sampled_from(kinds).map(lambda kind: kind(value))
+
+
+_VALUES = st.one_of(
+    st.sampled_from([0, 1, 3, 10, 20, 200, 1000, 10200, -1, 2**53, 2**63, 0.0, 0.05, 0.5, 1.5,
+                     2.0, 10.0, 1e6, 1e-6, 1e100, 1e300, -0.5, float("inf"), float("nan")])
+    .flatmap(_numbers),
+    st.booleans(), st.just(np.True_), st.none(), st.text(max_size=3),
+    st.sampled_from([10**400, -(10**400), 2**1024]),  # ints too large for a float
+)
+
+
+def _type_error(label, kind, value, optional):
+    """The message of the type rule ``value`` breaks, or None."""
+    if value is None and optional:
+        return None
+    if kind is int:
+        if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+            return f"{label} must be an integer, got {value!r}"
+        return None
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return f"{label} must be a number, got {value!r}"
+    try:
+        float(value)
+    except OverflowError:
+        return f"{label} must be a number, got one too large for a float"
+    return None
+
+
+@pytest.mark.parametrize("cls, name, label, kind", _NUMBER_FIELDS,
+                         ids=[f"{cls.__name__}.{name}" for cls, name, _, _ in _NUMBER_FIELDS])
+@settings(max_examples=60, deadline=None)
+@given(value=_VALUES)
+def test_every_config_number_is_checked_and_stored_as_a_python_number(cls, name, label, kind,
+                                                                       value):
+    # One rule for every config: a value of the wrong type raises the field's
+    # type message; any other value either breaks a range rule or is stored
+    # as a Python int or float equal to it (a numpy scalar never is).
+    optional = (cls, name) in _OPTIONAL
+    expected = _type_error(label, kind, value, optional)
+    try:
+        config = cls(**{**_OTHER_FIELDS.get(cls, {}), name: value})
+    except ValueError as exc:
+        if expected is not None:
+            assert str(exc) == expected
+        else:
+            assert " must be an integer, got " not in str(exc)
+            assert " must be a number, got " not in str(exc)
+        return
+    assert expected is None
+    stored = getattr(config, name)
+    if value is None:
+        assert stored is None
+    else:
+        assert type(stored) is kind
+        assert stored == kind(value)

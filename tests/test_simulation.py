@@ -23,6 +23,7 @@ from crossnorm.simulation import (
     LABEL_NULL,
     LABEL_UNIQUE_SP1,
     LABEL_UNIQUE_SP2,
+    MAX_SIM_GENES,
     MAX_STUDY_TASKS,
     Metrics,
     SimConfig,
@@ -789,6 +790,45 @@ def test_run_study_rejects_an_oversized_study_before_building_a_cell(monkeypatch
         run_study(_study1_config(), sweep, ["median"], replicates=replicates, cutoff=0.01)
     tasks = replicates * math.prod(map(len, sweep.values()))
     assert str(excinfo.value) == f"cells x replicates must be <= {MAX_STUDY_TASKS}, got {tasks}"
+
+
+_TABLE_CAP = f"n_orthologs + n_unique_sp1 + n_unique_sp2 must be <= {MAX_SIM_GENES}, got "
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"n_orthologs": 10**11}, f"{_TABLE_CAP}{10**11}"),
+    ({"n_orthologs": MAX_SIM_GENES + 1}, f"{_TABLE_CAP}{MAX_SIM_GENES + 1}"),
+    ({"n_orthologs": MAX_SIM_GENES, "n_unique_sp2": 1}, f"{_TABLE_CAP}{MAX_SIM_GENES + 1}"),
+    ({"n_unique_sp1": 10**11}, f"{_TABLE_CAP}{10**11 + 100}"),
+    ({"n_unmapped_sp1": 10**11}, f"n_unmapped_sp1 must be <= {MAX_SIM_GENES}, got {10**11}"),
+    ({"n_unmapped_sp2": MAX_SIM_GENES + 1},
+     f"n_unmapped_sp2 must be <= {MAX_SIM_GENES}, got {MAX_SIM_GENES + 1}"),
+    ({"conserved_size": 10**400}, f"conserved_size must be <= {MAX_SIM_GENES}, got {10**400}"),
+], ids=["1e11-orthologs", "one-over", "one-unique-over", "1e11-unique", "1e11-unmapped-sp1",
+        "one-unmapped-sp2-over", "1e400-conserved"])
+def test_sim_config_caps_the_dataset_size(fields, message):
+    # A table of 10**11 genes used to construct, and generate_dataset then
+    # died with a MemoryError traceback; a conserved size of 10**400 raised
+    # OverflowError.  Each case here is rejected before anything is allocated.
+    with pytest.raises(ValueError) as excinfo:
+        SimConfig(**{"n_orthologs": 100, "conserved_size": 10, **fields})
+    assert str(excinfo.value) == message
+
+
+def test_sim_config_at_the_size_cap_constructs():
+    # Construction draws nothing, so a config at the cap costs no memory here.
+    config = SimConfig(n_orthologs=MAX_SIM_GENES - 2, conserved_size=10, n_unique_sp1=1,
+                       n_unique_sp2=1, n_unmapped_sp1=MAX_SIM_GENES,
+                       n_unmapped_sp2=MAX_SIM_GENES)
+    assert simulation._table_size(config) == MAX_SIM_GENES
+
+
+def test_run_study_rejects_an_oversized_cell_before_drawing(monkeypatch):
+    base = _study1_config()
+    monkeypatch.setattr(simulation, "_gene_ids", _no_cell)
+    with pytest.raises(ValueError) as excinfo:
+        run_study(base, {"n_orthologs": [1200, 10**11]}, ["median"], replicates=1, cutoff=0.01)
+    assert str(excinfo.value) == f"{_TABLE_CAP}{10**11 + base.n_unique_sp1 + base.n_unique_sp2}"
 
 
 def test_run_study_at_the_task_cap_goes_on_to_build_its_cells(monkeypatch):
