@@ -246,8 +246,11 @@ def study(spec_path, output_dir) -> None:
         raise ValueError(f"unknown study spec key(s): {', '.join(sorted(unknown))}")
     if "base" not in spec:
         raise ValueError("a study spec needs a base object of simulation fields")
+    base = SimConfig.from_mapping(spec["base"])
+    if "seed" in spec["base"]:
+        raise ValueError("base seed: each replicate's seed derives from the study seed")
     sweep = spec.get("sweep", {})
-    cells = run_study(SimConfig.from_mapping(spec["base"]), sweep,
+    cells = run_study(base, sweep,
                       spec.get("methods", list(METHODS)), spec.get("replicates", 100),
                       spec.get("cutoff", 1e-6), alpha=spec.get("alpha", 0.05),
                       master_seed=spec.get("seed", 0))

@@ -149,7 +149,7 @@ def _check_window(log_center: float, grid: GridConfig, l1n1, l2n2) -> None:
     round, and round 0 brings some gene's p0 more than 2**-53 (the gap
     between ``_MAX_P0`` and 1) away from 1 and, likewise, away from 0."""
     h = np.log(grid.span)
-    reach = h * sum(grid.refine_shrink**k for k in range(grid.refine_rounds + 1))
+    reach = sum(_half_widths(grid))
     with np.errstate(over="ignore", under="ignore", invalid="ignore"):
         lo, hi = np.exp([log_center - reach, log_center + reach])
         p_lo, p_hi = _p0(np.exp([[log_center - h], [log_center + h]]), l1n1, l2n2)
@@ -218,10 +218,9 @@ def _rejection_counts(cs, x1, n, l1n1, l2n2, alpha):
     therefore never join the minimizing set: it is dropped, with every open
     pair that covers only dropped cells.  Bounds only tighten, so a dropped
     cell stays dropped, and every kept cell ends with its exact count.  A
-    grid of at most _LEAF_WIDTH points, the one-point grid of
-    empirical_type1_deviation among them, is counted cell by cell at the
-    first level, with no pruning and no incumbent, so every cell is kept
-    and its count exact.
+    grid of at most _LEAF_WIDTH points is counted cell by cell at the first
+    level, with no pruning and no incumbent, so every cell is kept and its
+    count exact.
     """
     points, m = cs.size, x1.size
     proven = np.zeros(points, dtype=np.int64)
@@ -292,8 +291,8 @@ def empirical_type1_deviation(
     """
     GridConfig(alpha=alpha)  # the one check of alpha
     x1, n, l1n1, l2n2 = _conserved_arrays(table, _conserved_rows(table, conserved))
-    counts, _ = _rejection_counts(np.array([c.c]), x1, n, l1n1, l2n2, alpha)
-    return _objective(counts[0], x1.size, alpha)
+    count = np.count_nonzero(_rejects(x1, n, _p0(c.c, l1n1, l2n2), alpha))
+    return _objective(count, x1.size, alpha)
 
 
 def scbn_scaling_factor(
@@ -307,29 +306,17 @@ def scbn_scaling_factor(
     objective is a union of grid intervals; ties break to the (lower) median
     grid point of that set, which is stable under small grid perturbations.
     """
-    return _fits(table, _conserved_rows(table, conserved), ("scbn",), grid)["scbn"]
-
-
-def _fits(table: OrthologTable, rows: np.ndarray, methods, grid: GridConfig) -> dict:
-    """Each of ``methods``' fit over the genes at ``rows`` (see _conserved_rows),
-    by name.  If ``grid`` sets no center, SCBN's is the median fit, which then
-    runs first, and once, and is returned under "median" too."""
-    fits = {}
-    center = grid.center
-    if center is None and "scbn" in methods:
-        fits["median"] = _median_factor(table, rows)
-        center = fits["median"].factor.c
-    for method in methods:
-        if method not in fits:
-            fits[method] = (_scbn_fit(table, rows, grid, center) if method == "scbn"
-                            else _median_factor(table, rows))
-    return fits
+    return _scbn_fit(table, _conserved_rows(table, conserved), grid)
 
 
 def _scbn_fit(table: OrthologTable, rows: np.ndarray, grid: GridConfig,
-              center: float) -> ScbnResult:
-    """scbn_scaling_factor over the genes at ``rows``, its grid centered on
-    ``center`` whatever ``grid.center`` says."""
+              median: MedianScaleResult | None = None) -> ScbnResult:
+    """scbn_scaling_factor over the genes at ``rows`` (see _conserved_rows).
+    If ``grid`` sets no center, the center is the factor of ``median``, the
+    median fit over the same rows, which is made here first if not given."""
+    center = grid.center
+    if center is None:
+        center = (median or _median_factor(table, rows)).factor.c
     x1, n, l1n1, l2n2 = _conserved_arrays(table, rows)
     log_center = np.log(center)
     _check_window(log_center, grid, l1n1, l2n2)

@@ -439,14 +439,18 @@ def _replicate(task) -> tuple[float, dict[str, tuple[Metrics, float]], tuple]:
     the cutoff and the grid.  Returns the true factor, each method's
     metrics and fitted factor, and the scbn/median overlap (called genes,
     and those called in the same direction), or (None, None) unless both
-    methods ran.  The result equals that of the per-gene path:
-    generate_dataset, estimate_factor, call_de and evaluate_run.
+    methods ran.  The median fit is made once: when both methods run and
+    ``grid`` sets no center, it is also SCBN's grid center.  The result
+    equals that of the per-gene path: generate_dataset, estimate_factor,
+    call_de and evaluate_run.
     """
     cell, gene_ids, methods, cutoff, grid = task
     table, labels, conserved, true_c, _ = _draw(cell, gene_ids)
     rows = conserved[table.testable[conserved]]
     is_de = _LABEL_IS_DE[labels][table.testable]
-    fits = normalization._fits(table, rows, methods, grid)
+    fits = {"median": normalization._median_factor(table, rows)} if "median" in methods else {}
+    if "scbn" in methods:
+        fits["scbn"] = normalization._scbn_fit(table, rows, grid, fits.get("median"))
     # Each method's (de_call, direction) columns over the testable genes.
     calls = {method: pipeline.testable_calls(table, fits[method].factor, cutoff)
              for method in methods}
@@ -555,10 +559,11 @@ def run_study(
     """Generate/normalize/test/score over a configuration sweep.
 
     Every argument and every cell's config are checked before the first
-    dataset is drawn.  Each (cell, replicate) gets an independent derived
-    seed, and all methods see the same dataset within a replicate; when
-    more than one CPU is usable, this process and forked workers share the
-    replicates, with results identical to a serial run.  Results are averaged per cell
+    dataset is drawn.  Each (cell, replicate) gets an independent seed
+    derived from ``master_seed``; ``base.seed`` is not used.  All methods
+    see the same dataset within a replicate; when more than one CPU is
+    usable, this process and forked workers share the replicates, with
+    results identical to a serial run.  Results are averaged per cell
     and method; replicates with an undefined metric are excluded from that
     metric's average with the exclusion counted.  ``grid`` defaults to
     ``GridConfig(alpha=alpha)``; a given grid must have the same alpha.

@@ -455,6 +455,8 @@ _STUDY_BASE = {"n_orthologs": 100, "conserved_size": 20}
      "error: sweep noise_rate must list at least one value"),
     ({"base": _STUDY_BASE, "sweep": {"seed": [1, 2]}},
      "error: sweep seed: each replicate's seed derives from the study seed"),
+    ({"base": dict(_STUDY_BASE, seed=7)},
+     "error: base seed: each replicate's seed derives from the study seed"),
     ({"base": {"n_orthologs": 100}},
      "error: missing simulation field(s): conserved_size"),
     ({"replicates": 1},
@@ -472,7 +474,7 @@ _STUDY_BASE = {"n_orthologs": 100, "conserved_size": 20}
 ], ids=["sweep-value-not-a-list", "sweep-entry-not-a-number", "spec-not-an-object",
         "base-field-not-a-number", "methods-not-a-list", "methods-empty", "methods-repeated",
         "sweep-rate-source-list", "sweep-rate-source-null", "sweep-empty", "sweep-seed",
-        "base-field-missing", "base-missing", "spec-key-unknown", "sweep-fold-overflows",
+        "base-seed", "base-field-missing", "base-missing", "spec-key-unknown", "sweep-fold-overflows",
         "study-oversized", "spec-truncated", "spec-non-utf8"])
 def test_study_spec_of_the_wrong_shape_is_a_one_line_error(tmp_path, spec, message):
     runner = CliRunner()

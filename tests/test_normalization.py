@@ -24,6 +24,7 @@ from crossnorm.normalization import (
     _check_window,
     _conserved_arrays,
     _conserved_rows,
+    _objective,
     _rejection_counts,
     empirical_type1_deviation,
     final_grid_log_step,
@@ -161,6 +162,45 @@ def test_deviation_smallest_at_true_factor_in_expectation():
     assert np.mean(at_true) < np.mean(away)
 
 
+@st.composite
+def _type1_cases(draw):
+    # Conserved genes whose x1 sits near the null mean at c (or at 0 or n),
+    # with n up to next to 2**40; zero-count conserved genes, which are
+    # untestable; and a filler gene that brings both species' totals to
+    # 2**50.  Extreme factors clip p0 at _MIN_P or _MAX_P0.
+    c = draw(st.sampled_from([5e-324, 1e-300, 1e280]) | st.floats(0.05, 20.0))
+    rows = []
+    for i in range(draw(st.integers(1, 12))):
+        n = draw(st.integers(1, 60) | st.integers(1, 10**7)
+                 | st.integers(2**40 - 3, 2**40 + 3))
+        l1, l2 = draw(st.integers(1, 10**4)), draw(st.integers(1, 10**4))
+        f = c * l1 / (c * l1 + l2)
+        z = draw(st.floats(-8.0, 8.0))
+        x1 = min(n, max(0, round(n * f + z * math.sqrt(n * f * (1 - f)))))
+        if draw(st.booleans()):
+            x1 = draw(st.sampled_from([0, n]))
+        rows.append((f"c{i}", l1, l2, x1, n - x1))
+    rows += [(f"z{i}", 100, 100, 0, 0) for i in range(draw(st.integers(0, 3)))]
+    total = 2**50
+    rows.append(("filler", 1000, 1000, total - sum(r[3] for r in rows),
+                 total - sum(r[4] for r in rows)))
+    table, conserved = _table_with_conserved(rows, [r[0] for r in rows[:-1]])
+    return table, conserved, c, draw(st.sampled_from([1e-6, 1e-3, 0.05, 0.5]))
+
+
+@given(_type1_cases())
+@settings(max_examples=200, deadline=None)
+def test_type1_deviation_is_the_objective_of_a_dense_count(case):
+    table, conserved, c, alpha = case
+    rows = _conserved_rows(table, conserved)
+    p0 = null_prob_values(c, table.length_sp1[rows], table.length_sp2[rows],
+                          table.total_sp1, table.total_sp2)
+    p = binom_twosided_pvalues(table.count_sp1[rows], table.count_sp1[rows] + table.count_sp2[rows],
+                               p0)
+    want = _objective(np.count_nonzero(p < alpha), rows.size, alpha)
+    assert empirical_type1_deviation(table, conserved, ScalingFactor(c), alpha) == want
+
+
 # ---------------------------------------------------------------------------
 # Rejection counts over a grid, against a dense cell-by-cell sweep
 # ---------------------------------------------------------------------------
@@ -227,7 +267,7 @@ def test_rejection_counts_match_a_dense_sweep_on_every_round(case):
 
 
 def test_rejection_counts_on_one_point_grids():
-    # empirical_type1_deviation's grid: one factor, no pruning, no incumbent.
+    # The smallest leaf-only grid: one factor, no pruning, no incumbent.
     table, conserved = _null_poisson_table(np.random.default_rng(4), 40, 1.3)
     arrays = _conserved_arrays(table, _conserved_rows(table, conserved))
     for c in (0.5, 1.0, 1.3, 2.0):

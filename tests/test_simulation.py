@@ -661,18 +661,35 @@ def test_run_study_fits_the_median_once_per_replicate(monkeypatch):
     monkeypatch.setattr(normalization, "_median_factor", counted)
     _use_cpus(monkeypatch, 1)  # the calls are counted in this process
 
-    def run_counted(methods):
+    def run_counted(methods, grid, median_calls):
         calls.clear()
-        cells = run_study(base, methods=methods, **kwargs)
-        assert len(calls) == 2 * 2  # cells x replicates
+        cells = run_study(base, methods=methods, grid=grid, **kwargs)
+        assert len(calls) == median_calls
         return cells
 
-    separate = {m: run_counted([m]) for m in ("median", "scbn")}
-    both = run_counted(["scbn", "median"])
-    for cell in both:
-        alone = next(c for c in separate[cell.method] if c.params == cell.params)
-        assert cell.mean_scaling_factor == alone.mean_scaling_factor
-        assert cell.mean_f_score == alone.mean_f_score
+    # A grid that sets its center needs no median fit for SCBN alone.
+    for grid, scbn_calls in ((None, 2 * 2), (GridConfig(center=1.0), 0)):  # cells x replicates
+        separate = {"median": run_counted(["median"], grid, 2 * 2),
+                    "scbn": run_counted(["scbn"], grid, scbn_calls)}
+        both = run_counted(["scbn", "median"], grid, 2 * 2)
+        for cell in both:
+            alone = next(c for c in separate[cell.method] if c.params == cell.params)
+            assert cell.mean_scaling_factor == alone.mean_scaling_factor
+            assert cell.mean_f_score == alone.mean_f_score
+
+
+def test_a_replicate_without_testable_conserved_genes_reports_the_median_rule():
+    # The median fit runs first whenever it runs, also when the grid sets
+    # SCBN's center; SCBN alone reports its own rule.
+    base = SimConfig(n_orthologs=100, conserved_size=4, depth_sp1=20.0, depth_sp2=20.0)
+    kwargs = dict(sweep={}, replicates=1, cutoff=0.01, master_seed=1,
+                  grid=GridConfig(center=1.0))
+    for methods in (["scbn", "median"], ["median", "scbn"]):
+        with pytest.raises(ValueError, match=r"^median baseline needs >= 4 testable "
+                                             r"conserved genes, got 0$"):
+            run_study(base, methods=methods, **kwargs)
+    with pytest.raises(ValueError, match="^no testable conserved genes$"):
+        run_study(base, methods=["scbn"], **kwargs)
 
 
 def test_run_study_checks_a_rate_source_once_per_cell(monkeypatch):
