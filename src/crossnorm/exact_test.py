@@ -99,6 +99,17 @@ def _p0(c, l1n1, l2n2):
     return np.clip(a / (l2n2 + a), _MIN_P, _MAX_P0)
 
 
+def _checked_p0(c, l1n1, l2n2):
+    # _p0 at a caller's factor c, a scalar or an array: ValueError unless
+    # max(c)*L1*N1 + L2*N2 is finite for every gene, so that no p0 is NaN.
+    # The SCBN grid checks its window once instead (normalization._check_window).
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = np.max(c)
+        if not np.isfinite(top * np.max(l1n1, initial=0.0) + np.max(l2n2, initial=0.0)):
+            raise ValueError(f"c*L1*N1 + L2*N2 is not finite at scaling factor {float(top)!r}")
+    return _p0(c, l1n1, l2n2)
+
+
 def _gene_inputs(table, rows=slice(None)):
     """The float64 x1, n, L1*N1 and L2*N2 of the table's genes at ``rows``, the inputs of
     the kernel and _p0: counts convert exactly, and each sum or product is rounded once."""
@@ -113,10 +124,11 @@ def null_prob_values(c, length_sp1, length_sp2, total_sp1, total_sp2):
     """Null success probabilities for arrays of lengths at scaling factor c.
 
     p0 = c*L1*N1 / (L2*N2 + c*L1*N1), clipped strictly inside (0, 1).
+    Raises ValueError when c*L1*N1 + L2*N2 is not finite.
     """
     l1 = np.asarray(length_sp1, dtype=np.float64)
     l2 = np.asarray(length_sp2, dtype=np.float64)
-    return _p0(c, l1 * float(total_sp1), l2 * float(total_sp2))
+    return _checked_p0(c, l1 * float(total_sp1), l2 * float(total_sp2))
 
 
 def _tail(edge, n, p0, lower):
@@ -194,11 +206,15 @@ def binom_twosided_pvalues(x1, n, p0):
 
     Parameters broadcast against each other; counts are exact when passed
     as integers below 2**53.  Returns values in (0, 1]; n = 0 maps to 1
-    (empty rejection region).
+    (empty rejection region).  A p0 that is NaN or outside [0, 1] raises
+    ValueError.
     """
     x1, n, p0 = np.broadcast_arrays(*(np.asarray(v, dtype=np.float64) for v in (x1, n, p0)))
     shape = x1.shape
     x1, n, p0 = x1.ravel(), n.ravel(), p0.ravel()
+    outside = ~((p0 >= 0.0) & (p0 <= 1.0))
+    if outside.any():
+        raise ValueError(f"p0 must lie in [0, 1], got {float(p0[outside][0])!r}")
     p = np.empty(x1.shape)
     for start in range(0, p.size, _ROWS):
         rows = slice(start, start + _ROWS)

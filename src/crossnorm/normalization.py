@@ -42,7 +42,8 @@ from typing import ClassVar
 import numpy as np
 
 from .core import ConservedSet, OrthologTable, ScalingFactor, _store_numbers
-from .exact_test import _MAX_BOUNDED_N, _MAX_P0, _gene_inputs, _interval_verdicts, _p0, _rejects
+from .exact_test import (_MAX_BOUNDED_N, _MAX_P0, _checked_p0, _gene_inputs, _interval_verdicts,
+                         _p0, _rejects)
 
 __all__ = [
     "GridConfig",
@@ -287,11 +288,12 @@ def empirical_type1_deviation(
     """Deviation of the conserved-gene rejection rate from alpha at factor c.
 
     Untestable conserved genes are dropped and the denominator reduced
-    accordingly.
+    accordingly.  A factor at which c*L1*N1 + L2*N2 overflows raises
+    ValueError.
     """
     GridConfig(alpha=alpha)  # the one check of alpha
     x1, n, l1n1, l2n2 = _conserved_arrays(table, _conserved_rows(table, conserved))
-    count = np.count_nonzero(_rejects(x1, n, _p0(c.c, l1n1, l2n2), alpha))
+    count = np.count_nonzero(_rejects(x1, n, _checked_p0(c.c, l1n1, l2n2), alpha))
     return _objective(count, x1.size, alpha)
 
 

@@ -6,7 +6,11 @@ Count table: UTF-8 TSV, header ``gene_id length_sp1 count_sp1 length_sp2
 count_sp2`` (tab-separated), one gene per line, integer lengths and counts
 below 2**53.  A length or count is written ``-?[0-9]+``: ASCII digits with
 an optional minus sign, leading zeros allowed; ``+``, spaces, ``_`` and
-non-ASCII digits are errors.
+non-ASCII digits are errors.  One parse (:func:`_numeric_columns`) reads
+good lines and names the first bad one: ``line N: expected 5
+tab-separated fields`` or ``line N: lengths and counts must be integers``.
+It and ``validate_table`` raise ``core.InvalidRow`` with a body row, and
+:func:`load_counts_tsv` maps every such row to its file line in one place.
 
 Conserved list: plain text, one gene id per line, ``#`` comments allowed.
 
@@ -48,7 +52,6 @@ from __future__ import annotations
 
 import itertools
 import json
-import re
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
@@ -58,7 +61,7 @@ import numpy as np
 from . import METHODS
 from .core import (ConservedSet, InvalidRow, OrthologTable, ScalingFactor, _store_numbers,
                    require_number, validate_table)
-from .exact_test import _gene_inputs, _p0, _rejects, binom_twosided_pvalues
+from .exact_test import _checked_p0, _gene_inputs, _rejects, binom_twosided_pvalues
 from .floattext import WIDTH, pq_text
 from .normalization import (
     GridConfig,
@@ -89,8 +92,6 @@ __all__ = [
 
 COUNTS_HEADER = ("gene_id", "length_sp1", "count_sp1", "length_sp2", "count_sp2")
 _HEADER_LINE = "\t".join(COUNTS_HEADER)
-# A length or count field: an optional minus sign, then ASCII digits.
-_INTEGER = re.compile(r"-?[0-9]+")
 # Every body line's separators: four tabs, then the line end.
 _ROW_SEPARATORS = np.frombuffer(b"\t\t\t\t\n", dtype=np.uint8)
 # Fields of up to this many digits are summed in int64 without overflow;
@@ -287,14 +288,12 @@ def load_counts_tsv(path: str | Path) -> OrthologTable:
             f"{path}: line 1: expected header {_HEADER_LINE!r}, got {lines[0]!r}"
         )
     body = list(filter(None, lines[1:]))  # blank lines are skipped
-    # At least one block: a header-only file parses to (4, 0) columns.
-    blocks = [_numeric_columns(body[start:start + _ROWS])
-              for start in range(0, max(len(body), 1), _ROWS)]
-    if any(block is None for block in blocks):
-        raise _first_bad_line(path, lines)
     gene_ids = [line.partition("\t")[0] for line in body]
-    l1, x1, l2, x2 = np.concatenate(blocks, axis=1)
     try:
+        # At least one block: a header-only file parses to (4, 0) columns.
+        blocks = [_numeric_columns(body[start:start + _ROWS], start)
+                  for start in range(0, max(len(body), 1), _ROWS)]
+        l1, x1, l2, x2 = np.concatenate(blocks, axis=1)
         return validate_table(gene_ids, length_sp1=l1, length_sp2=l2,
                               count_sp1=x1, count_sp2=x2)
     except InvalidRow as exc:
@@ -304,10 +303,10 @@ def load_counts_tsv(path: str | Path) -> OrthologTable:
         raise ValueError(f"{path}: {exc}") from None
 
 
-def _numeric_columns(body: list[str]) -> np.ndarray | None:
+def _numeric_columns(body: list[str], first_row: int) -> np.ndarray:
     """The four numeric columns of the body lines, as the rows of a
-    (4, lines) int64 array; None when a line has other than 5 fields or a
-    numeric field breaks the _INTEGER grammar.
+    (4, lines) int64 array.  Raises InvalidRow(first_row + row) at the first
+    line with other than 5 fields or a length or count outside ``-?[0-9]+``.
 
     One pass over the body's UTF-8 bytes: the tab and newline positions
     bound every field, and the digits are summed one digit position at a
@@ -317,7 +316,13 @@ def _numeric_columns(body: list[str]) -> np.ndarray | None:
     buf = np.frombuffer("\n".join([*body, ""]).encode(), dtype=np.uint8)
     seps = np.flatnonzero((buf == ord("\t")) | (buf == ord("\n")))
     if seps.size != 5 * len(body) or not (buf[seps].reshape(-1, 5) == _ROW_SEPARATORS).all():
-        return None
+        # Each line's separators, its tabs and its newline, are the gap
+        # between its newline's index among them and the previous one's.
+        # The lines before the first bad one have their integers checked first.
+        ends = np.flatnonzero(buf[seps] == ord("\n"))
+        row = int(np.argmax(np.diff(ends, prepend=-1) != 5))
+        _numeric_columns(body[:row], first_row)
+        raise InvalidRow(first_row + row, "expected 5 tab-separated fields")
     seps = seps.reshape(-1, 5)
     first, end = seps[:, :4] + 1, seps[:, 1:]
     negative = buf[first] == ord("-")
@@ -334,29 +339,18 @@ def _numeric_columns(body: list[str]) -> np.ndarray | None:
         value *= 10
         value += digit
         pos += 1
-    if bad.any():
-        return None
     for k in np.flatnonzero(width > _FAST_DIGITS):
-        field = buf[first.flat[k]:end.flat[k]].tobytes().decode()
-        if not _INTEGER.fullmatch(field):
-            return None
-        # Without leading zeros, 20 digits already exceed int64.
-        value.flat[k] = min(int(field.lstrip("-").lstrip("0")[:20] or "0"), _INT64_MAX)
+        field = buf[first.flat[k]:end.flat[k]].tobytes().removeprefix(b"-")
+        if field.isdigit():  # ASCII digits only
+            # Without leading zeros, 20 digits already exceed int64.
+            value.flat[k] = min(int(field.lstrip(b"0")[:20] or b"0"), _INT64_MAX)
+        else:
+            bad.flat[k] = True
+    if bad.any():
+        raise InvalidRow(first_row + int(bad.any(axis=1).argmax()),
+                         "lengths and counts must be integers")
     np.negative(value, out=value, where=negative)
     return value.T
-
-
-def _first_bad_line(path: Path, lines: list[str]) -> ValueError:
-    # Line by line, the error for the first line the bulk parse rejects.
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        fields = line.split("\t")
-        if len(fields) != 5:
-            return ValueError(f"{path}: line {lineno}: expected 5 tab-separated fields")
-        if not all(map(_INTEGER.fullmatch, fields[1:])):
-            return ValueError(f"{path}: line {lineno}: lengths and counts must be integers")
-    raise AssertionError("the bulk parse rejected a table that parses line by line")
 
 
 def write_counts_tsv(table: OrthologTable, path: str | Path) -> None:
@@ -441,11 +435,13 @@ def call_de(table: OrthologTable, c: ScalingFactor, cutoff: float) -> DEResult:
 
     Direction is reported only for called genes: the species whose count
     exceeds its null share.  Untestable genes carry NaN p/q, are never
-    called, and are left out of the q-value ranking.
+    called, and are left out of the q-value ranking.  A factor at which
+    c*L1*N1 + L2*N2 overflows raises ValueError, here and in
+    :func:`testable_calls`.
     """
     _check_cutoff(cutoff)
     x1, n, *products = _gene_inputs(table)
-    p0 = _p0(c.c, *products)
+    p0 = _checked_p0(c.c, *products)
     with np.errstate(invalid="ignore"):
         p = binom_twosided_pvalues(x1, n, p0)
     p = np.where(table.testable, p, np.nan)
@@ -478,7 +474,7 @@ def testable_calls(
     """
     _check_cutoff(cutoff)
     x1, n, *products = _gene_inputs(table, table.testable)
-    p0 = _p0(c.c, *products)
+    p0 = _checked_p0(c.c, *products)
     called = _rejects(x1, n, p0, cutoff)
     return called, _directions(x1, n, p0, called)
 

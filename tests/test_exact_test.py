@@ -1,5 +1,6 @@
 import itertools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -89,6 +90,14 @@ def test_null_success_prob_increasing_in_c():
     values = null_prob_values(np.array([0.5, 1.0, 2.0, 4.0]), 300, 700, 10**6, 2 * 10**6)
     assert list(values) == sorted(values)
     assert all(0.0 < v < 1.0 for v in values)
+
+
+@pytest.mark.parametrize("p0", [np.nan, -0.1, 1.5, -np.inf, np.inf, [0.5, np.nan]])
+def test_a_p0_outside_the_unit_interval_is_one_value_error(p0):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^p0 must lie in \[0, 1\], got "):
+            binom_twosided_pvalues(5, 10, p0)
 
 
 def test_gene_pvalue_examples():

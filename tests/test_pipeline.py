@@ -1,6 +1,7 @@
 import json
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -163,7 +164,9 @@ def test_load_counts_accepts_zero_padded_and_signed_zero_integers(tmp_path):
 # Everything outside the grammar -?[0-9]+, including the forms int() accepts.
 @pytest.mark.parametrize("value", ["1__0", "0x10", "1e3", "", "1.0", "_1", "12a",
                                    " 12", "12 ", "+7", "1_000", "\u0661\u0662",
-                                   "+" + "0" * 24 + "5", "x" + "0" * 24 + "5"])
+                                   "+" + "0" * 24 + "5", "x" + "0" * 24 + "5",
+                                   # A bad byte before a long field's last 18 digits.
+                                   "1x" + "0" * 20, "--" + "0" * 20, "\u0663" + "0" * 20])
 def test_load_counts_rejects_what_int_rejects(tmp_path, value):
     path = _write_counts(tmp_path / "c.tsv", [_GOOD_ROW, f"g2\t100\t{value}\t200\t2"])
     with pytest.raises(ValueError, match=rf"^{path}: line 3: lengths and counts must be integers$"):
@@ -207,6 +210,10 @@ _STRAYS = st.one_of(
               st.sampled_from([("+", ""), (" ", ""), ("", " "), ("", "_0"), ("\u0663", ""),
                                ("x", ""), ("", ".0"), ("-", ""), ("", "\u0663")]),
               _VALUES),
+    # A long value with a bad byte anywhere, often before its last 18 digits.
+    st.builds(lambda digits, at, stray: digits[:at] + stray + digits[at:],
+              st.text(alphabet="0123456789", min_size=20, max_size=25), st.integers(0, 25),
+              st.sampled_from(["x", "-", "+", " ", "_", ".", "\u0663"])),
 )
 
 
@@ -282,6 +289,25 @@ def test_load_counts_in_blocks_names_the_bad_line(tmp_path, monkeypatch, rows, m
     monkeypatch.setattr(pipeline, "_ROWS", 3)
     path = _write_counts(tmp_path / "c.tsv", rows)
     with pytest.raises(ValueError, match=rf"^{path}: {message}$"):
+        load_counts_tsv(path)
+
+
+_SIX_FIELDS = "g8\t1\t2\t3\t4\t5"
+_BAD_INTEGER = "g9\t1\tx\t3\t4"
+
+
+# With 3-line blocks, one good line puts both bad lines in the first block,
+# and two good lines put them on either side of its edge.
+@pytest.mark.parametrize("good", [1, 2], ids=["one-block", "block-edge"])
+@pytest.mark.parametrize("first, second, message", [
+    (_BAD_INTEGER, _SIX_FIELDS, "lengths and counts must be integers"),
+    (_SIX_FIELDS, _BAD_INTEGER, "expected 5 tab-separated fields"),
+], ids=["bad-integer-first", "six-fields-first"])
+def test_load_counts_names_the_earlier_of_two_bad_lines(tmp_path, monkeypatch, good, first,
+                                                       second, message):
+    monkeypatch.setattr(pipeline, "_ROWS", 3)
+    path = _write_counts(tmp_path / "c.tsv", [*_BLOCK_ROWS[:good], first, second])
+    with pytest.raises(ValueError, match=rf"^{path}: line {good + 2}: {message}$"):
         load_counts_tsv(path)
 
 
@@ -549,6 +575,33 @@ def test_call_de_direction_antisymmetric_under_species_swap():
         assert abs(f.p_value - r.p_value) < 1e-12
         assert r.direction == flip[f.direction]
         assert r.de_call == f.de_call
+
+
+# N1 is about 1e15 and L1 = 1000, so c*L1*N1 overflows at c = 1e300.
+_OVERFLOW_ENTRY_POINTS = {
+    "call_de": lambda table, c: call_de(table, ScalingFactor(c), 0.01),
+    "testable_calls": lambda table, c: de_calls_for(table, ScalingFactor(c), 0.01),
+    "empirical_type1_deviation": lambda table, c: empirical_type1_deviation(
+        table, ConservedSet(frozenset(table.gene_ids)), ScalingFactor(c)),
+    "null_prob_values": lambda table, c: null_prob_values(
+        c, table.length_sp1, table.length_sp2, table.total_sp1, table.total_sp2),
+    "gene_pvalues": lambda table, c: exact_test.gene_pvalues(
+        table.count_sp1, table.count_sp2, table.length_sp1, table.length_sp2,
+        table.total_sp1, table.total_sp2, c),
+}
+
+
+@pytest.mark.parametrize("entry_point", _OVERFLOW_ENTRY_POINTS.values(),
+                         ids=_OVERFLOW_ENTRY_POINTS.keys())
+def test_a_factor_that_overflows_the_null_probability_is_one_value_error(entry_point):
+    table = validate_table(("g1", "g2", "g3"), length_sp1=[1000] * 3, length_sp2=[1000] * 3,
+                           count_sp1=[10**15 - 20, 10, 10], count_sp2=[10, 10, 10])
+    entry_point(table, 1e3)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^c\*L1\*N1 \+ L2\*N2 is not finite at "
+                                             r"scaling factor 1e\+300$"):
+            entry_point(table, 1e300)
 
 
 # ---------------------------------------------------------------------------
