@@ -4,19 +4,18 @@ An :class:`OrthologTable` is columnar: a tuple of gene ids plus read-only
 int64 columns ``length_sp1``, ``length_sp2``, ``count_sp1`` and
 ``count_sp2``, the exact per-species read totals as Python ints, and a
 ``testable`` mask (the ``_testable`` rule, which the exact test shares).
-:func:`validate_table` is the one place that builds and checks a table; the
-simulator skips the id rules (``_build_table(..., check_ids=False)``), which
-its generated ids cannot break.  A table keeps its ids as a set too
-(``table._id_set``): the set the uniqueness rule builds, or, for a table
-built without the id rules, one built on first use.  :class:`GeneRecord` is
-the row type of the cached, read-only ``table.records`` view.
+:func:`validate_table` is the one place that builds and checks a table, and
+it checks every rule, the simulator's tables included.  A table keeps the
+set of its ids that the uniqueness rule builds (``table._id_set``), for
+membership tests.  :class:`GeneRecord` is the row type of the cached,
+read-only ``table.records`` view.
 
 All types are immutable after construction.
 """
 from __future__ import annotations
 
 import numbers
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cache, cached_property
 from typing import get_type_hints
 
@@ -115,6 +114,7 @@ class OrthologTable:
     total_sp1: int
     total_sp2: int
     testable: np.ndarray
+    _id_set: frozenset[str] = field(repr=False)  # the gene ids, for membership tests
 
     def __len__(self) -> int:
         return len(self.gene_ids)
@@ -125,11 +125,6 @@ class OrthologTable:
         return self.gene_ids == other.gene_ids and all(
             np.array_equal(getattr(self, name), getattr(other, name)) for name in _COLUMNS
         )
-
-    @cached_property
-    def _id_set(self) -> frozenset[str]:
-        """The gene ids as a set, for membership tests."""
-        return frozenset(self.gene_ids)
 
     @cached_property
     def records(self) -> tuple[GeneRecord, ...]:
@@ -184,7 +179,37 @@ def validate_table(gene_ids, length_sp1, length_sp2, count_sp1, count_sp2) -> Or
     without any reads raises ValueError.  Idempotent: validating a valid
     table's columns reproduces an equal table.
     """
-    return _build_table(tuple(gene_ids), length_sp1, length_sp2, count_sp1, count_sp2)
+    ids = tuple(gene_ids)
+    columns = [_int64_column(values) for values in (length_sp1, length_sp2, count_sp1, count_sp2)]
+    if any(column.shape != (len(ids),) for column in columns):
+        raise ValueError("gene ids and the four columns must have the same length")
+    l1, l2, x1, x2 = columns
+
+    failures = [
+        (int(mask.argmax()), message)
+        for mask, message in (
+            (l1 < 1, "length_sp1 must be >= 1"),
+            (l2 < 1, "length_sp2 must be >= 1"),
+            ((x1 < 0) | (x2 < 0), "counts must be >= 0"),
+            (np.any([column >= _VALUE_LIMIT for column in columns], axis=0),
+             "lengths and counts must be < 2**53"),
+        )
+        if mask.any()
+    ]
+    id_set = frozenset(ids)
+    failures += _id_failures(ids, id_set)
+    if failures:
+        row, message = min(failures, key=lambda failure: failure[0])
+        raise InvalidRow(row, f"gene {ids[row]!r}: {message}")
+
+    # Exact totals: an int64 sum where max * rows cannot overflow, else Python ints.
+    total_sp1, total_sp2 = (int(x.sum()) if int(x.max(initial=0)) * x.size <= _INT64.max
+                            else sum(x.tolist()) for x in (x1, x2))
+    if total_sp1 <= 0 or total_sp2 <= 0:
+        raise ValueError("each species needs at least one mapped read")
+    testable = _testable(x1 + x2)
+    testable.flags.writeable = False
+    return OrthologTable(ids, l1, l2, x1, x2, total_sp1, total_sp2, testable, id_set)
 
 
 def _id_failures(ids: tuple[str, ...], id_set: frozenset[str]) -> list[tuple[int, str]]:
@@ -217,46 +242,6 @@ def _id_failures(ids: tuple[str, ...], id_set: frozenset[str]) -> list[tuple[int
                 break
             seen.add(gene_id)
     return failures
-
-
-def _build_table(ids: tuple[str, ...], length_sp1, length_sp2, count_sp1, count_sp2,
-                 check_ids: bool = True) -> OrthologTable:
-    """validate_table on a tuple of ids; with ``check_ids`` False, the id
-    rules are not checked, for ids known to pass them."""
-    columns = [_int64_column(values) for values in (length_sp1, length_sp2, count_sp1, count_sp2)]
-    if any(column.shape != (len(ids),) for column in columns):
-        raise ValueError("gene ids and the four columns must have the same length")
-    l1, l2, x1, x2 = columns
-
-    failures = [
-        (int(mask.argmax()), message)
-        for mask, message in (
-            (l1 < 1, "length_sp1 must be >= 1"),
-            (l2 < 1, "length_sp2 must be >= 1"),
-            ((x1 < 0) | (x2 < 0), "counts must be >= 0"),
-            (np.any([column >= _VALUE_LIMIT for column in columns], axis=0),
-             "lengths and counts must be < 2**53"),
-        )
-        if mask.any()
-    ]
-    if check_ids:
-        id_set = frozenset(ids)
-        failures += _id_failures(ids, id_set)
-    if failures:
-        row, message = min(failures, key=lambda failure: failure[0])
-        raise InvalidRow(row, f"gene {ids[row]!r}: {message}")
-
-    # Exact totals: an int64 sum where max * rows cannot overflow, else Python ints.
-    total_sp1, total_sp2 = (int(x.sum()) if int(x.max(initial=0)) * x.size <= _INT64.max
-                            else sum(x.tolist()) for x in (x1, x2))
-    if total_sp1 <= 0 or total_sp2 <= 0:
-        raise ValueError("each species needs at least one mapped read")
-    testable = _testable(x1 + x2)
-    testable.flags.writeable = False
-    table = OrthologTable(ids, l1, l2, x1, x2, total_sp1, total_sp2, testable)
-    if check_ids:
-        vars(table)["_id_set"] = id_set  # the cached property's value, already built
-    return table
 
 
 @dataclass(frozen=True)

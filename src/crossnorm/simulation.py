@@ -52,8 +52,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import normalization, pipeline
-from .core import (_VALUE_LIMIT, ConservedSet, OrthologTable, ScalingFactor, _build_table,
-                   _field_types, _store_numbers, require_integer, require_number)
+from .core import (_VALUE_LIMIT, ConservedSet, OrthologTable, ScalingFactor, _field_types,
+                   _store_numbers, require_integer, require_number, validate_table)
 
 __all__ = [
     "LABEL_NULL",
@@ -113,7 +113,10 @@ class SimConfig:
     integral numbers, ``float`` fields real ones (numpy scalars pass, bools do not),
     stored as Python numbers; ``rate_source`` takes None or positive numbers, stored
     as a tuple of floats.  The table, the conserved set and each species' unmapped
-    genes hold at most ``MAX_SIM_GENES``.  A config that constructs can be generated.
+    genes hold at most ``MAX_SIM_GENES``.  A config that constructs draws its counts
+    without overflow, but the draw can still hold no read for a species (likely at a
+    depth near or below one read, such as ``depth_sp1=0.5``); the table's rules then
+    raise ValueError ``each species needs at least one mapped read``.
     """
 
     n_orthologs: int
@@ -254,9 +257,9 @@ def _table_size(config: SimConfig) -> int:
 def _draw(config: SimConfig, gene_ids: tuple[str, ...]):
     """The one seeded draw of a dataset, on rows.
 
-    ``gene_ids`` are the table's ids (``_gene_ids`` of its size), which
-    break no id rule, so the table is built without checking them.  Returns
-    the validated table, each row's truth label as an int8 index into
+    ``gene_ids`` are the table's ids (``_gene_ids`` of its size); the table
+    is built by ``validate_table``, which checks them too.  Returns the
+    validated table, each row's truth label as an int8 index into
     ``_LABELS``, the sorted rows of the reported conserved set (testable or
     not), the true factor, and the two species' unmapped read totals.
     """
@@ -305,7 +308,7 @@ def _draw(config: SimConfig, gene_ids: tuple[str, ...]):
     unmapped_reads_sp1 = _unmapped_reads(rng, unm1_mu * unm1_len * (config.depth_sp1 / s1))
     unmapped_reads_sp2 = _unmapped_reads(rng, unm2_mu * unm2_len * (config.depth_sp2 / s2))
 
-    table = _build_table(gene_ids, len_sp1, len_sp2, counts_sp1, counts_sp2, check_ids=False)
+    table = validate_table(gene_ids, len_sp1, len_sp2, counts_sp1, counts_sp2)
 
     # Reported conserved set: mostly nulls, contaminated at the noise rate.
     # The contaminant pool is every non-null ortholog (planted fold-change

@@ -500,6 +500,26 @@ def test_a_study_sweeping_an_oversized_table_is_a_one_line_error(tmp_path):
     assert not (tmp_path / "x").exists()
 
 
+@pytest.mark.parametrize("command", ["simulate", "study"])
+def test_a_config_that_draws_no_read_is_a_one_line_error(tmp_path, command):
+    # SimConfig accepts any positive depth, but a depth near or below one read
+    # can draw a species without a read, which no table may hold.
+    if command == "simulate":
+        args = ["simulate", "--n-orthologs", "100", "--conserved-size", "20", "--depth-sp1",
+                "0.5", "--depth-sp2", "0.5", "--seed", "3"]
+    else:
+        path = tmp_path / "study.json"
+        path.write_text(json.dumps({"base": {**_STUDY_BASE, "depth_sp1": 1e-300},
+                                    "methods": ["median"], "replicates": 1}), encoding="utf-8")
+        args = ["study", "--spec", str(path)]
+    result = CliRunner().invoke(main, [*args, "--output", str(tmp_path / "x")])
+    assert result.exit_code == 1
+    assert isinstance(result.exception, SystemExit)
+    assert (result.stdout, result.stderr) == \
+        ("", "error: each species needs at least one mapped read\n")
+    assert not (tmp_path / "x").exists()
+
+
 _TOO_FEW_CONSERVED = "error: median baseline needs >= 4 testable conserved genes, got 3"
 _WORKER_EXITED = ("error: a study worker process ended with exit code 3 before sending its "
                   "results")

@@ -6,8 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from crossnorm.core import (ConservedSet, InvalidRow, ScalingFactor, _build_table,
-                            validate_table)
+from crossnorm.core import ConservedSet, InvalidRow, ScalingFactor, validate_table
 from crossnorm.normalization import GridConfig
 from crossnorm.pipeline import RunConfig, load_conserved_list
 from crossnorm.simulation import SimConfig
@@ -105,15 +104,11 @@ def test_a_table_keeps_the_id_set_its_id_rules_built(tmp_path):
     # load_conserved_list tests membership against it instead of hashing the ids again.
     ids = ("g1", "g2", "g3")
     columns = ([10] * 3, [10] * 3, [1, 0, 2], [1, 1, 0])
-    checked = validate_table(ids, *columns)
-    assert vars(checked)["_id_set"] == frozenset(ids)
-    unchecked = _build_table(ids, *columns, check_ids=False)
-    assert "_id_set" not in vars(unchecked)  # built on first use
+    table = validate_table(ids, *columns)
+    assert table._id_set == frozenset(ids)
     path = tmp_path / "conserved.txt"
     path.write_text("g3\ngX\ng1\ng3\n", encoding="utf-8")
-    for table in (checked, unchecked):
-        assert load_conserved_list(path, table) == (ConservedSet(frozenset({"g1", "g3"})), 1)
-    assert unchecked._id_set == frozenset(ids)
+    assert load_conserved_list(path, table) == (ConservedSet(frozenset({"g1", "g3"})), 1)
 
 
 def test_mismatched_column_lengths_rejected():

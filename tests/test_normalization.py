@@ -523,6 +523,13 @@ def _full_rejection_counts(cs, x1, n, l1n1, l2n2, alpha):
     return np.cumsum(runs[:-1]) + np.bincount(cell[p < alpha], minlength=points)
 
 
+def _reference_pick(dev):
+    """The reference pick rule: the cells within 1e-12 of the least deviation,
+    and the lower median of them."""
+    minima = np.flatnonzero(dev <= dev.min() + 1e-12)
+    return minima, minima[(minima.size - 1) // 2]
+
+
 def _reference_scbn_scaling_factor(table, conserved, grid):
     """Reference: the round loop on every grid cell's full count."""
     x1, n, l1n1, l2n2 = _conserved_arrays(table, _conserved_rows(table, conserved))
@@ -537,8 +544,7 @@ def _reference_scbn_scaling_factor(table, conserved, grid):
         cs = np.exp(np.linspace(log_center - h, log_center + h, grid.coarse_points))
         rate = _full_rejection_counts(cs, x1, n, l1n1, l2n2, grid.alpha) / x1.size
         dev = np.abs(rate - grid.alpha)
-        minima = np.flatnonzero(dev <= dev.min() + 1e-12)
-        pick = minima[(minima.size - 1) // 2]
+        minima, pick = _reference_pick(dev)
         if round_idx == 0:
             window_edge = bool(minima[0] == 0 or minima[-1] == cs.size - 1)
         log_center = np.log(cs[pick])
@@ -670,8 +676,7 @@ def test_scbn_rounds_follow_one_schedule(monkeypatch, grid):
     def recorded(cs, x1, *args):
         counts, kept = _rejection_counts(cs, x1, *args)
         dev = np.where(kept, np.abs(counts / x1.size - grid.alpha), np.inf)
-        minima = np.flatnonzero(dev <= dev.min() + 1e-12)
-        rounds.append((cs, cs[minima[(minima.size - 1) // 2]]))
+        rounds.append((cs, cs[_reference_pick(dev)[1]]))
         return counts, kept
 
     monkeypatch.setattr(normalization, "_rejection_counts", recorded)

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from crossnorm import core, exact_test, pipeline
+from crossnorm import exact_test, pipeline
 from crossnorm.cli import main
 from crossnorm.core import ConservedSet, InvalidRow, ScalingFactor, validate_table
 from crossnorm.exact_test import binom_twosided_pvalues, null_prob_values
@@ -1141,7 +1141,7 @@ def test_a_gene_id_padded_with_whitespace_is_rejected(tmp_path):
 
 def test_an_empty_gene_id_is_rejected_at_its_row(tmp_path):
     # A count line that starts with a tab holds an empty id.  The rule is
-    # tested on the id set the table keeps, and names the first empty id.
+    # tested on the id set validate_table builds, and names the first empty id.
     rows = [("g1", 10, 10, 1, 1), ("", 10, 10, 1, 1), ("g3", 10, 10, 1, 1), ("", 10, 10, 1, 1)]
     with pytest.raises(InvalidRow) as info:
         table_of(rows)
@@ -1151,12 +1151,6 @@ def test_an_empty_gene_id_is_rejected_at_its_row(tmp_path):
     with pytest.raises(ValueError) as info:
         load_counts_tsv(path)
     assert str(info.value) == f"{path}: line 3: gene '': gene_id must be a non-empty string"
-    # A table built without the id rules builds its set on first use: the
-    # rules on that set give the same row.
-    ids, *columns = zip(*rows)
-    unchecked = core._build_table(ids, *columns, check_ids=False)
-    assert min(core._id_failures(unchecked.gene_ids, unchecked._id_set)) == \
-        (1, "gene_id must be a non-empty string")
 
 
 def test_an_id_a_conserved_list_cannot_name_is_rejected(tmp_path):

@@ -108,6 +108,7 @@ def test_the_row_draw_is_the_drawn_dataset(config):
     assert [simulation._LABELS[k] for k in labels.tolist()] == \
         [ds.truth[g] for g in table.gene_ids]
     assert list(ds.truth) == list(table.gene_ids)
+    assert table._id_set == frozenset(table.gene_ids)  # a conserved list tests membership on it
     assert conserved.tolist() == sorted(set(conserved.tolist()))
     assert {table.gene_ids[r] for r in conserved.tolist()} == ds.reported_conserved.gene_ids
     assert conserved[table.testable[conserved]].tolist() == \
@@ -924,7 +925,7 @@ def test_run_study_overlap_and_scores_match_a_recount_from_call_de(monkeypatch):
 @pytest.mark.parametrize("size", [0, 1, 10, 8_000, 12_345, 1_000_001])
 def test_gene_ids_are_the_zero_padded_row_numbers(size):
     # 1,000,001 rows reach a seven-digit id, past the six-digit padding.
-    # The ids break no id rule, so tables are built on them unchecked.
+    # The ids break no id rule, so validate_table accepts every drawn table.
     ids = simulation._gene_ids(size)
     assert ids == tuple(f"g{i:06d}" for i in range(size))
     assert core._id_failures(ids, frozenset(ids)) == []
